@@ -14,11 +14,20 @@ partition list down while ``j >= s`` and right while ``i <= e``, fetches
 each relevant inner partition (one partition access + its block IOs) and
 compares its tuples pairwise with the outer partition's tuples (two
 endpoint comparisons per pair; failing pairs are false hits).
+
+The probe is one core shared by every executor: :func:`build_probe_schedule`
+navigates (one task per outer partition, via
+:meth:`~repro.core.lazy_list.LazyPartitionList.relevant`) and
+:func:`run_probe_task` is the pair loop.  The sequential join runs the
+schedule inline (:func:`probe_inline`), :mod:`repro.engine.parallel` runs
+it in chunks on a worker pool, and :mod:`repro.engine.batch` runs one
+windowed schedule per query.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..storage.buffer import BufferPool
 from ..storage.device import DeviceProfile
@@ -35,11 +44,21 @@ from .kernels import (
     kernel_function,
     resolve_kernel,
 )
-from .lazy_list import oip_create
+from .interval import Interval
+from .lazy_list import LazyPartitionList, PartitionNode, oip_create
 from .oip import OIPConfiguration
 from .relation import TemporalRelation
 
-__all__ = ["OIPJoin"]
+__all__ = [
+    "OIPJoin",
+    "ProbeSchedule",
+    "ProbeTask",
+    "RunReader",
+    "build_probe_schedule",
+    "pair_emitter",
+    "probe_inline",
+    "run_probe_task",
+]
 
 #: Outer partitions between periodic checkpoints when ``checkpoint_path``
 #: is set but ``checkpoint_every`` is not.
@@ -718,14 +737,11 @@ class OIPJoin(OverlapJoinAlgorithm):
         execution_report = None
         if use_parallel:
             # Partition-pair scheduling over a worker pool; bit-identical
-            # to the sequential loop below (see repro.engine.parallel).
-            from ..engine.parallel import build_probe_schedule, execute_schedule
+            # to the inline probe below (see repro.engine.parallel).
+            from ..engine.parallel import execute_schedule
 
             with tracer.span("enumerate") as enum_span:
-                schedule = build_probe_schedule(
-                    outer_list, inner_list, k_inner, counters,
-                    charge_from=start_at,
-                )
+                schedule = build_probe_schedule(outer_list, inner_list)
                 enum_span.set("tasks", schedule.task_count)
                 enum_span.set("partition_pairs", schedule.pair_count)
             with tracer.span(
@@ -779,22 +795,29 @@ class OIPJoin(OverlapJoinAlgorithm):
                 # order, which parallel execution would break.
                 parallel_details = {"parallel_fallback": "buffer_pool"}
             with tracer.span("probe", mode="sequential"):
-                cancelled, partitions_done = self._probe_sequential(
-                    outer_list,
-                    inner_list,
-                    k_inner,
-                    storage,
+                cancelled, partitions_done = probe_inline(
+                    build_probe_schedule(outer_list, inner_list),
+                    RunReader(storage),
                     counters,
                     pairs,
+                    pair_emitter(
+                        pairs,
+                        candidate_histogram.observe
+                        if candidate_histogram is not None
+                        else None,
+                    ),
+                    kernel,
+                    cache=decode_cache,
                     governor=governor,
                     start_at=start_at,
-                    kernel=kernel,
-                    decode_cache=decode_cache,
-                    candidate_histogram=candidate_histogram,
+                    tracer=tracer,
                 )
 
         details = {
-            "k": k_inner if k_inner == k_outer else (k_outer, k_inner),
+            # The inner side's count is the one the probe navigates.
+            "k": k_inner,
+            "k_outer": k_outer,
+            "k_inner": k_inner,
             "granule_duration_outer": config_r.d,
             "granule_duration_inner": config_s.d,
             "outer_partitions": outer_list.partition_count,
@@ -837,203 +860,311 @@ class OIPJoin(OverlapJoinAlgorithm):
             execution=execution_report,
         )
 
-    def _probe_sequential(
-        self,
-        outer_list,
-        inner_list,
-        k_inner: int,
-        storage: StorageManager,
-        counters: CostCounters,
-        pairs: List,
-        governor=None,
-        start_at: int = 0,
-        kernel: str = "naive",
-        decode_cache: Optional[DecodedRunCache] = None,
-        candidate_histogram=None,
-    ) -> Tuple[bool, int]:
-        """The classic sequential Algorithm 2 probe loop: for every outer
-        partition, issue an overlap query with the partition interval and
-        walk the inner lazy list per Lemma 1, handing each relevant
-        partition pair to the configured join *kernel*
-        (:mod:`repro.core.kernels`).
 
-        The paper's model costs are charged analytically per partition
-        pair — ``2 * candidates`` CPU comparisons and ``candidates -
-        results`` false hits, exactly what the historical per-candidate
-        ``_match`` loop summed to — so the counters are identical for
-        every kernel, and identical to the pre-kernel code, while the
-        kernels are free to skip physical comparisons.  Block IO is
-        charged per access as before; *decode_cache* only memoises the
-        columnar decode of inner runs, and is invalidated for a run
-        whenever a corruption (or buffer-pool invalidation) is detected
-        while reading its blocks, so a stale decode is never served.
+# ----------------------------------------------------------------------
+# The Algorithm 2 probe core: Lemma-1 navigation (build_probe_schedule)
+# and the one pair loop (run_probe_task) behind the sequential join, the
+# parallel scheduler (repro.engine.parallel) and the batch executor
+# (repro.engine.batch).
+# ----------------------------------------------------------------------
 
-        Every outer partition is a cooperative boundary: the governor is
-        consulted *before* the partition's work, so a cancel or budget
-        stop leaves the counters exactly at the last completed
-        partition.  Partitions below *start_at* (completed by the run a
-        checkpoint was restored from) are skipped without charges.
-        Returns ``(cancelled, partitions_completed)``.
-        """
-        config_r, config_s = outer_list.config, inner_list.config
-        d_r, o_r = config_r.d, config_r.o
-        d_s, o_s = config_s.d, config_s.o
-        inner_range_start = o_s
-        inner_range_stop = o_s + k_inner * d_s  # exclusive
-        # Per-partition spans only when tracing is live — the disabled
-        # path must not even construct span objects in this hot loop.
-        # A depth-capped tracer (the serving path) counts as disabled
-        # here once the cap is reached: its per-partition spans would
-        # all be no-ops, so skip the calls wholesale.
-        trace = (
-            self._run_tracer
-            if self._run_tracer.enabled
-            and not getattr(self._run_tracer, "saturated", False)
-            else None
+
+class ProbeTask(NamedTuple):
+    """One outer partition's probe work, found by Lemma-1 navigation.
+
+    ``inner`` holds the relevant inner partition nodes in the walk order
+    of the sequential join.  ``nav_cpu`` is the CPU comparisons charged
+    for finding them: the two of Algorithm 2's range-overlap guard plus
+    the walk's ``j >= s`` / ``i <= e`` index tests.  ``walk_cpu`` is the
+    share of a windowed *outer* walk's index tests made to reach this
+    partition (0 without a window); it is charged before the partition's
+    governor boundary, exactly when the walk would have made it.
+    """
+
+    index: int
+    outer: PartitionNode
+    inner: List[PartitionNode]
+    nav_cpu: int
+    walk_cpu: int = 0
+
+
+@dataclass
+class ProbeSchedule:
+    """The navigated probe work of one OIPJOIN probe phase, one task per
+    outer partition in the sequential join's order.  ``walk_tail`` holds
+    the windowed outer walk's terminating index tests, charged after the
+    last task."""
+
+    tasks: List[ProbeTask]
+    pair_count: int
+    walk_tail: int = 0
+
+    @property
+    def task_count(self) -> int:
+        return len(self.tasks)
+
+
+def build_probe_schedule(
+    outer_list: LazyPartitionList,
+    inner_list: LazyPartitionList,
+    k_inner: Optional[int] = None,
+    counters: Optional[CostCounters] = None,
+    *,
+    window: Optional[Interval] = None,
+) -> ProbeSchedule:
+    """Lemma-1 navigation of ``outer JOIN inner``: for every outer
+    partition, the relevant inner partitions and the index tests
+    charged for finding them.  Navigation only — nothing is read or
+    charged here; :func:`run_probe_task` charges each task's
+    navigation when it runs the task.
+
+    Every outer partition queries the inner list with its partition
+    interval.  With a *window*, only the outer partitions Lemma 1 finds
+    for the window are visited, and each query interval is clamped to
+    the window (a tighter interval than Algorithm 2's that never misses
+    a windowed result, because every such pair overlaps inside the
+    window).
+
+    *k_inner* and *counters* are accepted but unused: the inner list's
+    configuration carries its granule count, and the runner charges.
+    """
+    config_r, config_s = outer_list.config, inner_list.config
+    walk: Optional[List[int]] = None
+    if window is None:
+        outer_nodes = list(outer_list.iter_nodes())
+    else:
+        outer_span = config_r.clamped_query_indices(window)
+        if outer_span is None:
+            return ProbeSchedule(tasks=[], pair_count=0)
+        outer_nodes, walk = outer_list.relevant(*outer_span)
+    partition_interval = config_r.partition_interval
+    query_indices = config_s.clamped_query_indices
+    tasks: List[ProbeTask] = []
+    pair_count = 0
+    walked = 0
+    for index, outer_node in enumerate(outer_nodes):
+        query = partition_interval(outer_node.i, outer_node.j)
+        if window is not None:
+            query = Interval(
+                max(query.start, window.start), min(query.end, window.end)
+            )
+        inner_span = query_indices(query)
+        if inner_span is None:
+            inner: List[PartitionNode] = []
+            nav_cpu = 2  # the range-overlap guard alone
+        else:
+            inner, tests = inner_list.relevant(*inner_span)
+            nav_cpu = 2 + tests[-1]
+        walk_cpu = 0
+        if walk is not None:
+            walk_cpu = walk[index] - walked
+            walked = walk[index]
+        tasks.append(ProbeTask(index, outer_node, inner, nav_cpu, walk_cpu))
+        pair_count += len(inner)
+    return ProbeSchedule(
+        tasks=tasks,
+        pair_count=pair_count,
+        walk_tail=walk[-1] - walked if walk is not None else 0,
+    )
+
+
+class RunReader:
+    """Reads partition runs through the storage manager, so block IO,
+    checksum verification, injected faults and the buffer pool all
+    apply.  A read returns ``(tuples, dirty)``: *dirty* flags that a
+    corruption was detected (and recovered) on the run's blocks while
+    reading, so a cached decode of the run may be stale."""
+
+    __slots__ = ("read_run", "resilience")
+
+    def __init__(self, storage: StorageManager) -> None:
+        self.read_run = storage.read_run
+        #: The run's resilience sink, also handed to governor boundaries.
+        self.resilience = storage.resilience
+
+    def read(self, node: PartitionNode, side: str) -> Tuple[List, bool]:
+        resilience = self.resilience
+        detected = (
+            resilience.corruptions_detected + resilience.pool_invalidations
         )
-        # Hot-loop locals: these lookups used to be paid per candidate
-        # pair (or per navigation test); hoisted, the loop pays them
-        # once per probe instead.  kernel_function (not a raw
-        # KERNEL_FUNCS lookup) supplies the sweep fallback when the
-        # numpy tier cannot run in this process.
-        kernel_fn = kernel_function(kernel)
-        read_run = storage.read_run
-        charge_cpu = counters.charge_cpu
-        charge_false_hit = counters.charge_false_hit
-        charge_partition_access = counters.charge_partition_access
-        resilience = self._resilience
-        cache = decode_cache
-        observe = (
-            candidate_histogram.observe
-            if candidate_histogram is not None
-            else None
+        tuples = list(self.read_run(node.run, context=(side, (node.i, node.j))))
+        return tuples, (
+            resilience.corruptions_detected + resilience.pool_invalidations
+            != detected
         )
 
-        for index, outer_node in enumerate(outer_list.iter_nodes()):
-            if index < start_at:
-                continue
-            if governor is not None and governor.boundary(
-                index, counters, resilience, pairs
-            ):
-                return True, index
-            span = None
-            if trace is not None:
-                span = trace.span("probe.partition", partition=index)
-            try:
-                # Algorithm 2 fetches the outer partition before probing
-                # it, so its reads are charged even when the range guard
-                # below fails (the parallel schedule charges the same
-                # way); only the columnar decode is deferred until a
-                # relevant inner partition actually needs it.
-                outer_tuples = list(
-                    read_run(
-                        outer_node.run,
-                        context=(
-                            "outer partition",
-                            (outer_node.i, outer_node.j),
-                        ),
+    @staticmethod
+    def decode(tuples: List) -> DecodedRun:
+        return DecodedRun.from_tuples(tuples)
+
+
+def _decoded(reader, part, payload, dirty: bool, cache, trace) -> DecodedRun:
+    """The columnar decode of one just-read partition run, memoised in
+    *cache* under the partition's identity; a *dirty* read drops the
+    cached decode first.  IO is charged on every access regardless —
+    the cache only ever saves the decode."""
+    if cache is not None:
+        key = id(part)
+        if dirty:
+            cache.invalidate(key)
+        decoded = cache.get(key)
+        if decoded is not None:
+            return decoded
+    if trace is not None:
+        with trace.span("kernel.decode", tuples=len(payload)):
+            decoded = reader.decode(payload)
+    else:
+        decoded = reader.decode(payload)
+    if cache is not None:
+        cache.put(key, decoded)
+    return decoded
+
+
+def run_probe_task(
+    outer: Any,
+    inner: Sequence[Any],
+    nav_cpu: int,
+    reader: Any,
+    counters: CostCounters,
+    kernel_fn: Callable[[DecodedRun, DecodedRun], List[int]],
+    cache: Optional[DecodedRunCache] = None,
+    outer_cache: Optional[DecodedRunCache] = None,
+    trace: Optional[Any] = None,
+    kernel: str = "naive",
+) -> Tuple[Any, List[Tuple[Any, List[int]]]]:
+    """Algorithm 2's pair loop for one outer partition — the one copy.
+
+    Charges the task's navigation (*nav_cpu* comparisons and one
+    partition access per relevant inner partition), reads the outer
+    run, then reads and decodes each inner run in turn and hands the
+    pair to *kernel_fn*.  The paper's model costs are charged
+    analytically per pair — ``2 * candidates`` CPU comparisons and
+    ``candidates - hits`` false hits — so counters are identical for
+    every kernel.  The outer run is decoded only once a relevant inner
+    run needs it.
+
+    *reader* decides how runs are read: :class:`RunReader` goes through
+    the storage manager, the parallel workers' reader charges the
+    sequential join's read chain analytically.  *cache* memoises inner
+    decodes and *outer_cache* outer ones (``None`` disables either).
+
+    Returns ``(outer payload, [(inner payload, hits), ...])``; each hit
+    is encoded as ``inner_pos * n_outer + outer_pos`` in ascending
+    order, the sequential inner-major emission order.
+    """
+    charge_cpu = counters.charge_cpu
+    charge_cpu(nav_cpu)
+    if inner:
+        counters.charge_partition_access(len(inner))
+    read = reader.read
+    outer_payload, outer_dirty = read(outer, "outer partition")
+    outer_decoded = None
+    results: List[Tuple[Any, List[int]]] = []
+    for part in inner:
+        payload, dirty = read(part, "inner partition")
+        inner_decoded = _decoded(reader, part, payload, dirty, cache, trace)
+        if outer_decoded is None:
+            outer_decoded = _decoded(
+                reader, outer, outer_payload, outer_dirty, outer_cache, trace
+            )
+        candidates = outer_decoded.length * inner_decoded.length
+        charge_cpu(2 * candidates)
+        if trace is not None:
+            with trace.span("kernel." + kernel, candidates=candidates):
+                hits = kernel_fn(outer_decoded, inner_decoded)
+        else:
+            hits = kernel_fn(outer_decoded, inner_decoded)
+        counters.charge_false_hit(candidates - len(hits))
+        results.append((payload, hits))
+    return outer_payload, results
+
+
+def pair_emitter(
+    pairs: List, observe: Optional[Callable[[int], Any]] = None
+) -> Callable[[Sequence, List[Tuple[Sequence, List[int]]]], None]:
+    """The emission step of one outer partition: decode the runner's hits
+    into ``(outer, inner)`` tuple pairs appended to *pairs*, observing
+    each pair's candidate count with *observe* (a histogram hook)."""
+
+    def emit(outer_tuples, results) -> None:
+        n_outer = len(outer_tuples)
+        for inner_tuples, hits in results:
+            if observe is not None:
+                observe(len(inner_tuples) * n_outer)
+            pairs.extend(
+                [
+                    (
+                        outer_tuples[encoded % n_outer],
+                        inner_tuples[encoded // n_outer],
                     )
-                )
-                query_start = o_r + outer_node.i * d_r
-                query_end = o_r + (outer_node.j + 1) * d_r - 1
-                charge_cpu(2)  # range-overlap guard of Algorithm 2
-                if (
-                    query_end < inner_range_start
-                    or query_start >= inner_range_stop
-                ):
-                    continue
-                s = (query_start - o_s) // d_s
-                e = (query_end - o_s) // d_s
-                n_outer = len(outer_tuples)
-                outer_decoded = None
+                    for encoded in hits
+                ]
+            )
 
-                node = inner_list.head
-                while node is not None:
-                    charge_cpu()  # j >= s test
-                    if node.j < s:
-                        break
-                    branch = node
-                    while branch is not None:
-                        charge_cpu()  # i <= e test
-                        if branch.i > e:
-                            break
-                        charge_partition_access()
-                        run = branch.run
-                        inner_context = (
-                            "inner partition",
-                            (branch.i, branch.j),
-                        )
-                        # IO is charged on every access; the cache only
-                        # memoises the decode, never the block reads.
-                        detected_before = (
-                            resilience.corruptions_detected
-                            + resilience.pool_invalidations
-                        )
-                        inner_tuples = list(
-                            read_run(run, context=inner_context)
-                        )
-                        inner_decoded = None
-                        if cache is not None:
-                            key = id(run)
-                            if (
-                                resilience.corruptions_detected
-                                + resilience.pool_invalidations
-                            ) != detected_before:
-                                # A corrupted block was detected (and
-                                # recovered) while re-reading this run:
-                                # any cached decode may be stale.
-                                cache.invalidate(key)
-                            inner_decoded = cache.get(key)
-                        if inner_decoded is None:
-                            if trace is not None:
-                                with trace.span(
-                                    "kernel.decode",
-                                    tuples=len(inner_tuples),
-                                ):
-                                    inner_decoded = DecodedRun.from_tuples(
-                                        inner_tuples
-                                    )
-                            else:
-                                inner_decoded = DecodedRun.from_tuples(
-                                    inner_tuples
-                                )
-                            if cache is not None:
-                                cache.put(key, inner_decoded)
-                        if outer_decoded is None:
-                            outer_decoded = DecodedRun.from_tuples(
-                                outer_tuples
-                            )
-                        # The paper's model costs, charged analytically:
-                        # two endpoint comparisons per candidate pair
-                        # and one false hit per candidate that is not a
-                        # result — the exact totals of the per-candidate
-                        # loop, whatever the kernel executes physically.
-                        candidates = inner_decoded.length * n_outer
-                        charge_cpu(2 * candidates)
-                        if trace is not None:
-                            with trace.span(
-                                "kernel." + kernel, candidates=candidates
-                            ):
-                                matches = kernel_fn(
-                                    outer_decoded, inner_decoded
-                                )
-                        else:
-                            matches = kernel_fn(outer_decoded, inner_decoded)
-                        charge_false_hit(candidates - len(matches))
-                        if observe is not None:
-                            observe(candidates)
-                        # Ascending encoded order is the sequential
-                        # inner-major emission order of Algorithm 2.
-                        pairs += [
-                            (
-                                outer_tuples[encoded % n_outer],
-                                inner_tuples[encoded // n_outer],
-                            )
-                            for encoded in matches
-                        ]
-                        branch = branch.right
-                    node = node.down
-            finally:
-                if span is not None:
-                    span.__exit__(None, None, None)
-        return False, outer_list.partition_count
+    return emit
+
+
+def probe_inline(
+    schedule: ProbeSchedule,
+    reader: RunReader,
+    counters: CostCounters,
+    pairs: List,
+    emit: Callable[[Sequence, List[Tuple[Sequence, List[int]]]], None],
+    kernel: str,
+    cache: Optional[DecodedRunCache] = None,
+    outer_cache: Optional[DecodedRunCache] = None,
+    governor: Optional[Any] = None,
+    start_at: int = 0,
+    tracer: Optional[Any] = None,
+) -> Tuple[bool, int]:
+    """Run *schedule* in this thread — the sequential Algorithm 2 loop.
+
+    Every outer partition is a cooperative boundary: the governor is
+    consulted *before* the partition's work, so a cancel or budget stop
+    leaves the counters exactly at the last completed partition.  Tasks
+    below *start_at* (completed by the run a checkpoint was restored
+    from) are skipped without charges.  *emit* turns each task's hits
+    into result pairs (see :func:`pair_emitter`).  Per-partition and
+    kernel spans are opened only while *tracer* is live and not
+    depth-capped.  Returns ``(cancelled, partitions_completed)``.
+    """
+    trace = (
+        tracer
+        if tracer is not None
+        and tracer.enabled
+        and not getattr(tracer, "saturated", False)
+        else None
+    )
+    # kernel_function (not a raw KERNEL_FUNCS lookup) supplies the sweep
+    # fallback when the numpy tier cannot run in this process.
+    kernel_fn = kernel_function(kernel)
+    charge_cpu = counters.charge_cpu
+    resilience = reader.resilience
+    for task in schedule.tasks[start_at:]:
+        charge_cpu(task.walk_cpu)
+        if governor is not None and governor.boundary(
+            task.index, counters, resilience, pairs
+        ):
+            return True, task.index
+        span = None
+        if trace is not None:
+            span = trace.span("probe.partition", partition=task.index)
+        try:
+            outer_tuples, results = run_probe_task(
+                task.outer,
+                task.inner,
+                task.nav_cpu,
+                reader,
+                counters,
+                kernel_fn,
+                cache=cache,
+                outer_cache=outer_cache,
+                trace=trace,
+                kernel=kernel,
+            )
+            emit(outer_tuples, results)
+        finally:
+            if span is not None:
+                span.__exit__(None, None, None)
+    charge_cpu(schedule.walk_tail)
+    return False, len(schedule.tasks)

@@ -82,20 +82,42 @@ class LazyPartitionList:
                 yield node
                 node = node.right
 
-    def iter_relevant(self, s: int, e: int) -> Iterator[PartitionNode]:
+    def relevant(
+        self, s: int, e: int
+    ) -> Tuple[List[PartitionNode], List[int]]:
         """Lemma 1 navigation: nodes with ``j >= s`` and ``i <= e``.
 
         Walks the main list while ``j >= s`` and each branch list while
         ``i <= e``; both lists are sorted, so the walk touches only the
-        relevant nodes plus the two terminating comparisons.
+        relevant nodes plus the terminating comparisons.  Returns
+        ``(nodes, tests)`` in walk order, where ``tests[x]`` counts the
+        index tests made up to and including the one that admitted
+        ``nodes[x]`` and ``tests[-1]`` is the walk's total — the CPU
+        comparisons Algorithm 2 charges for navigating.
         """
+        nodes: List[PartitionNode] = []
+        tests: List[int] = []
+        made = 0
         main = self.head
-        while main is not None and main.j >= s:
+        while main is not None:
+            made += 1  # j >= s test
+            if main.j < s:
+                break
             node: Optional[PartitionNode] = main
-            while node is not None and node.i <= e:
-                yield node
+            while node is not None:
+                made += 1  # i <= e test
+                if node.i > e:
+                    break
+                nodes.append(node)
+                tests.append(made)
                 node = node.right
             main = main.down
+        tests.append(made)
+        return nodes, tests
+
+    def iter_relevant(self, s: int, e: int) -> Iterator[PartitionNode]:
+        """The nodes of :meth:`relevant`, without the test counts."""
+        return iter(self.relevant(s, e)[0])
 
     # -- statistics -----------------------------------------------------------
 

@@ -61,12 +61,11 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.base import JoinResult
 from ..core.granules import cost_model_for, derive_k
 from ..core.interval import Interval
+from ..core.join import RunReader, build_probe_schedule, probe_inline
 from ..core.kernels import (
     DEFAULT_CACHE_CAPACITY,
-    DecodedRun,
     DecodedRunCache,
     KERNELS,
-    kernel_function,
     resolve_kernel,
 )
 from ..core.lazy_list import oip_create
@@ -103,6 +102,31 @@ def equal_windows(time_range: Interval, count: int) -> List[Interval]:
         windows.append(Interval(start, stop - 1))
         start = stop
     return windows
+
+
+def _window_emitter(window: Interval, counters: CostCounters, pairs: List):
+    """The batch's emission step: keep only the kernel's hits that also
+    overlap *window* — two more comparisons per hit, and the hits that
+    fail the window count as false hits too."""
+    w_start, w_end = window.start, window.end
+
+    def emit(outer_tuples, results) -> None:
+        n_outer = len(outer_tuples)
+        for inner_tuples, hits in results:
+            counters.charge_cpu(2 * len(hits))
+            emitted = 0
+            for encoded in hits:
+                outer_tuple = outer_tuples[encoded % n_outer]
+                inner_tuple = inner_tuples[encoded // n_outer]
+                if (
+                    max(outer_tuple.start, inner_tuple.start) <= w_end
+                    and w_start <= min(outer_tuple.end, inner_tuple.end)
+                ):
+                    pairs.append((outer_tuple, inner_tuple))
+                    emitted += 1
+            counters.charge_false_hit(len(hits) - emitted)
+
+    return emit
 
 
 @dataclass
@@ -273,7 +297,6 @@ class BatchJoin:
         kernel = resolve_kernel(
             self.kernel, outer, inner, cache_enabled=cache_enabled
         )
-        kernel_fn = kernel_function(kernel)
         cache = (
             DecodedRunCache(self.decode_cache_size) if cache_enabled else None
         )
@@ -329,7 +352,6 @@ class BatchJoin:
                             storage,
                             batch_resilience,
                             kernel,
-                            kernel_fn,
                             cache,
                             tracer,
                         )
@@ -342,7 +364,6 @@ class BatchJoin:
                         storage,
                         batch_resilience,
                         kernel,
-                        kernel_fn,
                         cache,
                         tracer,
                     )
@@ -382,7 +403,10 @@ class BatchJoin:
             self._attach_reports(queries, query_spans, trace_marks)
 
         details: Dict[str, Any] = {
-            "k": k_inner if k_inner == k_outer else (k_outer, k_inner),
+            # The inner side's count is the one the probe navigates.
+            "k": k_inner,
+            "k_outer": k_outer,
+            "k_inner": k_inner,
             "outer_partitions": outer_list.partition_count,
             "inner_partitions": inner_list.partition_count,
             "self_adjusting": self_adjusting,
@@ -446,7 +470,6 @@ class BatchJoin:
         storage: StorageManager,
         batch_resilience: ResilienceCounters,
         kernel: str,
-        kernel_fn,
         cache: Optional[DecodedRunCache],
         tracer,
     ) -> Tuple[JoinResult, Any]:
@@ -487,19 +510,21 @@ class BatchJoin:
             if governor is not None:
                 governor.preflight()
             with tracer.span("probe", mode="sequential"):
-                cancelled, visited = self._probe_window(
-                    window,
-                    outer_list,
-                    inner_list,
-                    storage,
+                # Both sides share the batch cache: run identities never
+                # collide, and later windows reuse earlier decodes.
+                cancelled, visited = probe_inline(
+                    build_probe_schedule(
+                        outer_list, inner_list, window=window
+                    ),
+                    RunReader(storage),
                     counters,
-                    resilience,
                     pairs,
-                    governor,
+                    _window_emitter(window, counters, pairs),
                     kernel,
-                    kernel_fn,
-                    cache,
-                    tracer,
+                    cache=cache,
+                    outer_cache=cache,
+                    governor=governor,
+                    tracer=tracer,
                 )
         finally:
             span.__exit__(None, None, None)
@@ -527,195 +552,6 @@ class BatchJoin:
             elapsed_ms=(time.perf_counter() - query_started) * 1000.0,
         )
         return result, span
-
-    def _probe_window(
-        self,
-        window: Interval,
-        outer_list,
-        inner_list,
-        storage: StorageManager,
-        counters: CostCounters,
-        resilience: ResilienceCounters,
-        pairs: List,
-        governor: Optional[GovernedRun],
-        kernel: str,
-        kernel_fn,
-        cache: Optional[DecodedRunCache],
-        tracer,
-    ) -> Tuple[bool, int]:
-        """The Lemma 1 probe of one window; returns ``(cancelled,
-        outer partitions visited)``.
-
-        Charging follows the sequential loop's conventions (see
-        :meth:`repro.core.join.OIPJoin._probe_sequential`): one CPU
-        comparison per navigation test, one partition access per
-        fetched inner partition, ``2 * candidates`` comparisons per
-        partition pair, plus — batch-specific — two comparisons per
-        kernel match for the window test, and one false hit per fetched
-        candidate that produced no windowed result.
-        """
-        config_r, config_s = outer_list.config, inner_list.config
-        outer_span = config_r.clamped_query_indices(window)
-        if outer_span is None:
-            return False, 0
-        s_w, e_w = outer_span
-        w_start, w_end = window.start, window.end
-        trace = tracer if tracer.enabled else None
-        read_run = storage.read_run
-        charge_cpu = counters.charge_cpu
-        charge_false_hit = counters.charge_false_hit
-        charge_partition_access = counters.charge_partition_access
-        visited = 0
-
-        main = outer_list.head
-        while main is not None:
-            charge_cpu()  # j >= s test of the outer window walk
-            if main.j < s_w:
-                break
-            outer_node = main
-            while outer_node is not None:
-                charge_cpu()  # i <= e test
-                if outer_node.i > e_w:
-                    break
-                if governor is not None and governor.boundary(
-                    visited, counters, resilience, pairs
-                ):
-                    return True, visited
-                visited += 1
-                detected_before = (
-                    resilience.corruptions_detected
-                    + resilience.pool_invalidations
-                )
-                outer_tuples = list(
-                    read_run(
-                        outer_node.run,
-                        context=(
-                            "outer partition",
-                            (outer_node.i, outer_node.j),
-                        ),
-                    )
-                )
-                outer_dirty = (
-                    resilience.corruptions_detected
-                    + resilience.pool_invalidations
-                ) != detected_before
-                n_outer = len(outer_tuples)
-                # The query interval is the partition interval clamped
-                # to the window — tighter than Algorithm 2's, and safe:
-                # a windowed result pair must overlap inside the window.
-                partition = config_r.partition_interval(
-                    outer_node.i, outer_node.j
-                )
-                query = Interval(
-                    max(partition.start, w_start),
-                    min(partition.end, w_end),
-                )
-                charge_cpu(2)  # range-overlap guard
-                inner_span = config_s.clamped_query_indices(query)
-                if inner_span is None:
-                    outer_node = outer_node.right
-                    continue
-                s, e = inner_span
-                outer_decoded = self._decoded(
-                    outer_node.run, outer_tuples, cache, outer_dirty, trace
-                )
-
-                node = inner_list.head
-                while node is not None:
-                    charge_cpu()  # j >= s test
-                    if node.j < s:
-                        break
-                    branch = node
-                    while branch is not None:
-                        charge_cpu()  # i <= e test
-                        if branch.i > e:
-                            break
-                        charge_partition_access()
-                        detected_before = (
-                            resilience.corruptions_detected
-                            + resilience.pool_invalidations
-                        )
-                        inner_tuples = list(
-                            read_run(
-                                branch.run,
-                                context=(
-                                    "inner partition",
-                                    (branch.i, branch.j),
-                                ),
-                            )
-                        )
-                        inner_decoded = self._decoded(
-                            branch.run,
-                            inner_tuples,
-                            cache,
-                            (
-                                resilience.corruptions_detected
-                                + resilience.pool_invalidations
-                            )
-                            != detected_before,
-                            trace,
-                        )
-                        candidates = inner_decoded.length * n_outer
-                        charge_cpu(2 * candidates)
-                        if trace is not None:
-                            with trace.span(
-                                "kernel." + kernel, candidates=candidates
-                            ):
-                                matches = kernel_fn(
-                                    outer_decoded, inner_decoded
-                                )
-                        else:
-                            matches = kernel_fn(outer_decoded, inner_decoded)
-                        # Two more comparisons per overlapping pair for
-                        # the window test; pairs overlapping each other
-                        # but not the window count as false hits too.
-                        charge_cpu(2 * len(matches))
-                        emitted = 0
-                        for encoded in matches:
-                            outer_tuple = outer_tuples[encoded % n_outer]
-                            inner_tuple = inner_tuples[encoded // n_outer]
-                            if (
-                                max(outer_tuple.start, inner_tuple.start)
-                                <= w_end
-                                and w_start
-                                <= min(outer_tuple.end, inner_tuple.end)
-                            ):
-                                pairs.append((outer_tuple, inner_tuple))
-                                emitted += 1
-                        charge_false_hit(candidates - emitted)
-                        branch = branch.right
-                    node = node.down
-                outer_node = outer_node.right
-            main = main.down
-        return False, visited
-
-    def _decoded(
-        self,
-        run,
-        tuples: List[Any],
-        cache: Optional[DecodedRunCache],
-        dirty: bool,
-        trace,
-    ) -> DecodedRun:
-        """Columnar decode of one partition run, memoised in the shared
-        batch cache (both sides share it — run identities never
-        collide).  *dirty* flags that a corruption was detected (and
-        recovered) while re-reading the run's blocks just now: any
-        cached decode predates the recovery and is invalidated."""
-        if cache is None:
-            return DecodedRun.from_tuples(tuples)
-        key = id(run)
-        if dirty:
-            cache.invalidate(key)
-        decoded = cache.get(key)
-        if decoded is None:
-            if trace is not None:
-                with trace.span("kernel.decode", tuples=len(tuples)):
-                    decoded = DecodedRun.from_tuples(tuples)
-            else:
-                decoded = DecodedRun.from_tuples(tuples)
-            cache.put(key, decoded)
-        return decoded
 
     # ------------------------------------------------------------------
 

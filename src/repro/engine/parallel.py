@@ -7,19 +7,16 @@ inner lazy partition list, and Lemma 1 tells us exactly which inner
 partitions each query can touch (``j >= s`` and ``i <= e``).  This module
 exploits that structure in three steps:
 
-1. **Enumerate** — :func:`build_probe_schedule` walks the outer list once
-   in the exact order of the sequential join and, for every outer
-   partition, replays the Lemma-1 navigation of the inner list to collect
-   the relevant ``(outer-partition, inner-partition)`` pairs up front.
-   The walk's bookkeeping (the ``j >= s`` / ``i <= e`` index tests, the
-   Algorithm-2 range-overlap guard and one partition access per relevant
-   inner partition) is charged to the driver's counters during
-   enumeration — these are exactly the charges the sequential loop makes
-   while navigating, so nothing is double- or under-counted.
+1. **Enumerate** — :func:`~repro.core.join.build_probe_schedule` (the
+   sequential join's own navigation, re-exported here) records, for
+   every outer partition in the sequential join's order, the relevant
+   inner partitions and the navigation charge for finding them.
 
-2. **Schedule** — :func:`execute_schedule` splits the probe tasks into
-   contiguous chunks and runs them on a :mod:`concurrent.futures` pool.
-   Two backends are supported:
+2. **Schedule** — :func:`execute_schedule` flattens the tasks into
+   columnar chunk tasks, splits them into contiguous chunks and runs
+   each chunk through the shared pair loop
+   (:func:`~repro.core.join.run_probe_task`) on a
+   :mod:`concurrent.futures` pool.  Two backends are supported:
 
    * ``"thread"`` — a :class:`~concurrent.futures.ThreadPoolExecutor`.
      Workers share the in-memory partition tables directly; no data is
@@ -55,16 +52,16 @@ its output is **bit-identical** to the sequential path:
   positions; the driver rebuilds ``(outer, inner)`` pairs in the
   sequential nesting order (outer partition → relevant inner partition →
   inner tuple → outer tuple).
-* *CostCounters* — every sequential charge is accounted exactly once:
-  enumeration charges the navigation CPU tests and partition accesses;
-  workers charge block reads, the two endpoint comparisons per candidate
-  pair, and false hits.  The ``sequential_reads`` / ``random_reads``
-  split depends on the storage manager's last-read-block chain, which is
-  order-dependent global state — so the schedule precomputes, for every
-  chunk, the block id the *sequential* join would have read last before
-  the chunk's first task, and each worker resumes the chain from there.
-  Summing the per-worker counters therefore reproduces the sequential
-  totals field by field, keeping AFR/APA accounting exact.
+* *CostCounters* — workers run the sequential join's pair loop, which
+  charges every task's navigation, block reads, the two endpoint
+  comparisons per candidate pair and false hits exactly once.  The
+  ``sequential_reads`` / ``random_reads`` split depends on the storage
+  manager's last-read-block chain, which is order-dependent global
+  state — so the flattened schedule records, for every task, the block
+  id the *sequential* join would have read last before it, and each
+  worker resumes the chain from there.  Summing the per-worker counters
+  therefore reproduces the sequential totals field by field, keeping
+  AFR/APA accounting exact.
 
 The one configuration the parallel path does not support is a shared
 :class:`~repro.storage.buffer.BufferPool`: pool hits depend on the global
@@ -113,16 +110,31 @@ import os
 import time
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..core.base import JoinPair
+from ..core.join import (
+    ProbeSchedule,
+    ProbeTask,
+    build_probe_schedule,
+    pair_emitter,
+    run_probe_task,
+)
 from ..core.kernels import (
     DecodedRun,
     DecodedRunCache,
     decode_columns,
     kernel_function,
 )
-from ..core.lazy_list import LazyPartitionList
 from ..storage.faults import (
     FaultInjector,
     FaultPolicy,
@@ -133,82 +145,51 @@ from ..storage.metrics import CostCounters, ResilienceCounters
 
 __all__ = [
     "BACKENDS",
-    "InnerPartition",
+    "ChunkTask",
     "ProbeTask",
     "ProbeSchedule",
+    "RunColumns",
     "ExecutionReport",
     "WorkerFaultPlan",
     "InjectedWorkerError",
     "build_probe_schedule",
     "execute_schedule",
     "map_tasks",
-    "merge_counters",
 ]
 
 #: Supported worker-pool backends.
 BACKENDS = ("thread", "process")
 
 
-class InnerPartition(NamedTuple):
-    """One inner partition, flattened into columnar form for shipping to
-    workers: parallel ``array('q')`` endpoint columns plus the run's
-    block ids.  Tuple objects stay driver-side (in
-    :attr:`ProbeSchedule.inner_tuples`) — workers only ever see flat
-    integer columns, which keeps the process backend's initializer
-    payload compact."""
+class RunColumns(NamedTuple):
+    """One partition run flattened for shipping to workers: parallel
+    ``array('q')`` endpoint columns, the run's block ids and the
+    partition's ``(i, j)`` (named in storage fault errors).  Tuple
+    objects stay driver-side — workers only ever see flat integer
+    columns, which keeps the process backend's payloads compact."""
 
     starts: array
     ends: array
     block_ids: Tuple[int, ...]
+    partition: Tuple[int, int]
 
 
-class ProbeTask(NamedTuple):
-    """One outer partition's probe work.
+class ChunkTask(NamedTuple):
+    """One :class:`~repro.core.join.ProbeTask` as shipped to a worker.
 
-    The outer partition ships as columnar ``array('q')`` endpoint
-    columns (the matching tuple objects stay driver-side in
-    :attr:`ProbeSchedule.outer_tuples`).  ``relevant`` holds indices
-    into the schedule's inner-partition table, in the exact Lemma-1
-    traversal order of the sequential join; ``last_read_in`` is the
-    block id the sequential join would have read immediately before
-    this task (``None`` at the very start), used to resume the
-    sequential/random read chain deterministically.  ``nav_cpu`` /
-    ``nav_accesses`` record the navigation charges the enumeration made
-    for this task (the CPU index tests plus the range-overlap guard,
-    and the partition accesses), so the governor can convert the
-    driver's charged-up-front counters into the *sequential-equivalent*
-    state at any chunk boundary.
+    ``relevant`` indexes the worker's table of inner runs, in the
+    task's Lemma-1 order; ``last_read_in`` is the block id the
+    sequential join would have read immediately before this task
+    (``None`` at the very start), used to resume the sequential/random
+    read chain deterministically; ``nav_cpu`` is the task's navigation
+    charge.
     """
 
     index: int
-    outer_starts: array
-    outer_ends: array
-    outer_block_ids: Tuple[int, ...]
+    outer: RunColumns
     relevant: Tuple[int, ...]
     last_read_in: Optional[int]
-    nav_cpu: int = 0
-    nav_accesses: int = 0
-
-
-@dataclass
-class ProbeSchedule:
-    """The enumerated partition-pair work of one OIPJOIN probe phase.
-
-    ``tasks`` and ``inner_table`` are the worker-facing columnar views;
-    ``outer_tuples`` (indexed by task index) and ``inner_tuples``
-    (indexed like ``inner_table``) are the driver-side tuple tables the
-    merge uses to rebuild result pairs from match indices.
-    """
-
-    tasks: List[ProbeTask]
-    inner_table: List[InnerPartition]
-    pair_count: int
-    outer_tuples: List[tuple] = field(default_factory=list)
-    inner_tuples: List[tuple] = field(default_factory=list)
-
-    @property
-    def task_count(self) -> int:
-        return len(self.tasks)
+    nav_cpu: int
 
 
 @dataclass
@@ -280,135 +261,76 @@ class WorkerFaultPlan:
             )
 
 
-def build_probe_schedule(
-    outer_list: LazyPartitionList,
-    inner_list: LazyPartitionList,
-    k_inner: int,
-    counters: CostCounters,
-    charge_from: int = 0,
-) -> ProbeSchedule:
-    """Enumerate the relevant partition pairs of ``outer JOIN inner``.
+def _flatten_schedule(
+    schedule: ProbeSchedule, start_at: int
+) -> Tuple[List[ChunkTask], List[RunColumns], List[tuple], List[tuple]]:
+    """The worker-facing form of *schedule* from task *start_at* on.
 
-    Replays the navigation of the sequential Algorithm 2 loop — including
-    its exact CPU and partition-access charges — and records, per outer
-    partition, the relevant inner partitions plus the incoming position of
-    the block-read chain.  Block reads themselves and the per-candidate
-    endpoint comparisons are *not* charged here; the workers charge them.
-
-    ``charge_from`` supports checkpoint resume: tasks with an index below
-    it are still enumerated (the read chain and pair order need them) but
-    their navigation charges are *not* added to *counters* — a restored
-    checkpoint already contains them.
+    Returns ``(tasks, inner_table, outer_tuples, inner_tuples)``: the
+    columnar chunk tasks, the table of relevant inner runs they index
+    (each run once, in first-use order), and the driver-side tuple
+    tables — ``outer_tuples`` indexed like ``tasks``, ``inner_tuples``
+    like ``inner_table`` — the merge rebuilds result pairs from.  The
+    read chain runs over *every* task, so a resumed schedule continues
+    it exactly where the sequential join would.
     """
-    config_r, config_s = outer_list.config, inner_list.config
-    d_r, o_r = config_r.d, config_r.o
-    d_s, o_s = config_s.d, config_s.o
-    inner_range_start = o_s
-    inner_range_stop = o_s + k_inner * d_s  # exclusive
-
-    # Flatten the inner list once into columnar form; nodes keep their
-    # traversal identity through an id() map (PartitionNode is
-    # unhashable-by-value on purpose — identity is exactly what we want
-    # here).  Tuple objects stay in the driver-side table for the merge.
-    inner_table: List[InnerPartition] = []
-    inner_tuple_table: List[tuple] = []
-    inner_index = {}
-    for node in inner_list.iter_nodes():
-        inner_index[id(node)] = len(inner_table)
-        tuples = tuple(node.run.iter_tuples())
-        starts, ends = decode_columns(tuples)
-        inner_table.append(
-            InnerPartition(
-                starts=starts,
-                ends=ends,
-                block_ids=tuple(node.run.block_ids),
-            )
-        )
-        inner_tuple_table.append(tuples)
-
-    tasks: List[ProbeTask] = []
-    outer_tuple_table: List[tuple] = []
-    pair_count = 0
+    tasks: List[ChunkTask] = []
+    inner_table: List[RunColumns] = []
+    outer_tuples: List[tuple] = []
+    inner_tuples: List[tuple] = []
+    positions: Dict[int, int] = {}
     last_read: Optional[int] = None
-    for task_index, outer_node in enumerate(outer_list.iter_nodes()):
-        outer_block_ids = tuple(outer_node.run.block_ids)
-        relevant: List[int] = []
-
-        query_start = o_r + outer_node.i * d_r
-        query_end = o_r + (outer_node.j + 1) * d_r - 1
-        nav_cpu = 2  # range-overlap guard of Algorithm 2
-        if not (
-            query_end < inner_range_start or query_start >= inner_range_stop
-        ):
-            s = (query_start - o_s) // d_s
-            e = (query_end - o_s) // d_s
-            # Lemma 1 navigation, with the sequential join's charges: one
-            # index comparison per main-list (j >= s) and branch-list
-            # (i <= e) test, one partition access per relevant partition.
-            node = inner_list.head
-            while node is not None:
-                nav_cpu += 1  # j >= s test
-                if node.j < s:
-                    break
-                branch = node
-                while branch is not None:
-                    nav_cpu += 1  # i <= e test
-                    if branch.i > e:
-                        break
-                    relevant.append(inner_index[id(branch)])
-                    branch = branch.right
-                node = node.down
-        if task_index >= charge_from:
-            counters.charge_cpu(nav_cpu)
-            if relevant:
-                counters.charge_partition_access(len(relevant))
-
-        outer_tuples = tuple(outer_node.run.iter_tuples())
-        outer_starts, outer_ends = decode_columns(outer_tuples)
-        outer_tuple_table.append(outer_tuples)
-        tasks.append(
-            ProbeTask(
-                index=task_index,
-                outer_starts=outer_starts,
-                outer_ends=outer_ends,
-                outer_block_ids=outer_block_ids,
-                relevant=tuple(relevant),
-                last_read_in=last_read,
-                nav_cpu=nav_cpu,
-                nav_accesses=len(relevant),
+    for task in schedule.tasks:
+        if task.index >= start_at:
+            relevant: List[int] = []
+            for node in task.inner:
+                position = positions.get(id(node))
+                if position is None:
+                    position = positions[id(node)] = len(inner_table)
+                    tuples = tuple(node.run.iter_tuples())
+                    inner_table.append(_columns(node, tuples))
+                    inner_tuples.append(tuples)
+                relevant.append(position)
+            tuples = tuple(task.outer.run.iter_tuples())
+            outer_tuples.append(tuples)
+            tasks.append(
+                ChunkTask(
+                    index=task.index,
+                    outer=_columns(task.outer, tuples),
+                    relevant=tuple(relevant),
+                    last_read_in=last_read,
+                    nav_cpu=task.nav_cpu,
+                )
             )
-        )
-        pair_count += len(relevant)
+        # The sequential join reads the outer run first, then every
+        # relevant inner run in order; runs are never empty.
+        last_run = (task.inner[-1] if task.inner else task.outer).run
+        last_read = last_run.block_ids[-1]
+    return tasks, inner_table, outer_tuples, inner_tuples
 
-        # Advance the deterministic read chain: the sequential join reads
-        # the outer run first, then every relevant inner run in order.
-        for block_id in outer_block_ids:
-            last_read = block_id
-        for rel in relevant:
-            for block_id in inner_table[rel].block_ids:
-                last_read = block_id
 
-    return ProbeSchedule(
-        tasks=tasks,
-        inner_table=inner_table,
-        pair_count=pair_count,
-        outer_tuples=outer_tuple_table,
-        inner_tuples=inner_tuple_table,
+def _columns(node: Any, tuples: tuple) -> RunColumns:
+    starts, ends = decode_columns(tuples)
+    return RunColumns(
+        starts=starts,
+        ends=ends,
+        block_ids=tuple(node.run.block_ids),
+        partition=(node.i, node.j),
     )
 
 
 # ----------------------------------------------------------------------
-# Worker-side kernel.  Module-level (picklable) and dependent only on its
+# Worker side.  Module-level (picklable) and dependent only on its
 # arguments / the per-process table installed by the pool initializer, so
 # both backends run the identical code path.
 # ----------------------------------------------------------------------
 
-_PROCESS_INNER_TABLE: Optional[List[InnerPartition]] = None
+_PROCESS_INNER_TABLE: Optional[List[RunColumns]] = None
 _PROCESS_DECODE_CACHE: Optional[DecodedRunCache] = None
 
 
-def _init_process_worker(inner_table: List[InnerPartition]) -> None:
-    """Pool initializer: install the read-only inner partition table once
+def _init_process_worker(inner_table: List[RunColumns]) -> None:
+    """Pool initializer: install the read-only inner run table once
     per worker process (amortises pickling across all chunks), plus a
     fresh per-process decoded-run cache so the sweep kernel's start-sort
     of an inner partition happens at most once per worker process."""
@@ -417,42 +339,72 @@ def _init_process_worker(inner_table: List[InnerPartition]) -> None:
     _PROCESS_DECODE_CACHE = DecodedRunCache()
 
 
-def _charge_run_reads(
-    counters: CostCounters,
-    block_ids: Sequence[int],
-    last_read: Optional[int],
-    injector: Optional[FaultInjector] = None,
-    resilience: Optional[ResilienceCounters] = None,
-    max_retries: int = 3,
-    context: Any = None,
-) -> Optional[int]:
-    """Charge the block reads of one run, continuing the sequential/random
-    chain from *last_read* exactly as the storage manager would.  With an
-    *injector*, each read runs the same :func:`perform_read` retry loop as
-    the sequential join, reproducing its fault schedule and retry charges."""
-    if injector is None:
-        for block_id in block_ids:
-            counters.charge_read(
-                sequential=last_read is not None and block_id == last_read + 1
-            )
-            last_read = block_id
-        return last_read
-    for block_id in block_ids:
-        last_read = perform_read(
-            block_id,
-            counters,
-            last_read,
-            injector=injector,
-            resilience=resilience,
-            max_retries=max_retries,
-            context=context,
-        )
-    return last_read
+class _ChainReader:
+    """The workers' run reader for :func:`~repro.core.join.run_probe_task`.
+
+    Charges each run's block reads analytically, continuing the
+    sequential/random chain from the task's ``last_read_in`` exactly as
+    the storage manager would; with a fault injector every read runs the
+    same :func:`perform_read` retry loop as the sequential join,
+    reproducing its fault schedule and retry charges.  Runs arrive as
+    immutable columns, so a read is never dirty and a worker-side decode
+    never goes stale.
+    """
+
+    __slots__ = (
+        "counters",
+        "injector",
+        "resilience",
+        "max_retries",
+        "last_read",
+    )
+
+    def __init__(
+        self,
+        counters: CostCounters,
+        injector: Optional[FaultInjector],
+        resilience: ResilienceCounters,
+        max_retries: int,
+        last_read: Optional[int],
+    ) -> None:
+        self.counters = counters
+        self.injector = injector
+        self.resilience = resilience
+        self.max_retries = max_retries
+        self.last_read = last_read
+
+    def read(self, part: RunColumns, side: str) -> Tuple[RunColumns, bool]:
+        counters = self.counters
+        injector = self.injector
+        last_read = self.last_read
+        for block_id in part.block_ids:
+            if injector is None:
+                counters.charge_read(
+                    sequential=last_read is not None
+                    and block_id == last_read + 1
+                )
+                last_read = block_id
+            else:
+                last_read = perform_read(
+                    block_id,
+                    counters,
+                    last_read,
+                    injector=injector,
+                    resilience=self.resilience,
+                    max_retries=self.max_retries,
+                    context=(side, part.partition),
+                )
+        self.last_read = last_read
+        return part, False
+
+    @staticmethod
+    def decode(part: RunColumns) -> DecodedRun:
+        return DecodedRun(part.starts, part.ends)
 
 
 def _run_probe_chunk(
-    tasks: Sequence[ProbeTask],
-    inner_table: Optional[List[InnerPartition]] = None,
+    tasks: Sequence[ChunkTask],
+    inner_table: Optional[List[RunColumns]] = None,
     chunk_index: int = 0,
     attempt: int = 0,
     fault_policy: Optional[FaultPolicy] = None,
@@ -461,26 +413,15 @@ def _run_probe_chunk(
     kernel: str = "naive",
     decode_cache: Optional[DecodedRunCache] = None,
 ):
-    """Probe a contiguous chunk of outer partitions through the *kernel*
-    (:mod:`repro.core.kernels`).
+    """Probe a contiguous chunk of outer partitions with the shared pair
+    loop (:func:`~repro.core.join.run_probe_task`).
 
     Returns ``(counters, resilience, matches)`` where ``matches[t][r]`` is
-    the list of hits of task ``t``'s ``r``-th relevant inner partition,
-    each hit encoded as the single integer ``inner_pos * n_outer +
-    outer_pos`` — ascending encoded order is exactly the sequential
-    join's inner-major emission order (every kernel returns that order),
-    and flat ints keep the process backend's result pickling small.
+    the encoded hit list of task ``t``'s ``r``-th relevant inner run.
     Only indices and counters cross the process boundary; the driver
-    rebuilds pairs from its own tuple objects.
-
-    The model costs are charged analytically per partition pair — two
-    CPU comparisons per candidate and ``candidates - results`` false
-    hits, the exact totals of the historical per-candidate loop — so
-    counters are identical for every kernel.  *decode_cache* memoises
-    the per-partition :class:`~repro.core.kernels.DecodedRun` wrapper
-    (and with it the sweep kernel's lazy start-sort); the columnar data
-    itself is immutable schedule state, so worker-side cache entries can
-    never go stale.
+    rebuilds pairs from its own tuple objects.  *decode_cache* memoises
+    the per-run :class:`~repro.core.kernels.DecodedRun` wrapper (and with
+    it the sweep kernel's lazy start-sort).
     """
     if inner_table is None:
         inner_table = _PROCESS_INNER_TABLE
@@ -493,59 +434,34 @@ def _run_probe_chunk(
     injector = (
         FaultInjector(fault_policy) if fault_policy is not None else None
     )
+    # Tasks within a chunk are contiguous, so the read chain of the first
+    # task seeds the whole chunk.
+    reader = _ChainReader(
+        counters, injector, resilience, max_read_retries,
+        tasks[0].last_read_in,
+    )
     # Resolved here — in the worker process for the process backend — so
     # a "numpy" kernel name degrades to the sweep kernel wherever numpy
     # cannot be imported, without the driver having to know (the two are
     # bit-identical in matches, so mixed resolution is harmless).
     kernel_fn = kernel_function(kernel)
-    # Tasks within a chunk are contiguous, so the read chain of the first
-    # task seeds the whole chunk.
-    last_read = tasks[0].last_read_in
     matches: List[List[List[int]]] = []
     for task in tasks:
-        last_read = _charge_run_reads(
+        _, results = run_probe_task(
+            task.outer,
+            [inner_table[rel] for rel in task.relevant],
+            task.nav_cpu,
+            reader,
             counters,
-            task.outer_block_ids,
-            last_read,
-            injector=injector,
-            resilience=resilience,
-            max_retries=max_read_retries,
-            context=("outer partition", task.index),
+            kernel_fn,
+            cache=decode_cache,
         )
-        outer_decoded = DecodedRun(task.outer_starts, task.outer_ends)
-        n_outer = outer_decoded.length
-        task_matches: List[List[int]] = []
-        for rel in task.relevant:
-            partition = inner_table[rel]
-            last_read = _charge_run_reads(
-                counters,
-                partition.block_ids,
-                last_read,
-                injector=injector,
-                resilience=resilience,
-                max_retries=max_read_retries,
-                context=("inner partition", rel),
-            )
-            if decode_cache is not None:
-                inner_decoded = decode_cache.fetch(
-                    rel,
-                    lambda part=partition: DecodedRun(
-                        part.starts, part.ends
-                    ),
-                )
-            else:
-                inner_decoded = DecodedRun(partition.starts, partition.ends)
-            candidates = inner_decoded.length * n_outer
-            counters.charge_cpu(2 * candidates)
-            hits = kernel_fn(outer_decoded, inner_decoded)
-            counters.charge_false_hit(candidates - len(hits))
-            task_matches.append(hits)
-        matches.append(task_matches)
+        matches.append([hits for _, hits in results])
     return counters, resilience, matches
 
 
 def _run_probe_chunk_process(
-    tasks: Sequence[ProbeTask],
+    tasks: Sequence[ChunkTask],
     chunk_index: int = 0,
     attempt: int = 0,
     fault_policy: Optional[FaultPolicy] = None,
@@ -573,8 +489,8 @@ def _run_probe_chunk_process(
 
 
 def _chunk_tasks(
-    tasks: Sequence[ProbeTask], workers: int, chunk_size: Optional[int]
-) -> List[Sequence[ProbeTask]]:
+    tasks: Sequence[ChunkTask], workers: int, chunk_size: Optional[int]
+) -> List[Sequence[ChunkTask]]:
     """Split tasks into contiguous chunks (contiguity keeps the read
     chain self-consistent inside each chunk)."""
     if chunk_size is None:
@@ -626,19 +542,19 @@ def execute_schedule(
     Lifecycle hooks:
 
     * ``start_at`` skips the first *start_at* tasks — a checkpoint resume;
-      their charges must already be in *counters* (see
-      :func:`build_probe_schedule`'s ``charge_from``).
+      their charges must already be in *counters*.
     * ``governor`` — a :class:`~repro.engine.governor.GovernedRun` (duck
       typed) consulted at every chunk boundary, mirroring the sequential
-      loop's outer-partition boundary checks.  The governor sees
-      *sequential-equivalent* counters: the enumeration charges
-      navigation for all tasks up front, so the boundary check subtracts
-      the recorded navigation of not-yet-merged tasks before asking.  A
-      cancelled run stops merging, rolls the pending navigation charges
-      out of the live counters (making the partial counters exactly the
-      sequential join's state at that boundary) and returns with
-      ``report.cancelled`` set; a violated budget propagates the
-      governor's :class:`~repro.engine.governor.BudgetExceededError`.
+      loop's outer-partition boundary checks.  Each task's navigation is
+      charged with its pair work, so the merged counters the governor
+      sees are exactly the sequential join's state at that boundary.  A
+      cancelled run stops merging and returns with ``report.cancelled``
+      set; a violated budget propagates the governor's
+      :class:`~repro.engine.governor.BudgetExceededError`.
+
+    Windowed schedules (``build_probe_schedule(window=...)``) are for
+    :func:`~repro.core.join.probe_inline`; their outer-walk charges are
+    not run here.
     * ``tracer`` — a driver-side phase tracer (duck typed to
       :class:`~repro.obs.trace.Tracer`); chunk lifecycle events
       (dispatch, retry, timeout, downgrade, crash, completion) are
@@ -681,9 +597,11 @@ def execute_schedule(
         )
     trace = tracer if tracer is not None and tracer.enabled else None
     report = ExecutionReport(backend=backend)
-    tasks = schedule.tasks[start_at:] if start_at else schedule.tasks
-    if not tasks:
+    if start_at == len(schedule.tasks):
         return report
+    tasks, inner_table, outer_tuples, inner_tuples = _flatten_schedule(
+        schedule, start_at
+    )
 
     chunks = _chunk_tasks(tasks, workers, chunk_size)
     report.chunks = len(chunks)
@@ -694,7 +612,7 @@ def execute_schedule(
         faults still do, so permanent faults keep failing structurally."""
         return _run_probe_chunk(
             chunks[index],
-            schedule.inner_table,
+            inner_table,
             chunk_index=index,
             fault_policy=fault_policy,
             max_read_retries=max_read_retries,
@@ -709,7 +627,7 @@ def execute_schedule(
     else:
         outcome_iter = _pool_outcomes(
             chunks,
-            schedule.inner_table,
+            inner_table,
             workers,
             backend,
             report,
@@ -724,28 +642,11 @@ def execute_schedule(
             decode_cache,
         )
 
-    # Suffix sums of the navigation charges of not-yet-merged chunks:
-    # pending_*[c] is what must be subtracted from the live counters to
-    # obtain the sequential-equivalent state at the boundary *before*
-    # chunk c.
-    pending_cpu = pending_accesses = None
-    if governor is not None:
-        pending_cpu = [0] * (len(chunks) + 1)
-        pending_accesses = [0] * (len(chunks) + 1)
-        for index in range(len(chunks) - 1, -1, -1):
-            pending_cpu[index] = pending_cpu[index + 1] + sum(
-                task.nav_cpu for task in chunks[index]
-            )
-            pending_accesses[index] = pending_accesses[index + 1] + sum(
-                task.nav_accesses for task in chunks[index]
-            )
-
-    outer_tuple_table = schedule.outer_tuples
-    inner_tuple_table = schedule.inner_tuples
-    observe = (
+    emit = pair_emitter(
+        pairs,
         candidate_histogram.observe
         if candidate_histogram is not None
-        else None
+        else None,
     )
     boundary_resilience = (
         resilience if resilience is not None else ResilienceCounters()
@@ -753,39 +654,28 @@ def execute_schedule(
     done = start_at
     try:
         for index, chunk in enumerate(chunks):
-            if governor is not None:
-                equivalent = counters.merged_with(CostCounters())
-                equivalent.cpu_comparisons -= pending_cpu[index]
-                equivalent.partition_accesses -= pending_accesses[index]
-                if governor.boundary(
-                    done, equivalent, boundary_resilience, pairs
-                ):
-                    report.cancelled = True
-                    # Roll back the pending navigation charges so the
-                    # partial counters are exactly the sequential state.
-                    counters.cpu_comparisons -= pending_cpu[index]
-                    counters.partition_accesses -= pending_accesses[index]
-                    break
+            # Workers charge each task's navigation with its pair work,
+            # so the merged counters are the sequential join's state at
+            # this boundary.
+            if governor is not None and governor.boundary(
+                done, counters, boundary_resilience, pairs
+            ):
+                report.cancelled = True
+                break
             chunk_counters, chunk_resilience, chunk_matches = next(
                 outcome_iter
             )
-            _merge_into(counters, chunk_counters)
+            counters.merge(chunk_counters)
             if resilience is not None:
                 resilience.merge(chunk_resilience)
             for task, task_matches in zip(chunk, chunk_matches):
-                outer_tuples = outer_tuple_table[task.index]
-                n_outer = len(outer_tuples)
-                for rel, hits in zip(task.relevant, task_matches):
-                    inner_tuples = inner_tuple_table[rel]
-                    if observe is not None:
-                        observe(len(inner_tuples) * n_outer)
-                    pairs += [
-                        (
-                            outer_tuples[encoded % n_outer],
-                            inner_tuples[encoded // n_outer],
-                        )
-                        for encoded in hits
-                    ]
+                emit(
+                    outer_tuples[task.index - start_at],
+                    [
+                        (inner_tuples[rel], hits)
+                        for rel, hits in zip(task.relevant, task_matches)
+                    ],
+                )
             done += len(chunk)
             report.tasks_completed += len(chunk)
             if trace is not None:
@@ -807,8 +697,8 @@ def execute_schedule(
 
 
 def _pool_outcomes(
-    chunks: List[Sequence[ProbeTask]],
-    inner_table: List[InnerPartition],
+    chunks: List[Sequence[ChunkTask]],
+    inner_table: List[RunColumns],
     workers: int,
     backend: str,
     report: ExecutionReport,
@@ -969,25 +859,3 @@ def map_tasks(
     with executor_cls(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
-
-def merge_counters(target: CostCounters, delta: CostCounters) -> None:
-    """Public alias of :func:`_merge_into` for cross-layer callers (the
-    time-shard router sums per-shard counters into one merged result)."""
-    _merge_into(target, delta)
-
-
-def _merge_into(target: CostCounters, delta: CostCounters) -> None:
-    """Add every field of *delta* onto *target* in place (callers hold a
-    reference to *target*, so :meth:`CostCounters.merged_with`'s fresh
-    object is not usable here)."""
-    target.cpu_comparisons += delta.cpu_comparisons
-    target.block_reads += delta.block_reads
-    target.block_writes += delta.block_writes
-    target.sequential_reads += delta.sequential_reads
-    target.random_reads += delta.random_reads
-    target.buffer_hits += delta.buffer_hits
-    target.false_hits += delta.false_hits
-    target.partition_accesses += delta.partition_accesses
-    target.result_tuples += delta.result_tuples
-    for key, value in delta.extras.items():
-        target.extras[key] = target.extras.get(key, 0) + value

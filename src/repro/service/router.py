@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.relation import TemporalRelation
-from ..engine.parallel import map_tasks, merge_counters
+from ..engine.parallel import map_tasks
 from ..obs.registry import DEFAULT_LATENCY_BUCKETS_MS
 from ..obs.trace import NULL_TRACER
 from ..storage.metrics import CostCounters, ResilienceCounters
@@ -353,7 +353,7 @@ class TimeShardRouter:
         )
         for outcome in outcomes:
             pairs.extend(outcome["pairs"])
-            merge_counters(counters, outcome["counters"])
+            counters.merge(outcome["counters"])
             resilience.merge(outcome["resilience"])
             completed = completed and outcome["completed"]
             duplicates += outcome["found"] - len(outcome["pairs"])

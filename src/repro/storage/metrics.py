@@ -160,23 +160,25 @@ class CostCounters:
             self.cpu_comparisons * weights.cpu + self.total_ios * weights.io
         )
 
+    def merge(self, other: "CostCounters") -> None:
+        """Add every field of *other* onto this counter set in place."""
+        self.cpu_comparisons += other.cpu_comparisons
+        self.block_reads += other.block_reads
+        self.block_writes += other.block_writes
+        self.sequential_reads += other.sequential_reads
+        self.random_reads += other.random_reads
+        self.buffer_hits += other.buffer_hits
+        self.false_hits += other.false_hits
+        self.partition_accesses += other.partition_accesses
+        self.result_tuples += other.result_tuples
+        for key, value in other.extras.items():
+            self.extras[key] = self.extras.get(key, 0) + value
+
     def merged_with(self, other: "CostCounters") -> "CostCounters":
         """Sum of two counter sets (used when aggregating sweep points)."""
-        merged = CostCounters(
-            cpu_comparisons=self.cpu_comparisons + other.cpu_comparisons,
-            block_reads=self.block_reads + other.block_reads,
-            block_writes=self.block_writes + other.block_writes,
-            sequential_reads=self.sequential_reads + other.sequential_reads,
-            random_reads=self.random_reads + other.random_reads,
-            buffer_hits=self.buffer_hits + other.buffer_hits,
-            false_hits=self.false_hits + other.false_hits,
-            partition_accesses=self.partition_accesses
-            + other.partition_accesses,
-            result_tuples=self.result_tuples + other.result_tuples,
-        )
-        for extras in (self.extras, other.extras):
-            for key, value in extras.items():
-                merged.extras[key] = merged.extras.get(key, 0) + value
+        merged = CostCounters()
+        merged.merge(self)
+        merged.merge(other)
         return merged
 
     def snapshot(self) -> Dict[str, int]:

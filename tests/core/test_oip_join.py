@@ -195,12 +195,16 @@ class TestPerSideGranuleCounts:
 
     def test_asymmetric_counts_reported(self, paper_r, paper_s):
         result = OIPJoin(k_outer=2, k_inner=3).join(paper_r, paper_s)
-        assert result.details["k"] == (2, 3)
+        assert result.details["k_outer"] == 2
+        assert result.details["k_inner"] == 3
+        # ``k`` keeps one shape: the inner (navigated) side's count.
+        assert result.details["k"] == 3
         assert result.details["self_adjusting"] is False
 
     def test_equal_counts_report_single_k(self, paper_r, paper_s):
         result = OIPJoin(k_outer=4, k_inner=4).join(paper_r, paper_s)
         assert result.details["k"] == 4
+        assert result.details["k_outer"] == result.details["k_inner"] == 4
 
     def test_must_pass_both_sides(self):
         with pytest.raises(ValueError):

@@ -189,27 +189,28 @@ class TestScheduleEnumeration:
         schedule = build_probe_schedule(
             outer_list, inner_list, k, CostCounters()
         )
-        inner_nodes = list(inner_list.iter_nodes())
         assert schedule.task_count == outer_list.partition_count
-        assert len(schedule.inner_table) == inner_list.partition_count
+        assert schedule.pair_count == sum(
+            len(task.inner) for task in schedule.tasks
+        )
 
         inner_range_stop = config_s.o + k * config_s.d
         for task, outer_node in zip(
             schedule.tasks, outer_list.iter_nodes()
         ):
+            assert task.outer is outer_node
             query = config_r.partition_interval(outer_node.i, outer_node.j)
             if query.end < config_s.o or query.start >= inner_range_stop:
                 expected = []
+                # Only Algorithm 2's range-overlap guard is charged.
+                assert task.nav_cpu == 2
             else:
                 s, e = config_s.query_indices(query)
                 expected = [
                     (node.i, node.j)
                     for node in inner_list.iter_relevant(s, e)
                 ]
-            scheduled = [
-                (inner_nodes[rel].i, inner_nodes[rel].j)
-                for rel in task.relevant
-            ]
+            scheduled = [(node.i, node.j) for node in task.inner]
             assert scheduled == expected
 
     def test_execute_schedule_validates_arguments(self):

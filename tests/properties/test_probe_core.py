@@ -1,0 +1,177 @@
+"""Property tests over the one Algorithm 2 probe core.
+
+The sequential join, the parallel scheduler and the batch executor all
+run the same navigation (``build_probe_schedule``) and pair loop
+(``run_probe_task``).  These tests draw edge-case relations and
+execution configurations and check the core's contract end to end:
+
+* the result pairs are exactly the nested-loop oracle's (as a multiset);
+* pairs (in order) and cost counters equal the plain sequential join at
+  the same granule count — also after a cancel at a random boundary and
+  a resume from the checkpoint written there;
+* a ``BatchJoin`` with one window covering both domains returns the
+  oracle's pairs.
+
+A small profile runs in tier-1; the deep one runs under ``-m slow``.
+"""
+
+import os
+import tempfile
+from collections import Counter
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import event, example, given, settings
+
+from repro.baselines.nested_loop import NestedLoopJoin
+from repro.core.interval import Interval
+from repro.core.join import OIPJoin
+from repro.core.relation import TemporalRelation
+from repro.engine.batch import BatchJoin
+from repro.engine.governor import CancellationToken
+
+SMALL = settings(max_examples=30, deadline=None)
+DEEP = settings(max_examples=400, deadline=None)
+
+
+@st.composite
+def relation_pairs(draw):
+    """Two relations over one shared domain ``[lo, hi]``.
+
+    Endpoints come from a small pool that always holds both domain
+    bounds, so shared endpoints and tuples on the bounds are common.
+    The domain may be a single chronon, either side may be empty, and
+    either side may gain one tuple spanning the whole domain.
+    """
+    lo = draw(st.integers(-20, 50))
+    width = draw(st.sampled_from([0, 1, 7, 60, 400]))
+    hi = lo + width
+    pool = sorted(
+        {lo, hi} | set(draw(st.lists(st.integers(lo, hi), max_size=6)))
+    )
+    point = st.sampled_from(pool)
+    shapes = st.one_of(
+        point.map(lambda t: (t, t)),  # point intervals
+        st.tuples(point, point).map(lambda p: tuple(sorted(p))),
+        st.tuples(st.integers(lo, hi), st.integers(0, width)).map(
+            lambda p: (p[0], min(hi, p[0] + p[1]))
+        ),
+    )
+
+    def side(name):
+        spans = draw(st.lists(shapes, max_size=25))
+        if draw(st.booleans()):
+            spans.append((lo, hi))  # one tuple spanning everything
+        return TemporalRelation.from_records(
+            [(s, e, f"{name}{i}") for i, (s, e) in enumerate(spans)],
+            name=name,
+        )
+
+    return side("r"), side("s")
+
+
+GRANULES = st.one_of(
+    st.sampled_from(
+        [
+            {"k": 1},
+            {"k": 2},
+            {},  # derived by the Section 6.2 iteration
+            {"k": 3},  # coarse: a few wide granules
+            {"k": 10_000},  # finer than the domain: clamped per side
+        ]
+    ),
+    st.tuples(st.integers(1, 9), st.integers(1, 9)).map(
+        lambda p: {"k_outer": p[0], "k_inner": p[1]}
+    ),
+)
+
+configs = st.fixed_dictionaries(
+    {
+        "granules": GRANULES,
+        "kernel": st.sampled_from(["auto", "naive", "sweep", "numpy"]),
+        "execution": st.sampled_from(
+            [{}, {"parallelism": 1}, {"parallelism": 2}]
+        ),
+        "cancel_after": st.none() | st.integers(0, 12),
+    }
+)
+
+
+def _keys(pairs):
+    return [
+        (a.start, a.end, a.payload, b.start, b.end, b.payload)
+        for a, b in pairs
+    ]
+
+
+def _run(outer, inner, config):
+    """The configured join, cancelled and resumed when the config says
+    so."""
+    options = dict(
+        config["granules"], kernel=config["kernel"], **config["execution"]
+    )
+    if config["cancel_after"] is None:
+        return OIPJoin(**options).join(outer, inner)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "probe.ckpt")
+        partial = OIPJoin(
+            cancellation=CancellationToken(config["cancel_after"]),
+            checkpoint_path=path,
+            checkpoint_every=1,
+            **options,
+        ).join(outer, inner)
+        if partial.completed:
+            return partial
+        event("resumed from a checkpoint")
+        return OIPJoin(resume_from=path, **options).join(outer, inner)
+
+
+def check_probe_core(pair, config):
+    outer, inner = pair
+    oracle = NestedLoopJoin().join(outer, inner)
+    result = _run(outer, inner, config)
+    assert result.completed
+    assert Counter(_keys(result.pairs)) == Counter(_keys(oracle.pairs))
+
+    plain = OIPJoin(**config["granules"]).join(outer, inner)
+    assert _keys(result.pairs) == _keys(plain.pairs)
+    assert result.counters.snapshot() == plain.counters.snapshot()
+
+    points = [t.start for t in outer] + [t.start for t in inner]
+    ends = [t.end for t in outer] + [t.end for t in inner]
+    window = Interval(min(points), max(ends)) if points else Interval(0, 0)
+    batch_k = config["granules"].get("k")
+    batch = BatchJoin(k=batch_k, kernel=config["kernel"]).run(
+        outer, inner, [window]
+    )
+    assert Counter(_keys(batch.queries[0].pairs)) == Counter(
+        _keys(oracle.pairs)
+    )
+
+
+ONE_CHRONON_OUTER = (
+    TemporalRelation.from_records([(7, 7, "r0")], name="r"),
+    TemporalRelation.from_records([(1, 10, "s0"), (7, 9, "s1")], name="s"),
+)
+
+
+@given(pair=relation_pairs(), config=configs)
+@example(
+    pair=ONE_CHRONON_OUTER,
+    config={
+        "granules": {"k": 2},
+        "kernel": "auto",
+        "execution": {"parallelism": 2},
+        "cancel_after": 1,
+    },
+)
+@SMALL
+def test_probe_core_matches_oracle_and_sequential(pair, config):
+    check_probe_core(pair, config)
+
+
+@pytest.mark.slow
+@given(pair=relation_pairs(), config=configs)
+@DEEP
+def test_probe_core_matches_oracle_and_sequential_deep(pair, config):
+    check_probe_core(pair, config)

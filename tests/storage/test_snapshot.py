@@ -12,7 +12,7 @@ import os
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from repro.core.interval import Interval
 from repro.core.join import OIPJoin
@@ -339,6 +339,17 @@ def relation_pairs(draw):
 
 
 @given(relation_pairs(), st.integers(1, 12))
+@example(
+    # A one-chronon outer domain clamps the outer side to k=1 while the
+    # inner side keeps k=2: the two sides report different counts.
+    pair=(
+        TemporalRelation.from_records([(7, 7, "r0")], name="r"),
+        TemporalRelation.from_records(
+            [(1, 10, "s0"), (7, 9, "s1")], name="s"
+        ),
+    ),
+    k=2,
+)
 @settings(
     max_examples=25,
     deadline=None,
@@ -354,7 +365,11 @@ def test_property_round_trip(tmp_path_factory, pair, k):
     assert_identical(loaded, baseline)
     assert (
         read_statistics(path)["meta"]["config_outer"]["k"]
-        == baseline.details["k"]
+        == baseline.details["k_outer"]
+    )
+    assert (
+        read_statistics(path)["meta"]["config_inner"]["k"]
+        == baseline.details["k_inner"]
     )
 
 
