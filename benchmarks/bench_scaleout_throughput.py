@@ -18,12 +18,12 @@ workload (long-lived mixture):
   generation).  A hit skips admission, snapshot pin, and the entire
   join, so the floor is steep.  Gate: **>= 5x**, enforced everywhere.
 
-Bit-identity is asserted throughout — pooled, sharded, and cached
-answers are compared against the offline oracle fingerprint — so the
-smoke run is meaningful even on hardware where the worker gate cannot
-be enforced.  The standalone run writes ``BENCH_scaleout.json`` at the
-repository root; ``--smoke`` (the CI ``scaleout-smoke`` job) asserts
-the gates with best-of-attempts retries.
+Bit-identity is asserted throughout — pooled and cached answers are
+compared against the offline oracle fingerprint — so the smoke run is
+meaningful even on hardware where the worker gate cannot be enforced.
+The standalone run writes ``BENCH_scaleout.json`` at the repository
+root; ``--smoke`` (the CI ``scaleout-smoke`` job) asserts the gates
+with best-of-attempts retries.
 
     PYTHONPATH=src python benchmarks/bench_scaleout_throughput.py
     PYTHONPATH=src python benchmarks/bench_scaleout_throughput.py --smoke
@@ -208,38 +208,8 @@ def bench_cache(path: str, expected_fingerprint: int) -> Dict[str, Any]:
     }
 
 
-def bench_sharded(path: str, expected_fingerprint: int) -> Dict[str, Any]:
-    """Sharded execution for the record (and the identity check); on a
-    single core the scatter-gather is pure overhead, which the JSON
-    records honestly."""
-    service = JoinService(path)
-    service.start()
-    unsharded_ms = float("inf")
-    for _ in range(REPEATS + 1):
-        started = time.perf_counter()
-        service.query("join")
-        unsharded_ms = min(
-            unsharded_ms, (time.perf_counter() - started) * 1e3
-        )
-    mismatches = 0
-    sharded_ms = float("inf")
-    for _ in range(REPEATS + 1):
-        started = time.perf_counter()
-        body = service.query("join", shards=4)
-        sharded_ms = min(sharded_ms, (time.perf_counter() - started) * 1e3)
-        if body["fingerprint"] != expected_fingerprint:
-            mismatches += 1
-    service.drain(timeout_s=5.0)
-    return {
-        "unsharded_ms": unsharded_ms,
-        "sharded_ms": sharded_ms,
-        "shards": 4,
-        "mismatches": mismatches,
-    }
-
-
 def run(smoke: bool) -> int:
-    heading("Scale-out serving: workers, result cache, time shards")
+    heading("Scale-out serving: workers and result cache")
     cardinality = scaled(CARDINALITY)
     cpu_count = os.cpu_count() or 1
     workers_gate_enforced = cpu_count >= GATE_WORKERS
@@ -272,7 +242,6 @@ def run(smoke: bool) -> int:
                 f"  retrying: workers {gate_row['speedup']:.2f}x, "
                 f"cache {cache_row['speedup']:.2f}x"
             )
-    sharded_row = bench_sharded(path, expected)
 
     table(
         ["workers", "elapsed", "qps", "speedup", "mismatches"],
@@ -293,10 +262,6 @@ def run(smoke: bool) -> int:
         f"{cache_row['hit_ms']:.3f} ms -> {cache_row['speedup']:.1f}x "
         f"(floor {CACHE_SPEEDUP_FLOOR}x)"
     )
-    emit(
-        f"shards(4): {sharded_row['sharded_ms']:.1f} ms vs unsharded "
-        f"{sharded_row['unsharded_ms']:.1f} ms on {cpu_count} core(s)"
-    )
     gate_row = next(
         row for row in worker_rows if row["workers"] == GATE_WORKERS
     )
@@ -306,9 +271,7 @@ def run(smoke: bool) -> int:
         f"{'enforced' if workers_gate_enforced else f'not enforced on {cpu_count} core(s)'})"
     )
     mismatches = (
-        sum(row["mismatches"] for row in worker_rows)
-        + cache_row["mismatches"]
-        + sharded_row["mismatches"]
+        sum(row["mismatches"] for row in worker_rows) + cache_row["mismatches"]
     )
     emit(f"bit-identity mismatches: {mismatches}")
 
@@ -335,7 +298,6 @@ def run(smoke: bool) -> int:
                     "mismatches": mismatches,
                     "workers": worker_rows,
                     "cache": cache_row,
-                    "sharded": sharded_row,
                 },
                 handle,
                 indent=1,

@@ -917,7 +917,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     from .storage.snapshot import SnapshotError
 
     try:
-        shard_ranges = _check_scaleout_config(args)
+        _check_scaleout_config(args)
     except ScaleOutConfigError as error:
         # Exit-code convention (PR 8): 64 = EX_USAGE, a configuration
         # the operator must fix; the structured detail goes to stderr
@@ -938,8 +938,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         kernel=args.kernel,
         tracing=args.tracing,
         result_cache_size=args.result_cache_size,
-        shards=args.shards,
-        shard_ranges=shard_ranges,
     )
     if args.workers > 1:
         return _run_serve_workers(args, service_kwargs)
@@ -1038,15 +1036,11 @@ def _swallow_refresh(service) -> None:
         pass
 
 
-def _check_scaleout_config(args: argparse.Namespace):
+def _check_scaleout_config(args: argparse.Namespace) -> None:
     """Validate the scale-out flags before any fork or snapshot load;
     raises :class:`~repro.service.errors.ScaleOutConfigError` (exit 64)
-    on anything a retry cannot fix.  Returns the parsed shard plan (or
-    ``None``)."""
-    import json
-
+    on anything a retry cannot fix."""
     from .service.errors import ScaleOutConfigError
-    from .service.router import validate_shard_ranges
     from .service.workers import MAX_WORKERS
 
     if not 1 <= args.workers <= MAX_WORKERS:
@@ -1071,29 +1065,6 @@ def _check_scaleout_config(args: argparse.Namespace):
             f"{args.result_cache_size}",
             detail={"result_cache_size": args.result_cache_size},
         )
-    if args.shards is not None and args.shards < 1:
-        raise ScaleOutConfigError(
-            f"--shards must be >= 1, got {args.shards}",
-            detail={"shards": args.shards},
-        )
-    if args.shards is not None and args.shard_ranges is not None:
-        raise ScaleOutConfigError(
-            "--shards and --shard-ranges are mutually exclusive"
-        )
-    if args.shard_ranges is None:
-        return None
-    try:
-        parsed = json.loads(args.shard_ranges)
-    except ValueError as error:
-        raise ScaleOutConfigError(
-            f"--shard-ranges is not valid JSON: {error}"
-        ) from None
-    if not isinstance(parsed, list):
-        raise ScaleOutConfigError(
-            f"--shard-ranges must be a JSON list of [lo, hi] pairs, "
-            f"got {type(parsed).__name__}"
-        )
-    return validate_shard_ranges(parsed)
 
 
 def _run_serve_workers(
@@ -1548,26 +1519,6 @@ def build_parser() -> argparse.ArgumentParser:
             "per-worker LRU capacity for finished response bodies, "
             "keyed by (generation, request fingerprint); 0 disables "
             "(default %(default)s)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help=(
-            "split every query's time domain into this many equal "
-            "ranges and scatter-gather an independent join per shard "
-            "(answers stay bit-identical to the unsharded join)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--shard-ranges",
-        default=None,
-        metavar="JSON",
-        help=(
-            'explicit shard plan as a JSON list of [lo, hi] pairs, e.g. '
-            '"[[1,5000],[5001,20000]]"; must tile the snapshot\'s time '
-            "domain without gaps or overlaps"
         ),
     )
     serve_parser.set_defaults(handler=_run_serve)

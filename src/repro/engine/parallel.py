@@ -154,7 +154,6 @@ __all__ = [
     "InjectedWorkerError",
     "build_probe_schedule",
     "execute_schedule",
-    "map_tasks",
 ]
 
 #: Supported worker-pool backends.
@@ -819,43 +818,3 @@ def _pool_outcomes(
             yield outcome
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
-
-
-def map_tasks(
-    fn: Any,
-    items: Sequence[Any],
-    *,
-    backend: str = "thread",
-    max_workers: Optional[int] = None,
-) -> List[Any]:
-    """Order-preserving parallel map over independent tasks.
-
-    The scatter half of the service's time-shard router: each item is an
-    independent shard of work, results come back in submission order so
-    the merge stays deterministic.  ``backend`` follows :data:`BACKENDS`
-    plus ``"inline"`` (run in the calling thread — the degenerate case
-    used for one item, one worker, or deterministic debugging).  The
-    first worker exception propagates to the caller once the pool has
-    settled, exactly like a sequential loop would raise it.
-    """
-    if backend not in BACKENDS + ("inline",):
-        raise ValueError(
-            f"unknown map backend {backend!r}; choose from "
-            f"{BACKENDS + ('inline',)}"
-        )
-    items = list(items)
-    workers = (
-        max(1, min(len(items), max_workers or (os.cpu_count() or 1)))
-        if items
-        else 1
-    )
-    if backend == "inline" or workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    executor_cls = (
-        concurrent.futures.ThreadPoolExecutor
-        if backend == "thread"
-        else concurrent.futures.ProcessPoolExecutor
-    )
-    with executor_cls(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-

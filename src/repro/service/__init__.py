@@ -10,8 +10,6 @@ Layering (each module usable on its own):
   deadlines, retries, breaker, drain, ``service.*`` metrics.
 * :mod:`~repro.service.cache` — per-generation LRU of finished
   response bodies, keyed by canonical request fingerprint.
-* :mod:`~repro.service.router` — time-shard scatter-gather execution
-  with ownership-rule dedup (bit-identical to the unsharded join).
 * :mod:`~repro.service.workers` / :mod:`~repro.service.aggregate` —
   pre-fork multi-process serving and fleet-wide stats aggregation.
 * :mod:`~repro.service.protocol` / :mod:`~repro.service.server` /
@@ -29,7 +27,6 @@ from .errors import (
     SnapshotSwapRejectedError,
 )
 from .protocol import trace_context
-from .router import TimeShardRouter, shard_ranges, validate_shard_ranges
 from .server import MetricsExporter, ServiceServer, serve_stdio
 from .service import (
     STATS_VERSION,
@@ -56,9 +53,6 @@ __all__ = [
     "serve_stdio",
     "ResultCache",
     "request_fingerprint",
-    "TimeShardRouter",
-    "shard_ranges",
-    "validate_shard_ranges",
     "WorkerSupervisor",
     "WorkerStartupError",
     "ServiceError",

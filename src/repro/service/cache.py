@@ -6,7 +6,7 @@ the offline oracle for its generation) is exactly what makes the answer
 cacheable.  :class:`ResultCache` exploits that: a bounded LRU keyed by
 ``(generation id, request fingerprint)`` where the fingerprint is a
 digest over the canonical request fields (op, predicate window, kernel,
-shard plan, pair-shipping options).
+pair-shipping options).
 
 Two independent mechanisms keep stale answers impossible:
 
@@ -44,7 +44,6 @@ def request_fingerprint(
     op: str,
     window: Optional[Sequence[int]] = None,
     kernel: str = "auto",
-    shards: Optional[int] = None,
     include_pairs: bool = False,
     max_pairs: int = 1000,
 ) -> str:
@@ -52,16 +51,12 @@ def request_fingerprint(
 
     Two requests get the same fingerprint iff the service would produce
     byte-identical response bodies for them against the same generation.
-    ``shards`` is included even though sharding cannot change the answer
-    *pairs* — the merged counters and shard report differ, and a cached
-    body must be indistinguishable from a fresh one.
     """
     canonical = json.dumps(
         {
             "op": op,
             "window": None if window is None else [int(window[0]), int(window[1])],
             "kernel": kernel,
-            "shards": shards,
             "include_pairs": bool(include_pairs),
             "max_pairs": int(max_pairs),
         },

@@ -193,7 +193,6 @@ class ServiceClient:
         kernel: Optional[str] = None,
         include_pairs: bool = False,
         max_pairs: int = 1000,
-        shards: Optional[int] = None,
     ) -> Dict[str, Any]:
         return self.request(
             "join",
@@ -201,7 +200,6 @@ class ServiceClient:
             kernel=kernel,
             include_pairs=include_pairs or None,
             max_pairs=max_pairs,
-            shards=shards,
         )
 
     def lookup(
@@ -212,7 +210,6 @@ class ServiceClient:
         kernel: Optional[str] = None,
         include_pairs: bool = False,
         max_pairs: int = 1000,
-        shards: Optional[int] = None,
     ) -> Dict[str, Any]:
         return self.request(
             "lookup",
@@ -221,7 +218,6 @@ class ServiceClient:
             kernel=kernel,
             include_pairs=include_pairs or None,
             max_pairs=max_pairs,
-            shards=shards,
         )
 
     def health(self) -> Dict[str, Any]:

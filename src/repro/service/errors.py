@@ -134,10 +134,9 @@ class BadRequestError(ServiceError):
 
 
 class ScaleOutConfigError(ServiceError):
-    """An invalid scale-out configuration: a worker count that cannot
-    fork, a shard plan with overlapping or gapped ranges, ranges that do
-    not cover the snapshot's time domain.  Surfaces at ``serve`` startup
-    as exit code 64 (EX_USAGE) with the structured detail on stderr."""
+    """An invalid scale-out configuration, such as a worker count that
+    cannot fork.  Surfaces at ``serve`` startup as exit code 64
+    (EX_USAGE) with the structured detail on stderr."""
 
     code = "bad_config"
     retriable = False

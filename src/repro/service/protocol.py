@@ -6,10 +6,9 @@ response echoes ``id`` and carries either ``"ok": true`` plus the body
 or ``"ok": false`` plus a structured ``error`` object (see
 :mod:`repro.service.errors`).  Ops: ``join``, ``lookup``, ``health``,
 ``metrics``, ``stats``, ``stats_local``, ``tracedump``, ``refresh``,
-``ping``, ``shutdown``.  ``join``/``lookup`` accept an optional
-``shards`` field (time-shard scatter-gather execution, bit-identical
-answers); against a worker pool ``stats`` aggregates across every
-worker while ``stats_local`` answers for the receiving process only.
+``ping``, ``shutdown``.  Unknown request fields are ignored.  Against
+a worker pool ``stats`` aggregates across every worker while
+``stats_local`` answers for the receiving process only.
 
 **Trace propagation.**  Any request may carry a trace context,
 ``"trace": {"trace_id": "<opaque token>"}`` — the client-minted

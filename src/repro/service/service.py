@@ -67,7 +67,6 @@ from .errors import (
     SnapshotSwapRejectedError,
 )
 from .protocol import trace_context
-from .router import TimeShardRouter
 from .snapshots import ServingGeneration, SnapshotManager
 
 __all__ = [
@@ -110,7 +109,7 @@ def _window_matches(pair: Tuple[Any, Any], ts: int, te: int) -> bool:
 def _check_window(window: Any) -> Tuple[int, int]:
     try:
         ts, te = int(window[0]), int(window[1])
-    except (TypeError, ValueError, IndexError, KeyError):
+    except (TypeError, ValueError, OverflowError, IndexError, KeyError):
         raise BadRequestError(
             f"window must be a [start, end] integer pair, got {window!r}"
         ) from None
@@ -119,6 +118,17 @@ def _check_window(window: Any) -> Tuple[int, int]:
             f"window end {te} precedes window start {ts}"
         )
     return ts, te
+
+
+def _check_number(field: str, value: Any, kind: Callable[[Any], Any]) -> Any:
+    """*value* converted by *kind* (``int`` or ``float``); a malformed
+    wire field is the client's error, so it becomes ``bad_request``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise BadRequestError(
+            f"{field} must be a number, got {value!r}"
+        ) from None
 
 
 def summarize_result(
@@ -237,9 +247,6 @@ class JoinService:
         trace_max_depth: Optional[int] = 3,
         query_log: Optional[QueryLog] = None,
         result_cache_size: int = 0,
-        shards: Optional[int] = None,
-        shard_ranges: Optional[Sequence[Sequence[int]]] = None,
-        shard_backend: str = "thread",
         worker_id: Optional[int] = None,
         roster_path: Optional[str] = None,
     ) -> None:
@@ -297,19 +304,6 @@ class JoinService:
         self.result_cache = (
             ResultCache(result_cache_size) if result_cache_size > 0 else None
         )
-        #: Service-default time-shard router (``--shards`` /
-        #: ``--shard-ranges``); per-request ``shards`` overrides it.
-        self.shard_backend = shard_backend
-        self._router = (
-            TimeShardRouter(
-                shards=shards,
-                ranges=shard_ranges,
-                backend=shard_backend,
-                metrics=self.metrics,
-            )
-            if shards is not None or shard_ranges is not None
-            else None
-        )
         #: Identity within a multi-process worker pool (``None`` when
         #: running single-process) and the roster file the parent
         #: supervisor maintains for cross-worker stats aggregation.
@@ -319,8 +313,8 @@ class JoinService:
     # -- configuration -------------------------------------------------------
 
     def set_join_option(self, key: str, value: Any) -> None:
-        """Set (or, with ``value=None``... no: remove via
-        :meth:`clear_join_option`) one per-query join keyword."""
+        """Set one per-query join keyword; :meth:`clear_join_option`
+        removes it."""
         with self._lock:
             self._join_options[key] = value
 
@@ -570,15 +564,10 @@ class JoinService:
         include_pairs: bool = False,
         max_pairs: int = 1000,
         trace_id: Optional[str] = None,
-        shards: Optional[int] = None,
     ) -> Dict[str, Any]:
         """Execute one overlap join (or windowed lookup) against the
         pinned current generation.  Raises a :class:`ServiceError`
         subclass with a stable ``code`` on any failure.
-
-        ``shards`` requests time-shard scatter-gather execution for this
-        query (overriding any service-level shard plan); the answer
-        pairs and fingerprint stay bit-identical to the unsharded join.
 
         ``trace_id`` is the wire-propagated correlation id (typically
         stamped by :class:`~repro.service.client.ServiceClient`); when
@@ -593,23 +582,15 @@ class JoinService:
                 f"unknown op {op!r}; choose from {_OPS}"
             )
         checked_window = _check_window(window) if op == "lookup" else None
-        if shards is not None:
-            try:
-                shards = int(shards)
-            except (TypeError, ValueError):
-                raise BadRequestError(
-                    f"shards must be an integer, got {shards!r}"
-                ) from None
-            if shards < 1:
-                raise BadRequestError(
-                    f"shards must be >= 1, got {shards}"
-                )
+        max_pairs = _check_number("max_pairs", max_pairs, int)
         if deadline_ms is None:
             deadline_ms = self.default_deadline_ms
-        if deadline_ms is not None and deadline_ms <= 0:
-            raise BadRequestError(
-                f"deadline_ms must be positive, got {deadline_ms}"
-            )
+        if deadline_ms is not None:
+            deadline_ms = _check_number("deadline_ms", deadline_ms, float)
+            if not deadline_ms > 0:
+                raise BadRequestError(
+                    f"deadline_ms must be positive, got {deadline_ms}"
+                )
         if trace_id is None and (self.tracing or self.query_log):
             trace_id = new_trace_id()
         tracer = (
@@ -643,7 +624,6 @@ class JoinService:
                     submitted,
                     tracer,
                     trace_id,
-                    shards,
                 )
             service_ms = (self._clock() - submitted) * 1e3
             if trace_id is not None:
@@ -717,7 +697,6 @@ class JoinService:
         submitted: float,
         tracer: Any = NULL_TRACER,
         trace_id: Optional[str] = None,
-        shards: Optional[int] = None,
     ) -> Dict[str, Any]:
         # Cache probe happens *before* admission: a hit costs no slot,
         # no queue wait, and no snapshot pin (so ``queries_served``
@@ -733,7 +712,6 @@ class JoinService:
                 op=op,
                 window=window,
                 kernel=kernel if kernel is not None else self.kernel,
-                shards=shards,
                 include_pairs=include_pairs,
                 max_pairs=max_pairs,
             )
@@ -793,7 +771,6 @@ class JoinService:
                     submitted,
                     tracer,
                     trace_id,
-                    shards,
                 )
                 if cache is not None and fingerprint is not None:
                     # Stored before ``trace_id``/``service_ms`` stamping
@@ -820,20 +797,11 @@ class JoinService:
         submitted: float,
         tracer: Any = NULL_TRACER,
         trace_id: Optional[str] = None,
-        shards: Optional[int] = None,
     ) -> Dict[str, Any]:
         token = CancellationToken()
         with self._lock:
             self._tokens.add(token)
             options = dict(self._join_options)
-        if shards is not None:
-            router: Optional[TimeShardRouter] = TimeShardRouter(
-                shards=shards,
-                backend=self.shard_backend,
-                metrics=self.metrics,
-            )
-        else:
-            router = self._router
         try:
             attempts = 0
             while True:
@@ -852,74 +820,20 @@ class JoinService:
                     budget = QueryBudget(deadline_ms=remaining_ms)
                 kwargs = generation.join_kwargs()
                 kwargs.update(options)
-                resolved_kernel = (
-                    kernel if kernel is not None else self.kernel
-                )
+                if tracer.enabled:
+                    # The join's own phase spans (oipcreate, probe,
+                    # kernels) nest under the open service.query span.
+                    kwargs["tracer"] = tracer
                 try:
-                    if router is not None:
-                        # Scatter-gather: each shard gets a *fresh* join
-                        # (OIPCREATE over its slice — the stored
-                        # partition lists describe the whole domain, not
-                        # a shard), sharing the cancellation token and
-                        # breaker, with a per-shard budget cut from the
-                        # query's absolute deadline, so governance spans
-                        # shards.
-                        # The request tracer stays in this thread (the
-                        # router's scatter/merge spans); per-shard joins
-                        # run untraced in pool threads.
-                        shard_kwargs = dict(kwargs)
-
-                        def join_factory() -> OIPJoin:
-                            # OIPJoin measures ``deadline_ms`` from its
-                            # own start, so a shard wave that queued
-                            # behind earlier shards would restart the
-                            # clock if every shard shared one relative
-                            # budget.  Re-derive each shard's budget
-                            # from the query's *absolute* deadline at
-                            # the moment the shard actually starts; a
-                            # shard starting past the deadline gets a
-                            # zero budget and fails fast at preflight.
-                            shard_budget = budget
-                            if deadline_ms is not None:
-                                shard_budget = QueryBudget(
-                                    deadline_ms=max(
-                                        0.0,
-                                        deadline_ms
-                                        - (self._clock() - submitted)
-                                        * 1e3,
-                                    )
-                                )
-                            return OIPJoin(
-                                kernel=resolved_kernel,
-                                budget=shard_budget,
-                                cancellation=token,
-                                circuit_breaker=self._breaker,
-                                **shard_kwargs,
-                            )
-
-                        result = router.execute(
-                            generation.outer,
-                            generation.inner,
-                            join_factory=join_factory,
-                            tracer=tracer,
-                        )
-                    else:
-                        if tracer.enabled:
-                            # The join's own phase spans (oipcreate,
-                            # probe, kernels) nest under the open
-                            # service.query span.
-                            kwargs["tracer"] = tracer
-                        join = OIPJoin(
-                            index_provider=generation,
-                            kernel=resolved_kernel,
-                            budget=budget,
-                            cancellation=token,
-                            circuit_breaker=self._breaker,
-                            **kwargs,
-                        )
-                        result = join.join(
-                            generation.outer, generation.inner
-                        )
+                    join = OIPJoin(
+                        index_provider=generation,
+                        kernel=kernel if kernel is not None else self.kernel,
+                        budget=budget,
+                        cancellation=token,
+                        circuit_breaker=self._breaker,
+                        **kwargs,
+                    )
+                    result = join.join(generation.outer, generation.inner)
                     break
                 except BudgetExceededError as error:
                     raise ServiceError(
@@ -1099,9 +1013,8 @@ class JoinService:
                     deadline_ms=request.get("deadline_ms"),
                     kernel=request.get("kernel"),
                     include_pairs=bool(request.get("include_pairs")),
-                    max_pairs=int(request.get("max_pairs", 1000)),
+                    max_pairs=request.get("max_pairs", 1000),
                     trace_id=trace_id,
-                    shards=request.get("shards"),
                 )
             elif op == "health":
                 body = self.health()
@@ -1123,9 +1036,10 @@ class JoinService:
                 body = {"stats": self.stats()}
             elif op == "tracedump":
                 limit = request.get("limit")
+                if limit is not None:
+                    limit = _check_number("limit", limit, int)
                 body = self.tracedump(
-                    trace_id=request.get("filter_trace_id"),
-                    limit=None if limit is None else int(limit),
+                    trace_id=request.get("filter_trace_id"), limit=limit
                 )
             elif op == "refresh":
                 body = self.refresh(

@@ -1,7 +1,6 @@
-"""Scale-out differential chaos: sharded, cached, and multi-worker
-answers must stay bit-identical to the single-process unsharded
-service — under seeded storage fault profiles and mid-query generation
-swaps."""
+"""Scale-out differential chaos: cached and multi-worker answers must
+stay bit-identical to the offline oracle — under seeded storage fault
+profiles and mid-query generation swaps."""
 
 import shutil
 import threading
@@ -38,16 +37,12 @@ def snapshot(tmp_path):
     return path
 
 
-class TestShardedUnderFaults:
+class TestCachedUnderFaults:
     @pytest.mark.parametrize("profile", ["transient", "latency"])
-    def test_sharded_and_cached_match_unsharded_under_faults(
-        self, snapshot, profile
-    ):
-        """Recovered storage faults inside shard workers must not
-        perturb a single pair: the sharded+cached service answers with
-        the same multiset (fingerprint) as the clean unsharded oracle.
-        Counters are *not* compared — boundary replication legitimately
-        does more per-shard work."""
+    def test_cached_matches_oracle(self, snapshot, profile):
+        """Recovered storage faults must not perturb a single pair: the
+        cached service answers with the same multiset (fingerprint) as
+        the clean offline oracle, and a cache hit replays it."""
         chaos_options = {
             "fault_policy": fault_profile(profile, seed=29),
             "max_read_retries": 8,
@@ -55,7 +50,6 @@ class TestShardedUnderFaults:
         oracle = offline_query(snapshot)
         svc = JoinService(
             snapshot,
-            shards=3,
             result_cache_size=4,
             join_options=chaos_options,
         )

@@ -48,7 +48,6 @@ class TestFingerprint:
             op="join",
             window=None,
             kernel="auto",
-            shards=None,
             include_pairs=False,
             max_pairs=1000,
         )
@@ -57,7 +56,6 @@ class TestFingerprint:
             dict(base, op="lookup", window=[1, 50]),
             dict(base, window=[1, 50]),
             dict(base, kernel="nested"),
-            dict(base, shards=4),
             dict(base, include_pairs=True),
             dict(base, max_pairs=10),
         ):

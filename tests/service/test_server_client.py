@@ -61,6 +61,17 @@ class TestServerClient:
             refresh = client.refresh()
             assert refresh["swapped"] is False
 
+    def test_retired_request_field_is_ignored(self, server, snapshot):
+        """Older clients may still send the retired per-request field
+        below; like any unknown field it is ignored, and the answer is
+        the plain join's."""
+        oracle = offline_query(snapshot)
+        with ServiceClient("127.0.0.1", server.port) as client:
+            joined = client.request("join", shards=4)
+        assert joined["fingerprint"] == oracle["fingerprint"]
+        assert joined["pairs"] == oracle["pairs"]
+        assert joined["counters"] == oracle["counters"]
+
     def test_remote_errors_carry_structure(self, server):
         with ServiceClient("127.0.0.1", server.port) as client:
             with pytest.raises(RemoteServiceError) as excinfo:

@@ -90,49 +90,6 @@ class TestQueries:
         assert excinfo.value.retriable is True
 
 
-class TestShardDeadlines:
-    def test_shard_budgets_derive_from_absolute_deadline(
-        self, snapshot, monkeypatch
-    ):
-        """Each shard join measures its deadline from its own start, so
-        shards must receive budgets cut from the query's *absolute*
-        deadline at the moment they begin — a shard that queues behind
-        earlier waves must not restart the clock."""
-        now = [0.0]
-
-        def clock():
-            # Every reading costs 50 "ms", so time demonstrably passes
-            # between the budget computations of successive shards.
-            now[0] += 0.05
-            return now[0]
-
-        budgets = []
-        real_join = service_module.OIPJoin
-
-        class RecordingJoin(real_join):
-            def __init__(self, *args, **kwargs):
-                budget = kwargs.get("budget")
-                if budget is not None:
-                    budgets.append(budget.deadline_ms)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(service_module, "OIPJoin", RecordingJoin)
-        svc = JoinService(
-            snapshot, shards=4, shard_backend="inline", clock=clock
-        )
-        svc.start()
-        try:
-            svc.query("join", deadline_ms=600_000.0)
-        finally:
-            svc.drain(timeout_s=5.0)
-        assert len(budgets) == 4
-        # Later shards see strictly less remaining time; a shared
-        # relative budget would record four identical values.
-        assert budgets == sorted(budgets, reverse=True)
-        assert len(set(budgets)) == len(budgets)
-        assert all(0 < b < 600_000.0 for b in budgets)
-
-
 class TestOverload:
     def test_full_house_sheds_with_structure(self, snapshot):
         svc = JoinService(
@@ -328,6 +285,30 @@ class TestDispatchAndHealth:
         assert not_dict["error"]["code"] == "bad_request"
         refreshed = service.handle_request({"op": "refresh", "id": 11})
         assert refreshed["ok"] and refreshed["swapped"] is False
+
+    @pytest.mark.parametrize(
+        "request_fields, field",
+        [
+            ({"op": "join", "max_pairs": "abc"}, "max_pairs"),
+            ({"op": "join", "max_pairs": None}, "max_pairs"),
+            ({"op": "lookup", "window": [1, 9], "max_pairs": []}, "max_pairs"),
+            ({"op": "join", "deadline_ms": "soon"}, "deadline_ms"),
+            ({"op": "join", "deadline_ms": float("nan")}, "deadline_ms"),
+            ({"op": "tracedump", "limit": "x"}, "limit"),
+            ({"op": "lookup", "window": [1, float("inf")]}, "window"),
+        ],
+    )
+    def test_malformed_numeric_fields_are_bad_requests(
+        self, service, request_fields, field
+    ):
+        """A malformed wire field is the client's error: a non-retriable
+        ``bad_request`` naming the field, never ``internal``."""
+        response = service.handle_request({"id": 1, **request_fields})
+        assert response["ok"] is False
+        error = response["error"]
+        assert error["code"] == "bad_request"
+        assert error["retriable"] is False
+        assert field in error["message"]
 
     def test_metrics_families_present(self, service):
         service.query("join")

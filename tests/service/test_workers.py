@@ -100,13 +100,9 @@ class TestPoolServing:
         assert len(pids) == 2, "kernel never balanced across workers"
         assert os.getpid() not in pids  # parent never serves
 
-    def test_sharded_and_cached_pool_answers_match_oracle(
-        self, pool, snapshot
-    ):
+    def test_cached_pool_answers_match_oracle(self, pool, snapshot):
         oracle = offline_query(snapshot)
         with ServiceClient("127.0.0.1", pool.port) as client:
-            sharded = client.join(shards=3)
-            assert sharded["fingerprint"] == oracle["fingerprint"]
             first = client.join()
             again = client.join()
             assert again["fingerprint"] == oracle["fingerprint"]
