@@ -205,6 +205,7 @@ def _write_results(cardinality: int, sweep: Dict) -> None:
     document = {
         "benchmark": "kernel_speedup",
         "cardinality": cardinality,
+        "cpu_count": os.cpu_count(),
         "budget_speedup": SPEEDUP_BUDGET,
         "gate_row": {"workload": "long-lived", "regime": "coarse"},
         "gate_speedup": sweep["gate"],

@@ -27,6 +27,7 @@ windowed schedule per query.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..storage.buffer import BufferPool
@@ -103,8 +104,9 @@ class OIPJoin(OverlapJoinAlgorithm):
         estimate.  All kernels emit identical pairs in the identical
         order and charge the identical paper-model costs (two CPU
         comparisons per candidate, one false hit per failing candidate —
-        accounted analytically per partition pair), so results, counters
-        and checkpoints are kernel-independent.
+        accounted analytically per outer partition, which joins all of
+        its relevant inner runs in one kernel call), so results,
+        counters and checkpoints are kernel-independent.
     decode_cache_size:
         Capacity (in partition runs) of the per-run decoded-run cache
         that memoises the columnar decode of inner partitions across the
@@ -1031,15 +1033,18 @@ def run_probe_task(
     outer_cache: Optional[DecodedRunCache] = None,
     trace: Optional[Any] = None,
     kernel: str = "naive",
-) -> Tuple[Any, List[Tuple[Any, List[int]]]]:
+) -> Tuple[Any, List[Any], List[int]]:
     """Algorithm 2's pair loop for one outer partition — the one copy.
 
     Charges the task's navigation (*nav_cpu* comparisons and one
     partition access per relevant inner partition), reads the outer
-    run, then reads and decodes each inner run in turn and hands the
-    pair to *kernel_fn*.  The paper's model costs are charged
-    analytically per pair — ``2 * candidates`` CPU comparisons and
-    ``candidates - hits`` false hits — so counters are identical for
+    run, then reads and decodes each inner run in turn.  The decoded
+    inner runs are appended in walk order into one run
+    (:meth:`~repro.core.kernels.DecodedRun.concatenate`) and joined
+    against the outer run with **one** *kernel_fn* call.  The paper's
+    model costs are charged analytically for the task — ``2 *
+    candidates`` CPU comparisons and ``candidates - hits`` false hits,
+    the sums of the per-pair charges — so counters are identical for
     every kernel.  The outer run is decoded only once a relevant inner
     run needs it.
 
@@ -1048,9 +1053,10 @@ def run_probe_task(
     sequential join's read chain analytically.  *cache* memoises inner
     decodes and *outer_cache* outer ones (``None`` disables either).
 
-    Returns ``(outer payload, [(inner payload, hits), ...])``; each hit
-    is encoded as ``inner_pos * n_outer + outer_pos`` in ascending
-    order, the sequential inner-major emission order.
+    Returns ``(outer payload, [inner payload, ...], hits)``; each hit
+    is encoded as ``inner_pos * n_outer + outer_pos`` over the inner
+    runs' concatenation, in ascending order — pair by pair in walk
+    order, inner-major within a pair: the sequential emission order.
     """
     charge_cpu = counters.charge_cpu
     charge_cpu(nav_cpu)
@@ -1059,47 +1065,65 @@ def run_probe_task(
     read = reader.read
     outer_payload, outer_dirty = read(outer, "outer partition")
     outer_decoded = None
-    results: List[Tuple[Any, List[int]]] = []
+    payloads: List[Any] = []
+    runs: List[DecodedRun] = []
     for part in inner:
         payload, dirty = read(part, "inner partition")
-        inner_decoded = _decoded(reader, part, payload, dirty, cache, trace)
+        payloads.append(payload)
+        runs.append(_decoded(reader, part, payload, dirty, cache, trace))
         if outer_decoded is None:
             outer_decoded = _decoded(
                 reader, outer, outer_payload, outer_dirty, outer_cache, trace
             )
-        candidates = outer_decoded.length * inner_decoded.length
-        charge_cpu(2 * candidates)
-        if trace is not None:
-            with trace.span("kernel." + kernel, candidates=candidates):
-                hits = kernel_fn(outer_decoded, inner_decoded)
-        else:
+    if not runs:
+        return outer_payload, payloads, []
+    inner_decoded = DecodedRun.concatenate(runs)
+    candidates = outer_decoded.length * inner_decoded.length
+    charge_cpu(2 * candidates)
+    if trace is not None:
+        with trace.span("kernel." + kernel, candidates=candidates):
             hits = kernel_fn(outer_decoded, inner_decoded)
-        counters.charge_false_hit(candidates - len(hits))
-        results.append((payload, hits))
-    return outer_payload, results
+    else:
+        hits = kernel_fn(outer_decoded, inner_decoded)
+    counters.charge_false_hit(candidates - len(hits))
+    return outer_payload, payloads, hits
+
+
+def joined_tuples(inner_runs: Sequence[Sequence], hits: List[int]) -> Sequence:
+    """*inner_runs*' tuples as one sequence indexed like the task's
+    concatenated run (:meth:`~repro.core.kernels.DecodedRun.concatenate`),
+    for decoding ``hits``; nothing is copied when there are no hits or
+    only one run."""
+    if not hits:
+        return ()
+    if len(inner_runs) == 1:
+        return inner_runs[0]
+    return list(chain.from_iterable(inner_runs))
 
 
 def pair_emitter(
     pairs: List, observe: Optional[Callable[[int], Any]] = None
-) -> Callable[[Sequence, List[Tuple[Sequence, List[int]]]], None]:
+) -> Callable[[Sequence, Sequence[Sequence], List[int]], None]:
     """The emission step of one outer partition: decode the runner's hits
-    into ``(outer, inner)`` tuple pairs appended to *pairs*, observing
-    each pair's candidate count with *observe* (a histogram hook)."""
+    over the concatenated inner runs into ``(outer, inner)`` tuple pairs
+    appended to *pairs*, observing each partition pair's candidate count
+    with *observe* (a histogram hook)."""
 
-    def emit(outer_tuples, results) -> None:
+    def emit(outer_tuples, inner_runs, hits) -> None:
         n_outer = len(outer_tuples)
-        for inner_tuples, hits in results:
-            if observe is not None:
-                observe(len(inner_tuples) * n_outer)
-            pairs.extend(
-                [
-                    (
-                        outer_tuples[encoded % n_outer],
-                        inner_tuples[encoded // n_outer],
-                    )
-                    for encoded in hits
-                ]
-            )
+        if observe is not None:
+            for run in inner_runs:
+                observe(len(run) * n_outer)
+        inner_tuples = joined_tuples(inner_runs, hits)
+        pairs.extend(
+            [
+                (
+                    outer_tuples[encoded % n_outer],
+                    inner_tuples[encoded // n_outer],
+                )
+                for encoded in hits
+            ]
+        )
 
     return emit
 
@@ -1109,7 +1133,7 @@ def probe_inline(
     reader: RunReader,
     counters: CostCounters,
     pairs: List,
-    emit: Callable[[Sequence, List[Tuple[Sequence, List[int]]]], None],
+    emit: Callable[[Sequence, Sequence[Sequence], List[int]], None],
     kernel: str,
     cache: Optional[DecodedRunCache] = None,
     outer_cache: Optional[DecodedRunCache] = None,
@@ -1150,7 +1174,7 @@ def probe_inline(
         if trace is not None:
             span = trace.span("probe.partition", partition=task.index)
         try:
-            outer_tuples, results = run_probe_task(
+            outer_tuples, inner_runs, hits = run_probe_task(
                 task.outer,
                 task.inner,
                 task.nav_cpu,
@@ -1162,7 +1186,7 @@ def probe_inline(
                 trace=trace,
                 kernel=kernel,
             )
-            emit(outer_tuples, results)
+            emit(outer_tuples, inner_runs, hits)
         finally:
             if span is not None:
                 span.__exit__(None, None, None)

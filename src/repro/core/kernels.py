@@ -13,7 +13,8 @@ every workload.  This module separates the two concerns:
 * **model cost** — what Algorithm 2 charges — is accounted
   *analytically*: ``2 * |p_outer| * |p_inner|`` CPU comparisons and
   ``candidates - results`` false hits per partition pair, which is
-  exactly what the per-candidate loop summed to;
+  exactly what the per-candidate loop summed to (the probe charges an
+  outer partition's pairs in one sum, as it runs them in one call);
 * **physical cost** — what this Python process executes — is the
   kernel's business, and the three kernels make different tradeoffs:
 
@@ -30,8 +31,8 @@ every workload.  This module separates the two concerns:
     interval overlaps it), so the inner loop only ever touches pairs
     that are in the result.  Non-overlapping candidates are pruned in
     C-speed ``bisect`` calls and never reach Python bytecode;
-  - :func:`numpy_matches` is the vectorized tier: small partition pairs
-    are joined with one broadcasted start/end comparison matrix, larger
+  - :func:`numpy_matches` is the vectorized tier: small calls are
+    joined with one broadcasted start/end comparison matrix, larger
     ones with ``searchsorted`` range pruning over the start-sorted
     columns (the overlap set decomposes exactly into two disjoint
     searchsorted range families — see the function docstring), so per
@@ -70,6 +71,12 @@ hit/miss/eviction counters that the join publishes as
 fault-injected corruption (or a buffer-pool invalidation) is detected
 while re-reading the run's blocks, so a corrupted block can never be
 served as a stale decode.
+
+The probe makes **one kernel call per outer partition**: the decoded
+(and cached) relevant inner runs are appended in Lemma-1 walk order
+into one run (:meth:`DecodedRun.concatenate`) and joined against the
+outer run at once, so the fixed cost of entering a kernel is paid a few
+dozen times per join instead of once per partition pair.
 """
 
 from __future__ import annotations
@@ -119,12 +126,13 @@ AUTO_SWEEP_CANDIDATES = 50_000.0
 #: pairs, which translates to a 1.1-1.25x end-to-end win (IO and the
 #: analytic charging dominate the rest) from ~1.5e5 estimated
 #: candidates up — and no measured regime where numpy loses to the
-#: sweep above this threshold.
+#: sweep above this threshold.  ROADMAP item 3's kernel audit
+#: re-derives this ladder for one kernel call per outer partition.
 AUTO_NUMPY_CANDIDATES = 150_000.0
 
-#: Candidate-count bound (``|p_outer| * |p_inner|``) up to which the
-#: numpy kernel joins a partition pair with one broadcasted comparison
-#: matrix; larger pairs use the searchsorted range decomposition, whose
+#: Candidate-count bound (``|outer run| * |inner run|``) up to which the
+#: numpy kernel joins its two runs with one broadcasted comparison
+#: matrix; larger calls use the searchsorted range decomposition, whose
 #: work scales with ``n log n + results`` instead of the full candidate
 #: grid.
 NUMPY_BROADCAST_CELLS = 4096
@@ -189,6 +197,21 @@ class DecodedRun:
         starts, ends = decode_columns(tuples)
         return cls(starts, ends, tuple(tuples))
 
+    @classmethod
+    def concatenate(cls, runs: Sequence["DecodedRun"]) -> "DecodedRun":
+        """*runs* appended into one run: positions count on across the
+        runs in the given order (run ``r``'s position ``p`` becomes
+        ``p + sum of the lengths before r``).  A single run is returned
+        as is.  The joined run keeps no tuples."""
+        if len(runs) == 1:
+            return runs[0]
+        starts = array("q")
+        ends = array("q")
+        for run in runs:
+            starts += run.starts
+            ends += run.ends
+        return cls(starts, ends)
+
     def __len__(self) -> int:
         return self.length
 
@@ -219,32 +242,43 @@ class DecodedRun:
         """``(starts, ends, order, sorted_starts)`` as numpy ``int64``
         arrays, memoised like :attr:`order` / :attr:`sorted_starts`.
 
-        The endpoint views are zero-copy (``np.frombuffer`` over the
-        ``array('q')`` buffers); the start-sorted permutation is a
-        stable argsort, so ties keep storage order exactly like the
-        pure-Python :attr:`order` — not that parity depends on it: the
-        kernels' match *set* is permutation-independent and the final
-        encoded sort fixes the emission order.
+        The endpoint views are zero-copy (see :meth:`numpy_columns`);
+        the start-sorted permutation is a stable argsort, so ties keep
+        storage order exactly like the pure-Python :attr:`order` — not
+        that parity depends on it: the kernels' match *set* is
+        permutation-independent and the final encoded sort fixes the
+        emission order.
         """
         view = self._np_view
         if view is None:
-            starts = np.frombuffer(self.starts, dtype=np.int64)
-            ends = np.frombuffer(self.ends, dtype=np.int64)
+            starts, ends = self.numpy_columns(np)
             order = np.argsort(starts, kind="stable")
             view = (starts, ends, order, starts[order])
             self._np_view = view
         return view
 
+    def numpy_columns(self, np: Any) -> Tuple[Any, Any]:
+        """``(starts, ends)`` as zero-copy numpy ``int64`` views over the
+        ``array('q')`` buffers — no sort, unlike :meth:`numpy_view`."""
+        return (
+            np.frombuffer(self.starts, dtype=np.int64),
+            np.frombuffer(self.ends, dtype=np.int64),
+        )
+
 
 # ----------------------------------------------------------------------
-# The kernels.  Contract shared by both: given the decoded outer and
-# inner runs of one partition pair, return the positions of all
-# overlapping pairs encoded as ``inner_pos * n_outer + outer_pos`` in
-# ascending order — the exact emission order of the sequential
-# Algorithm 2 loop (inner tuples outermost, outer tuples innermost).
-# Kernels perform *no* cost charging; the caller charges the paper's
-# model costs analytically (2 CPU per candidate, candidates - results
-# false hits), which keeps the counters identical across kernels.
+# The kernels.  Contract shared by all three: given the decoded outer
+# run and an inner run, return the positions of all overlapping pairs
+# encoded as ``inner_pos * n_outer + outer_pos`` in ascending order —
+# the exact emission order of the sequential Algorithm 2 loop (inner
+# tuples outermost, outer tuples innermost).  The inner run may be the
+# concatenation of an outer partition's relevant inner runs in Lemma-1
+# walk order (DecodedRun.concatenate); ``inner_pos`` then counts across
+# the runs, so ascending order is still partition pair by partition
+# pair, inner-major within each.  Kernels perform *no* cost charging;
+# the caller charges the paper's model costs analytically (2 CPU per
+# candidate, candidates - results false hits), which keeps the counters
+# identical across kernels.
 # ----------------------------------------------------------------------
 
 
@@ -352,16 +386,16 @@ def numpy_available() -> bool:
 
 
 def numpy_matches(outer: DecodedRun, inner: DecodedRun) -> List[int]:
-    """Vectorized overlap join of one partition pair.
+    """Vectorized overlap join of an outer run and an inner run.
 
-    Small pairs (``candidates <= NUMPY_BROADCAST_CELLS``) are joined
+    Small joins (``candidates <= NUMPY_BROADCAST_CELLS``) are done
     with one broadcasted comparison matrix ``(outer.start <= inner.end)
-    & (inner.start <= outer.end)`` of shape ``(n_inner, n_outer)``;
-    ``flatnonzero`` of that matrix *is* the ascending
-    ``inner_pos * n_outer + outer_pos`` encoding, so no re-sort is
-    needed.
+    & (inner.start <= outer.end)`` of shape ``(n_inner, n_outer)`` over
+    zero-copy column views; ``flatnonzero`` of that matrix *is* the
+    ascending ``inner_pos * n_outer + outer_pos`` encoding, so nothing
+    is sorted, before or after.
 
-    Larger pairs use ``searchsorted`` range pruning.  The overlap pairs
+    Larger joins use ``searchsorted`` range pruning.  The overlap pairs
     decompose exactly into two disjoint families, split on where the
     inner tuple starts relative to the outer tuple:
 
@@ -396,13 +430,15 @@ def numpy_matches(outer: DecodedRun, inner: DecodedRun) -> List[int]:
     n_inner = inner.length
     if not n_outer or not n_inner:
         return []
-    outer_starts, outer_ends, outer_order, outer_sorted = outer.numpy_view(np)
-    inner_starts, inner_ends, inner_order, inner_sorted = inner.numpy_view(np)
     if n_outer * n_inner <= NUMPY_BROADCAST_CELLS:
+        outer_starts, outer_ends = outer.numpy_columns(np)
+        inner_starts, inner_ends = inner.numpy_columns(np)
         mask = (outer_starts[None, :] <= inner_ends[:, None]) & (
             inner_starts[:, None] <= outer_ends[None, :]
         )
         return np.flatnonzero(mask).tolist()
+    outer_starts, outer_ends, outer_order, outer_sorted = outer.numpy_view(np)
+    inner_starts, inner_ends, inner_order, inner_sorted = inner.numpy_view(np)
 
     # Family 1: inner starts inside [outer.start, outer.end].
     lo1 = np.searchsorted(inner_sorted, outer_starts, side="left")
@@ -582,9 +618,11 @@ class DecodedRunCache:
     identity.
 
     One cache serves one join execution; entries live as long as the
-    partition lists do, so identity keys (``id(run)`` on the sequential
-    path, the inner-table index on the worker path) are stable for the
-    cache's lifetime.  Thread-safe — the thread backend's workers share
+    partition lists do, so the identity keys the probe uses — ``id(part)``
+    of the partition it read, a
+    :class:`~repro.core.lazy_list.PartitionNode` in process or the
+    worker's :class:`~repro.engine.parallel.RunColumns` — are stable
+    for the cache's lifetime.  Thread-safe — the thread backend's workers share
     one cache — with the lock held only around the bookkeeping, never
     around a decode (a racing duplicate decode is deterministic and
     harmless, a blocked worker is not).

@@ -61,7 +61,12 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.base import JoinResult
 from ..core.granules import cost_model_for, derive_k
 from ..core.interval import Interval
-from ..core.join import RunReader, build_probe_schedule, probe_inline
+from ..core.join import (
+    RunReader,
+    build_probe_schedule,
+    joined_tuples,
+    probe_inline,
+)
 from ..core.kernels import (
     DEFAULT_CACHE_CAPACITY,
     DecodedRunCache,
@@ -110,21 +115,21 @@ def _window_emitter(window: Interval, counters: CostCounters, pairs: List):
     fail the window count as false hits too."""
     w_start, w_end = window.start, window.end
 
-    def emit(outer_tuples, results) -> None:
+    def emit(outer_tuples, inner_runs, hits) -> None:
         n_outer = len(outer_tuples)
-        for inner_tuples, hits in results:
-            counters.charge_cpu(2 * len(hits))
-            emitted = 0
-            for encoded in hits:
-                outer_tuple = outer_tuples[encoded % n_outer]
-                inner_tuple = inner_tuples[encoded // n_outer]
-                if (
-                    max(outer_tuple.start, inner_tuple.start) <= w_end
-                    and w_start <= min(outer_tuple.end, inner_tuple.end)
-                ):
-                    pairs.append((outer_tuple, inner_tuple))
-                    emitted += 1
-            counters.charge_false_hit(len(hits) - emitted)
+        inner_tuples = joined_tuples(inner_runs, hits)
+        counters.charge_cpu(2 * len(hits))
+        emitted = 0
+        for encoded in hits:
+            outer_tuple = outer_tuples[encoded % n_outer]
+            inner_tuple = inner_tuples[encoded // n_outer]
+            if (
+                max(outer_tuple.start, inner_tuple.start) <= w_end
+                and w_start <= min(outer_tuple.end, inner_tuple.end)
+            ):
+                pairs.append((outer_tuple, inner_tuple))
+                emitted += 1
+        counters.charge_false_hit(len(hits) - emitted)
 
     return emit
 

@@ -331,8 +331,10 @@ _PROCESS_DECODE_CACHE: Optional[DecodedRunCache] = None
 def _init_process_worker(inner_table: List[RunColumns]) -> None:
     """Pool initializer: install the read-only inner run table once
     per worker process (amortises pickling across all chunks), plus a
-    fresh per-process decoded-run cache so the sweep kernel's start-sort
-    of an inner partition happens at most once per worker process."""
+    fresh per-process decoded-run cache.  The cache is bounded
+    (:data:`~repro.core.kernels.DEFAULT_CACHE_CAPACITY` runs), so the
+    sweep kernel's start-sort of an inner run is repeated only after
+    the run was evicted."""
     global _PROCESS_INNER_TABLE, _PROCESS_DECODE_CACHE
     _PROCESS_INNER_TABLE = inner_table
     _PROCESS_DECODE_CACHE = DecodedRunCache()
@@ -415,8 +417,9 @@ def _run_probe_chunk(
     """Probe a contiguous chunk of outer partitions with the shared pair
     loop (:func:`~repro.core.join.run_probe_task`).
 
-    Returns ``(counters, resilience, matches)`` where ``matches[t][r]`` is
-    the encoded hit list of task ``t``'s ``r``-th relevant inner run.
+    Returns ``(counters, resilience, matches)`` where ``matches[t]`` is
+    the encoded hit list of task ``t`` over the concatenation of its
+    relevant inner runs.
     Only indices and counters cross the process boundary; the driver
     rebuilds pairs from its own tuple objects.  *decode_cache* memoises
     the per-run :class:`~repro.core.kernels.DecodedRun` wrapper (and with
@@ -444,9 +447,9 @@ def _run_probe_chunk(
     # cannot be imported, without the driver having to know (the two are
     # bit-identical in matches, so mixed resolution is harmless).
     kernel_fn = kernel_function(kernel)
-    matches: List[List[List[int]]] = []
+    matches: List[List[int]] = []
     for task in tasks:
-        _, results = run_probe_task(
+        _, _, hits = run_probe_task(
             task.outer,
             [inner_table[rel] for rel in task.relevant],
             task.nav_cpu,
@@ -455,7 +458,7 @@ def _run_probe_chunk(
             kernel_fn,
             cache=decode_cache,
         )
-        matches.append([hits for _, hits in results])
+        matches.append(hits)
     return counters, resilience, matches
 
 
@@ -667,13 +670,11 @@ def execute_schedule(
             counters.merge(chunk_counters)
             if resilience is not None:
                 resilience.merge(chunk_resilience)
-            for task, task_matches in zip(chunk, chunk_matches):
+            for task, hits in zip(chunk, chunk_matches):
                 emit(
                     outer_tuples[task.index - start_at],
-                    [
-                        (inner_tuples[rel], hits)
-                        for rel, hits in zip(task.relevant, task_matches)
-                    ],
+                    [inner_tuples[rel] for rel in task.relevant],
+                    hits,
                 )
             done += len(chunk)
             report.tasks_completed += len(chunk)

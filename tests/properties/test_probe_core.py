@@ -13,6 +13,9 @@ execution configurations and check the core's contract end to end:
   oracle's pairs.
 
 A small profile runs in tier-1; the deep one runs under ``-m slow``.
+A direct test of ``run_probe_task`` pins its shape: one kernel call per
+outer partition over the concatenation of its relevant inner runs, with
+the pairs and charges of one call per partition pair.
 """
 
 import os
@@ -25,10 +28,27 @@ from hypothesis import event, example, given, settings
 
 from repro.baselines.nested_loop import NestedLoopJoin
 from repro.core.interval import Interval
-from repro.core.join import OIPJoin
+from repro.core.join import (
+    OIPJoin,
+    RunReader,
+    build_probe_schedule,
+    pair_emitter,
+    run_probe_task,
+)
+from repro.core.kernels import (
+    KERNELS,
+    DecodedRun,
+    DecodedRunCache,
+    kernel_function,
+)
+from repro.core.lazy_list import oip_create
+from repro.core.oip import OIPConfiguration
 from repro.core.relation import TemporalRelation
 from repro.engine.batch import BatchJoin
 from repro.engine.governor import CancellationToken
+from repro.storage.faults import FaultInjector, FaultPolicy
+from repro.storage.manager import StorageManager
+from repro.storage.metrics import CostCounters
 
 SMALL = settings(max_examples=30, deadline=None)
 DEEP = settings(max_examples=400, deadline=None)
@@ -175,3 +195,140 @@ def test_probe_core_matches_oracle_and_sequential(pair, config):
 @DEEP
 def test_probe_core_matches_oracle_and_sequential_deep(pair, config):
     check_probe_core(pair, config)
+
+
+# ----------------------------------------------------------------------
+# run_probe_task: one kernel call per outer partition.
+# ----------------------------------------------------------------------
+
+#: Short tuples and a few long-lived ones over [0, 399]: at k=8 some
+#: outer partitions find three or more relevant inner partitions.
+PROBE_OUTER = TemporalRelation.from_records(
+    [(t, t + 9, f"r{t}") for t in range(0, 400, 23)]
+    + [(5, 300, "r-long"), (120, 390, "r-late")],
+    name="r",
+)
+PROBE_INNER = TemporalRelation.from_records(
+    [(t, t + 14, f"s{t}") for t in range(3, 400, 17)]
+    + [(0, 399, "s-all"), (60, 250, "s-mid")],
+    name="s",
+)
+
+
+def _probe_fixture(policy=None):
+    """Partition both relations at k=8 into a fresh storage manager
+    (block ids are deterministic per build) and return it, its
+    counters and the first probe task with >= 3 relevant inner runs."""
+    counters = CostCounters()
+    storage = StorageManager(
+        counters=counters,
+        fault_injector=FaultInjector(policy) if policy is not None else None,
+    )
+    outer_list = oip_create(
+        PROBE_OUTER, OIPConfiguration.for_relation(PROBE_OUTER, 8), storage
+    )
+    inner_list = oip_create(
+        PROBE_INNER, OIPConfiguration.for_relation(PROBE_INNER, 8), storage
+    )
+    schedule = build_probe_schedule(outer_list, inner_list)
+    task = next(t for t in schedule.tasks if len(t.inner) >= 3)
+    return storage, counters, task
+
+
+def _oracle(task):
+    """The task's pairs by brute force, in Algorithm 2's emission order:
+    relevant inner partition, inner tuple, outer tuple."""
+    outer = list(task.outer.run.iter_tuples())
+    return [
+        (o, i)
+        for part in task.inner
+        for i in part.run.iter_tuples()
+        for o in outer
+        if o.start <= i.end and i.start <= o.end
+    ]
+
+
+def _per_pair_reference(task, reader, counters, match):
+    """The pre-concatenation loop: one kernel call and one charge per
+    partition pair."""
+    counters.charge_cpu(task.nav_cpu)
+    counters.charge_partition_access(len(task.inner))
+    outer_tuples, _ = reader.read(task.outer, "outer partition")
+    outer = DecodedRun.from_tuples(outer_tuples)
+    pairs = []
+    for part in task.inner:
+        inner_tuples, _ = reader.read(part, "inner partition")
+        hits = match(outer, DecodedRun.from_tuples(inner_tuples))
+        candidates = len(outer_tuples) * len(inner_tuples)
+        counters.charge_cpu(2 * candidates)
+        counters.charge_false_hit(candidates - len(hits))
+        n = len(outer_tuples)
+        pairs += [(outer_tuples[e % n], inner_tuples[e // n]) for e in hits]
+    return pairs
+
+
+def _counted(match):
+    calls = []
+
+    def counting(outer, inner):
+        calls.append(inner.length)
+        return match(outer, inner)
+
+    return counting, calls
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_run_probe_task_makes_one_kernel_call_per_outer_partition(kernel):
+    match = kernel_function(kernel)
+    storage, counters, task = _probe_fixture()
+    counting, calls = _counted(match)
+    outer_tuples, inner_runs, hits = run_probe_task(
+        task.outer,
+        task.inner,
+        task.nav_cpu,
+        RunReader(storage),
+        counters,
+        counting,
+        cache=DecodedRunCache(),
+    )
+    pairs = []
+    pair_emitter(pairs)(outer_tuples, inner_runs, hits)
+
+    assert calls == [sum(len(run) for run in inner_runs)]
+    assert len(inner_runs) == len(task.inner) >= 3
+
+    ref_storage, ref_counters, ref_task = _probe_fixture()
+    reference = _per_pair_reference(
+        ref_task, RunReader(ref_storage), ref_counters, match
+    )
+    assert pairs == reference == _oracle(task)
+    assert counters.snapshot() == ref_counters.snapshot()
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_corrupt_middle_inner_run_invalidates_its_cached_decode(kernel):
+    _, _, clean_task = _probe_fixture()
+    middle = clean_task.inner[len(clean_task.inner) // 2]
+    policy = FaultPolicy(corrupt_schedule={middle.run.block_ids[0]: 1})
+    storage, counters, task = _probe_fixture(policy)
+    cache = DecodedRunCache()
+    reader = RunReader(storage)
+    for _ in range(2):
+        before = cache.invalidations
+        pairs = []
+        pair_emitter(pairs)(
+            *run_probe_task(
+                task.outer,
+                task.inner,
+                task.nav_cpu,
+                reader,
+                counters,
+                kernel_function(kernel),
+                cache=cache,
+            )
+        )
+        assert pairs == _oracle(task)
+    # The second visit finds the first visit's decode cached; the
+    # corruption detected on re-reading the run drops it.
+    assert cache.invalidations == before + 1
+    assert storage.resilience.corruptions_detected == 2
