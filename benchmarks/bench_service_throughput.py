@@ -7,7 +7,7 @@ source relations, restore both partition lists, then join.  The
 *generation* and keeps it pinned in memory; each query restores from
 the pinned parsed sections and goes straight to the probe.  In exchange
 the service adds real machinery per query: admission control, budget
-plumbing, breaker checks, ``service.*`` metrics, and the response
+plumbing, ``service.*`` metrics, and the response
 fingerprint.
 
 This benchmark separates those two claims and gates both:

@@ -52,7 +52,6 @@ from .engine.governor import (
     AdmissionRejectedError,
     BudgetExceededError,
     CancellationToken,
-    CircuitBreaker,
     QueryBudget,
     QueryCancelledError,
     QueryCheckpoint,
@@ -106,7 +105,6 @@ __all__ = [
     "CancellationToken",
     "QueryCheckpoint",
     "AdmissionController",
-    "CircuitBreaker",
     "BudgetExceededError",
     "QueryCancelledError",
     "AdmissionRejectedError",

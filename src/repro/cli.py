@@ -116,22 +116,7 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=(
-            "probe-phase workers for the oip algorithm (partition-pair "
-            "scheduling; results are identical to the sequential join)"
-        ),
-    )
-    parser.add_argument(
-        "--parallel-backend",
-        default="thread",
-        choices=("thread", "process"),
-        help="worker-pool backend used with --workers",
-    )
+def _add_kernel_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kernel",
         default="auto",
@@ -142,7 +127,7 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
             "start-sorted columns, 'numpy' vectorizes the match step "
             "(falls back to 'sweep' when numpy is not installed; "
             "identical pairs and cost counters in every case); 'auto' "
-            "picks from the candidate estimate"
+            "picks numpy for large joins when it is installed, else sweep"
         ),
     )
 
@@ -378,12 +363,13 @@ def _resilience_kwargs(args: argparse.Namespace) -> dict:
 
 
 def _make_algorithm(
-    name: str, args: argparse.Namespace, ignore_workers: bool = False
+    name: str, args: argparse.Namespace, skip_oip_only: bool = False
 ):
-    """Instantiate algorithm *name*, honouring ``--workers`` for the
-    OIPJOIN (the only algorithm with a parallel probe phase), the
-    ``--fault-profile`` resilience flags for every algorithm, and the
-    lifecycle flags (budget / checkpoint / cancellation)."""
+    """Instantiate algorithm *name*, honouring the oip-only ``--kernel``
+    and ``--index`` flags, the ``--fault-profile`` resilience flags for
+    every algorithm, and the lifecycle flags (budget / checkpoint /
+    cancellation).  With *skip_oip_only* (the non-oip contenders of
+    ``compare``), oip-only flags are skipped instead of rejected."""
     kwargs = _resilience_kwargs(args)
     kwargs.update(_lifecycle_kwargs(name, args))
     kwargs.update(_obs_kwargs(args))
@@ -394,10 +380,7 @@ def _make_algorithm(
     if kernel is not None and kernel != "auto":
         if name == "oip":
             kwargs["kernel"] = kernel
-        elif not ignore_workers:
-            # Mirrors --workers: an explicitly requested kernel on a
-            # non-oip algorithm is an error for `join`, and silently
-            # skipped for the non-oip contenders of `compare`.
+        elif not skip_oip_only:
             raise SystemExit(
                 f"--kernel is only supported by the oip algorithm, "
                 f"not {name!r}"
@@ -406,27 +389,11 @@ def _make_algorithm(
     if index is not None:
         if name == "oip":
             kwargs["index_path"] = index
-        elif not ignore_workers:
+        elif not skip_oip_only:
             raise SystemExit(
                 f"--index is only supported by the oip algorithm, "
                 f"not {name!r}"
             )
-    workers = getattr(args, "workers", None)
-    if workers is not None and not ignore_workers:
-        if workers < 1:
-            raise SystemExit(f"--workers must be >= 1, got {workers}")
-        if name != "oip":
-            raise SystemExit(
-                f"--workers is only supported by the oip algorithm, "
-                f"not {name!r}"
-            )
-        from .core.join import OIPJoin
-
-        return OIPJoin(
-            parallelism=workers,
-            parallel_backend=args.parallel_backend,
-            **kwargs,
-        )
     try:
         return ALGORITHMS[name](**kwargs)
     except TypeError:
@@ -493,7 +460,6 @@ def _run_batch(args: argparse.Namespace) -> int:
     unsupported = [
         flag
         for flag, value in (
-            ("--workers", getattr(args, "workers", None)),
             ("--checkpoint", getattr(args, "checkpoint", None)),
             ("--checkpoint-every", getattr(args, "checkpoint_every", None)),
             ("--resume-from", getattr(args, "resume_from", None)),
@@ -749,7 +715,7 @@ def _run_compare(args: argparse.Namespace) -> int:
     )
     reference: Optional[List] = None
     for name in names:
-        join = _make_algorithm(name, args, ignore_workers=(name != "oip"))
+        join = _make_algorithm(name, args, skip_oip_only=(name != "oip"))
         started = time.perf_counter()
         try:
             result = join.join(outer, inner)
@@ -1259,7 +1225,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(exit 0) instead of failing with exit 66/65"
         ),
     )
-    _add_parallel_arguments(join_parser)
+    _add_kernel_arguments(join_parser)
     _add_resilience_arguments(join_parser)
     _add_lifecycle_arguments(join_parser)
     _add_obs_arguments(join_parser)
@@ -1303,7 +1269,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="oip,lqt,rit,sgt,smj",
         help="comma-separated short names",
     )
-    _add_parallel_arguments(compare_parser)
+    _add_kernel_arguments(compare_parser)
     _add_resilience_arguments(compare_parser)
     compare_parser.set_defaults(handler=_run_compare)
 

@@ -76,10 +76,6 @@ class JoinResult:
     #: by the base class so library callers and run reports get timing
     #: without re-measuring around the call.
     elapsed_ms: float = 0.0
-    #: The parallel :class:`~repro.engine.parallel.ExecutionReport` when
-    #: the probe ran on the worker-pool path (typed loosely: core does
-    #: not import engine).
-    execution: Optional[Any] = None
     #: The run-report document (see :mod:`repro.obs.report`), built when
     #: the algorithm was constructed with ``collect_report=True``.
     report: Optional[Dict[str, Any]] = None
@@ -240,7 +236,6 @@ class OverlapJoinAlgorithm(ABC):
             for subsystem in (
                 self.buffer_pool,
                 self.fault_policy,
-                getattr(self, "circuit_breaker", None),
                 getattr(self, "_kernel_cache", None),
             ):
                 publish = getattr(subsystem, "publish_metrics", None)

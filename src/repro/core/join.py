@@ -15,13 +15,12 @@ each relevant inner partition (one partition access + its block IOs) and
 compares its tuples pairwise with the outer partition's tuples (two
 endpoint comparisons per pair; failing pairs are false hits).
 
-The probe is one core shared by every executor: :func:`build_probe_schedule`
-navigates (one task per outer partition, via
+The probe is one core: :func:`build_probe_schedule` navigates (one task
+per outer partition, via
 :meth:`~repro.core.lazy_list.LazyPartitionList.relevant`) and
-:func:`run_probe_task` is the pair loop.  The sequential join runs the
-schedule inline (:func:`probe_inline`), :mod:`repro.engine.parallel` runs
-it in chunks on a worker pool, and :mod:`repro.engine.batch` runs one
-windowed schedule per query.
+:func:`run_probe_task` is the pair loop.  The join runs the schedule in
+this thread (:func:`probe_inline`), and :mod:`repro.engine.batch` runs
+one windowed schedule per query through the same loop.
 """
 
 from __future__ import annotations
@@ -100,59 +99,32 @@ class OIPJoin(OverlapJoinAlgorithm):
         comparisons for small pairs, ``searchsorted`` range pruning for
         large ones; silently substituted by ``"sweep"`` — recorded in
         the result details — when numpy is not importable), and
-        ``"auto"`` (default) picks per join from the planner's candidate
-        estimate.  All kernels emit identical pairs in the identical
-        order and charge the identical paper-model costs (two CPU
-        comparisons per candidate, one false hit per failing candidate —
-        accounted analytically per outer partition, which joins all of
-        its relevant inner runs in one kernel call), so results,
-        counters and checkpoints are kernel-independent.
+        ``"auto"`` (default) picks ``"numpy"`` for large joins when numpy
+        is importable and ``"sweep"`` otherwise
+        (:func:`~repro.core.kernels.choose_kernel`).  All kernels emit
+        identical pairs in the identical order and charge the identical
+        paper-model costs (two CPU comparisons per candidate, one false
+        hit per failing candidate — accounted analytically per outer
+        partition, which joins all of its relevant inner runs in one
+        kernel call), so results, counters and checkpoints are
+        kernel-independent.
     decode_cache_size:
         Capacity (in partition runs) of the per-run decoded-run cache
         that memoises the columnar decode of inner partitions across the
         many outer partitions that visit them (APA, Lemma 5).  Defaults
         to :data:`~repro.core.kernels.DEFAULT_CACHE_CAPACITY`; ``0``
-        disables the cache entirely, which also steers ``"auto"`` kernel
-        selection back to ``"naive"`` (the sorted-column kernels
-        amortise their start sort through the cache).  Block IO is
-        still charged on every access — the cache never skips a read,
-        and a detected corruption on a run's blocks invalidates its
-        cached decode.
-    parallelism:
-        Number of workers for the probe phase.  ``None`` (default) runs
-        the classic sequential Algorithm 2 loop; any value ``>= 1``
-        routes the probe through the partition-pair scheduler of
-        :mod:`repro.engine.parallel`, which produces a result set and
-        cost counters bit-identical to the sequential loop (see that
-        module's determinism notes).  Ignored — with a fallback recorded
-        in the result details — when a buffer pool is attached, because
-        pool hits depend on the global read interleaving.
-    parallel_backend:
-        ``"thread"`` (default) or ``"process"``; see
-        :mod:`repro.engine.parallel` for the tradeoffs.
-    parallel_chunk_size:
-        Probe tasks per scheduled chunk; defaults to a few chunks per
-        worker.
+        disables the cache entirely.  Block IO is still charged on every
+        access — the cache never skips a read, and a detected corruption
+        on a run's blocks invalidates its cached decode.
     fault_policy, max_read_retries, verify_checksums:
         Resilience configuration; see :class:`OverlapJoinAlgorithm`.  The
-        fault schedule is deterministic per ``(block, attempt)``, so the
-        sequential loop and both parallel backends observe the identical
-        faults and produce the identical match set and retry counters.
-    parallel_chunk_timeout:
-        Seconds to wait for one scheduled chunk before re-submitting it
-        (``None``: wait forever).
-    parallel_chunk_retries:
-        Pooled re-submissions of a failed chunk before it is completed on
-        the in-process sequential path.
-    parallel_fault_plan:
-        Executor-level chaos hook
-        (:class:`~repro.engine.parallel.WorkerFaultPlan`) used by the
-        resilience tests; leave ``None`` in production.
+        fault schedule is deterministic per ``(block, attempt)``, so
+        every run of the same join observes the identical faults and
+        produces the identical match set and retry counters.
     budget:
         A :class:`~repro.engine.governor.QueryBudget` enforced
-        cooperatively at outer-partition boundaries of the sequential
-        loop and at chunk boundaries of both parallel backends; a
-        violated budget raises :class:`~repro.engine.governor
+        cooperatively at the outer-partition boundaries of the probe
+        loop; a violated budget raises :class:`~repro.engine.governor
         .BudgetExceededError` with the partial counters, and an
         already-exhausted budget (zero limit / non-positive deadline)
         fails fast before any partition work.
@@ -165,19 +137,13 @@ class OIPJoin(OverlapJoinAlgorithm):
         counters, resilience, matched pair positions)`` to
         *checkpoint_path* every *checkpoint_every* outer partitions
         (default 8), and unconditionally at a
-        cancellation or budget stop.  Checkpoint state is
-        sequential-equivalent regardless of backend.
+        cancellation or budget stop.
     resume_from:
         Path of a checkpoint written by a previous (interrupted) run of
         the *same* join; the completed outer partitions are skipped and
         the final pairs/counters are bit-identical to an uninterrupted
         run.  A checkpoint from a different query is rejected with
         :class:`~repro.engine.governor.CheckpointMismatchError`.
-    circuit_breaker:
-        A shared :class:`~repro.engine.governor.CircuitBreaker`
-        consulted before using the worker pool and fed the execution
-        outcome afterwards; while open, the probe runs on the
-        sequential path (``parallel_fallback: "circuit_open"``).
     index_path:
         Path of a persisted OIP index written by
         :func:`repro.storage.snapshot.save_index` (CLI:
@@ -194,15 +160,13 @@ class OIPJoin(OverlapJoinAlgorithm):
         happened.
     tracer, metrics, collect_report:
         Observability configuration; see :class:`OverlapJoinAlgorithm`.
-        Spans cover ``derive_k``, both ``oipcreate`` sides, Lemma-1
-        ``enumerate``, the ``probe`` phase and each outer partition;
-        chunk lifecycle events are recorded driver-side so parallel
-        determinism is unaffected.
+        Spans cover ``derive_k``, both ``oipcreate`` sides, the
+        ``probe`` phase and each outer partition.
     """
 
     name = "oip"
 
-    # The OIPJOIN polls its cancellation token at partition/chunk
+    # The OIPJOIN polls its cancellation token at outer-partition
     # boundaries (where partial state is well-defined and resumable),
     # not on every block read.
     cancellation_via_storage = False
@@ -219,21 +183,14 @@ class OIPJoin(OverlapJoinAlgorithm):
         k_inner: Optional[int] = None,
         kernel: str = "auto",
         decode_cache_size: Optional[int] = None,
-        parallelism: Optional[int] = None,
-        parallel_backend: str = "thread",
-        parallel_chunk_size: Optional[int] = None,
         fault_policy: Optional[FaultPolicy] = None,
         max_read_retries: int = 3,
         verify_checksums: bool = True,
-        parallel_chunk_timeout: Optional[float] = None,
-        parallel_chunk_retries: Optional[int] = None,
-        parallel_fault_plan=None,
         budget: Optional[Any] = None,
         cancellation: Optional[Any] = None,
         checkpoint_path: Optional[str] = None,
         checkpoint_every: Optional[int] = None,
         resume_from: Optional[str] = None,
-        circuit_breaker: Optional[Any] = None,
         index_path: Optional[str] = None,
         index_provider: Optional[Any] = None,
         tracer: Optional[Any] = None,
@@ -273,14 +230,6 @@ class OIPJoin(OverlapJoinAlgorithm):
                 f"decode_cache_size must be >= 0 (0 disables the "
                 f"cache), got {decode_cache_size}"
             )
-        self._validate_parallel_keywords(
-            parallelism=parallelism,
-            parallel_backend=parallel_backend,
-            parallel_chunk_size=parallel_chunk_size,
-            parallel_chunk_timeout=parallel_chunk_timeout,
-            parallel_chunk_retries=parallel_chunk_retries,
-            parallel_fault_plan=parallel_fault_plan,
-        )
         self._validate_lifecycle_keywords(
             buffer_pool=buffer_pool,
             checkpoint_path=checkpoint_path,
@@ -302,14 +251,6 @@ class OIPJoin(OverlapJoinAlgorithm):
         #: The decoded-run cache of the most recent run (rebuilt per
         #: join; the base class publishes its ``kernel.cache.*`` metrics).
         self._kernel_cache: Optional[DecodedRunCache] = None
-        self.parallelism = parallelism
-        self.parallel_backend = parallel_backend
-        self.parallel_chunk_size = parallel_chunk_size
-        self.parallel_chunk_timeout = parallel_chunk_timeout
-        self.parallel_chunk_retries = (
-            2 if parallel_chunk_retries is None else parallel_chunk_retries
-        )
-        self.parallel_fault_plan = parallel_fault_plan
         self.budget = budget
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = (
@@ -328,7 +269,6 @@ class OIPJoin(OverlapJoinAlgorithm):
                 "index_provider must be callable as "
                 "provider(outer, inner, storage=..., expected=...)"
             )
-        self.circuit_breaker = circuit_breaker
         self.index_path = index_path
         #: A callable ``(outer, inner, *, storage, expected) ->
         #: LoadedIndex`` restoring from already-parsed snapshot sections
@@ -337,73 +277,6 @@ class OIPJoin(OverlapJoinAlgorithm):
         #: file on disk moves on.  Failures degrade to a rebuild exactly
         #: like a failed ``index_path`` load.
         self.index_provider = index_provider
-
-    @staticmethod
-    def _validate_parallel_keywords(
-        parallelism: Optional[int],
-        parallel_backend: str,
-        parallel_chunk_size: Optional[int],
-        parallel_chunk_timeout: Optional[float],
-        parallel_chunk_retries: Optional[int],
-        parallel_fault_plan,
-    ) -> None:
-        """All parallel-keyword interaction rules, in one place.
-
-        Beyond per-value range checks, keywords that only the *pooled*
-        execution path can honour are rejected when no pool will exist:
-        ``parallelism=None`` runs the classic sequential loop (no chunks
-        at all) and ``parallelism=1`` the inline chunk path (no pool, so
-        nothing can time out, be retried, or have worker faults
-        injected).  Silently ignoring them would let a caller believe a
-        timeout was armed when it was not.
-        """
-        if parallelism is not None and parallelism < 1:
-            raise ValueError(
-                f"parallelism must be >= 1 when given, got {parallelism}"
-            )
-        if parallel_backend not in ("thread", "process"):
-            raise ValueError(
-                f"unknown parallel backend {parallel_backend!r}; "
-                "choose 'thread' or 'process'"
-            )
-        if parallel_chunk_size is not None and parallel_chunk_size < 1:
-            raise ValueError(
-                f"parallel chunk size must be >= 1, got {parallel_chunk_size}"
-            )
-        if parallel_chunk_timeout is not None and parallel_chunk_timeout <= 0:
-            raise ValueError(
-                "parallel chunk timeout must be positive, got "
-                f"{parallel_chunk_timeout}"
-            )
-        if parallel_chunk_retries is not None and parallel_chunk_retries < 0:
-            raise ValueError(
-                "parallel chunk retries must be >= 0, got "
-                f"{parallel_chunk_retries}"
-            )
-        pooled_only = [
-            name
-            for name, value in (
-                ("parallel_chunk_timeout", parallel_chunk_timeout),
-                ("parallel_chunk_retries", parallel_chunk_retries),
-                ("parallel_fault_plan", parallel_fault_plan),
-            )
-            if value is not None
-        ]
-        if parallelism is None:
-            if parallel_chunk_size is not None:
-                pooled_only.insert(0, "parallel_chunk_size")
-            if pooled_only:
-                raise ValueError(
-                    f"{', '.join(pooled_only)} require(s) parallel "
-                    "execution; pass parallelism>=2 (the sequential "
-                    "loop has no chunks)"
-                )
-        elif parallelism == 1 and pooled_only:
-            raise ValueError(
-                f"{', '.join(pooled_only)} require(s) a worker pool; "
-                "parallelism=1 runs chunks inline where no timeout, "
-                "retry or worker fault can apply — pass parallelism>=2"
-            )
 
     @staticmethod
     def _validate_lifecycle_keywords(
@@ -641,17 +514,13 @@ class OIPJoin(OverlapJoinAlgorithm):
                 derivation.oscillated if derivation is not None else None
             )
 
-        # Kernel choice is statistics-driven ("auto") or pinned by the
-        # caller/planner; every kernel is bit-identical in pairs and
-        # counters, so this only decides physical execution speed.  A
-        # pinned decode_cache_size=0 disables the cache and steers
-        # "auto" away from the cache-amortised sorted-column kernels.
-        cache_enabled = self.decode_cache_size > 0
-        kernel = resolve_kernel(
-            self.kernel, outer, inner, cache_enabled=cache_enabled
-        )
+        # Every kernel is bit-identical in pairs and counters, so the
+        # choice only decides physical execution speed.
+        kernel = resolve_kernel(self.kernel, outer, inner)
         decode_cache = (
-            DecodedRunCache(self.decode_cache_size) if cache_enabled else None
+            DecodedRunCache(self.decode_cache_size)
+            if self.decode_cache_size > 0
+            else None
         )
         if self._uses_index and prior_cache is not None:
             # An index (re)load starts a new snapshot generation with
@@ -721,99 +590,24 @@ class OIPJoin(OverlapJoinAlgorithm):
                 )
             )
 
-        cancelled = False
-        partitions_done = outer_list.partition_count
-        parallel_details: dict = {}
-        breaker = self.circuit_breaker
-        use_parallel = (
-            self.parallelism is not None and self.buffer_pool is None
-        )
-        if use_parallel and breaker is not None and not breaker.allow_parallel():
-            # The breaker is open: repeated degraded executions made the
-            # pool untrustworthy, so this join runs sequentially.
-            use_parallel = False
-            parallel_details = {
-                "parallel_fallback": "circuit_open",
-                "breaker_state": breaker.state,
-            }
-        execution_report = None
-        if use_parallel:
-            # Partition-pair scheduling over a worker pool; bit-identical
-            # to the inline probe below (see repro.engine.parallel).
-            from ..engine.parallel import execute_schedule
-
-            with tracer.span("enumerate") as enum_span:
-                schedule = build_probe_schedule(outer_list, inner_list)
-                enum_span.set("tasks", schedule.task_count)
-                enum_span.set("partition_pairs", schedule.pair_count)
-            with tracer.span(
-                "probe", mode="parallel", backend=self.parallel_backend
-            ):
-                report = execute_schedule(
-                    schedule,
-                    counters,
+        with tracer.span("probe"):
+            cancelled, partitions_done = probe_inline(
+                build_probe_schedule(outer_list, inner_list),
+                RunReader(storage),
+                counters,
+                pairs,
+                pair_emitter(
                     pairs,
-                    workers=self.parallelism,
-                    backend=self.parallel_backend,
-                    chunk_size=self.parallel_chunk_size,
-                    resilience=self._resilience,
-                    fault_policy=self.fault_policy,
-                    max_read_retries=self.max_read_retries,
-                    timeout=self.parallel_chunk_timeout,
-                    max_chunk_retries=self.parallel_chunk_retries,
-                    worker_faults=self.parallel_fault_plan,
-                    governor=governor,
-                    start_at=start_at,
-                    tracer=tracer,
-                    kernel=kernel,
-                    decode_cache=decode_cache,
-                    candidate_histogram=candidate_histogram,
-                )
-            execution_report = report
-            if breaker is not None:
-                if report.downgraded_chunks or report.worker_crashes:
-                    breaker.record_failure()
-                else:
-                    breaker.record_success()
-                report.breaker_state = breaker.state
-            cancelled = report.cancelled
-            partitions_done = start_at + report.tasks_completed
-            parallel_details = {
-                "parallelism": self.parallelism,
-                "parallel_backend": report.backend,
-                "probe_tasks": schedule.task_count,
-                "partition_pairs": schedule.pair_count,
-                "probe_chunks": report.chunks,
-            }
-            if report.degraded:
-                parallel_details["degraded_chunks"] = report.downgraded_chunks
-            if report.chunk_retries:
-                parallel_details["chunk_retries"] = report.chunk_retries
-            if breaker is not None:
-                parallel_details["breaker_state"] = breaker.state
-        else:
-            if self.parallelism is not None and self.buffer_pool is not None:
-                # Buffer-pool hit accounting depends on the global read
-                # order, which parallel execution would break.
-                parallel_details = {"parallel_fallback": "buffer_pool"}
-            with tracer.span("probe", mode="sequential"):
-                cancelled, partitions_done = probe_inline(
-                    build_probe_schedule(outer_list, inner_list),
-                    RunReader(storage),
-                    counters,
-                    pairs,
-                    pair_emitter(
-                        pairs,
-                        candidate_histogram.observe
-                        if candidate_histogram is not None
-                        else None,
-                    ),
-                    kernel,
-                    cache=decode_cache,
-                    governor=governor,
-                    start_at=start_at,
-                    tracer=tracer,
-                )
+                    candidate_histogram.observe
+                    if candidate_histogram is not None
+                    else None,
+                ),
+                kernel,
+                cache=decode_cache,
+                governor=governor,
+                start_at=start_at,
+                tracer=tracer,
+            )
 
         details = {
             # The inner side's count is the one the probe navigates.
@@ -833,13 +627,8 @@ class OIPJoin(OverlapJoinAlgorithm):
             # An explicitly pinned kernel that could not run here (the
             # numpy tier without numpy) — record the substitution.
             details["kernel_requested"] = self.kernel
-        if not use_parallel and decode_cache is not None:
-            # Deterministic on the sequential path (one probe thread);
-            # worker-side caches are covered by the kernel.cache.*
-            # metrics instead, whose exact split can depend on thread
-            # scheduling.
+        if decode_cache is not None:
             details["kernel_cache"] = decode_cache.snapshot()
-        details.update(parallel_details)
         if k_steps is not None:
             details["k_derivation_steps"] = k_steps
             details["k_oscillated"] = k_oscillated
@@ -859,15 +648,13 @@ class OIPJoin(OverlapJoinAlgorithm):
             counters=counters,
             details=details,
             completed=not cancelled,
-            execution=execution_report,
         )
 
 
 # ----------------------------------------------------------------------
 # The Algorithm 2 probe core: Lemma-1 navigation (build_probe_schedule)
-# and the one pair loop (run_probe_task) behind the sequential join, the
-# parallel scheduler (repro.engine.parallel) and the batch executor
-# (repro.engine.batch).
+# and the one pair loop (run_probe_task) behind the join and the batch
+# executor (repro.engine.batch).
 # ----------------------------------------------------------------------
 
 
@@ -971,11 +758,12 @@ def build_probe_schedule(
 
 
 class RunReader:
-    """Reads partition runs through the storage manager, so block IO,
-    checksum verification, injected faults and the buffer pool all
-    apply.  A read returns ``(tuples, dirty)``: *dirty* flags that a
-    corruption was detected (and recovered) on the run's blocks while
-    reading, so a cached decode of the run may be stale."""
+    """The probe's one reader: it reads partition runs through the
+    storage manager, so block IO, checksum verification, injected faults
+    and the buffer pool all apply.  A read returns ``(tuples, dirty)``:
+    *dirty* flags that a corruption was detected (and recovered) on the
+    run's blocks while reading, so a cached decode of the run may be
+    stale."""
 
     __slots__ = ("read_run", "resilience")
 
@@ -995,16 +783,14 @@ class RunReader:
             != detected
         )
 
-    @staticmethod
-    def decode(tuples: List) -> DecodedRun:
-        return DecodedRun.from_tuples(tuples)
 
-
-def _decoded(reader, part, payload, dirty: bool, cache, trace) -> DecodedRun:
+def _decoded(part, payload, dirty: bool, cache, trace) -> DecodedRun:
     """The columnar decode of one just-read partition run, memoised in
     *cache* under the partition's identity; a *dirty* read drops the
     cached decode first.  IO is charged on every access regardless —
-    the cache only ever saves the decode."""
+    the cache only ever saves the decode.  ``DecodedRun.from_tuples`` is
+    looked up at call time, so a wrapper installed on it (a profiler)
+    sees every decode."""
     if cache is not None:
         key = id(part)
         if dirty:
@@ -1014,19 +800,19 @@ def _decoded(reader, part, payload, dirty: bool, cache, trace) -> DecodedRun:
             return decoded
     if trace is not None:
         with trace.span("kernel.decode", tuples=len(payload)):
-            decoded = reader.decode(payload)
+            decoded = DecodedRun.from_tuples(payload)
     else:
-        decoded = reader.decode(payload)
+        decoded = DecodedRun.from_tuples(payload)
     if cache is not None:
         cache.put(key, decoded)
     return decoded
 
 
 def run_probe_task(
-    outer: Any,
-    inner: Sequence[Any],
+    outer: PartitionNode,
+    inner: Sequence[PartitionNode],
     nav_cpu: int,
-    reader: Any,
+    reader: RunReader,
     counters: CostCounters,
     kernel_fn: Callable[[DecodedRun, DecodedRun], List[int]],
     cache: Optional[DecodedRunCache] = None,
@@ -1048,10 +834,9 @@ def run_probe_task(
     every kernel.  The outer run is decoded only once a relevant inner
     run needs it.
 
-    *reader* decides how runs are read: :class:`RunReader` goes through
-    the storage manager, the parallel workers' reader charges the
-    sequential join's read chain analytically.  *cache* memoises inner
-    decodes and *outer_cache* outer ones (``None`` disables either).
+    *reader* reads the runs (see :class:`RunReader`).  *cache* memoises
+    inner decodes and *outer_cache* outer ones (``None`` disables
+    either).
 
     Returns ``(outer payload, [inner payload, ...], hits)``; each hit
     is encoded as ``inner_pos * n_outer + outer_pos`` over the inner
@@ -1070,10 +855,10 @@ def run_probe_task(
     for part in inner:
         payload, dirty = read(part, "inner partition")
         payloads.append(payload)
-        runs.append(_decoded(reader, part, payload, dirty, cache, trace))
+        runs.append(_decoded(part, payload, dirty, cache, trace))
         if outer_decoded is None:
             outer_decoded = _decoded(
-                reader, outer, outer_payload, outer_dirty, outer_cache, trace
+                outer, outer_payload, outer_dirty, outer_cache, trace
             )
     if not runs:
         return outer_payload, payloads, []
@@ -1141,7 +926,7 @@ def probe_inline(
     start_at: int = 0,
     tracer: Optional[Any] = None,
 ) -> Tuple[bool, int]:
-    """Run *schedule* in this thread — the sequential Algorithm 2 loop.
+    """Run *schedule* in this thread — Algorithm 2's probe loop.
 
     Every outer partition is a cooperative boundary: the governor is
     consulted *before* the partition's work, so a cancel or budget stop

@@ -39,8 +39,7 @@ every workload.  This module separates the two concerns:
     candidate work drops from Python bytecode to C loops.  The kernel
     is optional: when numpy is not importable,
     :func:`kernel_function` transparently substitutes the sweep kernel
-    (``numpy_matches`` itself raises), and ``"auto"`` selection never
-    picks the numpy tier.
+    (``numpy_matches`` itself raises).
 
 All kernels return the identical match set encoded in the identical
 order — ``inner_pos * n_outer + outer_pos``, ascending, which is the
@@ -50,15 +49,10 @@ bit-identical regardless of the kernel (the differential suite in
 ``tests/core/test_kernels.py`` and ``tests/core/test_numpy_kernel.py``
 pins this down).
 
-``"auto"`` selection (:func:`choose_kernel`) is a three-way threshold on
-the estimated candidate count: ``naive`` below
-:data:`AUTO_SWEEP_CANDIDATES`, ``sweep`` between the thresholds, and
-``numpy`` from :data:`AUTO_NUMPY_CANDIDATES` up (when numpy is
-importable).  With the decoded-run cache explicitly disabled
-(``decode_cache_size=0``), auto selection stays on ``naive``: the
-sorted-column kernels amortise their per-partition start sort through
-the cache, and without it the sort would be re-paid on every partition
-visit — the estimate that justifies them assumes the amortisation.
+``"auto"`` selection (:func:`choose_kernel`) is ``numpy`` from
+:data:`AUTO_NUMPY_CANDIDATES` estimated candidates up, when numpy is
+importable, and ``sweep`` otherwise (the constant says why the
+threshold exists).
 
 Decoding a partition run into columnar form (two ``array('q')``
 endpoint columns plus, lazily, a start-sorted permutation) costs one
@@ -90,7 +84,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 __all__ = [
     "KERNELS",
     "KERNEL_FUNCS",
-    "AUTO_SWEEP_CANDIDATES",
     "AUTO_NUMPY_CANDIDATES",
     "NUMPY_BROADCAST_CELLS",
     "DEFAULT_CACHE_CAPACITY",
@@ -110,24 +103,12 @@ __all__ = [
 #: The selectable kernel names (``"auto"`` resolves to one of these).
 KERNELS = ("naive", "sweep", "numpy")
 
-#: Estimated candidate comparisons above which ``"auto"`` picks the
-#: sweep kernel.  Below it the join is so small that the sweep's sort
-#: and bisect bookkeeping costs more than the comparisons it skips.
-AUTO_SWEEP_CANDIDATES = 50_000.0
-
-#: Estimated candidate comparisons above which ``"auto"`` picks the
-#: numpy kernel (when numpy is importable).  Between the sweep
-#: threshold and this one the partitions are still small enough that
-#: the fixed per-call cost of entering numpy (array view setup,
-#: ``searchsorted`` dispatch) eats what vectorization saves; measured
-#: on the Figure 8 long-lived workload (``benchmarks/
-#: bench_numpy_kernel.py``, results in ``BENCH_numpy.json``) the match
-#: step itself runs >3x faster than the sweep on coarse-k partition
-#: pairs, which translates to a 1.1-1.25x end-to-end win (IO and the
-#: analytic charging dominate the rest) from ~1.5e5 estimated
-#: candidates up — and no measured regime where numpy loses to the
-#: sweep above this threshold.  ROADMAP item 3's kernel audit
-#: re-derives this ladder for one kernel call per outer partition.
+#: Estimated candidate comparisons from which ``"auto"`` picks the numpy
+#: kernel (when numpy is importable); below it, ``"auto"`` picks the
+#: sweep.  numpy is as fast as the sweep or faster at every size measured
+#: (EXPERIMENTS.md), but importing it adds ~14 MB to the resident memory
+#: of a process that otherwise never loads it — a cost only joins of
+#: this size repay.
 AUTO_NUMPY_CANDIDATES = 150_000.0
 
 #: Candidate-count bound (``|outer run| * |inner run|``) up to which the
@@ -160,9 +141,8 @@ class DecodedRun:
     """One partition run in columnar form.
 
     ``starts`` / ``ends`` are parallel ``array('q')`` columns in the
-    run's storage order; ``tuples`` keeps the original tuple objects for
-    result-pair construction (``None`` on the worker side of the process
-    backend, where only indices cross the process boundary).  The
+    run's storage order; ``tuples`` keeps the original tuple objects
+    (``None`` for a run joined by :meth:`concatenate`).  The
     start-sorted permutation (``order``) and the starts in that order
     (``sorted_starts``) are computed lazily on first use and memoised —
     the naive kernel never needs them.
@@ -501,11 +481,8 @@ def kernel_function(
     This is the execution-time companion of :func:`resolve_kernel`:
     selection picks a name, this maps the name to code, substituting
     :func:`sweep_matches` for ``"numpy"`` when numpy is not importable
-    here.  Both the sequential probe loop and the parallel workers
-    resolve through it — process-backend workers call it in the worker
-    process, so a driver that shipped ``"numpy"`` to a pool whose
-    workers cannot import numpy still completes (bit-identically, since
-    every kernel computes the same matches).
+    here (bit-identically, since every kernel computes the same
+    matches).
     """
     try:
         fn = KERNEL_FUNCS[kernel]
@@ -530,9 +507,7 @@ def estimate_candidates(outer: Any, inner: Any) -> float:
     Two random intervals with duration fractions ``lambda_r`` and
     ``lambda_s`` overlap with probability roughly ``lambda_r +
     lambda_s``; applying that coverage to the nested-loop upper bound
-    ``n_r * n_s`` gives a pessimistic candidate estimate.  This is the
-    same estimate the :class:`~repro.engine.planner.JoinPlanner` uses
-    for its parallelism decision.
+    ``n_r * n_s`` gives a pessimistic candidate estimate.
     """
     if outer.is_empty or inner.is_empty:
         return 0.0
@@ -541,63 +516,29 @@ def estimate_candidates(outer: Any, inner: Any) -> float:
 
 
 def choose_kernel(
-    outer: Any,
-    inner: Any,
-    cache_enabled: bool = True,
-    estimated: Optional[float] = None,
+    outer: Any, inner: Any, estimated: Optional[float] = None
 ) -> str:
-    """Statistics-driven three-way kernel choice.
-
-    ``estimated`` overrides the candidate estimate (the planner passes
-    the figure it derived from persisted index statistics so the kernel
-    tier and the parallelism decision never disagree on the estimate);
-    ``None`` computes it from the relations.
-
-    The estimated candidate count decides the tier: the ``naive`` loop
-    below :data:`AUTO_SWEEP_CANDIDATES` (sort/bisect bookkeeping is not
-    amortised), the forward-scan ``sweep`` between the thresholds, and
-    the vectorized ``numpy`` kernel from :data:`AUTO_NUMPY_CANDIDATES`
-    up — but only when numpy is importable; otherwise the sweep tier
-    extends upward (graceful fallback).
-
-    ``cache_enabled=False`` (the caller pinned ``decode_cache_size=0``)
-    forces ``naive``: the sorted-column kernels amortise their
-    per-partition start sort through the decoded-run cache, and with
-    the cache off that sort would be re-paid on every one of the many
-    visits an inner partition receives (Lemma 5), invalidating the
-    estimate that justifies them.  Explicitly *pinned* kernels are
-    honoured regardless — this guard only constrains what ``"auto"``
-    recommends, so the planner never recommends a cache-dependent plan
-    it can't execute.
-    """
-    if not cache_enabled:
-        return "naive"
+    """The ``"auto"`` kernel: ``numpy`` from :data:`AUTO_NUMPY_CANDIDATES`
+    estimated candidates up when numpy is importable, ``sweep``
+    otherwise.  *estimated* overrides the estimate (the planner passes
+    the figure it derived from persisted index statistics)."""
     if estimated is None:
         estimated = estimate_candidates(outer, inner)
     if estimated >= AUTO_NUMPY_CANDIDATES and numpy_available():
         return "numpy"
-    if estimated >= AUTO_SWEEP_CANDIDATES:
-        return "sweep"
-    return "naive"
+    return "sweep"
 
 
-def resolve_kernel(
-    kernel: Optional[str],
-    outer: Any,
-    inner: Any,
-    cache_enabled: bool = True,
-) -> str:
+def resolve_kernel(kernel: Optional[str], outer: Any, inner: Any) -> str:
     """Resolve a kernel keyword (``None``/``"auto"``/explicit name) for
     one join of *outer* and *inner*.
 
     An explicit ``"numpy"`` in a numpy-less environment resolves to
     ``"sweep"`` — the documented graceful fallback (callers surface the
-    substitution in their result details).  ``cache_enabled`` threads
-    the decoded-run-cache state into the ``"auto"`` choice; see
-    :func:`choose_kernel`.
+    substitution in their result details).
     """
     if kernel is None or kernel == "auto":
-        return choose_kernel(outer, inner, cache_enabled=cache_enabled)
+        return choose_kernel(outer, inner)
     if kernel not in KERNELS:
         raise ValueError(
             f"unknown join kernel {kernel!r}; choose from "
@@ -618,14 +559,13 @@ class DecodedRunCache:
     identity.
 
     One cache serves one join execution; entries live as long as the
-    partition lists do, so the identity keys the probe uses — ``id(part)``
-    of the partition it read, a
-    :class:`~repro.core.lazy_list.PartitionNode` in process or the
-    worker's :class:`~repro.engine.parallel.RunColumns` — are stable
-    for the cache's lifetime.  Thread-safe — the thread backend's workers share
-    one cache — with the lock held only around the bookkeeping, never
-    around a decode (a racing duplicate decode is deterministic and
-    harmless, a blocked worker is not).
+    partition lists do, so the identity key the probe uses — ``id()`` of
+    the :class:`~repro.core.lazy_list.PartitionNode` it read — is stable
+    for the cache's lifetime.  Thread-safe: a join instance shared by
+    several threads purges its previous run's cache when it reloads an
+    index (:meth:`invalidate_all`), possibly while that run still uses
+    it.  The lock is held only around the bookkeeping, never around a
+    decode.
 
     ``hits`` / ``misses`` / ``evictions`` / ``invalidations`` are plain
     integers published as ``kernel.cache.*`` counters after a run and

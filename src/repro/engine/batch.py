@@ -298,12 +298,11 @@ class BatchJoin:
             return self._empty_batch(windows, build_counters, started)
 
         tracer = self._run_tracer()
-        cache_enabled = self.decode_cache_size > 0
-        kernel = resolve_kernel(
-            self.kernel, outer, inner, cache_enabled=cache_enabled
-        )
+        kernel = resolve_kernel(self.kernel, outer, inner)
         cache = (
-            DecodedRunCache(self.decode_cache_size) if cache_enabled else None
+            DecodedRunCache(self.decode_cache_size)
+            if self.decode_cache_size > 0
+            else None
         )
 
         queries: List[JoinResult] = []
@@ -514,7 +513,7 @@ class BatchJoin:
         try:
             if governor is not None:
                 governor.preflight()
-            with tracer.span("probe", mode="sequential"):
+            with tracer.span("probe"):
                 # Both sides share the batch cache: run identities never
                 # collide, and later windows reuse earlier decodes.
                 cancelled, visited = probe_inline(

@@ -8,9 +8,8 @@ face real traffic:
 
 * :class:`QueryBudget` — a wall-clock deadline plus logical budgets
   (CPU comparisons, block reads, or Section-6.2 modelled-cost units).
-  Budgets are enforced **cooperatively** at outer-partition boundaries
-  of the sequential OIPJOIN loop and at chunk boundaries of both
-  parallel backends; a violated budget raises a structured
+  Budgets are enforced **cooperatively** at the outer-partition
+  boundaries of the OIPJOIN probe loop; a violated budget raises a structured
   :class:`BudgetExceededError` carrying the partial
   :class:`~repro.storage.metrics.CostCounters` and
   :class:`~repro.storage.metrics.ResilienceCounters` of the run.
@@ -28,19 +27,12 @@ face real traffic:
   ``OIPJoin(resume_from=...)`` skips completed partitions and produces
   final pairs and counters **bit-identical** to an uninterrupted run
   (the differential guarantee of ``tests/chaos/test_lifecycle.py``).
-  Checkpoint state is *sequential-equivalent* regardless of the backend
-  that wrote it, so a checkpoint taken by a process-pool run resumes
-  cleanly on the sequential path and vice versa.
 * :class:`AdmissionController` — a bounded concurrent-query slot pool
   with a queue-depth limit that rejects excess queries with
-  :class:`AdmissionRejectedError` instead of degrading everyone, and
-  :class:`CircuitBreaker` — the reusable degradation policy that trips
-  the parallel backend down to the sequential path after repeated
-  chunk-retry exhaustion (generalising the PR-2 ``BrokenExecutor``
-  fallback).
+  :class:`AdmissionRejectedError` instead of degrading everyone.
 
-Nothing here imports :mod:`repro.engine.parallel` or
-:mod:`repro.core.join`; the join layers import *this* module lazily, so
+Nothing here imports :mod:`repro.core.join`; the join layers import
+*this* module lazily, so
 the governor stays cycle-free and usable from the storage layer via
 duck typing (the storage manager only calls
 :meth:`CancellationToken.raise_if_cancelled`).
@@ -53,11 +45,11 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-import zlib
 
 from ..storage.metrics import CostCounters, CostWeights, ResilienceCounters
+from ..storage.snapshot import relation_endpoint_digest
 
 __all__ = [
     "QueryBudget",
@@ -71,8 +63,6 @@ __all__ = [
     "GovernedRun",
     "AdmissionController",
     "AdmissionStats",
-    "CircuitBreaker",
-    "relation_digest",
     "make_fingerprint",
     "counters_from_snapshot",
     "resilience_from_snapshot",
@@ -102,7 +92,7 @@ _COUNTER_FIELDS = (
 
 
 class BudgetExceededError(RuntimeError):
-    """A cooperative budget check failed at a partition/chunk boundary.
+    """A cooperative budget check failed at a partition boundary.
 
     Carries the partial progress of the run so callers can report (or
     persist) exactly what was computed before the budget ran out:
@@ -317,7 +307,7 @@ class CancellationToken:
     :meth:`poll` and unwinds gracefully.  ``cancel_after_checks=n``
     makes the token self-cancel on its ``n``-th poll — the deterministic
     hook the cancel/resume differential tests use to cancel at an exact
-    partition/chunk/block boundary without wall-clock races.
+    partition or block boundary without wall-clock races.
     """
 
     def __init__(self, cancel_after_checks: Optional[int] = None) -> None:
@@ -424,20 +414,6 @@ def _overwrite_resilience(
 # ----------------------------------------------------------------------
 
 
-def relation_digest(relation: Any) -> int:
-    """A cheap order-sensitive digest of a relation's intervals.
-
-    CRC32 over the endpoint stream — enough to catch "resumed against
-    the wrong (or reordered) relation", which is the failure mode that
-    would silently corrupt a resumed join.  Payloads are deliberately
-    excluded: they are opaque and may not have a stable byte form.
-    """
-    crc = 0
-    for tup in relation:
-        crc = zlib.crc32(f"{tup.start},{tup.end};".encode("ascii"), crc)
-    return crc
-
-
 def make_fingerprint(
     algorithm: str,
     k_outer: int,
@@ -446,15 +422,17 @@ def make_fingerprint(
     inner: Any,
 ) -> Dict[str, Any]:
     """Identity of one deterministic join execution: everything that must
-    match for ``(outer partitions completed)`` to mean the same thing."""
+    match for ``(outer partitions completed)`` to mean the same thing.
+    The order-sensitive endpoint digests catch a resume against the
+    wrong (or reordered) relation; payloads are deliberately excluded."""
     return {
         "algorithm": algorithm,
         "k_outer": int(k_outer),
         "k_inner": int(k_inner),
         "outer_cardinality": len(outer),
         "inner_cardinality": len(inner),
-        "outer_digest": relation_digest(outer),
-        "inner_digest": relation_digest(inner),
+        "outer_digest": relation_endpoint_digest(outer),
+        "inner_digest": relation_endpoint_digest(inner),
     }
 
 
@@ -462,11 +440,9 @@ def make_fingerprint(
 class QueryCheckpoint:
     """Serialized progress of one OIPJOIN at an outer-partition boundary.
 
-    ``counters`` / ``resilience`` are *sequential-equivalent* snapshots:
-    the exact state the sequential Algorithm-2 loop would hold after
-    ``partitions_completed`` outer partitions — parallel runs convert
-    their (enumeration-up-front) accounting before writing, which is
-    what makes checkpoints portable across backends.  ``pairs`` holds
+    ``counters`` / ``resilience`` are the exact state of the Algorithm-2
+    probe loop after ``partitions_completed`` outer partitions.
+    ``pairs`` holds
     ``(outer_index, inner_index)`` positions into the two relations in
     emission order, so a resume rebuilds the exact pair list without
     re-reading a single block.
@@ -942,109 +918,4 @@ class AdmissionController:
         return (
             f"AdmissionController(active={self._active}/{self.max_active}, "
             f"queued={self._queued}/{self.max_queued})"
-        )
-
-
-# ----------------------------------------------------------------------
-# Circuit breaker.
-# ----------------------------------------------------------------------
-
-
-class CircuitBreaker:
-    """A reusable degradation policy for the parallel backend.
-
-    PR 2 taught the executor to survive a broken pool by finishing the
-    *current* join on the in-process sequential path; the breaker makes
-    that decision persistent across joins.  After ``failure_threshold``
-    consecutive degraded parallel executions (chunk-retry exhaustion or
-    worker-pool crashes), the breaker *opens* and the next ``cooldown``
-    joins skip the pool entirely.  It then moves to *half-open* and
-    allows one trial parallel execution: success closes the breaker,
-    another failure re-opens it.  State transitions are counted in
-    calls, not wall-clock time, so behaviour is deterministic and
-    testable.
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half-open"
-
-    def __init__(self, failure_threshold: int = 3, cooldown: int = 4) -> None:
-        if failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
-        if cooldown < 1:
-            raise ValueError(f"cooldown must be >= 1, got {cooldown}")
-        self.failure_threshold = failure_threshold
-        self.cooldown = cooldown
-        self._state = self.CLOSED
-        self._failures = 0
-        self._denials = 0
-        self._lock = threading.Lock()
-        #: Times the breaker tripped open (observability).
-        self.trips = 0
-        #: Parallel executions denied while open (observability).
-        self.denied = 0
-
-    @property
-    def state(self) -> str:
-        return self._state
-
-    def allow_parallel(self) -> bool:
-        """May the next join use the worker pool?  (Counts a denial and
-        advances the cooldown when the breaker is open.)"""
-        with self._lock:
-            if self._state == self.CLOSED:
-                return True
-            if self._state == self.HALF_OPEN:
-                return True
-            self._denials += 1
-            self.denied += 1
-            if self._denials >= self.cooldown:
-                self._state = self.HALF_OPEN
-            return False
-
-    def record_success(self) -> None:
-        """A parallel execution completed without degradation."""
-        with self._lock:
-            self._failures = 0
-            self._denials = 0
-            self._state = self.CLOSED
-
-    def record_failure(self) -> None:
-        """A parallel execution degraded (downgraded chunks or a worker
-        crash); trips the breaker past the threshold, and immediately
-        from half-open."""
-        with self._lock:
-            self._failures += 1
-            if (
-                self._state == self.HALF_OPEN
-                or self._failures >= self.failure_threshold
-            ):
-                self._state = self.OPEN
-                self._denials = 0
-                self._failures = 0
-                self.trips += 1
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "state": self._state,
-            "trips": self.trips,
-            "denied": self.denied,
-        }
-
-    def publish_metrics(self, registry: Any) -> None:
-        """Publish the breaker's trip/denial counters and its state as a
-        gauge (0 = closed, 1 = half-open, 2 = open)."""
-        registry.publish_dict(
-            "breaker", {"trips": self.trips, "denied": self.denied}
-        )
-        state_value = {self.CLOSED: 0, self.HALF_OPEN: 1, self.OPEN: 2}
-        registry.gauge("breaker.state").set(state_value[self._state])
-
-    def __repr__(self) -> str:
-        return (
-            f"CircuitBreaker(state={self._state!r}, trips={self.trips}, "
-            f"threshold={self.failure_threshold})"
         )

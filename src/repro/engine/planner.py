@@ -11,28 +11,13 @@ The paper's summary (end of Section 7) is effectively an optimizer rule:
 of both inputs and picks the sort-merge join only when *both* relations
 are (almost) point data; otherwise it picks the self-adjusting OIPJOIN.
 
-On top of algorithm choice the planner decides the *degree of
-parallelism* and the *join kernel*.  It estimates the number of
-candidate comparisons the probe phase will perform — ``n_r * n_s``
-scaled by the overlap coverage ``min(1, lambda_r + lambda_s)`` implied
-by the duration statistics — and emits an OIPJOIN with ``parallelism``
-set (the partition-pair scheduler of :mod:`repro.engine.parallel`) once
-that estimate crosses ``parallel_threshold``.  Small joins stay
-sequential: spinning up a worker pool costs more than it saves below
-the threshold.  The same estimate picks the partition-pair kernel
-(:mod:`repro.core.kernels`) in a three-way split: the ``naive`` loop
-below :data:`~repro.core.kernels.AUTO_SWEEP_CANDIDATES`, the
-forward-scan ``sweep`` kernel once the candidate count amortises its
-sort/bisect bookkeeping, and the vectorized ``numpy`` kernel from
-:data:`~repro.core.kernels.AUTO_NUMPY_CANDIDATES` up (when numpy is
-importable; without it the sweep tier extends upward).  A pure
-physical-execution choice, since every kernel is bit-identical in pairs
-and counters.  One constraint overrides the estimate: with the
-decoded-run cache explicitly disabled (``decode_cache_size=0``) the
-planner keeps auto selection on ``naive`` — the sorted-column kernels
-amortise their per-partition start sort through that cache, so the
-planner must never recommend a cache-dependent plan the join can't
-execute.
+On top of algorithm choice the planner estimates the number of candidate
+comparisons the probe phase will perform — ``n_r * n_s`` scaled by the
+overlap coverage ``min(1, lambda_r + lambda_s)`` implied by the duration
+statistics.  The estimate refuses over-budget plans up front and picks
+the partition-pair kernel through
+:func:`~repro.core.kernels.choose_kernel` — a pure physical-execution
+choice, since every kernel is bit-identical in pairs and counters.
 
 ``plan(..., index_path=...)`` points the planner at a persisted index
 snapshot (:func:`repro.storage.save_index`): the snapshot's ``stats``
@@ -43,18 +28,12 @@ instead of re-partitioning.  A missing or corrupt snapshot costs only
 the statistics shortcut — the planner falls back to relation
 statistics, and the join itself degrades to an in-memory rebuild.
 
-**Measured costs.**  By default the parallelism decision guesses: it
-compares the candidate estimate against an abstract
-``parallel_threshold``.  Given a :class:`~repro.obs.calibrate
-.Calibration` (cost constants fitted from this machine's own run
-reports), the planner instead *predicts the latency* of the sequential
-plan via Equation 2 — ``est_comparisons * c_cpu + est_reads * c_io``,
-in real milliseconds — and parallelizes exactly when that prediction
-crosses ``parallel_min_predicted_ms``.  The calibrated weights are also
-threaded into the planned OIPJOIN, where they drive the paper's ``k``
-derivation (Equation 2's fixed point).  Same statistics, different
-constants, different plan — which is the point: the constants are
-measured, not assumed.
+**Measured costs.**  Given a :class:`~repro.obs.calibrate.Calibration`
+(cost constants fitted from this machine's own run reports), the
+planner *predicts the latency* of the plan via Equation 2 —
+``est_comparisons * c_cpu + est_reads * c_io``, in real milliseconds —
+and threads the calibrated weights into the planned OIPJOIN, where they
+drive the paper's ``k`` derivation (Equation 2's fixed point).
 
 The chosen algorithm and the reasoning are exposed on the returned
 :class:`JoinPlan` so applications can log plan decisions.  Reasoning
@@ -65,17 +44,11 @@ so the plan object only pays for the format work when someone asks.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Optional, Union
 
 from ..core.base import JoinResult, OverlapJoinAlgorithm
 from ..core.join import OIPJoin
-from ..core.kernels import (
-    AUTO_NUMPY_CANDIDATES,
-    AUTO_SWEEP_CANDIDATES,
-    KERNELS,
-    choose_kernel,
-)
+from ..core.kernels import KERNELS, choose_kernel, estimate_candidates
 from ..core.relation import TemporalRelation
 from ..baselines.sort_merge import SortMergeJoin
 from ..storage.buffer import BufferPool
@@ -116,8 +89,8 @@ class JoinPlan:
         self.outer_duration_fraction = outer_duration_fraction
         self.inner_duration_fraction = inner_duration_fraction
         self.estimated_candidates = estimated_candidates
-        #: Calibrated latency prediction (ms) for the sequential plan;
-        #: ``None`` when the planner has no calibration.
+        #: Calibrated latency prediction (ms) for the plan; ``None``
+        #: when the planner has no calibration.
         self.predicted_ms = predicted_ms
         self._reason = reason
 
@@ -128,11 +101,6 @@ class JoinPlan:
             self._reason = self._reason()
         return self._reason
 
-    @property
-    def parallelism(self) -> Optional[int]:
-        """Worker count of the planned join, ``None`` when sequential."""
-        return getattr(self.algorithm, "parallelism", None)
-
     def execute(
         self, outer: TemporalRelation, inner: TemporalRelation
     ) -> JoinResult:
@@ -142,13 +110,12 @@ class JoinPlan:
         return (
             f"JoinPlan(algorithm={self.algorithm.name!r}, "
             f"lambda_r={self.outer_duration_fraction:.2e}, "
-            f"lambda_s={self.inner_duration_fraction:.2e}, "
-            f"parallelism={self.parallelism!r})"
+            f"lambda_s={self.inner_duration_fraction:.2e})"
         )
 
 
 class JoinPlanner:
-    """Pick an overlap-join algorithm (and its parallelism) from relation
+    """Pick an overlap-join algorithm (and its kernel) from relation
     statistics.
 
     ``point_threshold`` is the duration fraction (``lambda``) below which
@@ -157,25 +124,11 @@ class JoinPlanner:
     fraction of a percent of the time range, so the default is
     conservative.
 
-    ``parallel_threshold`` is the estimated candidate-comparison count
-    above which the planner emits a parallel OIPJOIN; ``workers`` caps
-    the worker count (default: ``os.cpu_count()``) and
-    ``parallel_backend`` picks the pool flavour (see
-    :mod:`repro.engine.parallel`).  Pass ``parallel_threshold=None`` to
-    disable parallel planning entirely.
-
     ``kernel`` pins the OIPJOIN's partition-pair join kernel; the
-    default ``"auto"`` lets the candidate estimate decide (naive below
-    :data:`~repro.core.kernels.AUTO_SWEEP_CANDIDATES`, sweep between
-    the thresholds, numpy above
-    :data:`~repro.core.kernels.AUTO_NUMPY_CANDIDATES` when importable).
-
-    ``decode_cache_size`` pins the OIPJOIN's decoded-run cache capacity
-    (``None``: the library default).  ``0`` disables the cache, which
-    also constrains ``"auto"`` kernel selection to ``naive`` — the
-    sorted-column kernels depend on the cache to amortise their start
-    sort, and the planner must not recommend a plan whose estimate
-    assumes an amortisation the join can't perform.
+    default ``"auto"`` resolves through
+    :func:`~repro.core.kernels.choose_kernel` from the candidate
+    estimate.  ``decode_cache_size`` pins the OIPJOIN's decoded-run
+    cache capacity (``None``: the library default; ``0`` disables it).
     """
 
     def __init__(
@@ -183,27 +136,17 @@ class JoinPlanner:
         device: Optional[DeviceProfile] = None,
         buffer_pool: Optional[BufferPool] = None,
         point_threshold: float = 1e-5,
-        parallel_threshold: Optional[float] = 2_000_000.0,
-        workers: Optional[int] = None,
-        parallel_backend: str = "thread",
         kernel: str = "auto",
         decode_cache_size: Optional[int] = None,
         tracer=None,
         metrics=None,
         collect_report: bool = False,
         calibration=None,
-        parallel_min_predicted_ms: Optional[float] = 50.0,
     ) -> None:
         if point_threshold <= 0:
             raise ValueError(
                 f"point threshold must be positive, got {point_threshold}"
             )
-        if parallel_threshold is not None and parallel_threshold <= 0:
-            raise ValueError(
-                f"parallel threshold must be positive, got {parallel_threshold}"
-            )
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         if kernel not in ("auto",) + KERNELS:
             raise ValueError(
                 f"unknown join kernel {kernel!r}; choose from "
@@ -220,31 +163,19 @@ class JoinPlanner:
                 f"(or expose predict_ms/to_weights), got "
                 f"{type(calibration).__name__}"
             )
-        if (
-            parallel_min_predicted_ms is not None
-            and parallel_min_predicted_ms <= 0
-        ):
-            raise ValueError(
-                f"parallel_min_predicted_ms must be positive, got "
-                f"{parallel_min_predicted_ms}"
-            )
         self.device = device
         self.buffer_pool = buffer_pool
         self.point_threshold = point_threshold
-        self.parallel_threshold = parallel_threshold
-        self.workers = workers
-        self.parallel_backend = parallel_backend
         self.kernel = kernel
         self.decode_cache_size = decode_cache_size
         self.tracer = tracer
         self.metrics = metrics
         self.collect_report = collect_report
         #: Measured cost constants (:class:`repro.obs.calibrate
-        #: .Calibration`); when set, parallelism is decided from the
-        #: predicted sequential latency and the fitted weights drive the
-        #: OIPJOIN ``k`` derivation.
+        #: .Calibration`); when set, the plan carries a latency
+        #: prediction and the fitted weights drive the OIPJOIN ``k``
+        #: derivation.
         self.calibration = calibration
-        self.parallel_min_predicted_ms = parallel_min_predicted_ms
 
     # ------------------------------------------------------------------
 
@@ -256,8 +187,8 @@ class JoinPlanner:
         outer_cardinality: Optional[int] = None,
         inner_cardinality: Optional[int] = None,
     ) -> Optional[float]:
-        """Calibrated Equation-2 latency prediction for the sequential
-        plan (``None`` without a calibration)."""
+        """Calibrated Equation-2 latency prediction for the plan
+        (``None`` without a calibration)."""
         if self.calibration is None:
             return None
         device = (
@@ -280,30 +211,9 @@ class JoinPlanner:
         )
         return self.calibration.predict_ms(2.0 * estimated, est_reads)
 
-    @staticmethod
-    def estimate_candidates(
-        outer: TemporalRelation, inner: TemporalRelation
-    ) -> float:
-        """Estimated probe-phase candidate comparisons.
-
-        Two random intervals with durations ``d_r`` and ``d_s`` in a
-        shared range ``U`` overlap with probability roughly
-        ``(d_r + d_s) / |U|``; using the maximum-duration fractions as a
-        (pessimistic) stand-in gives the coverage factor
-        ``min(1, lambda_r + lambda_s)`` on the nested-loop upper bound
-        ``n_r * n_s``.
-        """
-        if outer.is_empty or inner.is_empty:
-            return 0.0
-        coverage = min(
-            1.0, outer.duration_fraction + inner.duration_fraction
-        )
-        return outer.cardinality * inner.cardinality * coverage
-
-    def _resolve_workers(self) -> int:
-        if self.workers is not None:
-            return self.workers
-        return os.cpu_count() or 1
+    #: Estimated probe-phase candidate comparisons (see
+    #: :func:`~repro.core.kernels.estimate_candidates`).
+    estimate_candidates = staticmethod(estimate_candidates)
 
     def _check_budget(
         self,
@@ -399,7 +309,7 @@ class JoinPlanner:
         ``index_path`` names a persisted index snapshot (see
         :func:`repro.storage.save_index`).  Its ``stats`` section —
         duration fractions and cardinalities recorded at save time —
-        replaces the relation scan in the algorithm/parallelism/kernel
+        replaces the relation scan in the algorithm and kernel
         decisions, and the path is threaded into the planned OIPJOIN so
         execution loads the snapshot instead of re-partitioning (with
         graceful degradation to a rebuild if the snapshot is corrupt).
@@ -467,50 +377,16 @@ class JoinPlanner:
                 return base
 
         else:
-            workers = self._resolve_workers()
-            parallelism: Optional[int] = None
-            if self.calibration is not None:
-                # Measured-cost rule: parallelize when the *predicted*
-                # sequential latency is long enough to amortise pool
-                # startup, regardless of the abstract candidate count.
-                if (
-                    self.parallel_min_predicted_ms is not None
-                    and workers > 1
-                    and predicted_ms is not None
-                    and predicted_ms >= self.parallel_min_predicted_ms
-                ):
-                    parallelism = workers
-            elif (
-                self.parallel_threshold is not None
-                and workers > 1
-                and estimated >= self.parallel_threshold
-            ):
-                parallelism = workers
-            # The same candidate estimate picks the partition-pair
-            # kernel; pinned explicitly (rather than left "auto") so the
-            # plan's reasoning matches exactly what the join will run.
-            # choose_kernel is the single source of truth for the
-            # three-way thresholds, numpy availability and the
-            # cache-disabled constraint.
-            cache_enabled = (
-                self.decode_cache_size is None or self.decode_cache_size > 0
+            # Pinned explicitly (rather than left "auto") so the plan's
+            # reasoning matches exactly what the join will run.
+            kernel = (
+                choose_kernel(outer, inner, estimated=estimated)
+                if self.kernel == "auto"
+                else self.kernel
             )
-            if self.kernel == "auto":
-                kernel = choose_kernel(
-                    outer,
-                    inner,
-                    cache_enabled=cache_enabled,
-                    estimated=(
-                        estimated if index_stats is not None else None
-                    ),
-                )
-            else:
-                kernel = self.kernel
             algorithm = OIPJoin(
                 device=self.device,
                 buffer_pool=self.buffer_pool,
-                parallelism=parallelism,
-                parallel_backend=self.parallel_backend,
                 kernel=kernel,
                 decode_cache_size=self.decode_cache_size,
                 budget=budget,
@@ -534,54 +410,11 @@ class JoinPlanner:
                     f"lambda_s={inner_lambda:.2e}): "
                     "OIPJOIN is robust to long-lived tuples"
                 )
-                if self.calibration is not None and predicted_ms is not None:
-                    base += (
-                        f"; calibrated prediction {predicted_ms:.1f} ms "
-                        "sequential"
-                    )
-                    if parallelism is not None:
-                        base += (
-                            f" >= {self.parallel_min_predicted_ms:.0f} ms: "
-                            f"scheduling partition pairs on {parallelism} "
-                            f"{self.parallel_backend} workers"
-                        )
-                    else:
-                        base += (
-                            " (below the "
-                            f"{self.parallel_min_predicted_ms:.0f} ms "
-                            "parallel floor: sequential)"
-                            if self.parallel_min_predicted_ms is not None
-                            else " (parallel planning disabled)"
-                        )
-                elif parallelism is not None:
-                    base += (
-                        f"; ~{estimated:.2e} estimated candidate "
-                        f"comparisons >= {self.parallel_threshold:.0e}: "
-                        f"scheduling partition pairs on {parallelism} "
-                        f"{self.parallel_backend} workers"
-                    )
+                if predicted_ms is not None:
+                    base += f"; calibrated prediction {predicted_ms:.1f} ms"
+                base += f"; {kernel} kernel"
                 if self.kernel != "auto":
-                    base += f"; {kernel} kernel (pinned)"
-                elif not cache_enabled:
-                    base += (
-                        "; naive kernel (decode cache disabled: the "
-                        "sorted-column kernels need it to amortise "
-                        "their start sort)"
-                    )
-                elif kernel == "numpy":
-                    base += (
-                        f"; ~{estimated:.2e} estimated candidates "
-                        f">= {AUTO_NUMPY_CANDIDATES:.0e}: "
-                        "vectorized numpy kernel"
-                    )
-                elif kernel == "sweep":
-                    base += (
-                        f"; ~{estimated:.2e} estimated candidates "
-                        f">= {AUTO_SWEEP_CANDIDATES:.0e}: "
-                        "forward-scan sweep kernel"
-                    )
-                else:
-                    base += "; naive kernel below the sweep threshold"
+                    base += " (pinned)"
                 base += index_note
                 if index_path is not None and index_note.endswith(
                     "persisted index statistics"

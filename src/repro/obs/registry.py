@@ -3,8 +3,7 @@
 The repo already *measures* everything the paper reports — the event
 counts live in :class:`~repro.storage.metrics.CostCounters` /
 :class:`~repro.storage.metrics.ResilienceCounters` — but each subsystem
-grew its own reporting shape (``AdmissionStats``, ``ExecutionReport``,
-checkpoint JSON).  The registry is the single sink they all publish
+grew its own reporting shape (``AdmissionStats``, checkpoint JSON).  The registry is the single sink they all publish
 into, with two expositions:
 
 * :meth:`MetricsRegistry.snapshot` / :meth:`MetricsRegistry.to_json` —
@@ -20,8 +19,8 @@ seed export byte-identical snapshots — the property the observability
 tests pin down and the ``repro compare`` diff relies on.
 
 Publishers (all optional, all pull-based so the hot path stays
-untouched): the storage manager, buffer pool, fault policy, admission
-controller and circuit breaker each expose ``publish_metrics(registry)``;
+untouched): the storage manager, buffer pool, fault policy and admission
+controller each expose ``publish_metrics(registry)``;
 :meth:`~repro.core.base.OverlapJoinAlgorithm.join` publishes its cost and
 resilience counters after every run when a registry is attached.
 """

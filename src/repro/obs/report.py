@@ -6,8 +6,7 @@ perf-trajectory tracker (or the next PR) can diff.  A run report is that
 artifact: algorithm, configuration (``k``, granule durations, cost
 weights), wall-clock phase timings, the full
 :class:`~repro.storage.metrics.CostCounters` /
-:class:`~repro.storage.metrics.ResilienceCounters`, the parallel
-:class:`~repro.engine.parallel.ExecutionReport`, the governor outcome
+:class:`~repro.storage.metrics.ResilienceCounters`, the governor outcome
 and the trace span tree.
 
 Reports are produced by
@@ -20,17 +19,16 @@ dependency-free validator covering the schema subset the report uses
 (types, required, properties, items, enum, minimum,
 additionalProperties, local ``$ref``).
 
-Counter sections are exact integers straight from the run, so a
-sequential and a parallel execution of the same join produce reports
-with *identical* ``counters``/``resilience`` sections (the PR-1
-determinism guarantee), while their phase-span trees legitimately
-differ in shape — both stay schema-valid, which is what
-``tests/obs/test_report.py`` pins down.
+Counter sections are exact integers straight from the run, so two
+executions of the same join — with different kernels, say — produce
+reports with *identical* ``counters``/``resilience`` sections, which is
+what ``tests/obs/test_report.py`` pins down.  Reports written before the
+in-query worker pool was removed may carry an ``execution`` object; the
+schema still accepts it, and new reports no longer write it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 from typing import Any, Dict, List, Optional
@@ -121,7 +119,6 @@ def build_report(
     span (``None`` degrades to an empty stub tree so an un-traced report
     still validates).
     """
-    execution = getattr(result, "execution", None)
     return {
         "version": REPORT_VERSION,
         "algorithm": result.algorithm,
@@ -144,11 +141,6 @@ def build_report(
             "events": event_count,
             "root": span_tree(root),
         },
-        "execution": (
-            _jsonable(dataclasses.asdict(execution))
-            if execution is not None
-            else None
-        ),
         "governor": _jsonable(governor) if governor is not None else None,
         "metrics": _jsonable(metrics) if metrics is not None else None,
         "index": (

@@ -4,9 +4,9 @@ The paper attributes performance to *where inside the join* work happens
 — index build vs. probe (Section 6), partition accesses vs. false hits
 (Section 7) — and the repo's counters only report end-of-run totals.
 The tracer closes that gap: join phases open :class:`Span`\\ s (OIPCREATE
-partitioning, Lemma-1 pair enumeration, the probe loop, parallel chunk
-dispatch), and point-in-time occurrences (a storage retry, a governor
-boundary check, a chunk downgrade) are recorded as :class:`TraceEvent`\\ s
+partitioning, Lemma-1 pair enumeration, the probe loop), and
+point-in-time occurrences (a storage retry, a governor boundary check)
+are recorded as :class:`TraceEvent`\\ s
 attached to the innermost open span.
 
 Two consumers are supported simultaneously:
@@ -28,11 +28,9 @@ spans are skipped entirely when tracing is off.  The overhead budget
 ``benchmarks/bench_obs_overhead.py``.
 
 Spans form a tree per run via an explicit stack; the tracer is meant to
-be driven from one thread (the join driver).  Worker processes/threads
-of the parallel backend never see the tracer — the driver records chunk
-lifecycle events on their behalf, which keeps the trace deterministic
-in structure (span nesting and event kinds) even though durations are
-wall-clock measurements.
+be driven from one thread (the join's), which keeps the trace
+deterministic in structure (span nesting and event kinds) even though
+durations are wall-clock measurements.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ Layering (each module usable on its own):
 * :mod:`~repro.service.snapshots` — generation pinning and the
   load-validate-swap-drop hot-refresh protocol.
 * :mod:`~repro.service.service` — :class:`JoinService`: admission,
-  deadlines, retries, breaker, drain, ``service.*`` metrics.
+  deadlines, retries, drain, ``service.*`` metrics.
 * :mod:`~repro.service.cache` — per-generation LRU of finished
   response bodies, keyed by canonical request fingerprint.
 * :mod:`~repro.service.workers` / :mod:`~repro.service.aggregate` —

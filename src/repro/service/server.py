@@ -3,7 +3,7 @@
 :class:`ServiceServer` is a threaded TCP server speaking the
 line-delimited JSON protocol; :func:`serve_stdio` runs the same protocol
 over a pipe.  Both are thin: every request funnels into
-``JoinService.handle_request`` — admission, breaker, pinning, and error
+``JoinService.handle_request`` — admission, pinning, and error
 shaping all live in the service, so an in-process test and a socket
 client observe identical behaviour.
 

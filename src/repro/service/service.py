@@ -6,9 +6,8 @@ pinned per generation by :class:`~repro.service.snapshots
 .SnapshotManager`), the governor provides the request lifecycle
 (:class:`~repro.engine.governor.AdmissionController` bounds concurrency
 and sheds overload, :class:`~repro.engine.governor.QueryBudget` turns a
-per-request deadline into a cooperative abort,
-:class:`~repro.engine.governor.CircuitBreaker` makes pool degradation
-persistent across queries), and the observability layer reports it all
+per-request deadline into a cooperative abort), and the observability
+layer reports it all
 (``service.*`` metric families in a
 :class:`~repro.obs.MetricsRegistry`).
 
@@ -25,7 +24,7 @@ Request lifecycle (every ``query()``)::
         │                ▼                         ▼
         │         ServiceUnavailableError   ServiceOverloadError
         ▼
-    pin generation ──▶ budget+cancel+breaker join ──▶ release pin
+    pin generation ──▶ budget+cancel join ──▶ release pin
         │                    │ deadline / fault / cancel
         ▼                    ▼
     response            structured ServiceError (stable ``code``)
@@ -50,7 +49,6 @@ from ..engine.governor import (
     AdmissionRejectedError,
     BudgetExceededError,
     CancellationToken,
-    CircuitBreaker,
     QueryBudget,
 )
 from ..obs.log import NULL_QUERY_LOG, QueryLog
@@ -89,11 +87,6 @@ DRAINING = "draining"
 STOPPED = "stopped"
 
 _STATE_VALUES = {STARTING: 0, SERVING: 1, DRAINING: 2, STOPPED: 3}
-_BREAKER_VALUES = {
-    CircuitBreaker.CLOSED: 0,
-    CircuitBreaker.HALF_OPEN: 1,
-    CircuitBreaker.OPEN: 2,
-}
 _OPS = ("join", "lookup")
 
 
@@ -237,7 +230,6 @@ class JoinService:
         kernel: str = "auto",
         max_retries: int = 1,
         retry_backoff_s: float = 0.02,
-        breaker: Optional[CircuitBreaker] = None,
         metrics: Optional[MetricsRegistry] = None,
         join_options: Optional[Dict[str, Any]] = None,
         clock: Callable[[], float] = time.monotonic,
@@ -268,12 +260,9 @@ class JoinService:
         self._admission = AdmissionController(
             max_active=max_active, max_queued=max_queued
         )
-        self._breaker = (
-            breaker if breaker is not None else CircuitBreaker()
-        )
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Extra ``OIPJoin`` keywords applied to every query (fault
-        #: policies, parallelism, chaos hooks); mutate through
+        #: policies, kernels, cache sizes); mutate through
         #: :meth:`set_join_option` only.
         self._join_options: Dict[str, Any] = dict(join_options or {})
         self._lock = threading.Lock()
@@ -362,9 +351,6 @@ class JoinService:
             registry.gauge("service.retired_generations").set(
                 described["retired_generations"]
             )
-            registry.gauge("service.breaker.state").set(
-                _BREAKER_VALUES[self._breaker.state]
-            )
             if self.result_cache is not None:
                 cache_stats = self.result_cache.stats()
                 registry.gauge("service.cache.size").set(
@@ -374,7 +360,6 @@ class JoinService:
                     cache_stats["capacity"]
                 )
             self._admission.publish_metrics(registry)
-            self._breaker.publish_metrics(registry)
             return registry.snapshot()
 
     # -- lifecycle -----------------------------------------------------------
@@ -382,10 +367,6 @@ class JoinService:
     @property
     def status(self) -> str:
         return self._status
-
-    @property
-    def breaker(self) -> CircuitBreaker:
-        return self._breaker
 
     @property
     def admission(self) -> AdmissionController:
@@ -482,7 +463,6 @@ class JoinService:
             "inflight": inflight,
             "queue_depth": self._admission.queued,
             "admission": self._admission.stats.snapshot(),
-            "breaker": self._breaker.snapshot(),
             "uptime_s": (
                 None
                 if self.started_at is None
@@ -830,7 +810,6 @@ class JoinService:
                         kernel=kernel if kernel is not None else self.kernel,
                         budget=budget,
                         cancellation=token,
-                        circuit_breaker=self._breaker,
                         **kwargs,
                     )
                     result = join.join(generation.outer, generation.inner)

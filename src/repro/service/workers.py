@@ -10,7 +10,7 @@ sits on the hot path and the parent does nothing per request.
 
 Each worker is a full, independent :class:`~repro.service.service
 .JoinService` — its own restored snapshot generation, admission
-controller, breaker, metrics registry, result cache — so the pool's
+controller, metrics registry, result cache — so the pool's
 correctness argument is inductive: every worker individually honours
 the single-process bit-identity contract against the shared snapshot
 file, therefore any interleaving of connections across workers does

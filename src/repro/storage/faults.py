@@ -5,11 +5,10 @@ reliable device; production deployments of partition joins do not get
 one.  This module provides the chaos half of the resilience layer: a
 seeded, fully deterministic :class:`FaultPolicy` describing *which* reads
 misbehave and :class:`FaultInjector` deciding it per ``(block id,
-attempt)``, plus :func:`perform_read` — the one retry/charging loop both
-the :class:`~repro.storage.manager.StorageManager` and the parallel
-probe workers run their device reads through, so sequential and parallel
-executions observe the *identical* fault schedule and charge the
-identical IO.
+attempt)``, plus :func:`perform_read` — the one retry/charging loop the
+:class:`~repro.storage.manager.StorageManager` runs its device reads
+through, so every run of a join observes the *identical* fault schedule
+and charges the identical IO.
 
 Determinism is the load-bearing property.  Fault decisions are pure
 functions of ``(seed, block_id, attempt)`` — an avalanche hash mapped to
@@ -17,7 +16,7 @@ the unit interval, no shared RNG stream — so
 
 * the same seed reproduces the same faults run after run,
 * a re-read of the same block at the same attempt makes the same
-  decision no matter which worker issues it or in which order, and
+  decision no matter in which order it is issued, and
 * differential tests can assert that a chaos run returns the exact match
   set of a fault-free run while the retries stay visible in the
   :class:`~repro.storage.metrics.ResilienceCounters`.
@@ -301,8 +300,7 @@ class FaultInjector:
     """Applies a :class:`FaultPolicy` to a stream of read attempts.
 
     The injector itself is stateless (decisions are pure functions of the
-    policy), which is what makes it safe to re-create one per worker
-    process from the pickled policy: every copy injects the same faults.
+    policy), so every copy of it injects the same faults.
     """
 
     __slots__ = ("policy",)
@@ -371,9 +369,8 @@ def perform_read(
 ) -> int:
     """Charge one logical block read, retrying under the fault schedule.
 
-    This is the *single* implementation of the read/retry/verify loop;
-    the storage manager and the parallel probe workers both call it, so
-    their charging is identical field by field:
+    This is the *single* implementation of the read/retry/verify loop
+    (the storage manager calls it for every block read); it charges:
 
     * attempt 0 is charged sequential iff ``block_id == last_read + 1``
       (the storage manager's classic chain rule),
@@ -391,8 +388,7 @@ def perform_read(
     last-read position, on success.
 
     *tracer* (when given) receives one ``storage.retry`` event per retry
-    decision.  Only the driver passes one — parallel workers leave it
-    ``None`` — and the healthy path never touches it, so fault-free reads
+    decision.  The healthy path never touches it, so fault-free reads
     carry zero tracing cost.
     """
     if max_retries < 0:

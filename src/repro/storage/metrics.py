@@ -225,7 +225,7 @@ class ResilienceCounters:
     lands in the :class:`CostCounters` so the paper's cost model stays
     honest; these counters record *why* those extra IOs happened and what
     the recovery machinery did.  All fields are integers so that merging
-    per-worker counters is exact in any order.
+    counters is exact in any order.
 
     Storage-level events (charged by :func:`repro.storage.faults
     .perform_read` and the storage manager):
@@ -242,16 +242,11 @@ class ResilienceCounters:
     * ``pool_invalidations`` — corrupted blocks evicted from the buffer
       pool and re-fetched from the device.
 
-    Executor-level events (charged by :func:`repro.engine.parallel
-    .execute_schedule`):
-
-    * ``chunk_retries`` — probe chunks re-submitted after a worker
-      failure or timeout,
-    * ``chunk_timeouts`` — chunk waits that exceeded the per-chunk
-      timeout,
-    * ``worker_crashes`` — worker-pool breakdowns observed,
-    * ``sequential_downgrades`` — chunks re-run on the in-process
-      sequential path after the pool degraded.
+    ``chunk_retries``, ``chunk_timeouts``, ``worker_crashes`` and
+    ``sequential_downgrades`` counted events of the in-query worker pool,
+    which no longer exists; they are always 0.  They stay because
+    snapshots of this class are a recorded contract: benchmark contract
+    records and checkpoint files carry every field.
     """
 
     transient_faults: int = 0
@@ -267,7 +262,7 @@ class ResilienceCounters:
     sequential_downgrades: int = 0
 
     #: Snapshot keys describing device-level fault handling (identical
-    #: between sequential and parallel runs of the same fault schedule).
+    #: between runs of the same fault schedule).
     STORAGE_FIELDS = (
         "transient_faults",
         "corruptions_detected",
@@ -324,8 +319,8 @@ class ResilienceCounters:
         }
 
     def storage_snapshot(self) -> Dict[str, int]:
-        """The device-level subset of :meth:`snapshot` (the fields a
-        parallel run reproduces exactly from the sequential schedule)."""
+        """The device-level subset of :meth:`snapshot` (the fields every
+        run of the same fault schedule reproduces exactly)."""
         full = self.snapshot()
         return {key: full[key] for key in self.STORAGE_FIELDS}
 

@@ -87,41 +87,6 @@ class TestDifferentialIdentity:
         assert run() == run()
 
 
-class TestDifferentialParallel:
-    """Sequential and both parallel backends under one fault schedule:
-    identical pairs, identical cost counters, identical storage-level
-    resilience events."""
-
-    @pytest.fixture(scope="class")
-    def faulty_sequential(self, relations):
-        outer, inner = relations
-        policy = fault_profile("chaos", seed=9)
-        return OIPJoin(fault_policy=policy).join(outer, inner)
-
-    @pytest.mark.parametrize("backend,workers", [("thread", 4), ("process", 2)])
-    def test_backend_matches_sequential_under_faults(
-        self, relations, healthy, faulty_sequential, backend, workers
-    ):
-        outer, inner = relations
-        policy = fault_profile("chaos", seed=9)
-        result = OIPJoin(
-            fault_policy=policy,
-            parallelism=workers,
-            parallel_backend=backend,
-        ).join(outer, inner)
-        assert result.pair_keys() == healthy["oip"].pair_keys()
-        assert result.pair_keys() == faulty_sequential.pair_keys()
-        assert (
-            result.counters.snapshot()
-            == faulty_sequential.counters.snapshot()
-        )
-        assert (
-            result.resilience.storage_snapshot()
-            == faulty_sequential.resilience.storage_snapshot()
-        )
-        assert result.resilience.retries > 0
-
-
 class TestPermanentFaults:
     def test_sequential_raises_structured_error(self, relations):
         outer, inner = relations
@@ -134,14 +99,6 @@ class TestPermanentFaults:
         assert "block 0" in str(error)
         assert "partition" in str(error)
         assert error.context is not None
-
-    def test_parallel_raises_same_structured_error(self, relations):
-        outer, inner = relations
-        policy = FaultPolicy(permanent_blocks=frozenset({0}))
-        with pytest.raises(StorageFaultError) as excinfo:
-            OIPJoin(fault_policy=policy, parallelism=3).join(outer, inner)
-        assert excinfo.value.block_id == 0
-        assert "partition" in str(excinfo.value)
 
     @pytest.mark.parametrize("name", ("smj", "grace"))
     def test_baselines_raise_structured_error(self, relations, name):

@@ -3,20 +3,18 @@
 The governor's acceptance property mirrors the resilience layer's: a
 join cancelled at *any* cooperative boundary and resumed from its
 checkpoint produces the **bit-identical** pair list, CostCounters and
-ResilienceCounters of an uninterrupted run — on the sequential loop and
-on both parallel backends, with and without an active fault policy, and
-even when the resume runs on a *different* backend than the one that
-wrote the checkpoint (checkpoints carry sequential-equivalent counter
-snapshots, so they are portable).
+ResilienceCounters of an uninterrupted run, with and without an active
+fault policy.  (Resuming under a different kernel is covered by
+``tests/core/test_kernels.py``.)
 
 Cancellation points are driven by ``CancellationToken(cancel_after_checks
 =n)``, which fires at an exact boundary with no wall-clock races; the
 sweeps are seeded, so every scenario is reproducible run-to-run.
 
-Note the completion branch in the harness: parallel boundaries are one
-per *chunk*, so a cancellation point beyond the chunk count legitimately
-never fires and the run completes — in that case the identity check is
-against the full reference instead.
+Note the completion branch in the harness: a cancellation point beyond
+the outer-partition count legitimately never fires and the run
+completes — in that case the identity check is against the full
+reference instead.
 """
 
 import random
@@ -34,18 +32,9 @@ from repro.engine.governor import (
 from repro.storage.faults import FAULT_PROFILES, fault_profile
 from repro.workloads import long_lived_mixture
 
-#: Execution configurations the differential runs on: the sequential
-#: Algorithm-2 loop, the thread pool and the process pool (small chunks
-#: so even short joins have several cooperative boundaries).
-CONFIGS = {
-    "sequential": {},
-    "thread": {"parallelism": 3, "parallel_chunk_size": 2},
-    "process": {
-        "parallelism": 2,
-        "parallel_backend": "process",
-        "parallel_chunk_size": 3,
-    },
-}
+#: Execution configurations the differential runs on: the probe has one
+#: path, the sequential Algorithm-2 loop.
+CONFIGS = {"sequential": {}}
 
 
 def fingerprint(result):
@@ -99,9 +88,7 @@ def relations():
 
 @pytest.fixture(scope="module")
 def reference(relations):
-    """Uninterrupted fingerprints per config (identical across configs by
-    the PR-1 equivalence guarantee, but computed per config so a
-    regression there doesn't masquerade as a lifecycle bug)."""
+    """Uninterrupted fingerprints per config."""
     outer, inner = relations
     return {
         name: fingerprint(OIPJoin(**config).join(outer, inner))
@@ -110,7 +97,7 @@ def reference(relations):
 
 
 class TestCancelResumeIdentity:
-    @pytest.mark.parametrize("config", ("sequential", "thread"))
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
     @pytest.mark.parametrize("point", (1, 4, 9))
     def test_resume_is_bit_identical(
         self, relations, reference, config, point, tmp_path
@@ -121,46 +108,14 @@ class TestCancelResumeIdentity:
         )
         assert fingerprint(result) == reference[config]
 
-    def test_resume_is_bit_identical_process(
-        self, relations, reference, tmp_path
-    ):
-        outer, inner = relations
-        result = cancel_and_resume(
-            outer, inner, CONFIGS["process"], 2, tmp_path
-        )
-        assert fingerprint(result) == reference["process"]
-
-    @pytest.mark.parametrize(
-        "writer,resumer",
-        (("sequential", "thread"), ("thread", "sequential")),
-    )
-    def test_checkpoints_are_portable_across_backends(
-        self, relations, reference, writer, resumer, tmp_path
-    ):
-        """A checkpoint written under one backend resumes under another:
-        the snapshots are sequential-equivalent, not backend-specific."""
-        outer, inner = relations
-        path = str(tmp_path / "ck.json")
-        partial = OIPJoin(
-            cancellation=CancellationToken(cancel_after_checks=3),
-            checkpoint_path=path,
-            checkpoint_every=1,
-            **CONFIGS[writer],
-        ).join(outer, inner)
-        assert not partial.completed
-        resumed = OIPJoin(resume_from=path, **CONFIGS[resumer]).join(
-            outer, inner
-        )
-        assert fingerprint(resumed) == reference[resumer]
-
     @pytest.mark.slow
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     @pytest.mark.parametrize("faulted", (False, True))
     def test_seeded_cancellation_sweep(
         self, relations, reference, config, faulted, tmp_path
     ):
-        """Seeded random cancellation points across every backend, with
-        and without an active fault policy."""
+        """Seeded random cancellation points, with and without an active
+        fault policy."""
         outer, inner = relations
         rng = random.Random(2014 + (1 if faulted else 0))
         policy = fault_profile("chaos", seed=11) if faulted else None
@@ -184,7 +139,7 @@ class TestCancelResumeIdentity:
 
 
 class TestFaultedCancelResume:
-    @pytest.mark.parametrize("config", ("sequential", "thread"))
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
     def test_resume_identity_under_chaos_profile(
         self, relations, config, tmp_path
     ):

@@ -1,7 +1,6 @@
 """Differential suite for the pluggable join kernels (Section 5 probe).
 
-The kernel layer's acceptance property: every kernel, on every backend,
-is *bit-identical* to the seed implementation — same pairs in the same
+The kernel layer's acceptance property: every kernel is *bit-identical* to the seed implementation — same pairs in the same
 order, same :class:`~repro.storage.metrics.CostCounters`, same run-report
 counter sections, same checkpoint/resume behaviour.  The sweep kernel is
 an execution strategy, not a cost model: it must charge exactly the
@@ -21,7 +20,7 @@ from repro.core.interval import Interval
 from repro.core.join import OIPJoin
 from repro.core import kernels
 from repro.core.kernels import (
-    AUTO_SWEEP_CANDIDATES,
+    AUTO_NUMPY_CANDIDATES,
     DecodedRun,
     DecodedRunCache,
     choose_kernel,
@@ -41,20 +40,13 @@ from ..conftest import oracle_pairs, random_relation
 
 KERNELS = ("naive", "sweep")
 
-#: One config per execution backend (mirrors tests/chaos/test_lifecycle.py).
-CONFIGS = {
-    "sequential": {},
-    "thread": {"parallelism": 3, "parallel_chunk_size": 2},
-    "process": {
-        "parallelism": 2,
-        "parallel_backend": "process",
-        "parallel_chunk_size": 3,
-    },
-}
+#: The execution configurations (mirrors tests/chaos/test_lifecycle.py):
+#: the probe has one path, the sequential Algorithm 2 loop.
+CONFIGS = {"sequential": {}}
 
 
 def fingerprint(result):
-    """Everything that must be bit-identical across kernels/backends."""
+    """Everything that must be bit-identical across kernels."""
     return (
         [(p[0].start, p[0].end, p[0].payload, p[1].start, p[1].end, p[1].payload)
          for p in result.pairs],
@@ -136,38 +128,35 @@ class TestKernelSelection:
     def test_auto_picks_by_candidate_estimate(self):
         rng = random.Random(1)
         small = random_relation(rng, 8, range_size=100)
-        assert choose_kernel(small, small) == "naive"
+        assert kernels.estimate_candidates(small, small) < AUTO_NUMPY_CANDIDATES
+        assert choose_kernel(small, small) == "sweep"
+        assert resolve_kernel(None, small, small) == "sweep"
         big = long_lived_mixture(
             1_000, 0.5, Interval(1, 2**20), seed=7, name="big"
         )
-        # Above both thresholds: the vectorized tier when numpy is
-        # importable, the sweep tier otherwise.
+        # From the threshold up: the vectorized tier when numpy is
+        # importable, the sweep otherwise.
         top = "numpy" if kernels.numpy_available() else "sweep"
+        assert kernels.estimate_candidates(big, big) >= AUTO_NUMPY_CANDIDATES
         assert choose_kernel(big, big) == top
         assert resolve_kernel("auto", big, big) == top
-        assert resolve_kernel(None, small, small) == "naive"
         assert resolve_kernel("naive", big, big) == "naive"
-        # Between the sweep and numpy thresholds: always the sweep.
-        mid = long_lived_mixture(
-            700, 0.5, Interval(1, 2**20), seed=7, name="mid"
-        )
-        assert (
-            kernels.AUTO_SWEEP_CANDIDATES
-            <= kernels.estimate_candidates(mid, mid)
-            < kernels.AUTO_NUMPY_CANDIDATES
-        )
-        assert choose_kernel(mid, mid) == "sweep"
+        # An explicit estimate (the planner's, from index statistics)
+        # overrides the relations' own.
+        assert choose_kernel(big, big, estimated=0.0) == "sweep"
+        assert choose_kernel(small, small, estimated=AUTO_NUMPY_CANDIDATES) == top
 
     def test_auto_respects_disabled_decode_cache(self):
-        # The sorted-column kernels amortise their start sort through
-        # the decoded-run cache; with the cache pinned off, "auto" must
-        # not recommend them (an explicit pin is still honoured).
-        big = long_lived_mixture(
-            1_000, 0.5, Interval(1, 2**20), seed=7, name="big"
-        )
-        assert choose_kernel(big, big, cache_enabled=False) == "naive"
-        assert resolve_kernel("auto", big, big, cache_enabled=False) == "naive"
-        assert resolve_kernel("sweep", big, big, cache_enabled=False) == "sweep"
+        # The decode cache only saves decodes, so turning it off changes
+        # neither the auto kernel nor the result: the join runs with no
+        # cache at all and stays bit-identical.
+        outer, inner = WORKLOADS["mixed"]
+        cached = OIPJoin().join(outer, inner)
+        uncached = OIPJoin(decode_cache_size=0).join(outer, inner)
+        assert uncached.details["kernel"] == choose_kernel(outer, inner)
+        assert uncached.details["kernel"] == cached.details["kernel"]
+        assert "kernel_cache" not in uncached.details
+        assert fingerprint(uncached) == fingerprint(cached)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +224,7 @@ class TestDecodedRunCache:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end differential: kernels x backends x workloads x k.
+# End-to-end differential: kernels x workloads x k.
 # ---------------------------------------------------------------------------
 
 
@@ -267,7 +256,7 @@ WORKLOADS = make_workloads()
 
 
 class TestDifferentialIdentity:
-    """Sweep kernel == naive kernel, bit for bit, on every backend."""
+    """Sweep kernel == naive kernel, bit for bit."""
 
     @pytest.fixture(scope="class")
     def references(self):
@@ -287,7 +276,7 @@ class TestDifferentialIdentity:
         assert fingerprint(result) == fingerprint(reference)
         assert result.details["kernel"] == "sweep"
         assert reference.details["kernel"] == "naive"
-        # The sequential cache saw every revisited partition.
+        # The cache saw every revisited partition.
         cache = result.details["kernel_cache"]
         assert cache["misses"] > 0
         assert cache["invalidations"] == 0
@@ -413,12 +402,12 @@ class TestConfiguration:
 
     def test_cache_size_zero_disables_cache(self):
         # decode_cache_size=0 is an explicit "no cache": the join runs
-        # (bit-identically), reports no kernel_cache details, and auto
-        # kernel selection stays on the cache-independent naive loop.
+        # (bit-identically) and reports no kernel_cache details.
         outer, inner = WORKLOADS["mixed"]
         cached = OIPJoin(kernel="naive").join(outer, inner)
-        uncached = OIPJoin(decode_cache_size=0).join(outer, inner)
-        assert uncached.details["kernel"] == "naive"
+        uncached = OIPJoin(kernel="naive", decode_cache_size=0).join(
+            outer, inner
+        )
         assert "kernel_cache" not in uncached.details
         assert fingerprint(uncached) == fingerprint(cached)
 
@@ -431,18 +420,15 @@ class TestConfiguration:
             JoinPlanner(decode_cache_size=-1)
 
     def test_planner_respects_disabled_cache(self):
-        # The bugfix pinned by this test: a planner whose decode cache
-        # is pinned off must not recommend a sorted-column kernel, no
-        # matter how large the candidate estimate is.
+        # A planner whose decode cache is pinned off hands that setting
+        # to the planned join; the kernel is the auto rule's either way.
         big = long_lived_mixture(
             1_000, 0.5, Interval(1, 2**20), seed=7, name="big"
         )
-        planner = JoinPlanner(decode_cache_size=0)
-        plan = planner.plan(big, big)
-        assert plan.estimated_candidates >= AUTO_SWEEP_CANDIDATES
-        assert plan.algorithm.kernel == "naive"
+        plan = JoinPlanner(decode_cache_size=0).plan(big, big)
         assert plan.algorithm.decode_cache_size == 0
-        assert "decode cache disabled" in plan.reason
+        assert plan.algorithm.kernel == choose_kernel(big, big)
+        assert f"; {plan.algorithm.kernel} kernel" in plan.reason
 
     def test_planner_pins_kernel(self):
         outer, inner = WORKLOADS["uniform"]
@@ -454,7 +440,7 @@ class TestConfiguration:
         outer, inner = WORKLOADS["uniform"]
         plan = JoinPlanner().plan(outer, inner)
         # The planner must pin exactly what choose_kernel would pick —
-        # one source of truth for the three-way threshold.
+        # one source of truth for the auto rule.
         assert plan.algorithm.kernel == choose_kernel(outer, inner)
         assert "kernel" in plan.reason
 

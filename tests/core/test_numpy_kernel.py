@@ -3,9 +3,8 @@
 Two acceptance properties:
 
 * **parity** — with numpy installed, the ``numpy`` kernel is
-  bit-identical to ``naive``/``sweep`` on every backend (sequential,
-  thread pool, process pool): same pairs in the same order, same
-  counters, same report counter sections, same checkpoint handoff.
+  bit-identical to ``naive``/``sweep``: same pairs in the same order,
+  same counters, same report counter sections, same checkpoint handoff.
   Both physical paths are covered — the broadcasted comparison matrix
   for small partition pairs and the ``searchsorted`` range
   decomposition for large ones.
@@ -13,8 +12,7 @@ Two acceptance properties:
   failure), every resolution layer degrades to the sweep: name-level
   (``resolve_kernel``/``choose_kernel`` never hand out ``"numpy"``) and
   function-level (``kernel_function("numpy")`` returns the sweep
-  callable — the per-process fallback the process backend relies on),
-  with the substitution recorded in the join's result details.
+  callable), with the substitution recorded in the join's result details.
 """
 
 import random
@@ -110,13 +108,13 @@ class TestNumpyMatches:
 
 
 # ---------------------------------------------------------------------------
-# Join-level parity across all three backends.
+# Join-level parity.
 # ---------------------------------------------------------------------------
 
 
 @requires_numpy
 class TestNumpyDifferentialIdentity:
-    """numpy kernel == naive kernel, bit for bit, on every backend."""
+    """numpy kernel == naive kernel, bit for bit."""
 
     @pytest.fixture(scope="class")
     def references(self):

@@ -428,8 +428,8 @@ class TestBatchCli:
     def test_batch_incompatible_flags_rejected(self):
         from repro.cli import main
 
-        with pytest.raises(SystemExit, match="--workers"):
-            main(self.JOIN + ["--batch", "2", "--workers", "2"])
+        with pytest.raises(SystemExit, match="--index"):
+            main(self.JOIN + ["--batch", "2", "--index", "x.oip"])
         with pytest.raises(SystemExit, match="--checkpoint"):
             main(self.JOIN + ["--batch", "2", "--checkpoint", "x.json"])
 

@@ -47,42 +47,14 @@ class TestJoinCommand:
         )
         assert "result pairs" in capsys.readouterr().out
 
-    def test_workers_flag_runs_parallel_oip(self, capsys):
-        assert (
-            main(
-                [
-                    "join",
-                    "--workload",
-                    "mixture",
-                    "--cardinality",
-                    "150",
-                    "--workers",
-                    "2",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "parallelism: 2" in out
-        assert "probe_tasks" in out
-
-    def test_workers_zero_rejected(self):
-        with pytest.raises(SystemExit, match="--workers must be >= 1"):
-            main(["join", "--cardinality", "50", "--workers", "0"])
-
-    def test_workers_rejected_for_other_algorithms(self):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "join",
-                    "--cardinality",
-                    "50",
-                    "--algorithm",
-                    "smj",
-                    "--workers",
-                    "2",
-                ]
-            )
+    @pytest.mark.parametrize("command", ("join", "compare"))
+    def test_workers_flag_is_serve_only(self, command, capsys):
+        # --workers sizes the pre-fork service pool; join and compare
+        # run one in-process probe and reject it.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--cardinality", "50", "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_deterministic_by_seed(self, capsys):
         main(["join", "--cardinality", "90", "--seed", "3"])
@@ -288,13 +260,13 @@ class TestObservabilityFlags:
         base = str(tmp_path / "base.json")
         other = str(tmp_path / "other.json")
         assert main(self.JOIN + ["--report", base]) == 0
-        assert main(self.JOIN + ["--workers", "2", "--report", other]) == 0
+        assert main(self.JOIN + ["--kernel", "naive", "--report", other]) == 0
         capsys.readouterr()
         assert main(["compare", base, other]) == 0
         out = capsys.readouterr().out
         assert "compare: oip (base) vs oip (other)" in out
         assert "phase times:" in out
-        # Sequential and parallel runs count identically.
+        # Runs on different kernels count identically.
         assert "counters deltas:\n  (identical)" in out
 
     def test_compare_reports_json(self, tmp_path, capsys):

@@ -1,10 +1,10 @@
 """Tests for the query-lifecycle governor.
 
-Covers the four governor pillars in isolation — budgets, cancellation,
-checkpoint/resume plumbing, admission control and the circuit breaker —
-plus their integration points: keyword-interaction validation on
-:class:`~repro.core.join.OIPJoin`, fail-fast on exhausted budgets,
-planner-level budget refusal and the breaker-driven sequential fallback.
+Covers the governor pillars in isolation — budgets, cancellation,
+checkpoint/resume plumbing and admission control — plus their
+integration points: keyword-interaction validation on
+:class:`~repro.core.join.OIPJoin`, fail-fast on exhausted budgets and
+planner-level budget refusal.
 The end-to-end cancel/resume differential lives in
 ``tests/chaos/test_lifecycle.py``.
 """
@@ -27,14 +27,11 @@ from repro.engine.governor import (
     CancellationToken,
     CheckpointMismatchError,
     CheckpointWriter,
-    CircuitBreaker,
     QueryBudget,
     QueryCancelledError,
     QueryCheckpoint,
     make_fingerprint,
-    relation_digest,
 )
-from repro.engine.parallel import WorkerFaultPlan
 from repro.engine.planner import JoinPlanner
 from repro.storage.buffer import BufferPool
 from repro.storage.metrics import (
@@ -42,6 +39,7 @@ from repro.storage.metrics import (
     CostWeights,
     ResilienceCounters,
 )
+from repro.storage.snapshot import relation_endpoint_digest
 from repro.workloads import long_lived_mixture
 
 
@@ -211,33 +209,24 @@ class TestFailFast:
 
 
 class TestKeywordValidation:
-    @pytest.mark.parametrize(
-        "kwargs",
-        (
-            {"parallelism": 1, "parallel_chunk_timeout": 0.5},
-            {"parallelism": 1, "parallel_chunk_retries": 3},
-            {"parallelism": 1, "parallel_fault_plan": WorkerFaultPlan()},
-            {"parallel_chunk_size": 4},
-            {"parallel_chunk_timeout": 0.5},
-            {"parallel_chunk_retries": 1},
-        ),
-    )
-    def test_pooled_only_keywords_need_a_pool(self, kwargs):
-        with pytest.raises(ValueError, match="parallel"):
-            OIPJoin(**kwargs)
-
     def test_rejection_names_the_offending_keywords(self):
-        with pytest.raises(ValueError, match="parallel_chunk_timeout"):
-            OIPJoin(parallelism=1, parallel_chunk_timeout=1.0)
+        with pytest.raises(ValueError, match="decode_cache_size"):
+            OIPJoin(decode_cache_size=-1)
+        with pytest.raises(ValueError, match="per-side granule counts"):
+            OIPJoin(k_outer=0, k_inner=3)
+        with pytest.raises(ValueError, match="k_outer and k_inner"):
+            OIPJoin(k_outer=2)
+        # An unknown keyword is rejected loudly, never silently ignored.
+        with pytest.raises(TypeError, match="workers"):
+            OIPJoin(workers=2)
 
-    def test_valid_combinations_construct(self):
-        OIPJoin(parallelism=1, parallel_chunk_size=4)  # inline chunks: ok
+    def test_valid_combinations_construct(self, tmp_path):
+        OIPJoin(kernel="sweep", decode_cache_size=0)
         OIPJoin(
-            parallelism=2,
-            parallel_chunk_size=4,
-            parallel_chunk_timeout=5.0,
-            parallel_chunk_retries=1,
-            parallel_fault_plan=WorkerFaultPlan(),
+            budget=QueryBudget(max_comparisons=10),
+            cancellation=CancellationToken(),
+            checkpoint_path=str(tmp_path / "ck.json"),
+            checkpoint_every=4,
         )
 
     def test_checkpoint_every_requires_checkpoint_path(self):
@@ -307,7 +296,15 @@ class TestQueryCheckpoint:
         reversed_ = TemporalRelation.from_records(
             [(5, 9, "b"), (1, 3, "a")], name="r"
         )
-        assert relation_digest(forward) != relation_digest(reversed_)
+        assert relation_endpoint_digest(forward) != relation_endpoint_digest(
+            reversed_
+        )
+        # The checkpoint fingerprint carries exactly that digest.
+        fingerprint = make_fingerprint("oip", 2, 2, forward, reversed_)
+        assert fingerprint["outer_digest"] == relation_endpoint_digest(forward)
+        assert fingerprint["inner_digest"] == relation_endpoint_digest(
+            reversed_
+        )
 
     def test_resume_against_different_relation_rejected(
         self, relations, tmp_path
@@ -474,101 +471,6 @@ class TestAdmissionController:
         assert stats.completed == 5
         assert stats.peak_active <= 2
         assert controller.active == 0
-
-
-# ----------------------------------------------------------------------
-# Circuit breaker.
-# ----------------------------------------------------------------------
-
-
-class TestCircuitBreaker:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="failure_threshold"):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError, match="cooldown"):
-            CircuitBreaker(cooldown=0)
-
-    def test_trips_after_consecutive_failures(self):
-        breaker = CircuitBreaker(failure_threshold=2, cooldown=3)
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert breaker.trips == 1
-
-    def test_success_resets_the_failure_streak(self):
-        breaker = CircuitBreaker(failure_threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_cooldown_then_half_open_trial(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=2)
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        # Two joins are denied the pool; the denials advance the cooldown.
-        assert not breaker.allow_parallel()
-        assert not breaker.allow_parallel()
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        assert breaker.denied == 2
-        # The half-open trial is allowed through.
-        assert breaker.allow_parallel()
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_half_open_failure_reopens_immediately(self):
-        breaker = CircuitBreaker(failure_threshold=3, cooldown=1)
-        for _ in range(3):
-            breaker.record_failure()
-        assert not breaker.allow_parallel()
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        breaker.record_failure()  # one failure suffices in half-open
-        assert breaker.state == CircuitBreaker.OPEN
-        assert breaker.trips == 2
-
-    def test_snapshot(self):
-        breaker = CircuitBreaker(failure_threshold=1)
-        breaker.record_failure()
-        assert breaker.snapshot() == {
-            "state": "open",
-            "trips": 1,
-            "denied": 0,
-        }
-
-
-class TestBreakerIntegration:
-    def test_degraded_runs_trip_the_breaker_to_sequential(self, relations):
-        outer, inner = relations
-        reference = OIPJoin().join(outer, inner)
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=1)
-        # Chunk 0 fails more times than the retry budget allows: the
-        # executor downgrades it, which the breaker records as a failure.
-        degraded = OIPJoin(
-            parallelism=2,
-            parallel_chunk_retries=1,
-            parallel_fault_plan=WorkerFaultPlan(fail_chunks={0: 99}),
-            circuit_breaker=breaker,
-        ).join(outer, inner)
-        assert degraded.pair_keys() == reference.pair_keys()
-        assert degraded.details["degraded_chunks"] >= 1
-        assert degraded.details["breaker_state"] == CircuitBreaker.OPEN
-        assert breaker.trips == 1
-        # The next join is denied the pool and runs sequentially — the
-        # fallback is recorded in the execution details.
-        fallback = OIPJoin(
-            parallelism=2, circuit_breaker=breaker
-        ).join(outer, inner)
-        assert fallback.pair_keys() == reference.pair_keys()
-        assert fallback.details["parallel_fallback"] == "circuit_open"
-        assert "probe_chunks" not in fallback.details
-        # Cooldown spent: the half-open trial runs parallel again and,
-        # healthy, closes the breaker.
-        trial = OIPJoin(
-            parallelism=2, circuit_breaker=breaker
-        ).join(outer, inner)
-        assert trial.pair_keys() == reference.pair_keys()
-        assert trial.details["breaker_state"] == CircuitBreaker.CLOSED
 
 
 # ----------------------------------------------------------------------

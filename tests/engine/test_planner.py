@@ -127,61 +127,6 @@ class TestLazyReasoning:
         assert "point data" in planner.plan(*points).reason
 
 
-class TestParallelPlanning:
-    def _mixture_pair(self, n):
-        range_ = Interval(1, 2**16)
-        return (
-            long_lived_mixture(n, 0.5, range_, seed=9),
-            long_lived_mixture(n, 0.5, range_, seed=10),
-        )
-
-    def test_small_join_stays_sequential(self):
-        planner = JoinPlanner(workers=4)
-        plan = planner.plan(*self._mixture_pair(50))
-        assert plan.algorithm.name == "oip"
-        assert plan.parallelism is None
-
-    def test_large_join_goes_parallel(self):
-        outer, inner = self._mixture_pair(400)
-        planner = JoinPlanner(parallel_threshold=1_000, workers=4)
-        plan = planner.plan(outer, inner)
-        assert plan.algorithm.name == "oip"
-        assert plan.parallelism == 4
-        assert plan.estimated_candidates >= 1_000
-        assert "partition pairs" in plan.reason
-
-    def test_parallel_plan_executes_identically(self):
-        outer, inner = self._mixture_pair(200)
-        from repro.core.join import OIPJoin
-
-        sequential = OIPJoin().join(outer, inner)
-        plan = JoinPlanner(parallel_threshold=1.0, workers=2).plan(
-            outer, inner
-        )
-        assert plan.parallelism == 2
-        result = plan.execute(outer, inner)
-        assert result.pairs == sequential.pairs
-        assert (
-            result.counters.snapshot() == sequential.counters.snapshot()
-        )
-
-    def test_parallel_planning_disabled(self):
-        outer, inner = self._mixture_pair(200)
-        planner = JoinPlanner(parallel_threshold=None, workers=8)
-        assert planner.plan(outer, inner).parallelism is None
-
-    def test_single_worker_never_parallel(self):
-        outer, inner = self._mixture_pair(200)
-        planner = JoinPlanner(parallel_threshold=1.0, workers=1)
-        assert planner.plan(outer, inner).parallelism is None
-
-    def test_invalid_configuration_rejected(self):
-        with pytest.raises(ValueError):
-            JoinPlanner(parallel_threshold=0.0)
-        with pytest.raises(ValueError):
-            JoinPlanner(workers=0)
-
-
 class TestExecution:
     def test_planned_join_is_correct(self, paper_r, paper_s):
         result = JoinPlanner().join(paper_r, paper_s)
@@ -266,7 +211,8 @@ class TestIndexStatistics:
 
 
 class TestCalibratedPlanning:
-    """Measured-cost planning: a calibration changes the plan choice."""
+    """Measured-cost planning: a calibration sets the plan's prediction
+    and the weights of its k derivation."""
 
     def _mixture_pair(self, n):
         range_ = Interval(1, 2**16)
@@ -287,31 +233,21 @@ class TestCalibratedPlanning:
         )
 
     def test_uncalibrated_plan_has_no_prediction(self):
-        plan = JoinPlanner(workers=4).plan(*self._mixture_pair(100))
+        plan = JoinPlanner().plan(*self._mixture_pair(100))
         assert plan.predicted_ms is None
 
-    def test_calibration_flips_the_parallel_decision(self):
-        """The acceptance gate: identical workload and planner knobs,
-        only the measured constants differ — and the plan changes."""
+    def test_calibration_sets_the_prediction(self):
+        """Identical workload and planner knobs, only the measured
+        constants differ — and the plan's latency prediction follows."""
         outer, inner = self._mixture_pair(300)
-        slow_box = JoinPlanner(
-            workers=4, calibration=self._calibration(0.01, 0.5)
-        )
-        fast_box = JoinPlanner(
-            workers=4, calibration=self._calibration(1e-9, 1e-7)
-        )
-        slow_plan = slow_box.plan(outer, inner)
-        fast_plan = fast_box.plan(outer, inner)
-        assert slow_plan.predicted_ms >= 50.0
-        assert slow_plan.parallelism == 4
+        slow_plan = JoinPlanner(
+            calibration=self._calibration(0.01, 0.5)
+        ).plan(outer, inner)
+        fast_plan = JoinPlanner(
+            calibration=self._calibration(1e-9, 1e-7)
+        ).plan(outer, inner)
+        assert slow_plan.predicted_ms > fast_plan.predicted_ms > 0.0
         assert "calibrated prediction" in slow_plan.reason
-        assert fast_plan.predicted_ms < 50.0
-        assert fast_plan.parallelism is None
-        assert "parallel floor" in fast_plan.reason
-        # Without any calibration the same workload stays sequential
-        # under the default candidate-count threshold.
-        default_plan = JoinPlanner(workers=4).plan(outer, inner)
-        assert default_plan.parallelism is None
 
     def test_calibrated_weights_reach_the_algorithm(self):
         from repro.storage.metrics import CostWeights
@@ -322,22 +258,13 @@ class TestCalibratedPlanning:
         assert plan.algorithm.name == "oip"
         assert plan.algorithm.weights == CostWeights(cpu=0.01, io=0.5)
 
-    def test_parallel_floor_configurable(self):
-        outer, inner = self._mixture_pair(300)
-        planner = JoinPlanner(
-            workers=4,
-            calibration=self._calibration(0.01, 0.5),
-            parallel_min_predicted_ms=1e9,
-        )
-        assert planner.plan(outer, inner).parallelism is None
-
     def test_calibrated_plan_executes_identically(self):
         from repro.core.join import OIPJoin
 
         outer, inner = self._mixture_pair(150)
         baseline = OIPJoin().join(outer, inner)
         plan = JoinPlanner(
-            calibration=self._calibration(0.01, 0.5), workers=2
+            calibration=self._calibration(0.01, 0.5)
         ).plan(outer, inner)
         result = plan.execute(outer, inner)
         # Calibrated weights change k (and thus emission order), never
@@ -347,5 +274,3 @@ class TestCalibratedPlanning:
     def test_invalid_calibration_rejected(self):
         with pytest.raises(ValueError, match="calibration"):
             JoinPlanner(calibration=object())
-        with pytest.raises(ValueError, match="parallel_min_predicted_ms"):
-            JoinPlanner(parallel_min_predicted_ms=0.0)

@@ -1,16 +1,17 @@
 """Property tests over the one Algorithm 2 probe core.
 
-The sequential join, the parallel scheduler and the batch executor all
-run the same navigation (``build_probe_schedule``) and pair loop
-(``run_probe_task``).  These tests draw edge-case relations and
-execution configurations and check the core's contract end to end:
+The join and the batch executor run the same navigation
+(``build_probe_schedule``) and pair loop (``run_probe_task``).  These
+tests draw edge-case relations and configurations and check the core's
+contract end to end:
 
 * the result pairs are exactly the nested-loop oracle's (as a multiset);
-* pairs (in order) and cost counters equal the plain sequential join at
-  the same granule count — also after a cancel at a random boundary and
-  a resume from the checkpoint written there;
-* a ``BatchJoin`` with one window covering both domains returns the
-  oracle's pairs.
+* pairs (in order) and cost counters equal the plain join at the same
+  granule count — also after a cancel at a random boundary and a resume
+  from the checkpoint written there;
+* one ``BatchJoin`` run over a window covering both domains plus
+  several drawn partial windows returns, per window, the oracle's pairs
+  that meet the window (the service's ``_window_matches`` filter).
 
 A small profile runs in tier-1; the deep one runs under ``-m slow``.
 A direct test of ``run_probe_task`` pins its shape: one kernel call per
@@ -46,6 +47,7 @@ from repro.core.oip import OIPConfiguration
 from repro.core.relation import TemporalRelation
 from repro.engine.batch import BatchJoin
 from repro.engine.governor import CancellationToken
+from repro.service.service import _window_matches
 from repro.storage.faults import FaultInjector, FaultPolicy
 from repro.storage.manager import StorageManager
 from repro.storage.metrics import CostCounters
@@ -109,8 +111,12 @@ configs = st.fixed_dictionaries(
     {
         "granules": GRANULES,
         "kernel": st.sampled_from(["auto", "naive", "sweep", "numpy"]),
-        "execution": st.sampled_from(
-            [{}, {"parallelism": 1}, {"parallelism": 2}]
+        # Partial BatchJoin windows as per-mille positions of the two
+        # relations' joint span; they may overhang either end.
+        "windows": st.lists(
+            st.tuples(st.integers(-100, 1100), st.integers(-100, 1100)),
+            min_size=1,
+            max_size=4,
         ),
         "cancel_after": st.none() | st.integers(0, 12),
     }
@@ -127,9 +133,7 @@ def _keys(pairs):
 def _run(outer, inner, config):
     """The configured join, cancelled and resumed when the config says
     so."""
-    options = dict(
-        config["granules"], kernel=config["kernel"], **config["execution"]
-    )
+    options = dict(config["granules"], kernel=config["kernel"])
     if config["cancel_after"] is None:
         return OIPJoin(**options).join(outer, inner)
     with tempfile.TemporaryDirectory() as scratch:
@@ -159,14 +163,26 @@ def check_probe_core(pair, config):
 
     points = [t.start for t in outer] + [t.start for t in inner]
     ends = [t.end for t in outer] + [t.end for t in inner]
-    window = Interval(min(points), max(ends)) if points else Interval(0, 0)
+    lo, hi = (min(points), max(ends)) if points else (0, 0)
+    windows = [Interval(lo, hi)]
+    for a, b in config["windows"]:
+        ts, te = sorted(lo + (hi - lo) * m // 1000 for m in (a, b))
+        windows.append(Interval(ts, te))
     batch_k = config["granules"].get("k")
     batch = BatchJoin(k=batch_k, kernel=config["kernel"]).run(
-        outer, inner, [window]
+        outer, inner, windows
     )
     assert Counter(_keys(batch.queries[0].pairs)) == Counter(
         _keys(oracle.pairs)
     )
+    assert len(batch.queries) == len(windows)
+    for window, query in zip(windows, batch.queries):
+        expected = [
+            pair
+            for pair in oracle.pairs
+            if _window_matches(pair, window.start, window.end)
+        ]
+        assert Counter(_keys(query.pairs)) == Counter(_keys(expected))
 
 
 ONE_CHRONON_OUTER = (
@@ -181,7 +197,7 @@ ONE_CHRONON_OUTER = (
     config={
         "granules": {"k": 2},
         "kernel": "auto",
-        "execution": {"parallelism": 2},
+        "windows": [(-100, 500), (700, 1100)],
         "cancel_after": 1,
     },
 )
@@ -332,3 +348,44 @@ def test_corrupt_middle_inner_run_invalidates_its_cached_decode(kernel):
     # corruption detected on re-reading the run drops it.
     assert cache.invalidations == before + 1
     assert storage.resilience.corruptions_detected == 2
+
+
+# ----------------------------------------------------------------------
+# build_probe_schedule: Lemma-1 navigation, one task per outer partition.
+# ----------------------------------------------------------------------
+
+
+def test_schedule_matches_lemma1_navigation():
+    """Every task touches exactly the inner partitions ``iter_relevant``
+    (Lemma 1) yields for its outer partition's query interval."""
+    from repro.engine.parallel import build_probe_schedule as reexported
+    from repro.workloads import long_lived_mixture
+
+    # perfbench imports the schedule from its former module path.
+    assert reexported is build_probe_schedule
+    time_range = Interval(1, 2**16)
+    outer = long_lived_mixture(250, 0.3, time_range, seed=15, name="r")
+    inner = long_lived_mixture(250, 0.3, time_range, seed=16, name="s")
+    k = 8
+    config_r = OIPConfiguration.for_relation(outer, k)
+    config_s = OIPConfiguration.for_relation(inner, k)
+    storage = StorageManager()
+    outer_list = oip_create(outer, config_r, storage)
+    inner_list = oip_create(inner, config_s, storage)
+
+    schedule = build_probe_schedule(outer_list, inner_list)
+    assert schedule.task_count == outer_list.partition_count
+    assert schedule.pair_count == sum(len(task.inner) for task in schedule.tasks)
+
+    inner_range_stop = config_s.o + k * config_s.d
+    for task, outer_node in zip(schedule.tasks, outer_list.iter_nodes()):
+        assert task.outer is outer_node
+        query = config_r.partition_interval(outer_node.i, outer_node.j)
+        if query.end < config_s.o or query.start >= inner_range_stop:
+            expected = []
+            # Only Algorithm 2's range-overlap guard is charged.
+            assert task.nav_cpu == 2
+        else:
+            s, e = config_s.query_indices(query)
+            expected = [(node.i, node.j) for node in inner_list.iter_relevant(s, e)]
+        assert [(node.i, node.j) for node in task.inner] == expected

@@ -1,5 +1,5 @@
 """JoinService behaviour: admission, deadlines, retries, drain,
-breaker, metrics, and the dict-in/dict-out protocol dispatch."""
+metrics, and the dict-in/dict-out protocol dispatch."""
 
 import threading
 import time
@@ -9,8 +9,6 @@ import pytest
 
 import repro.service.service as service_module
 from repro.core.interval import Interval
-from repro.engine.governor import CircuitBreaker
-from repro.engine.parallel import WorkerFaultPlan
 from repro.service import JoinService, offline_query
 from repro.service.errors import (
     BadRequestError,
@@ -225,50 +223,6 @@ class TestDrain:
         assert metrics["counters"]["service.drain.cancelled"] == 1
 
 
-class TestBreakerRecovery:
-    def test_open_half_open_closed_is_observable(self, snapshot):
-        """Acceptance: breaker recovery after induced worker faults is
-        visible through ``service.*`` metrics, and every response along
-        the way stays bit-identical to the offline oracle."""
-        breaker = CircuitBreaker(failure_threshold=2, cooldown=1)
-        svc = JoinService(
-            snapshot,
-            breaker=breaker,
-            join_options={
-                "parallelism": 2,
-                "parallel_fault_plan": WorkerFaultPlan(
-                    fail_chunks={0: 99, 1: 99, 2: 99, 3: 99}
-                ),
-            },
-        )
-        svc.start()
-        oracle = offline_query(snapshot)["fingerprint"]
-
-        def gauge():
-            return svc.publish_metrics()["gauges"][
-                "service.breaker.state"
-            ]
-
-        # Two faulted parallel joins (downgraded chunks) trip the
-        # breaker: closed -> open.  Results stay correct throughout.
-        for _ in range(2):
-            assert svc.query("join")["fingerprint"] == oracle
-        assert breaker.state == CircuitBreaker.OPEN
-        assert gauge() == 2
-        # While open the pool is bypassed (sequential, still correct);
-        # the denial advances the cooldown: open -> half-open.
-        assert svc.query("join")["fingerprint"] == oracle
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        assert gauge() == 1
-        # The operator clears the fault; the half-open trial run
-        # succeeds and the breaker closes.
-        svc.clear_join_option("parallel_fault_plan")
-        assert svc.query("join")["fingerprint"] == oracle
-        assert breaker.state == CircuitBreaker.CLOSED
-        assert gauge() == 0
-        svc.drain(timeout_s=2.0)
-
-
 class TestDispatchAndHealth:
     def test_handle_request_round_trips(self, service):
         pong = service.handle_request({"op": "ping", "id": 7})
@@ -322,7 +276,6 @@ class TestDispatchAndHealth:
         assert gauges["service.generation"] == 0
         assert gauges["service.generation.age_s"] >= 0
         assert "admission.active" in gauges
-        assert "breaker.state" in gauges
         assert "service.query.latency_ms" in snapshot_dict["histograms"]
 
     def test_health_uptime_and_admission(self, service):
@@ -331,4 +284,3 @@ class TestDispatchAndHealth:
         assert health["uptime_s"] >= 0
         assert health["queries_served"] >= 1
         assert health["admission"]["admitted"] >= 1
-        assert health["breaker"]["state"] == "closed"
