@@ -33,45 +33,17 @@ import json
 import os
 import sys
 import tempfile
-import time
 from typing import Dict, List, Optional, Sequence
 
 if __package__:
-    from .common import emit, heading, scaled, table
-else:
+    from .common import best_times, emit, heading, scaled, table
+else:  # run as a script: the harness sits next to this file
     _SRC = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
     )
     if _SRC not in sys.path:
         sys.path.insert(0, _SRC)
-
-    def emit(line: str = "") -> None:
-        print(line)
-
-    def heading(title: str) -> None:
-        emit()
-        emit("=" * 72)
-        emit(title)
-        emit("=" * 72)
-
-    def table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-        columns = [
-            [str(header)] + [str(row[i]) for row in rows]
-            for i, header in enumerate(headers)
-        ]
-        widths = [max(len(cell) for cell in column) for column in columns]
-        emit(" | ".join(h.rjust(w) for h, w in zip(headers, widths)))
-        emit("-+-".join("-" * w for w in widths))
-        for row in rows:
-            emit(
-                " | ".join(
-                    str(cell).rjust(w) for cell, w in zip(row, widths)
-                )
-            )
-
-    def scaled(cardinality: int) -> int:
-        scale = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-        return max(1, int(cardinality * scale))
+    from common import best_times, emit, heading, scaled, table
 
 from repro.core.granules import JoinCostModel, derive_k
 from repro.core.interval import Interval
@@ -141,20 +113,15 @@ def _load_build(path: str, outer, inner) -> None:
 
 
 def _best_times(path: str, outer, inner, repeats: int) -> Dict[str, float]:
-    """Min-of-repeats, interleaved, after an untimed warm-up each —
-    same rationale as the kernel benchmark: clock drift and scheduler
-    noise hit both sides equally."""
-    _cold_build(outer, inner)
-    _load_build(path, outer, inner)
-    best = {"cold": float("inf"), "load": float("inf")}
-    for _ in range(repeats):
-        started = time.perf_counter()
-        _cold_build(outer, inner)
-        best["cold"] = min(best["cold"], time.perf_counter() - started)
-        started = time.perf_counter()
-        _load_build(path, outer, inner)
-        best["load"] = min(best["load"], time.perf_counter() - started)
-    return best
+    """Min-of-repeats seconds of a cold build and a snapshot load
+    (:func:`best_times`)."""
+    return best_times(
+        {
+            "cold": lambda: _cold_build(outer, inner),
+            "load": lambda: _load_build(path, outer, inner),
+        },
+        repeats,
+    )
 
 
 def run_persistence_sweep(repeats: int = 3, smoke: bool = False) -> Dict:

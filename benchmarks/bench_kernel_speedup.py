@@ -33,45 +33,17 @@ import argparse
 import json
 import os
 import sys
-import time
 from typing import Dict, List, Optional, Sequence
 
 if __package__:
-    from .common import emit, heading, scaled, table
-else:
+    from .common import best_times, emit, heading, scaled, table
+else:  # run as a script: the harness sits next to this file
     _SRC = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
     )
     if _SRC not in sys.path:
         sys.path.insert(0, _SRC)
-
-    def emit(line: str = "") -> None:
-        print(line)
-
-    def heading(title: str) -> None:
-        emit()
-        emit("=" * 72)
-        emit(title)
-        emit("=" * 72)
-
-    def table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-        columns = [
-            [str(header)] + [str(row[i]) for row in rows]
-            for i, header in enumerate(headers)
-        ]
-        widths = [max(len(cell) for cell in column) for column in columns]
-        emit(" | ".join(h.rjust(w) for h, w in zip(headers, widths)))
-        emit("-+-".join("-" * w for w in widths))
-        for row in rows:
-            emit(
-                " | ".join(
-                    str(cell).rjust(w) for cell, w in zip(row, widths)
-                )
-            )
-
-    def scaled(cardinality: int) -> int:
-        scale = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-        return max(1, int(cardinality * scale))
+    from common import best_times, emit, heading, scaled, table
 
 from repro.core.interval import Interval
 from repro.core.join import OIPJoin
@@ -116,32 +88,17 @@ def _workloads(cardinality: int, smoke: bool) -> Dict[str, tuple]:
     return workloads
 
 
-def _one_run(kernel: str, outer, inner, regime_kwargs: Dict) -> float:
-    join = OIPJoin(kernel=kernel, **regime_kwargs)
-    started = time.perf_counter()
-    join.join(outer, inner)
-    return time.perf_counter() - started
-
-
 def _best_times(
     outer, inner, regime_kwargs: Dict, repeats: int
 ) -> Dict[str, float]:
-    """Min-of-repeats per kernel, interleaved.
+    """Min-of-repeats seconds per kernel (:func:`best_times`)."""
 
-    Timing the kernels back to back inside a repeat (rather than all
-    repeats of one kernel first) lets clock drift and scheduler noise
-    hit both equally — the difference between a stable ratio and
-    run-to-run jitter at these run lengths.
-    """
-    for kernel in KERNELS:  # warm-up, untimed
-        _one_run(kernel, outer, inner, regime_kwargs)
-    best = {kernel: float("inf") for kernel in KERNELS}
-    for _ in range(repeats):
-        for kernel in KERNELS:
-            best[kernel] = min(
-                best[kernel], _one_run(kernel, outer, inner, regime_kwargs)
-            )
-    return best
+    def run(kernel: str):
+        return lambda: OIPJoin(kernel=kernel, **regime_kwargs).join(
+            outer, inner
+        )
+
+    return best_times({kernel: run(kernel) for kernel in KERNELS}, repeats)
 
 
 def run_speedup_sweep(

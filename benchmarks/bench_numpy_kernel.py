@@ -16,7 +16,8 @@ Two measurements:
   Coarse partitioning is the memory-constrained regime where a call
   carries hundreds of thousands of candidates, the regime the numpy
   tier exists for.  Decoded runs are reused across repeats the way the
-  decoded-run cache reuses them across outer partitions (APA, Lemma 5);
+  probe reuses each partition's decode across outer partitions (APA,
+  Lemma 5);
   the concatenation is rebuilt on every call, as the probe does.
   The acceptance bar lives here: **numpy >= 2x sweep**.
 * **end-to-end** — full ``OIPJoin`` wall clock per kernel in the auto
@@ -151,8 +152,8 @@ def run_kernel_sweep(cardinality: int, repeats: int = 5) -> Dict:
 
     Min-of-repeats, kernels interleaved within a repeat so scheduler
     noise hits all of them equally.  The first (warm-up) pass builds
-    numpy's cached column views, mirroring how the decoded-run cache
-    amortises them across the outer partitions of a real probe.
+    numpy's cached column views, mirroring how each partition's kept
+    decode amortises them across the outer partitions of a real probe.
     """
     outer, inner = _figure8_pair(cardinality)
     calls = _kernel_calls(outer, inner, COARSE_K)

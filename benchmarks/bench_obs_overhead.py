@@ -31,45 +31,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from typing import Dict, List, Optional, Sequence
 
 if __package__:
-    from .common import emit, heading, scaled, table
-else:
+    from .common import best_times, emit, heading, scaled, table
+else:  # run as a script: the harness sits next to this file
     _SRC = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
     )
     if _SRC not in sys.path:
         sys.path.insert(0, _SRC)
-
-    def emit(line: str = "") -> None:
-        print(line)
-
-    def heading(title: str) -> None:
-        emit()
-        emit("=" * 72)
-        emit(title)
-        emit("=" * 72)
-
-    def table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-        columns = [
-            [str(header)] + [str(row[i]) for row in rows]
-            for i, header in enumerate(headers)
-        ]
-        widths = [max(len(cell) for cell in column) for column in columns]
-        emit(" | ".join(h.rjust(w) for h, w in zip(headers, widths)))
-        emit("-+-".join("-" * w for w in widths))
-        for row in rows:
-            emit(
-                " | ".join(
-                    str(cell).rjust(w) for cell, w in zip(row, widths)
-                )
-            )
-
-    def scaled(cardinality: int) -> int:
-        scale = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-        return max(1, int(cardinality * scale))
+    from common import best_times, emit, heading, scaled, table
 
 from repro.baselines import ALGORITHMS
 from repro.core.interval import Interval
@@ -112,31 +84,15 @@ def _relations(cardinality: int):
     return outer, inner
 
 
-def _one_run(factory, config: str, outer, inner) -> float:
-    join = factory(**_config_kwargs(config))
-    started = time.perf_counter()
-    join.join(outer, inner)
-    return time.perf_counter() - started
-
-
 def _best_times(factory, outer, inner, repeats: int) -> Dict[str, float]:
-    """Min-of-repeats per configuration, interleaved.
+    """Min-of-repeats seconds per configuration (:func:`best_times`)."""
 
-    Timing each configuration back to back inside a repeat (rather than
-    finishing all repeats of one configuration first) lets clock drift
-    and scheduler noise hit every configuration equally — at millisecond
-    run lengths that is the difference between a stable overhead number
-    and ±5% jitter.
-    """
-    for config in CONFIGURATIONS:  # warm-up, untimed
-        _one_run(factory, config, outer, inner)
-    best = {config: float("inf") for config in CONFIGURATIONS}
-    for _ in range(repeats):
-        for config in CONFIGURATIONS:
-            best[config] = min(
-                best[config], _one_run(factory, config, outer, inner)
-            )
-    return best
+    def run(config: str):
+        return lambda: factory(**_config_kwargs(config)).join(outer, inner)
+
+    return best_times(
+        {config: run(config) for config in CONFIGURATIONS}, repeats
+    )
 
 
 def run_overhead_sweep(cardinality: int, repeats: int = 5) -> Dict:

@@ -137,7 +137,7 @@ def bench_cardinality(cardinality: int) -> Dict[str, float]:
     stateless_query_ms = _best(lambda: offline_query(path))
     service = JoinService(path, max_active=CLIENT_THREADS, max_queued=32)
     service.start()
-    service.query("join")  # warm decode caches
+    service.query("join")  # warm-up
     service_query_ms = _best(lambda: service.query("join"))
 
     # -- swap latency while serving --------------------------------------

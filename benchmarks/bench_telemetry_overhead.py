@@ -114,7 +114,7 @@ def bench_cardinality(cardinality: int) -> Dict[str, float]:
     )
     baseline.start()
     instrumented.start()
-    # Warm decode caches on both services before timing.
+    # Warm up both services before timing.
     baseline.query("join")
     instrumented.query("join")
 

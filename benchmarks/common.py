@@ -87,6 +87,29 @@ def timed_join(
     return result, time.perf_counter() - started
 
 
+def best_times(
+    contenders: Dict[str, Callable[[], object]], repeats: int
+) -> Dict[str, float]:
+    """Min-of-repeats wall-clock seconds per contender, interleaved.
+
+    Every contender runs once untimed (warm-up); then each of *repeats*
+    rounds times every contender back to back, in dict order, and the
+    minimum per contender is kept.  Interleaving lets clock drift and
+    scheduler noise hit every contender equally — at millisecond run
+    lengths the difference between a stable ratio and run-to-run
+    jitter.
+    """
+    for run in contenders.values():
+        run()
+    best = {name: float("inf") for name in contenders}
+    for _ in range(repeats):
+        for name, run in contenders.items():
+            started = time.perf_counter()
+            run()
+            best[name] = min(best[name], time.perf_counter() - started)
+    return best
+
+
 def run_contenders(
     factories: Dict[str, Callable[[], OverlapJoinAlgorithm]],
     outer: TemporalRelation,

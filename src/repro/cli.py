@@ -1200,7 +1200,8 @@ def build_parser() -> argparse.ArgumentParser:
             "batched execution (oip only): split the time range into N "
             "equal windows and run one windowed overlap query per window "
             "against a single shared OIP partitioning (one OIPCREATE, "
-            "one decode cache); prints one summary line per query, and "
+            "each partition decoded once); prints one summary line per "
+            "query, and "
             "--report PATH writes per-query reports to PATH.qN"
         ),
     )

@@ -233,11 +233,7 @@ class OverlapJoinAlgorithm(ABC):
                 self.metrics.counter(f"join.counters.{key}").inc(value)
             for key, value in result.resilience.snapshot().items():
                 self.metrics.counter(f"join.resilience.{key}").inc(value)
-            for subsystem in (
-                self.buffer_pool,
-                self.fault_policy,
-                getattr(self, "_kernel_cache", None),
-            ):
+            for subsystem in (self.buffer_pool, self.fault_policy):
                 publish = getattr(subsystem, "publish_metrics", None)
                 if publish is not None:
                     publish(self.metrics)

@@ -36,14 +36,7 @@ from ..storage.manager import StorageManager
 from ..storage.metrics import CostCounters, CostWeights
 from .base import JoinResult, OverlapJoinAlgorithm
 from .granules import KDerivation, cost_model_for, derive_k
-from .kernels import (
-    DEFAULT_CACHE_CAPACITY,
-    KERNELS,
-    DecodedRun,
-    DecodedRunCache,
-    kernel_function,
-    resolve_kernel,
-)
+from .kernels import KERNELS, DecodedRun, kernel_function, resolve_kernel
 from .interval import Interval
 from .lazy_list import LazyPartitionList, PartitionNode, oip_create
 from .oip import OIPConfiguration
@@ -108,14 +101,6 @@ class OIPJoin(OverlapJoinAlgorithm):
         partition, which joins all of its relevant inner runs in one
         kernel call), so results, counters and checkpoints are
         kernel-independent.
-    decode_cache_size:
-        Capacity (in partition runs) of the per-run decoded-run cache
-        that memoises the columnar decode of inner partitions across the
-        many outer partitions that visit them (APA, Lemma 5).  Defaults
-        to :data:`~repro.core.kernels.DEFAULT_CACHE_CAPACITY`; ``0``
-        disables the cache entirely.  Block IO is still charged on every
-        access — the cache never skips a read, and a detected corruption
-        on a run's blocks invalidates its cached decode.
     fault_policy, max_read_retries, verify_checksums:
         Resilience configuration; see :class:`OverlapJoinAlgorithm`.  The
         fault schedule is deterministic per ``(block, attempt)``, so
@@ -182,7 +167,6 @@ class OIPJoin(OverlapJoinAlgorithm):
         k_outer: Optional[int] = None,
         k_inner: Optional[int] = None,
         kernel: str = "auto",
-        decode_cache_size: Optional[int] = None,
         fault_policy: Optional[FaultPolicy] = None,
         max_read_retries: int = 3,
         verify_checksums: bool = True,
@@ -225,11 +209,6 @@ class OIPJoin(OverlapJoinAlgorithm):
                 f"unknown join kernel {kernel!r}; choose from "
                 f"{('auto',) + KERNELS}"
             )
-        if decode_cache_size is not None and decode_cache_size < 0:
-            raise ValueError(
-                f"decode_cache_size must be >= 0 (0 disables the "
-                f"cache), got {decode_cache_size}"
-            )
         self._validate_lifecycle_keywords(
             buffer_pool=buffer_pool,
             checkpoint_path=checkpoint_path,
@@ -243,14 +222,6 @@ class OIPJoin(OverlapJoinAlgorithm):
         self.use_exact_root = use_exact_root
         self.use_histogram_statistics = use_histogram_statistics
         self.kernel = kernel
-        self.decode_cache_size = (
-            DEFAULT_CACHE_CAPACITY
-            if decode_cache_size is None
-            else decode_cache_size
-        )
-        #: The decoded-run cache of the most recent run (rebuilt per
-        #: join; the base class publishes its ``kernel.cache.*`` metrics).
-        self._kernel_cache: Optional[DecodedRunCache] = None
         self.budget = budget
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = (
@@ -476,7 +447,6 @@ class OIPJoin(OverlapJoinAlgorithm):
         storage = self._storage(counters)
         loaded = None
         index_details = None
-        prior_cache = self._kernel_cache
         if self._uses_index:
             loaded, index_details = self._load_index(
                 outer, inner, storage, tracer
@@ -517,22 +487,6 @@ class OIPJoin(OverlapJoinAlgorithm):
         # Every kernel is bit-identical in pairs and counters, so the
         # choice only decides physical execution speed.
         kernel = resolve_kernel(self.kernel, outer, inner)
-        decode_cache = (
-            DecodedRunCache(self.decode_cache_size)
-            if self.decode_cache_size > 0
-            else None
-        )
-        if self._uses_index and prior_cache is not None:
-            # An index (re)load starts a new snapshot generation with
-            # fresh block ids: any decode a previous run of this
-            # instance cached could be served stale.  Purge the old
-            # cache and surface the purge under this run's
-            # kernel.cache.invalidations metric.  (Degraded loads count
-            # too — the rebuild also re-numbers the blocks.)
-            purged = prior_cache.invalidate_all()
-            if purged and decode_cache is not None:
-                decode_cache.invalidations += purged
-        self._kernel_cache = decode_cache
         candidate_histogram = (
             self.metrics.histogram("join.kernel.candidates")
             if self.metrics is not None
@@ -603,7 +557,6 @@ class OIPJoin(OverlapJoinAlgorithm):
                     else None,
                 ),
                 kernel,
-                cache=decode_cache,
                 governor=governor,
                 start_at=start_at,
                 tracer=tracer,
@@ -627,8 +580,6 @@ class OIPJoin(OverlapJoinAlgorithm):
             # An explicitly pinned kernel that could not run here (the
             # numpy tier without numpy) — record the substitution.
             details["kernel_requested"] = self.kernel
-        if decode_cache is not None:
-            details["kernel_cache"] = decode_cache.snapshot()
         if k_steps is not None:
             details["k_derivation_steps"] = k_steps
             details["k_oscillated"] = k_oscillated
@@ -758,12 +709,19 @@ def build_probe_schedule(
 
 
 class RunReader:
-    """The probe's one reader: it reads partition runs through the
-    storage manager, so block IO, checksum verification, injected faults
-    and the buffer pool all apply.  A read returns ``(tuples, dirty)``:
-    *dirty* flags that a corruption was detected (and recovered) on the
-    run's blocks while reading, so a cached decode of the run may be
-    stale."""
+    """The probe's one reader.  Every read goes through the storage
+    manager, so block IO, checksum verification, injected faults and the
+    buffer pool all apply on every visit.
+
+    A read returns the node's columnar decode, memoised on the node
+    (:attr:`~repro.core.lazy_list.PartitionNode.decoded`).  The run is
+    decoded on the node's first read, and again after a read that
+    detected a corruption or a buffer-pool invalidation on its blocks,
+    so a corrupt read is never answered from a stale decode.
+    ``decode=False`` reads without decoding a node that has no decode
+    yet.  ``DecodedRun.from_tuples`` is looked up at call time, so a
+    wrapper installed on it (a profiler) sees every decode.
+    """
 
     __slots__ = ("read_run", "resilience")
 
@@ -772,40 +730,30 @@ class RunReader:
         #: The run's resilience sink, also handed to governor boundaries.
         self.resilience = storage.resilience
 
-    def read(self, node: PartitionNode, side: str) -> Tuple[List, bool]:
+    def read(
+        self,
+        node: PartitionNode,
+        side: str,
+        trace: Optional[Any] = None,
+        decode: bool = True,
+    ) -> Optional[DecodedRun]:
         resilience = self.resilience
         detected = (
             resilience.corruptions_detected + resilience.pool_invalidations
         )
         tuples = list(self.read_run(node.run, context=(side, (node.i, node.j))))
-        return tuples, (
+        if (
             resilience.corruptions_detected + resilience.pool_invalidations
             != detected
-        )
-
-
-def _decoded(part, payload, dirty: bool, cache, trace) -> DecodedRun:
-    """The columnar decode of one just-read partition run, memoised in
-    *cache* under the partition's identity; a *dirty* read drops the
-    cached decode first.  IO is charged on every access regardless —
-    the cache only ever saves the decode.  ``DecodedRun.from_tuples`` is
-    looked up at call time, so a wrapper installed on it (a profiler)
-    sees every decode."""
-    if cache is not None:
-        key = id(part)
-        if dirty:
-            cache.invalidate(key)
-        decoded = cache.get(key)
-        if decoded is not None:
-            return decoded
-    if trace is not None:
-        with trace.span("kernel.decode", tuples=len(payload)):
-            decoded = DecodedRun.from_tuples(payload)
-    else:
-        decoded = DecodedRun.from_tuples(payload)
-    if cache is not None:
-        cache.put(key, decoded)
-    return decoded
+        ):
+            node.decoded = None
+        if decode and node.decoded is None:
+            if trace is not None:
+                with trace.span("kernel.decode", tuples=len(tuples)):
+                    node.decoded = DecodedRun.from_tuples(tuples)
+            else:
+                node.decoded = DecodedRun.from_tuples(tuples)
+        return node.decoded
 
 
 def run_probe_task(
@@ -815,66 +763,51 @@ def run_probe_task(
     reader: RunReader,
     counters: CostCounters,
     kernel_fn: Callable[[DecodedRun, DecodedRun], List[int]],
-    cache: Optional[DecodedRunCache] = None,
-    outer_cache: Optional[DecodedRunCache] = None,
     trace: Optional[Any] = None,
     kernel: str = "naive",
-) -> Tuple[Any, List[Any], List[int]]:
+) -> Tuple[Optional[DecodedRun], List[DecodedRun], List[int]]:
     """Algorithm 2's pair loop for one outer partition — the one copy.
 
     Charges the task's navigation (*nav_cpu* comparisons and one
     partition access per relevant inner partition), reads the outer
-    run, then reads and decodes each inner run in turn.  The decoded
-    inner runs are appended in walk order into one run
+    run, then reads each inner run in turn (see :class:`RunReader`).
+    The decoded inner runs are appended in walk order into one run
     (:meth:`~repro.core.kernels.DecodedRun.concatenate`) and joined
     against the outer run with **one** *kernel_fn* call.  The paper's
     model costs are charged analytically for the task — ``2 *
     candidates`` CPU comparisons and ``candidates - hits`` false hits,
     the sums of the per-pair charges — so counters are identical for
-    every kernel.  The outer run is decoded only once a relevant inner
-    run needs it.
+    every kernel.  The outer run is decoded only when a relevant inner
+    run exists.
 
-    *reader* reads the runs (see :class:`RunReader`).  *cache* memoises
-    inner decodes and *outer_cache* outer ones (``None`` disables
-    either).
-
-    Returns ``(outer payload, [inner payload, ...], hits)``; each hit
-    is encoded as ``inner_pos * n_outer + outer_pos`` over the inner
-    runs' concatenation, in ascending order — pair by pair in walk
-    order, inner-major within a pair: the sequential emission order.
+    Returns ``(outer run, [inner run, ...], hits)``; the outer run is
+    ``None`` when it was not needed, and each hit is encoded as
+    ``inner_pos * n_outer + outer_pos`` over the inner runs'
+    concatenation, in ascending order — pair by pair in walk order,
+    inner-major within a pair: the sequential emission order.
     """
     charge_cpu = counters.charge_cpu
     charge_cpu(nav_cpu)
     if inner:
         counters.charge_partition_access(len(inner))
     read = reader.read
-    outer_payload, outer_dirty = read(outer, "outer partition")
-    outer_decoded = None
-    payloads: List[Any] = []
-    runs: List[DecodedRun] = []
-    for part in inner:
-        payload, dirty = read(part, "inner partition")
-        payloads.append(payload)
-        runs.append(_decoded(part, payload, dirty, cache, trace))
-        if outer_decoded is None:
-            outer_decoded = _decoded(
-                outer, outer_payload, outer_dirty, outer_cache, trace
-            )
+    outer_run = read(outer, "outer partition", trace, decode=bool(inner))
+    runs = [read(part, "inner partition", trace) for part in inner]
     if not runs:
-        return outer_payload, payloads, []
-    inner_decoded = DecodedRun.concatenate(runs)
-    candidates = outer_decoded.length * inner_decoded.length
+        return None, runs, []
+    inner_run = DecodedRun.concatenate(runs)
+    candidates = outer_run.length * inner_run.length
     charge_cpu(2 * candidates)
     if trace is not None:
         with trace.span("kernel." + kernel, candidates=candidates):
-            hits = kernel_fn(outer_decoded, inner_decoded)
+            hits = kernel_fn(outer_run, inner_run)
     else:
-        hits = kernel_fn(outer_decoded, inner_decoded)
+        hits = kernel_fn(outer_run, inner_run)
     counters.charge_false_hit(candidates - len(hits))
-    return outer_payload, payloads, hits
+    return outer_run, runs, hits
 
 
-def joined_tuples(inner_runs: Sequence[Sequence], hits: List[int]) -> Sequence:
+def joined_tuples(inner_runs: Sequence[DecodedRun], hits: List[int]) -> Sequence:
     """*inner_runs*' tuples as one sequence indexed like the task's
     concatenated run (:meth:`~repro.core.kernels.DecodedRun.concatenate`),
     for decoding ``hits``; nothing is copied when there are no hits or
@@ -882,23 +815,28 @@ def joined_tuples(inner_runs: Sequence[Sequence], hits: List[int]) -> Sequence:
     if not hits:
         return ()
     if len(inner_runs) == 1:
-        return inner_runs[0]
-    return list(chain.from_iterable(inner_runs))
+        return inner_runs[0].tuples
+    return list(chain.from_iterable(run.tuples for run in inner_runs))
+
+
+#: An emission step: ``emit(outer run, [inner run, ...], hits)``.
+Emitter = Callable[[DecodedRun, Sequence[DecodedRun], List[int]], None]
 
 
 def pair_emitter(
     pairs: List, observe: Optional[Callable[[int], Any]] = None
-) -> Callable[[Sequence, Sequence[Sequence], List[int]], None]:
+) -> Emitter:
     """The emission step of one outer partition: decode the runner's hits
     over the concatenated inner runs into ``(outer, inner)`` tuple pairs
     appended to *pairs*, observing each partition pair's candidate count
     with *observe* (a histogram hook)."""
 
-    def emit(outer_tuples, inner_runs, hits) -> None:
-        n_outer = len(outer_tuples)
+    def emit(outer, inner_runs, hits) -> None:
+        n_outer = outer.length
         if observe is not None:
             for run in inner_runs:
-                observe(len(run) * n_outer)
+                observe(run.length * n_outer)
+        outer_tuples = outer.tuples
         inner_tuples = joined_tuples(inner_runs, hits)
         pairs.extend(
             [
@@ -918,10 +856,8 @@ def probe_inline(
     reader: RunReader,
     counters: CostCounters,
     pairs: List,
-    emit: Callable[[Sequence, Sequence[Sequence], List[int]], None],
+    emit: Emitter,
     kernel: str,
-    cache: Optional[DecodedRunCache] = None,
-    outer_cache: Optional[DecodedRunCache] = None,
     governor: Optional[Any] = None,
     start_at: int = 0,
     tracer: Optional[Any] = None,
@@ -932,10 +868,11 @@ def probe_inline(
     consulted *before* the partition's work, so a cancel or budget stop
     leaves the counters exactly at the last completed partition.  Tasks
     below *start_at* (completed by the run a checkpoint was restored
-    from) are skipped without charges.  *emit* turns each task's hits
-    into result pairs (see :func:`pair_emitter`).  Per-partition and
-    kernel spans are opened only while *tracer* is live and not
-    depth-capped.  Returns ``(cancelled, partitions_completed)``.
+    from) are skipped without charges.  *emit* turns the hits of each
+    task with relevant inner runs into result pairs (see
+    :func:`pair_emitter`).  Per-partition and kernel spans are opened
+    only while *tracer* is live and not depth-capped.  Returns
+    ``(cancelled, partitions_completed)``.
     """
     trace = (
         tracer
@@ -959,19 +896,18 @@ def probe_inline(
         if trace is not None:
             span = trace.span("probe.partition", partition=task.index)
         try:
-            outer_tuples, inner_runs, hits = run_probe_task(
+            outer_run, inner_runs, hits = run_probe_task(
                 task.outer,
                 task.inner,
                 task.nav_cpu,
                 reader,
                 counters,
                 kernel_fn,
-                cache=cache,
-                outer_cache=outer_cache,
                 trace=trace,
                 kernel=kernel,
             )
-            emit(outer_tuples, inner_runs, hits)
+            if inner_runs:
+                emit(outer_run, inner_runs, hits)
         finally:
             if span is not None:
                 span.__exit__(None, None, None)

@@ -1,5 +1,4 @@
-"""Pluggable join kernels: columnar partition runs, sweep joins, and the
-decoded-run cache.
+"""Pluggable join kernels: columnar partition runs and sweep joins.
 
 The OIPJOIN probe phase joins one *outer* partition against every
 relevant *inner* partition (Lemma 1).  The paper's cost model counts two
@@ -57,28 +56,21 @@ threshold exists).
 Decoding a partition run into columnar form (two ``array('q')``
 endpoint columns plus, lazily, a start-sorted permutation) costs one
 pass over the run's tuples.  An inner partition is visited by *many*
-outer partitions (the APA analysis, Lemma 5), so the decode would be
-repeated per visit; :class:`DecodedRunCache` bounds that to once per
-partition (plus invalidations) with an LRU of configurable capacity and
-hit/miss/eviction counters that the join publishes as
-``kernel.cache.*`` metrics.  Cache entries are invalidated whenever a
-fault-injected corruption (or a buffer-pool invalidation) is detected
-while re-reading the run's blocks, so a corrupted block can never be
-served as a stale decode.
+outer partitions (the APA analysis, Lemma 5), so the probe keeps each
+run's decode on its partition node (:class:`~repro.core.join.RunReader`)
+and decodes it again only after a read that detected a corruption.
 
 The probe makes **one kernel call per outer partition**: the decoded
-(and cached) relevant inner runs are appended in Lemma-1 walk order
-into one run (:meth:`DecodedRun.concatenate`) and joined against the
-outer run at once, so the fixed cost of entering a kernel is paid a few
-dozen times per join instead of once per partition pair.
+relevant inner runs are appended in Lemma-1 walk order into one run
+(:meth:`DecodedRun.concatenate`) and joined against the outer run at
+once, so the fixed cost of entering a kernel is paid a few dozen times
+per join instead of once per partition pair.
 """
 
 from __future__ import annotations
 
-import threading
 from array import array
 from bisect import bisect_right
-from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -86,9 +78,7 @@ __all__ = [
     "KERNEL_FUNCS",
     "AUTO_NUMPY_CANDIDATES",
     "NUMPY_BROADCAST_CELLS",
-    "DEFAULT_CACHE_CAPACITY",
     "DecodedRun",
-    "DecodedRunCache",
     "decode_columns",
     "naive_matches",
     "sweep_matches",
@@ -117,12 +107,6 @@ AUTO_NUMPY_CANDIDATES = 150_000.0
 #: work scales with ``n log n + results`` instead of the full candidate
 #: grid.
 NUMPY_BROADCAST_CELLS = 4096
-
-#: Default bound of the decoded-run cache, in runs.  Partition counts
-#: grow as O(k^2) in the worst case, but the Lemma-1 walk of one outer
-#: partition touches a contiguous stripe of the inner grid, so a few
-#: hundred live decodes cover the reuse window of realistic ``k``.
-DEFAULT_CACHE_CAPACITY = 256
 
 
 def decode_columns(
@@ -547,145 +531,3 @@ def resolve_kernel(kernel: Optional[str], outer: Any, inner: Any) -> str:
     if kernel == "numpy" and not numpy_available():
         return "sweep"
     return kernel
-
-
-# ----------------------------------------------------------------------
-# The decoded-run cache.
-# ----------------------------------------------------------------------
-
-
-class DecodedRunCache:
-    """Bounded LRU cache of :class:`DecodedRun` decodes, keyed by run
-    identity.
-
-    One cache serves one join execution; entries live as long as the
-    partition lists do, so the identity key the probe uses — ``id()`` of
-    the :class:`~repro.core.lazy_list.PartitionNode` it read — is stable
-    for the cache's lifetime.  Thread-safe: a join instance shared by
-    several threads purges its previous run's cache when it reloads an
-    index (:meth:`invalidate_all`), possibly while that run still uses
-    it.  The lock is held only around the bookkeeping, never around a
-    decode.
-
-    ``hits`` / ``misses`` / ``evictions`` / ``invalidations`` are plain
-    integers published as ``kernel.cache.*`` counters after a run and
-    surfaced in run reports via the join's details.
-    """
-
-    __slots__ = (
-        "capacity",
-        "_entries",
-        "_lock",
-        "hits",
-        "misses",
-        "evictions",
-        "invalidations",
-    )
-
-    def __init__(self, capacity: int = DEFAULT_CACHE_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError(
-                f"decode cache capacity must be >= 1, got {capacity}"
-            )
-        self.capacity = capacity
-        self._entries: "OrderedDict[Any, DecodedRun]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self._entries
-
-    def get(self, key: Any) -> Optional[DecodedRun]:
-        """The cached decode for *key* (refreshing its recency), or
-        ``None`` — counted as a hit or miss."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
-
-    def put(self, key: Any, decoded: DecodedRun) -> DecodedRun:
-        """Insert *decoded*, evicting least-recently-used entries past
-        the capacity bound."""
-        with self._lock:
-            self._entries[key] = decoded
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-        return decoded
-
-    def fetch(
-        self, key: Any, build: Callable[[], DecodedRun]
-    ) -> DecodedRun:
-        """Get-or-build: the cached decode for *key*, or ``build()``
-        inserted under it."""
-        entry = self.get(key)
-        if entry is not None:
-            return entry
-        return self.put(key, build())
-
-    def invalidate(self, key: Any) -> bool:
-        """Drop *key*'s entry (a corruption was detected on the backing
-        blocks, so the decode may be stale).  True when an entry was
-        actually dropped."""
-        with self._lock:
-            if self._entries.pop(key, None) is None:
-                return False
-            self.invalidations += 1
-            return True
-
-    def invalidate_all(self) -> int:
-        """Drop every entry, counting each under ``invalidations``.
-
-        Used when an index is (re)loaded from disk: decodes keyed on a
-        prior snapshot generation's block ids must never be served
-        against the new one.  Returns the number of entries purged
-        (unlike :meth:`clear`, which is bookkeeping-free reset)."""
-        with self._lock:
-            purged = len(self._entries)
-            self._entries.clear()
-            self.invalidations += purged
-            return purged
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    # -- observability --------------------------------------------------
-
-    def snapshot(self) -> Dict[str, int]:
-        """Plain-dict view for details, reports and test assertions."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "entries": len(self._entries),
-            "capacity": self.capacity,
-        }
-
-    def publish_metrics(self, registry: Any) -> None:
-        """Publish the cache counters as ``kernel.cache.*``."""
-        registry.counter("kernel.cache.hits").inc(self.hits)
-        registry.counter("kernel.cache.misses").inc(self.misses)
-        registry.counter("kernel.cache.evictions").inc(self.evictions)
-        registry.counter("kernel.cache.invalidations").inc(
-            self.invalidations
-        )
-        registry.gauge("kernel.cache.entries").set(len(self._entries))
-
-    def __repr__(self) -> str:
-        return (
-            f"DecodedRunCache(entries={len(self._entries)}/"
-            f"{self.capacity}, hits={self.hits}, misses={self.misses})"
-        )

@@ -21,20 +21,28 @@ out in contiguous storage blocks.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 from ..storage.block import BlockRun
 from ..storage.manager import StorageManager
 from .oip import OIPConfiguration
 from .relation import TemporalRelation, TemporalTuple
 
+if TYPE_CHECKING:
+    from .kernels import DecodedRun
+
 __all__ = ["PartitionNode", "LazyPartitionList", "oip_create"]
 
 
 class PartitionNode:
-    """One non-empty partition ``p_{i,j}`` with its storage run."""
+    """One non-empty partition ``p_{i,j}`` with its storage run.
 
-    __slots__ = ("i", "j", "run", "down", "right")
+    ``decoded`` memoises the run's columnar decode for the probe
+    (:class:`~repro.core.join.RunReader`); it lives as long as the
+    partition list, which belongs to one join run.
+    """
+
+    __slots__ = ("i", "j", "run", "down", "right", "decoded")
 
     def __init__(self, i: int, j: int, run: BlockRun) -> None:
         self.i = i
@@ -42,6 +50,7 @@ class PartitionNode:
         self.run = run
         self.down: Optional["PartitionNode"] = None
         self.right: Optional["PartitionNode"] = None
+        self.decoded: Optional["DecodedRun"] = None
 
     def __repr__(self) -> str:
         return f"PartitionNode(i={self.i}, j={self.j}, n={self.run.tuple_count})"

@@ -10,11 +10,11 @@ partition runs the probes touch.
 
 :class:`BatchJoin` amortises both.  It partitions the pair **once** (the
 trace of a batch run carries exactly two ``oipcreate`` spans, however
-many queries follow) and shares **one**
-:class:`~repro.core.kernels.DecodedRunCache` across all queries, so a
-partition decoded for query 0 is reused by every later query that
-probes it.  Each query then runs the Lemma 1 navigation with its window
-as the pruning interval:
+many queries follow), and every query probes the same partition nodes,
+so a partition decoded for query 0 keeps its decode on its node for
+every later query that probes it (:class:`~repro.core.join.RunReader`).
+Each query then runs the Lemma 1 navigation with its window as the
+pruning interval:
 
 * the *outer* side is walked with :meth:`~repro.core.oip
   .OIPConfiguration.clamped_query_indices` of the window, so outer
@@ -67,12 +67,7 @@ from ..core.join import (
     joined_tuples,
     probe_inline,
 )
-from ..core.kernels import (
-    DEFAULT_CACHE_CAPACITY,
-    DecodedRunCache,
-    KERNELS,
-    resolve_kernel,
-)
+from ..core.kernels import KERNELS, resolve_kernel
 from ..core.lazy_list import oip_create
 from ..core.oip import OIPConfiguration
 from ..core.relation import TemporalRelation
@@ -115,8 +110,9 @@ def _window_emitter(window: Interval, counters: CostCounters, pairs: List):
     fail the window count as false hits too."""
     w_start, w_end = window.start, window.end
 
-    def emit(outer_tuples, inner_runs, hits) -> None:
-        n_outer = len(outer_tuples)
+    def emit(outer, inner_runs, hits) -> None:
+        n_outer = outer.length
+        outer_tuples = outer.tuples
         inner_tuples = joined_tuples(inner_runs, hits)
         counters.charge_cpu(2 * len(hits))
         emitted = 0
@@ -176,8 +172,8 @@ class BatchJoin:
 
     Parameters mirror :class:`~repro.core.join.OIPJoin` where the
     semantics carry over (``device``, ``k``, ``weights``, ``kernel``,
-    ``decode_cache_size``, resilience and observability keywords); the
-    batch-specific ones are:
+    resilience and observability keywords); the batch-specific ones
+    are:
 
     admission:
         An optional :class:`AdmissionController`; every query of the
@@ -207,7 +203,6 @@ class BatchJoin:
         k: Optional[int] = None,
         weights: Optional[CostWeights] = None,
         kernel: str = "auto",
-        decode_cache_size: Optional[int] = None,
         admission: Optional[AdmissionController] = None,
         admission_timeout: Optional[float] = None,
         budget: Optional[Any] = None,
@@ -226,11 +221,6 @@ class BatchJoin:
                 f"unknown join kernel {kernel!r}; choose from "
                 f"{('auto',) + KERNELS}"
             )
-        if decode_cache_size is not None and decode_cache_size < 0:
-            raise ValueError(
-                f"decode_cache_size must be >= 0 (0 disables the "
-                f"cache), got {decode_cache_size}"
-            )
         if max_read_retries < 0:
             raise ValueError(
                 f"max_read_retries must be >= 0, got {max_read_retries}"
@@ -241,11 +231,6 @@ class BatchJoin:
         self.fixed_k = k
         self.weights = weights
         self.kernel = kernel
-        self.decode_cache_size = (
-            DEFAULT_CACHE_CAPACITY
-            if decode_cache_size is None
-            else decode_cache_size
-        )
         self.admission = admission
         self.admission_timeout = admission_timeout
         self.budget = budget
@@ -299,11 +284,6 @@ class BatchJoin:
 
         tracer = self._run_tracer()
         kernel = resolve_kernel(self.kernel, outer, inner)
-        cache = (
-            DecodedRunCache(self.decode_cache_size)
-            if self.decode_cache_size > 0
-            else None
-        )
 
         queries: List[JoinResult] = []
         query_spans: List[Any] = []
@@ -356,7 +336,6 @@ class BatchJoin:
                             storage,
                             batch_resilience,
                             kernel,
-                            cache,
                             tracer,
                         )
                 else:
@@ -368,7 +347,6 @@ class BatchJoin:
                         storage,
                         batch_resilience,
                         kernel,
-                        cache,
                         tracer,
                     )
                 queries.append(result)
@@ -399,8 +377,6 @@ class BatchJoin:
                 "batch.build", build_counters.snapshot()
             )
             storage.publish_metrics(self.metrics)
-            if cache is not None:
-                cache.publish_metrics(self.metrics)
             if self.admission is not None:
                 self.admission.publish_metrics(self.metrics)
         if self.collect_report:
@@ -420,8 +396,6 @@ class BatchJoin:
         }
         if self.kernel not in ("auto", kernel):
             details["kernel_requested"] = self.kernel
-        if cache is not None:
-            details["kernel_cache"] = cache.snapshot()
         if self.admission is not None:
             details["admission"] = self.admission.stats.snapshot()
         if cancelled:
@@ -474,7 +448,6 @@ class BatchJoin:
         storage: StorageManager,
         batch_resilience: ResilienceCounters,
         kernel: str,
-        cache: Optional[DecodedRunCache],
         tracer,
     ) -> Tuple[JoinResult, Any]:
         """One windowed query against the shared partitioning.
@@ -514,8 +487,8 @@ class BatchJoin:
             if governor is not None:
                 governor.preflight()
             with tracer.span("probe"):
-                # Both sides share the batch cache: run identities never
-                # collide, and later windows reuse earlier decodes.
+                # Later windows reuse the decodes that earlier ones left
+                # on the shared partition nodes.
                 cancelled, visited = probe_inline(
                     build_probe_schedule(
                         outer_list, inner_list, window=window
@@ -525,8 +498,6 @@ class BatchJoin:
                     pairs,
                     _window_emitter(window, counters, pairs),
                     kernel,
-                    cache=cache,
-                    outer_cache=cache,
                     governor=governor,
                     tracer=tracer,
                 )

@@ -127,8 +127,7 @@ class JoinPlanner:
     ``kernel`` pins the OIPJOIN's partition-pair join kernel; the
     default ``"auto"`` resolves through
     :func:`~repro.core.kernels.choose_kernel` from the candidate
-    estimate.  ``decode_cache_size`` pins the OIPJOIN's decoded-run
-    cache capacity (``None``: the library default; ``0`` disables it).
+    estimate.
     """
 
     def __init__(
@@ -137,7 +136,6 @@ class JoinPlanner:
         buffer_pool: Optional[BufferPool] = None,
         point_threshold: float = 1e-5,
         kernel: str = "auto",
-        decode_cache_size: Optional[int] = None,
         tracer=None,
         metrics=None,
         collect_report: bool = False,
@@ -152,11 +150,6 @@ class JoinPlanner:
                 f"unknown join kernel {kernel!r}; choose from "
                 f"{('auto',) + KERNELS}"
             )
-        if decode_cache_size is not None and decode_cache_size < 0:
-            raise ValueError(
-                f"decode_cache_size must be >= 0 (0 disables the "
-                f"cache), got {decode_cache_size}"
-            )
         if calibration is not None and not hasattr(calibration, "predict_ms"):
             raise ValueError(
                 "calibration must be a repro.obs.calibrate.Calibration "
@@ -167,7 +160,6 @@ class JoinPlanner:
         self.buffer_pool = buffer_pool
         self.point_threshold = point_threshold
         self.kernel = kernel
-        self.decode_cache_size = decode_cache_size
         self.tracer = tracer
         self.metrics = metrics
         self.collect_report = collect_report
@@ -388,7 +380,6 @@ class JoinPlanner:
                 device=self.device,
                 buffer_pool=self.buffer_pool,
                 kernel=kernel,
-                decode_cache_size=self.decode_cache_size,
                 budget=budget,
                 tracer=self.tracer,
                 metrics=self.metrics,

@@ -88,3 +88,59 @@ def oracle_pairs(
                     )
                 )
     return sorted(keys)
+
+
+@pytest.fixture
+def decode_log(monkeypatch) -> List[Tuple]:
+    """Every columnar decode made while the test runs, in call order.
+
+    ``DecodedRun.from_tuples`` is wrapped (the probe looks it up at call
+    time); each entry is the decoded run's ``(start, end, payload)``
+    keys in storage order, which identifies its partition.
+    """
+    from repro.core.kernels import DecodedRun
+
+    decode = DecodedRun.from_tuples.__func__
+    log: List[Tuple] = []
+
+    def logged(cls, tuples):
+        log.append(tuple((t.start, t.end, t.payload) for t in tuples))
+        return decode(cls, tuples)
+
+    monkeypatch.setattr(DecodedRun, "from_tuples", classmethod(logged))
+    return log
+
+
+def partition_key(node) -> Tuple:
+    """A partition's tuples as ``decode_log`` records them."""
+    return tuple((t.start, t.end, t.payload) for t in node.run.iter_tuples())
+
+
+def probe_decodes(outer, inner, k_outer, k_inner, windows=(None,)):
+    """The decodes a probe at ``(k_outer, k_inner)`` needs, each once:
+    every inner partition a task visits, and the outer partition of
+    every task that visits one — over the union of *windows*' probe
+    schedules (``None``: the whole join).  A ``Counter`` of partition
+    keys, comparable with ``Counter(decode_log)``."""
+    from collections import Counter
+
+    from repro.core.join import build_probe_schedule
+    from repro.core.lazy_list import oip_create
+    from repro.core.oip import OIPConfiguration
+    from repro.storage.manager import StorageManager
+
+    storage = StorageManager()
+    outer_list = oip_create(
+        outer, OIPConfiguration.for_relation(outer, k_outer), storage
+    )
+    inner_list = oip_create(
+        inner, OIPConfiguration.for_relation(inner, k_inner), storage
+    )
+    nodes = {}
+    for window in windows:
+        schedule = build_probe_schedule(outer_list, inner_list, window=window)
+        for task in schedule.tasks:
+            if task.inner:
+                for node in [task.outer, *task.inner]:
+                    nodes[id(node)] = node
+    return Counter(partition_key(node) for node in nodes.values())

@@ -6,13 +6,14 @@ counter sections, same checkpoint/resume behaviour.  The sweep kernel is
 an execution strategy, not a cost model: it must charge exactly the
 comparisons Algorithm 2 would have performed.
 
-The decoded-run cache rides along: a hit must never serve a decode built
-from a block that was later detected corrupted, which the fault-profile
-tests prove differentially (faulty sweep run == fault-free naive run)
-and the unit tests prove mechanically (invalidate drops the entry).
+The decode memo rides along: a join decodes each partition it reads
+exactly once, and a read that detects a corruption re-decodes its run
+instead of reusing the memo, which the fault-profile tests prove
+differentially (faulty sweep run == fault-free naive run).
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,7 +23,6 @@ from repro.core import kernels
 from repro.core.kernels import (
     AUTO_NUMPY_CANDIDATES,
     DecodedRun,
-    DecodedRunCache,
     choose_kernel,
     decode_columns,
     naive_matches,
@@ -36,7 +36,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.storage.faults import fault_profile
 from repro.workloads import long_lived_mixture
 
-from ..conftest import oracle_pairs, random_relation
+from ..conftest import oracle_pairs, probe_decodes, random_relation
 
 KERNELS = ("naive", "sweep")
 
@@ -146,82 +146,6 @@ class TestKernelSelection:
         assert choose_kernel(big, big, estimated=0.0) == "sweep"
         assert choose_kernel(small, small, estimated=AUTO_NUMPY_CANDIDATES) == top
 
-    def test_auto_respects_disabled_decode_cache(self):
-        # The decode cache only saves decodes, so turning it off changes
-        # neither the auto kernel nor the result: the join runs with no
-        # cache at all and stays bit-identical.
-        outer, inner = WORKLOADS["mixed"]
-        cached = OIPJoin().join(outer, inner)
-        uncached = OIPJoin(decode_cache_size=0).join(outer, inner)
-        assert uncached.details["kernel"] == choose_kernel(outer, inner)
-        assert uncached.details["kernel"] == cached.details["kernel"]
-        assert "kernel_cache" not in uncached.details
-        assert fingerprint(uncached) == fingerprint(cached)
-
-
-# ---------------------------------------------------------------------------
-# DecodedRunCache unit behaviour.
-# ---------------------------------------------------------------------------
-
-
-class TestDecodedRunCache:
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError, match="capacity"):
-            DecodedRunCache(0)
-
-    def test_lru_eviction(self):
-        cache = DecodedRunCache(2)
-        runs = {k: DecodedRun.from_tuples([]) for k in "abc"}
-        cache.put("a", runs["a"])
-        cache.put("b", runs["b"])
-        assert cache.get("a") is runs["a"]  # refreshes recency
-        cache.put("c", runs["c"])  # evicts "b", the LRU entry
-        assert cache.get("b") is None
-        assert cache.get("a") is runs["a"]
-        assert cache.get("c") is runs["c"]
-        snap = cache.snapshot()
-        assert snap["evictions"] == 1
-        assert snap["entries"] == 2
-
-    def test_fetch_builds_once(self):
-        cache = DecodedRunCache(4)
-        built = []
-
-        def build():
-            built.append(1)
-            return DecodedRun.from_tuples([])
-
-        first = cache.fetch("k", build)
-        second = cache.fetch("k", build)
-        assert first is second and len(built) == 1
-        assert cache.snapshot()["hits"] == 1
-        assert cache.snapshot()["misses"] == 1
-
-    def test_invalidate_drops_entry(self):
-        # The no-stale-decode mechanism: after invalidation the next
-        # fetch must rebuild from freshly read tuples.
-        cache = DecodedRunCache(4)
-        stale = DecodedRun.from_tuples([])
-        cache.put("k", stale)
-        assert cache.invalidate("k") is True
-        assert cache.invalidate("k") is False  # idempotent, not counted twice
-        fresh = cache.fetch("k", lambda: DecodedRun.from_tuples([]))
-        assert fresh is not stale
-        snap = cache.snapshot()
-        assert snap["invalidations"] == 1
-        assert snap["misses"] == 1
-
-    def test_publish_metrics(self):
-        registry = MetricsRegistry()
-        cache = DecodedRunCache(2)
-        cache.fetch("k", lambda: DecodedRun.from_tuples([]))
-        cache.fetch("k", lambda: DecodedRun.from_tuples([]))
-        cache.publish_metrics(registry)
-        snap = registry.snapshot()
-        assert snap["counters"]["kernel.cache.hits"] == 1
-        assert snap["counters"]["kernel.cache.misses"] == 1
-        assert snap["gauges"]["kernel.cache.entries"] == 1
-
 
 # ---------------------------------------------------------------------------
 # End-to-end differential: kernels x workloads x k.
@@ -276,10 +200,22 @@ class TestDifferentialIdentity:
         assert fingerprint(result) == fingerprint(reference)
         assert result.details["kernel"] == "sweep"
         assert reference.details["kernel"] == "naive"
-        # The cache saw every revisited partition.
-        cache = result.details["kernel_cache"]
-        assert cache["misses"] > 0
-        assert cache["invalidations"] == 0
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_join_decodes_each_partition_once(
+        self, decode_log, workload, kernel
+    ):
+        # Every inner partition is visited by many outer partitions
+        # (APA, Lemma 5), but its run is decoded on the first visit
+        # only; an outer partition is decoded once it has a relevant
+        # inner one.
+        outer, inner = WORKLOADS[workload]
+        result = OIPJoin(kernel=kernel).join(outer, inner)
+        details = result.details
+        assert Counter(decode_log) == probe_decodes(
+            outer, inner, details["k_outer"], details["k_inner"]
+        )
 
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -334,8 +270,9 @@ class TestCheckpointResume:
 
 
 class TestFaultInjection:
-    """Corruption detected mid-run must invalidate the decoded-run cache,
-    and the faulty sweep run must still equal the fault-free naive run."""
+    """Corruption detected mid-run must re-decode the run it was read
+    from, and the faulty sweep run must still equal the fault-free naive
+    run."""
 
     @pytest.fixture(scope="class")
     def relations(self):
@@ -347,22 +284,28 @@ class TestFaultInjection:
         )
         return outer, inner
 
-    def test_corruption_invalidates_cache(self, relations):
+    def test_corruption_invalidates_cache(self, relations, decode_log):
         outer, inner = relations
         fault_free = OIPJoin(kernel="naive").join(outer, inner)
+        once = Counter(decode_log)
         # Same seeded fault schedule for both kernels: recovery re-reads
         # are charged identically, so counters stay comparable.
         faulty_naive = OIPJoin(
             kernel="naive", fault_policy=fault_profile("corrupt", seed=4)
         ).join(outer, inner)
         # Seed 4 is pinned: its schedule corrupts blocks of partitions
-        # that are already cached, forcing invalidations (not just
-        # cold misses).
+        # that were already decoded, forcing re-decodes (not just
+        # first decodes).
+        del decode_log[:]
         result = OIPJoin(
             kernel="sweep", fault_policy=fault_profile("corrupt", seed=4)
         ).join(outer, inner)
-        assert result.resilience.corruptions_detected > 0
-        assert result.details["kernel_cache"]["invalidations"] >= 1
+        corruptions = result.resilience.corruptions_detected
+        assert corruptions > 0
+        decodes = Counter(decode_log)
+        redecodes = decodes - once
+        assert set(decodes) == set(once)
+        assert 1 <= sum(redecodes.values()) <= corruptions
         assert result.pair_keys() == fault_free.pair_keys()
         assert result.counters.snapshot() == faulty_naive.counters.snapshot()
 
@@ -396,39 +339,9 @@ class TestConfiguration:
         with pytest.raises(ValueError, match="kernel"):
             OIPJoin(kernel="bogus")
 
-    def test_join_validates_cache_size(self):
-        with pytest.raises(ValueError, match="decode_cache_size"):
-            OIPJoin(decode_cache_size=-1)
-
-    def test_cache_size_zero_disables_cache(self):
-        # decode_cache_size=0 is an explicit "no cache": the join runs
-        # (bit-identically) and reports no kernel_cache details.
-        outer, inner = WORKLOADS["mixed"]
-        cached = OIPJoin(kernel="naive").join(outer, inner)
-        uncached = OIPJoin(kernel="naive", decode_cache_size=0).join(
-            outer, inner
-        )
-        assert "kernel_cache" not in uncached.details
-        assert fingerprint(uncached) == fingerprint(cached)
-
     def test_planner_validates_kernel(self):
         with pytest.raises(ValueError, match="kernel"):
             JoinPlanner(kernel="bogus")
-
-    def test_planner_validates_cache_size(self):
-        with pytest.raises(ValueError, match="decode_cache_size"):
-            JoinPlanner(decode_cache_size=-1)
-
-    def test_planner_respects_disabled_cache(self):
-        # A planner whose decode cache is pinned off hands that setting
-        # to the planned join; the kernel is the auto rule's either way.
-        big = long_lived_mixture(
-            1_000, 0.5, Interval(1, 2**20), seed=7, name="big"
-        )
-        plan = JoinPlanner(decode_cache_size=0).plan(big, big)
-        assert plan.algorithm.decode_cache_size == 0
-        assert plan.algorithm.kernel == choose_kernel(big, big)
-        assert f"; {plan.algorithm.kernel} kernel" in plan.reason
 
     def test_planner_pins_kernel(self):
         outer, inner = WORKLOADS["uniform"]
@@ -447,16 +360,12 @@ class TestConfiguration:
     def test_metrics_and_histogram_published(self):
         registry = MetricsRegistry()
         outer, inner = WORKLOADS["mixed"]
-        OIPJoin(kernel="sweep", metrics=registry).join(outer, inner)
+        result = OIPJoin(kernel="sweep", metrics=registry).join(outer, inner)
         snap = registry.snapshot()
-        assert snap["counters"]["kernel.cache.misses"] > 0
         histogram = snap["histograms"]["join.kernel.candidates"]
         # One observation per (outer, relevant-inner) partition pair —
-        # exactly one cache lookup (hit or miss) happens per pair.
-        cache = OIPJoin(kernel="sweep").join(outer, inner).details[
-            "kernel_cache"
-        ]
-        assert histogram["count"] == cache["hits"] + cache["misses"]
+        # the probe's partition accesses.
+        assert histogram["count"] == result.counters.partition_accesses > 0
 
     def test_kernel_spans_traced(self):
         from repro.obs.trace import Tracer

@@ -210,8 +210,6 @@ class TestFailFast:
 
 class TestKeywordValidation:
     def test_rejection_names_the_offending_keywords(self):
-        with pytest.raises(ValueError, match="decode_cache_size"):
-            OIPJoin(decode_cache_size=-1)
         with pytest.raises(ValueError, match="per-side granule counts"):
             OIPJoin(k_outer=0, k_inner=3)
         with pytest.raises(ValueError, match="k_outer and k_inner"):
@@ -221,7 +219,7 @@ class TestKeywordValidation:
             OIPJoin(workers=2)
 
     def test_valid_combinations_construct(self, tmp_path):
-        OIPJoin(kernel="sweep", decode_cache_size=0)
+        OIPJoin(kernel="sweep")
         OIPJoin(
             budget=QueryBudget(max_comparisons=10),
             cancellation=CancellationToken(),

@@ -1,6 +1,9 @@
 """Integration tests: full pipelines across workloads, storage, joins,
 analysis and the query engine."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro import OIPJoin, TemporalRelation
@@ -152,6 +155,36 @@ class TestQuerySurface:
             assert shared.duration >= 1
             assert outer_tuple.interval.contains(shared)
             assert inner_tuple.interval.contains(shared)
+
+    def test_readme_quickstart_prints_its_documented_output(self, capsys):
+        """The README Quickstart snippet, run verbatim, prints exactly
+        the output its comments document: one ``# line`` per printed
+        line, and a ``# {...}`` dict wrapped over several comment
+        lines per printed dict."""
+        readme = (Path(__file__).parents[2] / "README.md").read_text()
+        section = readme.split("\n## Quickstart\n", 1)[1]
+        snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+        documented = []
+        for line in snippet.splitlines():
+            if not line.startswith("# "):
+                continue
+            text = line[2:].strip()
+            if documented and documented[-1].startswith("{") and not (
+                documented[-1].endswith("}")
+            ):
+                documented[-1] += " " + text
+            else:
+                documented.append(text)
+
+        exec(compile(snippet, "README.md", "exec"), {})
+        printed = capsys.readouterr().out.splitlines()
+
+        assert len(printed) == len(documented) == 5
+        for out, doc in zip(printed, documented):
+            if doc.startswith("{"):
+                assert ast.literal_eval(out) == ast.literal_eval(doc)
+            else:
+                assert out == doc
 
 
 class TestCostComparability:

@@ -6,12 +6,18 @@ tests draw edge-case relations and configurations and check the core's
 contract end to end:
 
 * the result pairs are exactly the nested-loop oracle's (as a multiset);
-* pairs (in order) and cost counters equal the plain join at the same
-  granule count — also after a cancel at a random boundary and a resume
-  from the checkpoint written there;
+* pairs (in order), cost counters and resilience counters equal the
+  plain join at the same granule count — also after a cancel at a
+  random boundary and a resume from the checkpoint written there;
 * one ``BatchJoin`` run over a window covering both domains plus
   several drawn partial windows returns, per window, the oracle's pairs
   that meet the window (the service's ``_window_matches`` filter).
+
+A drawn seeded fault profile (``FAULT_PROFILES``) applies to every run
+of an example.  Faults are a pure function of ``(block, attempt)``, so
+the drawn join and the plain join either raise the same storage-fault
+error or satisfy the contract above; detected corruptions exercise the
+re-decode of an already decoded run.
 
 A small profile runs in tier-1; the deep one runs under ``-m slow``.
 A direct test of ``run_probe_task`` pins its shape: one kernel call per
@@ -36,21 +42,25 @@ from repro.core.join import (
     pair_emitter,
     run_probe_task,
 )
-from repro.core.kernels import (
-    KERNELS,
-    DecodedRun,
-    DecodedRunCache,
-    kernel_function,
-)
+from repro.core.kernels import KERNELS, kernel_function
 from repro.core.lazy_list import oip_create
 from repro.core.oip import OIPConfiguration
 from repro.core.relation import TemporalRelation
 from repro.engine.batch import BatchJoin
 from repro.engine.governor import CancellationToken
 from repro.service.service import _window_matches
-from repro.storage.faults import FaultInjector, FaultPolicy
+from repro.storage.device import TUPLE_SIZE_BYTES, DeviceProfile
+from repro.storage.faults import (
+    FAULT_PROFILES,
+    FaultInjector,
+    FaultPolicy,
+    StorageFaultError,
+    fault_profile,
+)
 from repro.storage.manager import StorageManager
 from repro.storage.metrics import CostCounters
+
+from ..conftest import partition_key
 
 SMALL = settings(max_examples=30, deadline=None)
 DEEP = settings(max_examples=400, deadline=None)
@@ -119,6 +129,11 @@ configs = st.fixed_dictionaries(
             max_size=4,
         ),
         "cancel_after": st.none() | st.integers(0, 12),
+        "faults": st.none()
+        | st.tuples(st.sampled_from(sorted(FAULT_PROFILES)), st.integers(0, 99)),
+        # Tuples per block: two spreads these small relations over many
+        # blocks, so the seeded faults hit them far more often.
+        "block_tuples": st.sampled_from([14, 2]),
     }
 )
 
@@ -130,10 +145,30 @@ def _keys(pairs):
     ]
 
 
+def _storage(config):
+    """The example's storage keywords: its device and fault policy."""
+    faults = config["faults"]
+    return {
+        "device": DeviceProfile(
+            "probe", block_size_bytes=config["block_tuples"] * TUPLE_SIZE_BYTES
+        ),
+        "fault_policy": fault_profile(*faults) if faults is not None else None,
+    }
+
+
+def _outcome(run):
+    """``run()``'s result, or the storage-fault error class it raised."""
+    try:
+        return run()
+    except StorageFaultError as error:
+        event(f"raised {type(error).__name__}")
+        return type(error)
+
+
 def _run(outer, inner, config):
     """The configured join, cancelled and resumed when the config says
     so."""
-    options = dict(config["granules"], kernel=config["kernel"])
+    options = dict(config["granules"], kernel=config["kernel"], **_storage(config))
     if config["cancel_after"] is None:
         return OIPJoin(**options).join(outer, inner)
     with tempfile.TemporaryDirectory() as scratch:
@@ -152,14 +187,22 @@ def _run(outer, inner, config):
 
 def check_probe_core(pair, config):
     outer, inner = pair
+    storage = _storage(config)
     oracle = NestedLoopJoin().join(outer, inner)
-    result = _run(outer, inner, config)
-    assert result.completed
-    assert Counter(_keys(result.pairs)) == Counter(_keys(oracle.pairs))
-
-    plain = OIPJoin(**config["granules"]).join(outer, inner)
-    assert _keys(result.pairs) == _keys(plain.pairs)
-    assert result.counters.snapshot() == plain.counters.snapshot()
+    result = _outcome(lambda: _run(outer, inner, config))
+    plain = _outcome(
+        lambda: OIPJoin(**config["granules"], **storage).join(outer, inner)
+    )
+    if isinstance(plain, type):
+        assert result is plain
+    else:
+        assert result.completed
+        assert Counter(_keys(result.pairs)) == Counter(_keys(oracle.pairs))
+        assert _keys(result.pairs) == _keys(plain.pairs)
+        assert result.counters.snapshot() == plain.counters.snapshot()
+        assert result.resilience.snapshot() == plain.resilience.snapshot()
+        if plain.resilience.corruptions_detected:
+            event("corruption detected and recovered")
 
     points = [t.start for t in outer] + [t.start for t in inner]
     ends = [t.end for t in outer] + [t.end for t in inner]
@@ -169,9 +212,13 @@ def check_probe_core(pair, config):
         ts, te = sorted(lo + (hi - lo) * m // 1000 for m in (a, b))
         windows.append(Interval(ts, te))
     batch_k = config["granules"].get("k")
-    batch = BatchJoin(k=batch_k, kernel=config["kernel"]).run(
-        outer, inner, windows
+    batch = _outcome(
+        lambda: BatchJoin(k=batch_k, kernel=config["kernel"], **storage).run(
+            outer, inner, windows
+        )
     )
+    if isinstance(batch, type):
+        return
     assert Counter(_keys(batch.queries[0].pairs)) == Counter(
         _keys(oracle.pairs)
     )
@@ -191,7 +238,32 @@ ONE_CHRONON_OUTER = (
 )
 
 
+#: Under ("corrupt", 3) with two tuples per block, corruptions are
+#: detected on re-reads of already decoded inner runs.
+REDECODED = (
+    TemporalRelation.from_records(
+        [(t, t + 9, f"r{t}") for t in range(0, 60, 3)] + [(0, 60, "r-all")],
+        name="r",
+    ),
+    TemporalRelation.from_records(
+        [(t, t + 4, f"s{t}") for t in range(1, 60, 4)] + [(0, 60, "s-all")],
+        name="s",
+    ),
+)
+
+
 @given(pair=relation_pairs(), config=configs)
+@example(
+    pair=REDECODED,
+    config={
+        "granules": {"k": 3},
+        "kernel": "sweep",
+        "windows": [(0, 400), (300, 900)],
+        "cancel_after": 3,
+        "faults": ("corrupt", 3),
+        "block_tuples": 2,
+    },
+)
 @example(
     pair=ONE_CHRONON_OUTER,
     config={
@@ -199,6 +271,8 @@ ONE_CHRONON_OUTER = (
         "kernel": "auto",
         "windows": [(-100, 500), (700, 1100)],
         "cancel_after": 1,
+        "faults": None,
+        "block_tuples": 14,
     },
 )
 @SMALL
@@ -269,17 +343,16 @@ def _per_pair_reference(task, reader, counters, match):
     partition pair."""
     counters.charge_cpu(task.nav_cpu)
     counters.charge_partition_access(len(task.inner))
-    outer_tuples, _ = reader.read(task.outer, "outer partition")
-    outer = DecodedRun.from_tuples(outer_tuples)
+    outer = reader.read(task.outer, "outer partition")
     pairs = []
     for part in task.inner:
-        inner_tuples, _ = reader.read(part, "inner partition")
-        hits = match(outer, DecodedRun.from_tuples(inner_tuples))
-        candidates = len(outer_tuples) * len(inner_tuples)
+        inner = reader.read(part, "inner partition")
+        hits = match(outer, inner)
+        candidates = outer.length * inner.length
         counters.charge_cpu(2 * candidates)
         counters.charge_false_hit(candidates - len(hits))
-        n = len(outer_tuples)
-        pairs += [(outer_tuples[e % n], inner_tuples[e // n]) for e in hits]
+        n = outer.length
+        pairs += [(outer.tuples[e % n], inner.tuples[e // n]) for e in hits]
     return pairs
 
 
@@ -298,17 +371,16 @@ def test_run_probe_task_makes_one_kernel_call_per_outer_partition(kernel):
     match = kernel_function(kernel)
     storage, counters, task = _probe_fixture()
     counting, calls = _counted(match)
-    outer_tuples, inner_runs, hits = run_probe_task(
+    outer_run, inner_runs, hits = run_probe_task(
         task.outer,
         task.inner,
         task.nav_cpu,
         RunReader(storage),
         counters,
         counting,
-        cache=DecodedRunCache(),
     )
     pairs = []
-    pair_emitter(pairs)(outer_tuples, inner_runs, hits)
+    pair_emitter(pairs)(outer_run, inner_runs, hits)
 
     assert calls == [sum(len(run) for run in inner_runs)]
     assert len(inner_runs) == len(task.inner) >= 3
@@ -322,15 +394,19 @@ def test_run_probe_task_makes_one_kernel_call_per_outer_partition(kernel):
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_corrupt_middle_inner_run_invalidates_its_cached_decode(kernel):
+def test_corrupt_middle_inner_run_invalidates_its_cached_decode(
+    kernel, decode_log
+):
     _, _, clean_task = _probe_fixture()
     middle = clean_task.inner[len(clean_task.inner) // 2]
+    # Every read of the middle run's first block delivers one corrupt
+    # payload before the good one.
     policy = FaultPolicy(corrupt_schedule={middle.run.block_ids[0]: 1})
     storage, counters, task = _probe_fixture(policy)
-    cache = DecodedRunCache()
     reader = RunReader(storage)
+    visits = []
     for _ in range(2):
-        before = cache.invalidations
+        del decode_log[:]
         pairs = []
         pair_emitter(pairs)(
             *run_probe_task(
@@ -340,13 +416,17 @@ def test_corrupt_middle_inner_run_invalidates_its_cached_decode(kernel):
                 reader,
                 counters,
                 kernel_function(kernel),
-                cache=cache,
             )
         )
         assert pairs == _oracle(task)
-    # The second visit finds the first visit's decode cached; the
-    # corruption detected on re-reading the run drops it.
-    assert cache.invalidations == before + 1
+        visits.append(list(decode_log))
+    # The first visit decodes the outer run and every inner run once.
+    assert Counter(visits[0]) == Counter(
+        partition_key(node) for node in [task.outer, *task.inner]
+    )
+    # The second visit finds every decode on its node, except that the
+    # corruption detected on re-reading the middle run re-decodes it.
+    assert visits[1] == [partition_key(task.inner[len(task.inner) // 2])]
     assert storage.resilience.corruptions_detected == 2
 
 
