@@ -16,7 +16,10 @@ import random
 
 from repro.core.interval import Interval
 from repro.core.join import OIPJoin
+from repro.core.lazy_list import oip_create
+from repro.core.oip import OIPConfiguration
 from repro.storage import DeviceProfile
+from repro.storage.snapshot import LoadedIndex
 from repro.workloads import uniform_relation
 
 from .common import heading, scaled, table, timed_join
@@ -25,87 +28,50 @@ N = 4_000
 TIME_RANGE = Interval(1, 2**20)
 
 
-class _FragmentedOIPJoin(OIPJoin):
-    """OIPJoin whose storage layout is scrambled after the build,
-    simulating insertion without Algorithm 1's sort."""
+def _scramble(*lists) -> None:
+    """Assign random block ids — the layout of an unsorted build."""
+    rng = random.Random(0)
+    blocks = [
+        block
+        for partition_list in lists
+        for node in partition_list.iter_nodes()
+        for block in node.run.blocks
+    ]
+    new_ids = list(range(len(blocks)))
+    rng.shuffle(new_ids)
+    for block, block_id in zip(blocks, new_ids):
+        block.block_id = block_id
 
-    name = "oip-fragmented"
 
-    def _execute(self, outer, inner, counters):
-        from repro.core.lazy_list import oip_create
-        from repro.core.oip import OIPConfiguration
-        from repro.storage.manager import StorageManager
+def fragmented_layout(device):
+    """An ``OIPJoin`` index provider that partitions both relations with
+    OIPCREATE at the join's granule counts, then scatters their blocks
+    over the address space: insertion without Algorithm 1's sort."""
 
-        derivation = self._derive_k(outer, inner)
-        k = self.fixed_k if derivation is None else derivation.k
-        k = max(1, min(k, outer.time_range_duration, inner.time_range_duration))
-        config_r = OIPConfiguration.for_relation(outer, k)
-        config_s = OIPConfiguration.for_relation(inner, k)
-        storage = StorageManager(
-            device=self.device,
-            counters=counters,
-            buffer_pool=self.buffer_pool,
+    def provide(outer, inner, *, storage, expected):
+        policy = expected.policy
+        k_outer, k_inner = policy.counts(
+            outer, inner, policy.derive(outer, inner, device)
         )
-        outer_list = oip_create(outer, config_r, storage)
-        inner_list = oip_create(inner, config_s, storage)
-        self._scramble(outer_list, inner_list)
-        return self._join_lists(
-            outer_list, inner_list, config_r, config_s, storage, counters, k
+        outer_list, inner_list = (
+            oip_create(
+                relation, OIPConfiguration.for_relation(relation, k), storage
+            )
+            for relation, k in ((outer, k_outer), (inner, k_inner))
+        )
+        _scramble(outer_list, inner_list)
+        return LoadedIndex(
+            path="<fragmented>",
+            generation=0,
+            k_outer=k_outer,
+            k_inner=k_inner,
+            outer_list=outer_list,
+            inner_list=inner_list,
+            meta={},
+            stats={},
         )
 
-    @staticmethod
-    def _scramble(*lists) -> None:
-        """Assign random block ids — the layout of an unsorted build."""
-        rng = random.Random(0)
-        blocks = [
-            block
-            for partition_list in lists
-            for node in partition_list.iter_nodes()
-            for block in node.run.blocks
-        ]
-        new_ids = list(range(len(blocks)))
-        rng.shuffle(new_ids)
-        for block, block_id in zip(blocks, new_ids):
-            block.block_id = block_id
-
-    def _join_lists(
-        self, outer_list, inner_list, config_r, config_s, storage, counters, k
-    ):
-        from repro.core.base import JoinResult
-
-        pairs = []
-        d_r, o_r = config_r.d, config_r.o
-        d_s, o_s = config_s.d, config_s.o
-        for outer_node in outer_list.iter_nodes():
-            outer_tuples = list(storage.read_run(outer_node.run))
-            query_start = o_r + outer_node.i * d_r
-            query_end = o_r + (outer_node.j + 1) * d_r - 1
-            counters.charge_cpu(2)
-            if query_end < o_s or query_start >= o_s + k * d_s:
-                continue
-            s = (query_start - o_s) // d_s
-            e = (query_end - o_s) // d_s
-            node = inner_list.head
-            while node is not None:
-                counters.charge_cpu()
-                if node.j < s:
-                    break
-                branch = node
-                while branch is not None:
-                    counters.charge_cpu()
-                    if branch.i > e:
-                        break
-                    counters.charge_partition_access()
-                    for inner_tuple in storage.read_run(branch.run):
-                        for outer_tuple in outer_tuples:
-                            self._match(
-                                outer_tuple, inner_tuple, counters, pairs
-                            )
-                    branch = branch.right
-                node = node.down
-        return JoinResult(
-            algorithm=self.name, pairs=pairs, counters=counters, details={"k": k}
-        )
+    return provide
 
 
 def test_ablation_sorted_layout(benchmark):
@@ -119,7 +85,10 @@ def test_ablation_sorted_layout(benchmark):
         rows = []
         for label, join in (
             ("sorted (Algorithm 1)", OIPJoin(device=device)),
-            ("fragmented layout", _FragmentedOIPJoin(device=device)),
+            (
+                "fragmented layout",
+                OIPJoin(device=device, index_provider=fragmented_layout(device)),
+            ),
         ):
             result, elapsed = timed_join(join, outer, inner)
             counters = result.counters
@@ -151,7 +120,9 @@ def test_ablation_sorted_layout(benchmark):
         ],
         rows,
     )
-    assert rows[0][5] == rows[1][5], "results must match"
-    sorted_random = int(rows[0][3].replace(",", ""))
-    fragmented_random = int(rows[1][3].replace(",", ""))
-    assert fragmented_random > sorted_random
+    sorted_row, fragmented_row = rows
+    assert sorted_row[1] == fragmented_row[1], "block reads must match"
+    assert sorted_row[5] == fragmented_row[5], "results must match"
+    assert int(fragmented_row[2].replace(",", "")) < int(
+        sorted_row[2].replace(",", "")
+    ), "the fragmented layout must read fewer blocks sequentially"

@@ -45,7 +45,7 @@ else:  # run as a script: the harness sits next to this file
         sys.path.insert(0, _SRC)
     from common import best_times, emit, heading, scaled, table
 
-from repro.core.granules import JoinCostModel, derive_k
+from repro.core.granules import GranulePolicy
 from repro.core.interval import Interval
 from repro.core.lazy_list import oip_create
 from repro.core.oip import OIPConfiguration
@@ -91,21 +91,16 @@ def _workloads(smoke: bool) -> Dict[str, tuple]:
 def _cold_build(outer, inner) -> None:
     """What OIPJoin does before probing: derive k, partition both sides.
 
-    Mirrors the join's derived-k path (exact-root cost model, shared k)
-    so the timed work matches what a load replaces."""
+    Runs the join's default granule policy, so the timed work matches
+    what a load replaces."""
     device = DeviceProfile.main_memory()
-    model = JoinCostModel(
-        outer_cardinality=outer.cardinality,
-        inner_cardinality=inner.cardinality,
-        outer_duration_fraction=outer.duration_fraction,
-        inner_duration_fraction=inner.duration_fraction,
-        tuples_per_block=device.tuples_per_block,
-        weights=device.weights,
+    policy = GranulePolicy()
+    k_outer, k_inner = policy.counts(
+        outer, inner, policy.derive(outer, inner, device)
     )
-    k = max(1, derive_k(model).k)
     storage = StorageManager(device=device)
-    oip_create(outer, OIPConfiguration.for_relation(outer, k), storage)
-    oip_create(inner, OIPConfiguration.for_relation(inner, k), storage)
+    oip_create(outer, OIPConfiguration.for_relation(outer, k_outer), storage)
+    oip_create(inner, OIPConfiguration.for_relation(inner, k_inner), storage)
 
 
 def _load_build(path: str, outer, inner) -> None:

@@ -13,6 +13,7 @@ Modules
 
 from .base import JoinResult, OverlapJoinAlgorithm, join_pair_key
 from .granules import (
+    GranulePolicy,
     JoinCostModel,
     KDerivation,
     approximate_k,
@@ -50,6 +51,7 @@ __all__ = [
     "LazyPartitionList",
     "PartitionNode",
     "oip_create",
+    "GranulePolicy",
     "JoinCostModel",
     "KDerivation",
     "derive_k",

@@ -27,13 +27,17 @@ starting from ``k_0 = 1`` and recomputing ``|p_r|_n`` and ``tau_n`` from
 oscillate between two values, the final ``k`` is their average.  Example 8
 and Figure 5 show the iteration; :func:`derive_k` reproduces it and records
 the trace.
+
+:class:`GranulePolicy` is the one place a join, a batch or a snapshot
+decides ``k``: pinned or derived, with which inputs, capped per side,
+and recorded in (and checked against) a snapshot's meta.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..storage.device import DeviceProfile
 from ..storage.metrics import CostWeights
@@ -41,6 +45,7 @@ from .oip import tightening_factor, used_partition_bound
 from .relation import TemporalRelation
 
 __all__ = [
+    "GranulePolicy",
     "JoinCostModel",
     "KDerivation",
     "derive_k",
@@ -267,3 +272,166 @@ def cost_model_for(
         tuples_per_block=device.tuples_per_block,
         weights=weights if weights is not None else device.weights,
     )
+
+
+# The policy calls these names, bound at import, not the public ones: a
+# profiler that wraps both the public functions and a caller of the
+# policy (perfbench wraps ``OIPJoin._derive_k``) then times each
+# derivation once.
+_cost_model_for = cost_model_for
+_derive_k = derive_k
+
+#: The meta keys a snapshot must match besides ``tuples_per_block``,
+#: per mode (see ``GranulePolicy.mismatch``).
+_MATCHED_META = {
+    "fixed": ("k_mode", "pinned_k"),
+    "per_side": ("k_mode", "pinned_k_outer", "pinned_k_inner"),
+    "derived": (
+        "k_mode", "use_exact_root", "use_histogram_statistics", "weights"
+    ),
+}
+
+
+@dataclass(frozen=True)
+class GranulePolicy:
+    """How a join chooses its granule counts (Section 6.2).
+
+    ``k`` is either *derived* by the Equation (2) fixed point — from
+    ``weights`` (else the device's), the exact root or the
+    approximation, and Lemma-3 or duration-histogram statistics — or
+    *pinned*: one ``k`` (Figure 7's sweep) or a ``k_outer``/``k_inner``
+    pair (the shared-``k`` ablation).  Either way :meth:`counts` caps it
+    to each relation's time range.  A snapshot records the policy in its
+    meta (:meth:`meta`, :meth:`from_meta`), and loads only into a join
+    whose policy it matches (:meth:`mismatch`).
+    """
+
+    k: Optional[int] = None
+    k_outer: Optional[int] = None
+    k_inner: Optional[int] = None
+    weights: Optional[CostWeights] = None
+    use_exact_root: bool = True
+    use_histogram_statistics: bool = False
+
+    def __post_init__(self) -> None:
+        if self.k is not None and self.k < 1:
+            raise ValueError(f"k must be >= 1 when pinned, got {self.k}")
+        if (self.k_outer is None) != (self.k_inner is None):
+            raise ValueError("k_outer and k_inner must be given together")
+        if self.k_outer is not None:
+            if self.k is not None:
+                raise ValueError("pass either k or (k_outer, k_inner)")
+            if self.k_outer < 1 or self.k_inner < 1:
+                raise ValueError(
+                    f"per-side granule counts must be >= 1, got "
+                    f"({self.k_outer}, {self.k_inner})"
+                )
+
+    @property
+    def mode(self) -> str:
+        """``"fixed"``, ``"per_side"`` or ``"derived"``."""
+        if self.k is not None:
+            return "fixed"
+        return "per_side" if self.k_outer is not None else "derived"
+
+    def on(self, device: DeviceProfile) -> "GranulePolicy":
+        """This policy with *device*'s cost weights when it has none."""
+        if self.weights is not None:
+            return self
+        return replace(self, weights=device.weights)
+
+    def keywords(self) -> Dict[str, Any]:
+        """The fields as ``OIPJoin``/``save_index`` keywords."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def derive(
+        self,
+        outer: TemporalRelation,
+        inner: TemporalRelation,
+        device: DeviceProfile,
+    ) -> Optional[KDerivation]:
+        """The Equation (2) derivation, or ``None`` when ``k`` is pinned."""
+        if self.mode != "derived":
+            return None
+        weights = self.on(device).weights
+        if self.use_histogram_statistics:
+            from .statistics import histogram_cost_model
+
+            model = histogram_cost_model(
+                outer,
+                inner,
+                tuples_per_block=device.tuples_per_block,
+                weights=weights,
+            )
+        else:
+            model = _cost_model_for(
+                outer, inner, device=device, weights=weights
+            )
+        return _derive_k(model, use_exact_root=self.use_exact_root)
+
+    def counts(
+        self,
+        outer: TemporalRelation,
+        inner: TemporalRelation,
+        derivation: Optional[KDerivation],
+    ) -> Tuple[int, int]:
+        """``(k_outer, k_inner)``, derived or pinned, each capped to its
+        relation's time range: more granules than time points cannot
+        reduce false hits further (``d`` is already 1)."""
+        if derivation is not None:
+            k_outer = k_inner = derivation.k
+        elif self.k is not None:
+            k_outer = k_inner = self.k
+        else:
+            k_outer, k_inner = self.k_outer, self.k_inner
+        return (
+            max(1, min(k_outer, outer.time_range_duration)),
+            max(1, min(k_inner, inner.time_range_duration)),
+        )
+
+    def meta(self) -> Dict[str, Any]:
+        """The snapshot meta keys recording this policy."""
+        weights = self.weights
+        return {
+            "weights": (
+                None
+                if weights is None
+                else {"cpu": weights.cpu, "io": weights.io}
+            ),
+            "use_exact_root": self.use_exact_root,
+            "use_histogram_statistics": self.use_histogram_statistics,
+            "k_mode": self.mode,
+            "pinned_k": self.k,
+            "pinned_k_outer": self.k_outer,
+            "pinned_k_inner": self.k_inner,
+        }
+
+    @classmethod
+    def from_meta(cls, meta: Dict[str, Any]) -> "GranulePolicy":
+        """The policy a snapshot's *meta* was saved under."""
+        weights = meta.get("weights")
+        return cls(
+            k=meta.get("pinned_k"),
+            k_outer=meta.get("pinned_k_outer"),
+            k_inner=meta.get("pinned_k_inner"),
+            weights=CostWeights(**weights) if weights is not None else None,
+            use_exact_root=bool(meta.get("use_exact_root", True)),
+            use_histogram_statistics=bool(
+                meta.get("use_histogram_statistics", False)
+            ),
+        )
+
+    def mismatch(
+        self, meta: Dict[str, Any], tuples_per_block: int
+    ) -> Optional[Tuple[str, Any, Any]]:
+        """The first meta key on which a snapshot differs from this
+        (resolved) policy on a device of *tuples_per_block*, as ``(key,
+        stored, wanted)``, or ``None`` when the snapshot holds the
+        partitioning this policy would build.  The block size, mode and
+        pinned values must match; the derivation inputs only when ``k``
+        is derived."""
+        wanted = dict(self.meta(), tuples_per_block=tuples_per_block)
+        for key in ("tuples_per_block",) + _MATCHED_META[self.mode]:
+            if meta.get(key) != wanted[key]:
+                return key, meta.get(key), wanted[key]
+        return None

@@ -35,7 +35,7 @@ from ..storage.faults import FaultPolicy
 from ..storage.manager import StorageManager
 from ..storage.metrics import CostCounters, CostWeights
 from .base import JoinResult, OverlapJoinAlgorithm
-from .granules import KDerivation, cost_model_for, derive_k
+from .granules import GranulePolicy, KDerivation
 from .kernels import KERNELS, DecodedRun, kernel_function, resolve_kernel
 from .interval import Interval
 from .lazy_list import LazyPartitionList, PartitionNode, oip_create
@@ -192,18 +192,15 @@ class OIPJoin(OverlapJoinAlgorithm):
             metrics=metrics,
             collect_report=collect_report,
         )
-        if k is not None and k < 1:
-            raise ValueError(f"k must be >= 1 when pinned, got {k}")
-        if (k_outer is None) != (k_inner is None):
-            raise ValueError("k_outer and k_inner must be given together")
-        if k_outer is not None:
-            if k is not None:
-                raise ValueError("pass either k or (k_outer, k_inner)")
-            if k_outer < 1 or k_inner < 1:
-                raise ValueError(
-                    f"per-side granule counts must be >= 1, got "
-                    f"({k_outer}, {k_inner})"
-                )
+        #: How this join chooses ``k``, with the device's weights filled in.
+        self.granules = GranulePolicy(
+            k=k,
+            k_outer=k_outer,
+            k_inner=k_inner,
+            weights=weights,
+            use_exact_root=use_exact_root,
+            use_histogram_statistics=use_histogram_statistics,
+        ).on(self.device)
         if kernel not in ("auto",) + KERNELS:
             raise ValueError(
                 f"unknown join kernel {kernel!r}; choose from "
@@ -215,12 +212,6 @@ class OIPJoin(OverlapJoinAlgorithm):
             checkpoint_every=checkpoint_every,
             resume_from=resume_from,
         )
-        self.fixed_k = k
-        self.fixed_k_outer = k_outer
-        self.fixed_k_inner = k_inner
-        self.weights = weights
-        self.use_exact_root = use_exact_root
-        self.use_histogram_statistics = use_histogram_statistics
         self.kernel = kernel
         self.budget = budget
         self.checkpoint_path = checkpoint_path
@@ -280,55 +271,19 @@ class OIPJoin(OverlapJoinAlgorithm):
 
     # ------------------------------------------------------------------
 
+    @property
+    def weights(self) -> CostWeights:
+        """The caller's cost weights, else the device's."""
+        return self.granules.weights
+
     def _derive_k(
         self,
         outer: TemporalRelation,
         inner: TemporalRelation,
     ) -> Optional[KDerivation]:
-        if self.fixed_k is not None or self.fixed_k_outer is not None:
-            return None
-        if self.use_histogram_statistics:
-            from .statistics import histogram_cost_model
-
-            weights = (
-                self.weights
-                if self.weights is not None
-                else self.device.weights
-            )
-            model = histogram_cost_model(
-                outer,
-                inner,
-                tuples_per_block=self.device.tuples_per_block,
-                weights=weights,
-            )
-        else:
-            model = cost_model_for(
-                outer, inner, device=self.device, weights=self.weights
-            )
-        return derive_k(model, use_exact_root=self.use_exact_root)
-
-    def _index_expectation(self) -> dict:
-        """What a snapshot must have been built with to be structurally
-        interchangeable with the index this join would build itself."""
-        if self.fixed_k is not None:
-            mode = "fixed"
-        elif self.fixed_k_outer is not None:
-            mode = "per_side"
-        else:
-            mode = "derived"
-        weights = (
-            self.weights if self.weights is not None else self.device.weights
-        )
-        return {
-            "tuples_per_block": self.device.tuples_per_block,
-            "k_mode": mode,
-            "k": self.fixed_k,
-            "k_outer": self.fixed_k_outer,
-            "k_inner": self.fixed_k_inner,
-            "use_exact_root": self.use_exact_root,
-            "use_histogram_statistics": self.use_histogram_statistics,
-            "weights": (weights.cpu, weights.io),
-        }
+        """The join's ``derive_k`` phase, a method so that a profiler
+        (``perfbench/spans.py``) can wrap it."""
+        return self.granules.derive(outer, inner, self.device)
 
     @property
     def _uses_index(self) -> bool:
@@ -346,8 +301,11 @@ class OIPJoin(OverlapJoinAlgorithm):
         way.  Validation happens before any block is materialised, so a
         degrade leaves *storage* (and the counters) untouched.
         """
-        from ..storage.snapshot import SnapshotError, load_index
+        from ..storage import snapshot
 
+        expected = snapshot.IndexExpectation(
+            self.device.tuples_per_block, self.granules
+        )
         provider = self.index_provider
         path = (
             self.index_path
@@ -361,17 +319,17 @@ class OIPJoin(OverlapJoinAlgorithm):
                         outer,
                         inner,
                         storage=storage,
-                        expected=self._index_expectation(),
+                        expected=expected,
                     )
                 else:
-                    loaded = load_index(
+                    loaded = snapshot.load_index(
                         path,
                         outer,
                         inner,
                         storage=storage,
-                        expected=self._index_expectation(),
+                        expected=expected,
                     )
-            except SnapshotError as error:
+            except snapshot.SnapshotError as error:
                 reason = error.reason
             except OSError as error:  # pragma: no cover - racing unlink
                 reason = "unreadable"
@@ -405,13 +363,10 @@ class OIPJoin(OverlapJoinAlgorithm):
             return None
         from ..engine.governor import GovernedRun
 
-        weights = (
-            self.weights if self.weights is not None else self.device.weights
-        )
         return GovernedRun(
             budget=self.budget,
             cancellation=self.cancellation,
-            weights=weights,
+            weights=self.weights,
             tracer=self._run_tracer,
         )
 
@@ -456,25 +411,15 @@ class OIPJoin(OverlapJoinAlgorithm):
             # The snapshot recorded the same derivation this join would
             # run (the load validated that), caps included.
             k_outer, k_inner = loaded.k_outer, loaded.k_inner
-            derivation = None
-            self_adjusting = loaded.meta.get("k_mode") == "derived"
+            self_adjusting = self.granules.mode == "derived"
             k_steps = loaded.meta.get("k_steps")
             k_oscillated = loaded.meta.get("k_oscillated")
         else:
             with tracer.span("derive_k") as k_span:
                 derivation = self._derive_k(outer, inner)
-                if derivation is not None:
-                    k_outer = k_inner = derivation.k
-                elif self.fixed_k is not None:
-                    k_outer = k_inner = self.fixed_k
-                else:
-                    k_outer, k_inner = (
-                        self.fixed_k_outer, self.fixed_k_inner
-                    )
-                # More granules than time points cannot reduce false hits
-                # further (d is already 1); cap to keep index arithmetic small.
-                k_outer = max(1, min(k_outer, outer.time_range_duration))
-                k_inner = max(1, min(k_inner, inner.time_range_duration))
+                k_outer, k_inner = self.granules.counts(
+                    outer, inner, derivation
+                )
                 k_span.set("k_outer", k_outer)
                 k_span.set("k_inner", k_inner)
                 k_span.set("self_adjusting", derivation is not None)

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.base import JoinResult
-from ..core.granules import cost_model_for, derive_k
+from ..core.granules import GranulePolicy
 from ..core.interval import Interval
 from ..core.join import (
     RunReader,
@@ -214,8 +214,6 @@ class BatchJoin:
         metrics: Optional[Any] = None,
         collect_report: bool = False,
     ) -> None:
-        if k is not None and k < 1:
-            raise ValueError(f"k must be >= 1 when pinned, got {k}")
         if kernel not in ("auto",) + KERNELS:
             raise ValueError(
                 f"unknown join kernel {kernel!r}; choose from "
@@ -228,8 +226,8 @@ class BatchJoin:
         self.device = (
             device if device is not None else DeviceProfile.main_memory()
         )
-        self.fixed_k = k
-        self.weights = weights
+        #: How the batch chooses ``k``, with the device's weights filled in.
+        self.granules = GranulePolicy(k=k, weights=weights).on(self.device)
         self.kernel = kernel
         self.admission = admission
         self.admission_timeout = admission_timeout
@@ -244,15 +242,10 @@ class BatchJoin:
 
     # ------------------------------------------------------------------
 
-    def _derive_k(
-        self, outer: TemporalRelation, inner: TemporalRelation
-    ) -> Tuple[int, bool]:
-        if self.fixed_k is not None:
-            return self.fixed_k, False
-        model = cost_model_for(
-            outer, inner, device=self.device, weights=self.weights
-        )
-        return derive_k(model).k, True
+    @property
+    def weights(self) -> CostWeights:
+        """The caller's cost weights, else the device's."""
+        return self.granules.weights
 
     def _run_tracer(self) -> Any:
         tracer = self.tracer
@@ -291,9 +284,11 @@ class BatchJoin:
         cancelled = False
         with tracer.span("batch", algorithm=self.name, windows=len(windows)):
             with tracer.span("derive_k") as k_span:
-                k, self_adjusting = self._derive_k(outer, inner)
-                k_outer = max(1, min(k, outer.time_range_duration))
-                k_inner = max(1, min(k, inner.time_range_duration))
+                derivation = self.granules.derive(outer, inner, self.device)
+                self_adjusting = derivation is not None
+                k_outer, k_inner = self.granules.counts(
+                    outer, inner, derivation
+                )
                 k_span.set("k_outer", k_outer)
                 k_span.set("k_inner", k_inner)
                 k_span.set("self_adjusting", self_adjusting)
@@ -467,11 +462,7 @@ class BatchJoin:
             GovernedRun(
                 budget=self.budget,
                 cancellation=self.cancellation,
-                weights=(
-                    self.weights
-                    if self.weights is not None
-                    else self.device.weights
-                ),
+                weights=self.weights,
                 tracer=tracer,
             )
             if self.budget is not None or self.cancellation is not None
@@ -541,9 +532,6 @@ class BatchJoin:
         closed first)."""
         from ..obs.report import build_report
 
-        weights = (
-            self.weights if self.weights is not None else self.device.weights
-        )
         metrics_snapshot = (
             self.metrics.snapshot() if self.metrics is not None else None
         )
@@ -561,7 +549,7 @@ class BatchJoin:
             result.report = build_report(
                 result,
                 self.device,
-                weights,
+                self.weights,
                 root=span if getattr(span, "end_ms", None) is not None else None,
                 span_count=span_count,
                 event_count=event_count,

@@ -49,6 +49,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..storage.snapshot import (
     _NON_FATAL_PROBLEMS,
+    IndexExpectation,
     ParsedSnapshot,
     SnapshotError,
     fsck_index,
@@ -63,14 +64,13 @@ __all__ = [
 
 
 def join_kwargs_from_meta(meta: Dict[str, Any]) -> Dict[str, Any]:
-    """:class:`~repro.core.join.OIPJoin` keywords that make a join's
-    ``_index_expectation`` match *meta* — so a snapshot loads no matter
-    which ``k`` mode it was saved under, without the caller re-deriving
-    the save-time configuration."""
+    """:class:`~repro.core.join.OIPJoin` keywords (the device block size
+    and the :class:`~repro.core.granules.GranulePolicy` keywords) under
+    which the snapshot *meta* describes loads, whichever ``k`` mode it
+    was saved under."""
+    from ..core.granules import GranulePolicy
     from ..storage.device import DeviceProfile
-    from ..storage.metrics import CostWeights
 
-    kwargs: Dict[str, Any] = {}
     device = DeviceProfile.main_memory()
     if device.tuples_per_block != meta["tuples_per_block"]:
         device = replace(
@@ -79,24 +79,7 @@ def join_kwargs_from_meta(meta: Dict[str, Any]) -> Dict[str, Any]:
                 meta["tuples_per_block"] * device.tuple_size_bytes
             ),
         )
-    kwargs["device"] = device
-    mode = meta["k_mode"]
-    if mode == "fixed":
-        kwargs["k"] = meta["pinned_k"]
-    elif mode == "per_side":
-        kwargs["k_outer"] = meta["pinned_k_outer"]
-        kwargs["k_inner"] = meta["pinned_k_inner"]
-    else:  # derived: only the derivation inputs matter
-        kwargs["use_exact_root"] = bool(meta.get("use_exact_root", True))
-        kwargs["use_histogram_statistics"] = bool(
-            meta.get("use_histogram_statistics", False)
-        )
-        weights = meta.get("weights")
-        if weights is not None:
-            kwargs["weights"] = CostWeights(
-                cpu=weights["cpu"], io=weights["io"]
-            )
-    return kwargs
+    return dict(GranulePolicy.from_meta(meta).keywords(), device=device)
 
 
 class ServingGeneration:
@@ -144,7 +127,7 @@ class ServingGeneration:
         inner: Any,
         *,
         storage: Any,
-        expected: Optional[Dict[str, Any]] = None,
+        expected: Optional[IndexExpectation] = None,
     ) -> Any:
         """The ``index_provider`` protocol: restore from pinned bytes."""
         return self.parsed.restore(

@@ -105,6 +105,7 @@ __all__ = [
     "SnapshotVersionError",
     "SnapshotMismatchError",
     "JournalReplayError",
+    "IndexExpectation",
     "LoadedIndex",
     "ParsedSnapshot",
     "JournalState",
@@ -557,56 +558,6 @@ def _content_digest(relation: Any) -> int:
 # ----------------------------------------------------------------------
 
 
-def _derive_snapshot_k(
-    outer: Any,
-    inner: Any,
-    *,
-    device: Any,
-    weights: Any,
-    k: Optional[int],
-    k_outer: Optional[int],
-    k_inner: Optional[int],
-    use_exact_root: bool,
-    use_histogram_statistics: bool,
-) -> Tuple[int, int, str, Any]:
-    """Mirror ``OIPJoin``'s k selection (mode, caps and all) so a saved
-    index is interchangeable with what the join would build."""
-    if k is not None and (k_outer is not None or k_inner is not None):
-        raise ValueError("pass either k or the k_outer/k_inner pair")
-    if (k_outer is None) != (k_inner is None):
-        raise ValueError("k_outer and k_inner must be pinned together")
-    derivation = None
-    if k is not None:
-        mode = "fixed"
-        chosen_outer = chosen_inner = k
-    elif k_outer is not None:
-        mode = "per_side"
-        chosen_outer, chosen_inner = k_outer, k_inner
-    else:
-        mode = "derived"
-        from ..core.granules import cost_model_for, derive_k
-
-        if use_histogram_statistics:
-            from ..core.statistics import histogram_cost_model
-
-            effective = weights if weights is not None else device.weights
-            model = histogram_cost_model(
-                outer,
-                inner,
-                tuples_per_block=device.tuples_per_block,
-                weights=effective,
-            )
-        else:
-            model = cost_model_for(
-                outer, inner, device=device, weights=weights
-            )
-        derivation = derive_k(model, use_exact_root=use_exact_root)
-        chosen_outer = chosen_inner = derivation.k
-    chosen_outer = max(1, min(chosen_outer, outer.time_range_duration))
-    chosen_inner = max(1, min(chosen_inner, inner.time_range_duration))
-    return chosen_outer, chosen_inner, mode, derivation
-
-
 def _serialize_side(
     relation: Any, partition_list: Any
 ) -> Tuple[array, array, array, array, array]:
@@ -675,6 +626,7 @@ def save_index(
     """
     # Imported lazily: repro.storage must stay importable without
     # pulling the whole core layer in at import time.
+    from ..core.granules import GranulePolicy
     from ..core.lazy_list import oip_create
     from ..core.oip import OIPConfiguration
     from .device import DeviceProfile
@@ -684,17 +636,18 @@ def save_index(
         raise ValueError("cannot snapshot an empty relation")
     if device is None:
         device = DeviceProfile.main_memory()
-    chosen_outer, chosen_inner, mode, derivation = _derive_snapshot_k(
-        outer,
-        inner,
-        device=device,
-        weights=weights,
+    # The same policy OIPJoin runs, so a saved index is interchangeable
+    # with what the join would build.
+    policy = GranulePolicy(
         k=k,
         k_outer=k_outer,
         k_inner=k_inner,
+        weights=weights,
         use_exact_root=use_exact_root,
         use_histogram_statistics=use_histogram_statistics,
-    )
+    ).on(device)
+    derivation = policy.derive(outer, inner, device)
+    chosen_outer, chosen_inner = policy.counts(outer, inner, derivation)
     config_outer = OIPConfiguration.for_relation(outer, chosen_outer)
     config_inner = OIPConfiguration.for_relation(inner, chosen_inner)
     storage = StorageManager(device=device)
@@ -703,7 +656,6 @@ def save_index(
     if generation is None:
         generation = _next_generation(path)
 
-    effective_weights = weights if weights is not None else device.weights
     sections: Dict[str, bytes] = {}
     stats: Dict[str, Any] = {}
     fingerprints: Dict[str, Any] = {}
@@ -757,16 +709,7 @@ def save_index(
         "generation": generation,
         "byteorder": sys.byteorder,
         "tuples_per_block": device.tuples_per_block,
-        "weights": {
-            "cpu": effective_weights.cpu,
-            "io": effective_weights.io,
-        },
-        "use_exact_root": use_exact_root,
-        "use_histogram_statistics": use_histogram_statistics,
-        "k_mode": mode,
-        "pinned_k": k,
-        "pinned_k_outer": k_outer,
-        "pinned_k_inner": k_inner,
+        **policy.meta(),
         "k_outer": chosen_outer,
         "k_inner": chosen_inner,
         "k_steps": derivation.steps if derivation is not None else None,
@@ -805,7 +748,7 @@ def save_index(
         "generation": generation,
         "k_outer": chosen_outer,
         "k_inner": chosen_inner,
-        "k_mode": mode,
+        "k_mode": policy.mode,
         "outer_partitions": outer_list.partition_count,
         "inner_partitions": inner_list.partition_count,
         "payloads_stored": payloads_stored,
@@ -876,53 +819,24 @@ def _require_meta(sections: Dict[str, bytes]) -> Dict[str, Any]:
     return meta
 
 
-def _check_expected(meta: Dict[str, Any], expected: Dict[str, Any]) -> None:
+@dataclass(frozen=True)
+class IndexExpectation:
+    """What a join requires of a snapshot: its device's block size and
+    its :class:`~repro.core.granules.GranulePolicy` (weights resolved)."""
+
+    tuples_per_block: int
+    policy: Any
+
+
+def _check_expected(meta: Dict[str, Any], expected: IndexExpectation) -> None:
     """Degrade rather than load an index built under a different
     configuration — the structure (and the counters) would differ."""
-
-    def mismatch(what: str, stored: Any, wanted: Any) -> None:
+    problem = expected.policy.mismatch(meta, expected.tuples_per_block)
+    if problem is not None:
         raise SnapshotMismatchError(
-            f"snapshot {what} is {stored!r}, join expects {wanted!r}",
+            "snapshot {} is {!r}, join expects {!r}".format(*problem),
             reason="config_mismatch",
         )
-
-    tuples_per_block = expected.get("tuples_per_block")
-    if (
-        tuples_per_block is not None
-        and tuples_per_block != meta["tuples_per_block"]
-    ):
-        mismatch(
-            "tuples_per_block", meta["tuples_per_block"], tuples_per_block
-        )
-    mode = expected.get("k_mode")
-    if mode is None:
-        return
-    if mode != meta["k_mode"]:
-        mismatch("k mode", meta["k_mode"], mode)
-    if mode == "fixed" and expected.get("k") != meta.get("pinned_k"):
-        mismatch("pinned k", meta.get("pinned_k"), expected.get("k"))
-    if mode == "per_side" and (
-        expected.get("k_outer") != meta.get("pinned_k_outer")
-        or expected.get("k_inner") != meta.get("pinned_k_inner")
-    ):
-        mismatch(
-            "pinned k pair",
-            (meta.get("pinned_k_outer"), meta.get("pinned_k_inner")),
-            (expected.get("k_outer"), expected.get("k_inner")),
-        )
-    if mode == "derived":
-        # Only the derivation inputs matter — and only when k is
-        # actually derived.
-        for key in ("use_exact_root", "use_histogram_statistics"):
-            if key in expected and bool(expected[key]) != bool(
-                meta.get(key)
-            ):
-                mismatch(key, meta.get(key), expected[key])
-        weights = expected.get("weights")
-        if weights is not None:
-            stored = (meta["weights"]["cpu"], meta["weights"]["io"])
-            if tuple(weights) != stored:
-                mismatch("cost weights", stored, tuple(weights))
 
 
 def _check_fingerprints(
@@ -1211,7 +1125,7 @@ class ParsedSnapshot:
         inner: Any,
         *,
         storage: Any,
-        expected: Optional[Dict[str, Any]] = None,
+        expected: Optional[IndexExpectation] = None,
     ) -> LoadedIndex:
         """Restore both partition lists from the parsed sections into
         *storage*, indexing into the caller's relations.
@@ -1282,7 +1196,7 @@ def load_index(
     inner: Any,
     *,
     storage: Any,
-    expected: Optional[Dict[str, Any]] = None,
+    expected: Optional[IndexExpectation] = None,
 ) -> LoadedIndex:
     """Restore both partition lists from the snapshot at *path*.
 
@@ -1755,29 +1669,21 @@ class MaintainedIndex:
         old generation + journal still replay.  Crash after it but
         before the reset: the journal is stale (older base generation)
         and is discarded on the next open."""
+        from ..core.granules import GranulePolicy
+
         meta = self._meta
-        kwargs: Dict[str, Any] = {}
-        if meta["k_mode"] == "fixed":
-            kwargs["k"] = meta["pinned_k"]
-        elif meta["k_mode"] == "per_side":
-            kwargs["k_outer"] = meta["pinned_k_outer"]
-            kwargs["k_inner"] = meta["pinned_k_inner"]
         outer, inner = self.relations()
         info = save_index(
             self.path,
             outer,
             inner,
             device=self._device,
-            use_exact_root=bool(meta.get("use_exact_root", True)),
-            use_histogram_statistics=bool(
-                meta.get("use_histogram_statistics", False)
-            ),
             store_payloads=True,
             generation=self.generation + 1,
             write_faults=self._journal.write_faults,
             cancellation=cancellation,
             fsync=self._journal.fsync,
-            **kwargs,
+            **GranulePolicy.from_meta(meta).keywords(),
         )
         self._journal.reset(info["generation"])
         self._meta = dict(meta, generation=info["generation"])

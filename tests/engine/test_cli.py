@@ -117,6 +117,19 @@ class TestDatasetsCommand:
             assert name in out
 
 
+class TestSaveIndexCommand:
+    def test_pinned_k_below_one_exits_nonzero(self, tmp_path):
+        path = tmp_path / "x.oip"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["save-index", "--cardinality", "60", "--out", str(path)]
+                + ["--k", "0"]
+            )
+        # A string exit code exits 1 and is printed to stderr.
+        assert excinfo.value.code == "k must be >= 1 when pinned, got 0"
+        assert not path.exists()
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -11,7 +11,12 @@ contract end to end:
   random boundary and a resume from the checkpoint written there;
 * one ``BatchJoin`` run over a window covering both domains plus
   several drawn partial windows returns, per window, the oracle's pairs
-  that meet the window (the service's ``_window_matches`` filter).
+  that meet the window (the service's ``_window_matches`` filter);
+* a join through a snapshot saved with ``save_index`` under the same
+  device and granules loads it and equals the plain join;
+* drawn journaled inserts and deletes, compacted, serve a join through
+  ``ServingGeneration.join_kwargs()`` that equals the oracle and the
+  plain join over the maintained relations.
 
 A drawn seeded fault profile (``FAULT_PROFILES``) applies to every run
 of an example.  Faults are a pure function of ``(block, attempt)``, so
@@ -49,6 +54,7 @@ from repro.core.relation import TemporalRelation
 from repro.engine.batch import BatchJoin
 from repro.engine.governor import CancellationToken
 from repro.service.service import _window_matches
+from repro.service.snapshots import ServingGeneration
 from repro.storage.device import TUPLE_SIZE_BYTES, DeviceProfile
 from repro.storage.faults import (
     FAULT_PROFILES,
@@ -58,7 +64,8 @@ from repro.storage.faults import (
     fault_profile,
 )
 from repro.storage.manager import StorageManager
-from repro.storage.metrics import CostCounters
+from repro.storage.metrics import CostCounters, CostWeights
+from repro.storage.snapshot import MaintainedIndex, save_index
 
 from ..conftest import partition_key
 
@@ -110,6 +117,9 @@ GRANULES = st.one_of(
             {},  # derived by the Section 6.2 iteration
             {"k": 3},  # coarse: a few wide granules
             {"k": 10_000},  # finer than the domain: clamped per side
+            {"use_exact_root": False},  # the compact approximation
+            {"use_histogram_statistics": True},
+            {"weights": CostWeights(1.0, 5000.0)},  # IO-heavy c_io/c_cpu
         ]
     ),
     st.tuples(st.integers(1, 9), st.integers(1, 9)).map(
@@ -134,6 +144,22 @@ configs = st.fixed_dictionaries(
         # Tuples per block: two spreads these small relations over many
         # blocks, so the seeded faults hit them far more often.
         "block_tuples": st.sampled_from([14, 2]),
+        # Join through a snapshot of the pair saved under the example's
+        # device and granules.
+        "index": st.booleans(),
+        # Journaled deltas folded into a snapshot: (op, side, a, b) with
+        # a and b per-mille positions in the domain for an insert; a
+        # picks the tuple a delete removes.
+        "journal": st.none()
+        | st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "delete"]),
+                st.sampled_from(["outer", "inner"]),
+                st.integers(0, 1000),
+                st.integers(0, 1000),
+            ),
+            max_size=4,
+        ),
     }
 )
 
@@ -211,6 +237,12 @@ def check_probe_core(pair, config):
     for a, b in config["windows"]:
         ts, te = sorted(lo + (hi - lo) * m // 1000 for m in (a, b))
         windows.append(Interval(ts, te))
+    if outer.cardinality and inner.cardinality:
+        if config["index"]:
+            check_index(outer, inner, config, plain)
+        if config["journal"] is not None:
+            check_journal(outer, inner, config)
+
     batch_k = config["granules"].get("k")
     batch = _outcome(
         lambda: BatchJoin(k=batch_k, kernel=config["kernel"], **storage).run(
@@ -230,6 +262,61 @@ def check_probe_core(pair, config):
             if _window_matches(pair, window.start, window.end)
         ]
         assert Counter(_keys(query.pairs)) == Counter(_keys(expected))
+
+
+def check_index(outer, inner, config, plain):
+    """A join through the pair's snapshot equals the plain join."""
+    storage = _storage(config)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "pair.oip")
+        save_index(
+            path, outer, inner, device=storage["device"], **config["granules"]
+        )
+        loaded = _outcome(
+            lambda: OIPJoin(
+                index_path=path, **config["granules"], **storage
+            ).join(outer, inner)
+        )
+    event("joined through a snapshot")
+    if isinstance(plain, type):
+        assert loaded is plain
+        return
+    assert loaded.details["index"]["loaded"] is True
+    assert _keys(loaded.pairs) == _keys(plain.pairs)
+    assert loaded.counters.snapshot() == plain.counters.snapshot()
+    assert loaded.resilience.snapshot() == plain.resilience.snapshot()
+
+
+def check_journal(outer, inner, config):
+    """Journaled deltas, compacted, serve the oracle's pairs and the
+    plain join's pairs and counters over the maintained relations."""
+    device = _storage(config)["device"]
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "maintained.oip")
+        save_index(path, outer, inner, device=device, **config["granules"])
+        index = MaintainedIndex.open(path, device=device, fsync=False)
+        lo = min(t.start for t in (*outer, *inner))
+        hi = max(t.end for t in (*outer, *inner))
+        for step, (op, side, a, b) in enumerate(config["journal"]):
+            if op == "insert":
+                start, end = sorted(lo + (hi - lo) * m // 1000 for m in (a, b))
+                index.insert(side, start, end, f"new{step}")
+            elif index.cardinality(side) > 1:  # a snapshot side is non-empty
+                victim = index.relation(side).tuples[a % index.cardinality(side)]
+                assert index.delete(side, victim.start, victim.end, victim.payload)
+        index.compact()
+        event("compacted journaled deltas")
+        generation = ServingGeneration.load(path)
+        served = OIPJoin(
+            index_provider=generation, **generation.join_kwargs()
+        ).join(generation.outer, generation.inner)
+    maintained = index.relations()
+    plain = OIPJoin(device=device, **config["granules"]).join(*maintained)
+    oracle = NestedLoopJoin().join(*maintained)
+    assert served.details["index"]["loaded"] is True
+    assert Counter(_keys(served.pairs)) == Counter(_keys(oracle.pairs))
+    assert _keys(served.pairs) == _keys(plain.pairs)
+    assert served.counters.snapshot() == plain.counters.snapshot()
 
 
 ONE_CHRONON_OUTER = (
@@ -262,6 +349,8 @@ REDECODED = (
         "cancel_after": 3,
         "faults": ("corrupt", 3),
         "block_tuples": 2,
+        "index": True,
+        "journal": [("delete", "inner", 3, 0), ("insert", "outer", 100, 300)],
     },
 )
 @example(
@@ -273,6 +362,8 @@ REDECODED = (
         "cancel_after": 1,
         "faults": None,
         "block_tuples": 14,
+        "index": True,
+        "journal": [("insert", "inner", 0, 1000), ("delete", "outer", 0, 0)],
     },
 )
 @SMALL

@@ -20,10 +20,12 @@ from repro.storage import (
     SimulatedCrashError,
     WriteFaultPolicy,
     fsck_index,
+    read_statistics,
     save_index,
 )
+from repro.storage.metrics import CostWeights
 from repro.storage.snapshot import journal_path
-from repro.workloads import long_lived_mixture
+from repro.workloads import long_lived_mixture, uniform_relation
 
 
 @pytest.fixture
@@ -110,6 +112,29 @@ class TestMaintainedIndex:
         rebuilt = OIPJoin().join(new_outer, new_inner)
         assert result.pairs == rebuilt.pairs
         assert result.counters.snapshot() == rebuilt.counters.snapshot()
+
+    def test_compaction_keeps_cost_weights(self, tmp_path):
+        # Under these weights the derived k is 7; the device's give 29.
+        weights = CostWeights(1.0, 5000.0)
+        outer = uniform_relation(800, Interval(0, 99_999), 0.01, seed=1)
+        inner = uniform_relation(800, Interval(0, 99_999), 0.01, seed=2)
+        path = str(tmp_path / "weights.oip")
+        assert save_index(path, outer, inner, weights=weights)["k_outer"] == 7
+        index = MaintainedIndex.open(path)
+        index.insert("outer", 10, 500, "compacted")
+        info = index.compact()
+        new_outer, new_inner = index.relations()
+        rebuilt = OIPJoin(weights=weights).join(new_outer, new_inner)
+        assert info["k_outer"] == rebuilt.details["k_outer"] == 7
+        assert read_statistics(path)["meta"]["weights"] == {
+            "cpu": 1.0, "io": 5000.0
+        }
+        loaded = OIPJoin(index_path=path, weights=weights).join(
+            new_outer, new_inner
+        )
+        assert loaded.details["index"]["loaded"] is True
+        assert loaded.pairs == rebuilt.pairs
+        assert loaded.counters.snapshot() == rebuilt.counters.snapshot()
 
     def test_stale_journal_reset_on_open(self, snapshot):
         path, outer, inner = snapshot

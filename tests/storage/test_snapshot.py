@@ -14,6 +14,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
+from repro.core.granules import GranulePolicy
 from repro.core.interval import Interval
 from repro.core.join import OIPJoin
 from repro.core.relation import TemporalRelation
@@ -27,7 +28,11 @@ from repro.storage import (
     read_statistics,
     save_index,
 )
-from repro.storage.snapshot import relation_endpoint_digest, tmp_path
+from repro.storage.snapshot import (
+    IndexExpectation,
+    relation_endpoint_digest,
+    tmp_path,
+)
 from repro.workloads import (
     long_lived_mixture,
     point_relation,
@@ -125,6 +130,28 @@ class TestRoundTrip:
                 TemporalRelation.from_pairs([]),
             )
 
+    @pytest.mark.parametrize(
+        "granules",
+        [
+            {"k": 0},
+            {"k_outer": 0, "k_inner": -2},
+            {"k_outer": 3},
+            {"k": 3, "k_outer": 3, "k_inner": 3},
+        ],
+    )
+    def test_invalid_granules_rejected_before_writing(
+        self, tmp_path, granules
+    ):
+        path = tmp_path / "bad-k.oip"
+        with pytest.raises(ValueError):
+            save_index(
+                str(path),
+                WORKLOADS["uniform"](1),
+                WORKLOADS["uniform"](2),
+                **granules,
+            )
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDegradeReasons:
     def test_missing(self, tmp_path):
@@ -158,7 +185,7 @@ class TestDegradeReasons:
                 outer,
                 inner,
                 storage=StorageManager(),
-                expected={"k_mode": "fixed", "k": 9},
+                expected=IndexExpectation(14, GranulePolicy(k=9)),
             )
         assert excinfo.value.reason == "config_mismatch"
 
