@@ -41,40 +41,13 @@ from typing import Any, Dict, List, Sequence
 
 if __package__:
     from .common import emit, heading, scaled, table
-else:
+else:  # run as a script: the harness sits next to this file
     _SRC = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
     )
     if _SRC not in sys.path:
         sys.path.insert(0, _SRC)
-
-    def emit(line: str = "") -> None:
-        print(line)
-
-    def heading(title: str) -> None:
-        emit()
-        emit("=" * 72)
-        emit(title)
-        emit("=" * 72)
-
-    def table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-        columns = [
-            [str(header)] + [str(row[i]) for row in rows]
-            for i, header in enumerate(headers)
-        ]
-        widths = [max(len(cell) for cell in column) for column in columns]
-        emit(" | ".join(h.rjust(w) for h, w in zip(headers, widths)))
-        emit("-+-".join("-" * w for w in widths))
-        for row in rows:
-            emit(
-                " | ".join(
-                    str(cell).rjust(w) for cell, w in zip(row, widths)
-                )
-            )
-
-    def scaled(cardinality: int) -> int:
-        scale = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-        return max(1, int(cardinality * scale))
+    from common import emit, heading, scaled, table
 
 import tempfile
 

@@ -224,20 +224,26 @@ def _obs_kwargs(args: argparse.Namespace) -> dict:
     return kwargs
 
 
+def _write_metrics(args: argparse.Namespace) -> None:
+    """Write the ``--metrics-out`` file from the run's registry."""
+    metrics = getattr(args, "_metrics", None)
+    metrics_out = getattr(args, "metrics_out", None)
+    if metrics is None or metrics_out is None:
+        return
+    if getattr(args, "metrics_format", "json") == "prometheus":
+        text = metrics.to_prometheus_text()
+    else:
+        text = metrics.to_json()
+    if not text.endswith("\n"):
+        text += "\n"
+    with open(metrics_out, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
 def _write_obs_artifacts(args: argparse.Namespace, result) -> None:
     """Write the ``--metrics-out`` and ``--report`` files for a finished
     (completed or cancelled) run."""
-    metrics = getattr(args, "_metrics", None)
-    metrics_out = getattr(args, "metrics_out", None)
-    if metrics is not None and metrics_out is not None:
-        if getattr(args, "metrics_format", "json") == "prometheus":
-            text = metrics.to_prometheus_text()
-        else:
-            text = metrics.to_json()
-        if not text.endswith("\n"):
-            text += "\n"
-        with open(metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    _write_metrics(args)
     report_path = getattr(args, "report", None)
     if report_path is not None and result.report is not None:
         from .obs.report import write_report
@@ -362,14 +368,15 @@ def _resilience_kwargs(args: argparse.Namespace) -> dict:
     return kwargs
 
 
-def _make_algorithm(
+def _algorithm_kwargs(
     name: str, args: argparse.Namespace, skip_oip_only: bool = False
-):
-    """Instantiate algorithm *name*, honouring the oip-only ``--kernel``
-    and ``--index`` flags, the ``--fault-profile`` resilience flags for
-    every algorithm, and the lifecycle flags (budget / checkpoint /
-    cancellation).  With *skip_oip_only* (the non-oip contenders of
-    ``compare``), oip-only flags are skipped instead of rejected."""
+) -> dict:
+    """Constructor keywords of algorithm *name*, honouring the oip-only
+    ``--kernel`` and ``--index`` flags, the ``--fault-profile``
+    resilience flags for every algorithm, and the lifecycle flags
+    (budget / checkpoint / cancellation).  With *skip_oip_only* (the
+    non-oip contenders of ``compare``), oip-only flags are skipped
+    instead of rejected."""
     kwargs = _resilience_kwargs(args)
     kwargs.update(_lifecycle_kwargs(name, args))
     kwargs.update(_obs_kwargs(args))
@@ -394,6 +401,14 @@ def _make_algorithm(
                 f"--index is only supported by the oip algorithm, "
                 f"not {name!r}"
             )
+    return kwargs
+
+
+def _make_algorithm(
+    name: str, args: argparse.Namespace, skip_oip_only: bool = False
+):
+    """Instantiate algorithm *name* with :func:`_algorithm_kwargs`."""
+    kwargs = _algorithm_kwargs(name, args, skip_oip_only)
     try:
         return ALGORITHMS[name](**kwargs)
     except TypeError:
@@ -478,15 +493,7 @@ def _run_batch(args: argparse.Namespace) -> int:
     inner = _make_relation(args, args.seed + 1, "inner")
     token = CancellationToken()
     args._cancellation = token
-    kwargs = _resilience_kwargs(args)
-    kwargs.update(_obs_kwargs(args))
-    budget = _budget_from(args)
-    if budget is not None:
-        kwargs["budget"] = budget
-    kernel = getattr(args, "kernel", None)
-    if kernel is not None:
-        kwargs["kernel"] = kernel
-    batch = BatchJoin(cancellation=token, **kwargs)
+    batch = BatchJoin(**_algorithm_kwargs("oip", args))
     try:
         windows = equal_windows(outer.time_range, args.batch)
     except ValueError as error:
@@ -508,17 +515,7 @@ def _run_batch(args: argparse.Namespace) -> int:
         sink = getattr(args, "_trace_sink", None)
         if sink is not None:
             sink.close()
-    metrics = getattr(args, "_metrics", None)
-    metrics_out = getattr(args, "metrics_out", None)
-    if metrics is not None and metrics_out is not None:
-        if getattr(args, "metrics_format", "json") == "prometheus":
-            text = metrics.to_prometheus_text()
-        else:
-            text = metrics.to_json()
-        if not text.endswith("\n"):
-            text += "\n"
-        with open(metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    _write_metrics(args)
     report_path = getattr(args, "report", None)
     if report_path is not None:
         from .obs.report import write_report

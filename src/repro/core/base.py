@@ -174,14 +174,7 @@ class OverlapJoinAlgorithm(ABC):
         resilience = ResilienceCounters()
         self._resilience = resilience
         self._partial_pairs = []
-        tracer = self.tracer
-        if self.collect_report and not tracer.enabled:
-            # The report needs phase timings even when the caller did not
-            # attach a tracer: collect into a private in-memory one.
-            from ..obs.trace import Tracer
-
-            tracer = Tracer()
-        self._run_tracer = tracer
+        tracer = self._tracer_for_run()
         spans_before = tracer.span_count
         events_before = tracer.event_count
         roots_before = len(tracer.roots)
@@ -211,55 +204,70 @@ class OverlapJoinAlgorithm(ABC):
         result.counters.result_tuples = len(result.pairs)
         result.resilience = resilience
         result.elapsed_ms = (time.perf_counter() - started) * 1000.0
-        if self.metrics is not None or self.collect_report:
-            self._finish_observability(
-                result, tracer, spans_before, events_before, roots_before
+        # Observability runs strictly after the join, so the hot path
+        # carries no observability cost.
+        if self.metrics is not None:
+            self._publish(result)
+        if self.collect_report:
+            self._report(
+                result,
+                tracer.roots[-1] if len(tracer.roots) > roots_before else None,
+                tracer.span_count - spans_before,
+                tracer.event_count - events_before,
             )
         return result
 
-    def _finish_observability(
+    def _tracer_for_run(self) -> Any:
+        """The tracer of one run, kept on ``_run_tracer`` for the storage
+        manager and governor.  A report needs phase timings even when
+        the caller attached no tracer, so ``collect_report`` then
+        collects into a private in-memory one."""
+        tracer = self.tracer
+        if self.collect_report and not tracer.enabled:
+            from ..obs.trace import Tracer
+
+            tracer = Tracer()
+        self._run_tracer = tracer
+        return tracer
+
+    def _publish(self, result: JoinResult) -> None:
+        """Publish one result's counters, and the buffer pool's and
+        fault policy's state, into the metrics registry."""
+        for key, value in result.counters.snapshot().items():
+            self.metrics.counter(f"join.counters.{key}").inc(value)
+        for key, value in result.resilience.snapshot().items():
+            self.metrics.counter(f"join.resilience.{key}").inc(value)
+        for subsystem in (self.buffer_pool, self.fault_policy):
+            publish = getattr(subsystem, "publish_metrics", None)
+            if publish is not None:
+                publish(self.metrics)
+
+    def _report(
         self,
         result: JoinResult,
-        tracer: Any,
-        spans_before: int,
-        events_before: int,
-        roots_before: int,
+        root: Optional[Any],
+        span_count: int,
+        event_count: int,
     ) -> None:
-        """Publish the run into the metrics registry and/or build the
-        run-report document.  Runs strictly after the join so the hot
-        path carries no observability cost."""
-        if self.metrics is not None:
-            for key, value in result.counters.snapshot().items():
-                self.metrics.counter(f"join.counters.{key}").inc(value)
-            for key, value in result.resilience.snapshot().items():
-                self.metrics.counter(f"join.resilience.{key}").inc(value)
-            for subsystem in (self.buffer_pool, self.fault_policy):
-                publish = getattr(subsystem, "publish_metrics", None)
-                if publish is not None:
-                    publish(self.metrics)
-        if self.collect_report:
-            from ..obs.report import build_report
+        """Build *result*'s run-report document, rooted at the finished
+        span *root* (None when the run opened none)."""
+        from ..obs.report import build_report
 
-            root = (
-                tracer.roots[-1] if len(tracer.roots) > roots_before else None
-            )
-            weights = getattr(self, "weights", None)
-            if weights is None:
-                weights = self.device.weights
-            result.report = build_report(
-                result,
-                self.device,
-                weights,
-                root=root,
-                span_count=tracer.span_count - spans_before,
-                event_count=tracer.event_count - events_before,
-                governor=self._governor_summary(result),
-                metrics=(
-                    self.metrics.snapshot()
-                    if self.metrics is not None
-                    else None
-                ),
-            )
+        weights = getattr(self, "weights", None)
+        if weights is None:
+            weights = self.device.weights
+        result.report = build_report(
+            result,
+            self.device,
+            weights,
+            root=root,
+            span_count=span_count,
+            event_count=event_count,
+            governor=self._governor_summary(result),
+            metrics=(
+                self.metrics.snapshot() if self.metrics is not None else None
+            ),
+        )
 
     @staticmethod
     def _governor_summary(result: JoinResult) -> Optional[Dict[str, Any]]:

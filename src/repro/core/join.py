@@ -19,8 +19,9 @@ The probe is one core: :func:`build_probe_schedule` navigates (one task
 per outer partition, via
 :meth:`~repro.core.lazy_list.LazyPartitionList.relevant`) and
 :func:`run_probe_task` is the pair loop.  The join runs the schedule in
-this thread (:func:`probe_inline`), and :mod:`repro.engine.batch` runs
-one windowed schedule per query through the same loop.
+this thread (:func:`probe_inline`), and :mod:`repro.engine.batch`, an
+``OIPJoin`` subclass sharing :meth:`OIPJoin._build`, runs one windowed
+schedule per query through the same loop.
 """
 
 from __future__ import annotations
@@ -370,6 +371,36 @@ class OIPJoin(OverlapJoinAlgorithm):
             tracer=self._run_tracer,
         )
 
+    def _build(
+        self,
+        outer: TemporalRelation,
+        inner: TemporalRelation,
+        storage: StorageManager,
+        tracer: Any,
+    ) -> Tuple[Optional[KDerivation], LazyPartitionList, LazyPartitionList]:
+        """Algorithm 2's build: choose ``k`` (the ``derive_k`` span), then
+        OIPCREATE each side once into *storage* (one ``oipcreate`` span
+        per side).  ``oip_create`` is looked up through this module at
+        call time, so a wrapper installed on it (a profiler) sees both
+        builds.  Returns ``(derivation or None when k is pinned, outer
+        list, inner list)``; each list's configuration carries its
+        granule count."""
+        with tracer.span("derive_k") as k_span:
+            derivation = self._derive_k(outer, inner)
+            k_outer, k_inner = self.granules.counts(outer, inner, derivation)
+            k_span.set("k_outer", k_outer)
+            k_span.set("k_inner", k_inner)
+            k_span.set("self_adjusting", derivation is not None)
+        config_r = OIPConfiguration.for_relation(outer, k_outer)
+        config_s = OIPConfiguration.for_relation(inner, k_inner)
+        with tracer.span("oipcreate", side="outer") as create_span:
+            outer_list = oip_create(outer, config_r, storage)
+            create_span.set("partitions", outer_list.partition_count)
+        with tracer.span("oipcreate", side="inner") as create_span:
+            inner_list = oip_create(inner, config_s, storage)
+            create_span.set("partitions", inner_list.partition_count)
+        return derivation, outer_list, inner_list
+
     def _execute(
         self,
         outer: TemporalRelation,
@@ -410,24 +441,21 @@ class OIPJoin(OverlapJoinAlgorithm):
         if loaded is not None:
             # The snapshot recorded the same derivation this join would
             # run (the load validated that), caps included.
-            k_outer, k_inner = loaded.k_outer, loaded.k_inner
+            outer_list, inner_list = loaded.outer_list, loaded.inner_list
             self_adjusting = self.granules.mode == "derived"
             k_steps = loaded.meta.get("k_steps")
             k_oscillated = loaded.meta.get("k_oscillated")
         else:
-            with tracer.span("derive_k") as k_span:
-                derivation = self._derive_k(outer, inner)
-                k_outer, k_inner = self.granules.counts(
-                    outer, inner, derivation
-                )
-                k_span.set("k_outer", k_outer)
-                k_span.set("k_inner", k_inner)
-                k_span.set("self_adjusting", derivation is not None)
+            derivation, outer_list, inner_list = self._build(
+                outer, inner, storage, tracer
+            )
             self_adjusting = derivation is not None
             k_steps = derivation.steps if derivation is not None else None
             k_oscillated = (
                 derivation.oscillated if derivation is not None else None
             )
+        config_r, config_s = outer_list.config, inner_list.config
+        k_outer, k_inner = config_r.k, config_s.k
 
         # Every kernel is bit-identical in pairs and counters, so the
         # choice only decides physical execution speed.
@@ -437,21 +465,6 @@ class OIPJoin(OverlapJoinAlgorithm):
             if self.metrics is not None
             else None
         )
-
-        if loaded is not None:
-            outer_list = loaded.outer_list
-            inner_list = loaded.inner_list
-            config_r = outer_list.config
-            config_s = inner_list.config
-        else:
-            config_r = OIPConfiguration.for_relation(outer, k_outer)
-            config_s = OIPConfiguration.for_relation(inner, k_inner)
-            with tracer.span("oipcreate", side="outer") as create_span:
-                outer_list = oip_create(outer, config_r, storage)
-                create_span.set("partitions", outer_list.partition_count)
-            with tracer.span("oipcreate", side="inner") as create_span:
-                inner_list = oip_create(inner, config_s, storage)
-                create_span.set("partitions", inner_list.partition_count)
         if self.metrics is not None:
             # Deterministic distribution of partition sizes (in blocks):
             # same input and k ⇒ identical exported histogram.

@@ -41,41 +41,41 @@ counter sink is swapped per query), so per-query run reports are
 directly comparable; the shared build cost is reported once on the
 batch.
 
-Lifecycle and observability reuse the existing machinery: an optional
-:class:`AdmissionController` admits each query, an optional
-:class:`~repro.engine.governor.QueryBudget` /
+A batch is an :class:`~repro.core.join.OIPJoin` run that builds once
+and probes once per window, so lifecycle and observability are the
+join's: an optional :class:`~repro.engine.governor.QueryBudget` /
 :class:`~repro.engine.governor.CancellationToken` pair is enforced at
 outer-partition boundaries through a per-query
 :class:`~repro.engine.governor.GovernedRun` (a cancel stops the batch
-with the partial query marked ``completed=False``), metrics flow into
-the shared registry, and ``collect_report=True`` builds one
-schema-valid run report per query.
+with the partial query marked ``completed=False``), each query's
+counters flow into the shared metrics registry, and
+``collect_report=True`` builds one schema-valid run report per query.
+Only admission is the batch's own: an optional
+:class:`AdmissionController` admits each query.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.base import JoinResult
-from ..core.granules import GranulePolicy
 from ..core.interval import Interval
 from ..core.join import (
+    OIPJoin,
     RunReader,
     build_probe_schedule,
     joined_tuples,
     probe_inline,
 )
-from ..core.kernels import KERNELS, resolve_kernel
-from ..core.lazy_list import oip_create
-from ..core.oip import OIPConfiguration
+from ..core.kernels import resolve_kernel
 from ..core.relation import TemporalRelation
 from ..storage.device import DeviceProfile
-from ..storage.faults import FaultInjector, FaultPolicy
-from ..storage.manager import StorageManager
+from ..storage.faults import FaultPolicy
 from ..storage.metrics import CostCounters, CostWeights, ResilienceCounters
-from .governor import AdmissionController, GovernedRun
+from .governor import AdmissionController
 
 __all__ = ["BatchJoin", "BatchResult", "equal_windows"]
 
@@ -167,10 +167,15 @@ class BatchResult:
         return combined
 
 
-class BatchJoin:
+class BatchJoin(OIPJoin):
     """N windowed overlap queries over one shared OIP partitioning.
 
-    Parameters mirror :class:`~repro.core.join.OIPJoin` where the
+    A batch is an :class:`~repro.core.join.OIPJoin` run that builds once
+    and probes once per window: construction, validation, tracer choice,
+    storage wiring, the build (``derive_k`` plus both OIPCREATEs), the
+    per-query governor, metrics and run reports are the join's own.
+    (:meth:`~repro.core.join.OIPJoin.join` is inherited and runs the
+    plain Algorithm 2.)  Parameters mirror the join's where the
     semantics carry over (``device``, ``k``, ``weights``, ``kernel``,
     resilience and observability keywords); the batch-specific ones
     are:
@@ -214,51 +219,24 @@ class BatchJoin:
         metrics: Optional[Any] = None,
         collect_report: bool = False,
     ) -> None:
-        if kernel not in ("auto",) + KERNELS:
-            raise ValueError(
-                f"unknown join kernel {kernel!r}; choose from "
-                f"{('auto',) + KERNELS}"
-            )
-        if max_read_retries < 0:
-            raise ValueError(
-                f"max_read_retries must be >= 0, got {max_read_retries}"
-            )
-        self.device = (
-            device if device is not None else DeviceProfile.main_memory()
+        super().__init__(
+            device=device,
+            k=k,
+            weights=weights,
+            kernel=kernel,
+            fault_policy=fault_policy,
+            max_read_retries=max_read_retries,
+            verify_checksums=verify_checksums,
+            budget=budget,
+            cancellation=cancellation,
+            tracer=tracer,
+            metrics=metrics,
+            collect_report=collect_report,
         )
-        #: How the batch chooses ``k``, with the device's weights filled in.
-        self.granules = GranulePolicy(k=k, weights=weights).on(self.device)
-        self.kernel = kernel
         self.admission = admission
         self.admission_timeout = admission_timeout
-        self.budget = budget
-        self.cancellation = cancellation
-        self.fault_policy = fault_policy
-        self.max_read_retries = max_read_retries
-        self.verify_checksums = verify_checksums
-        self.tracer = tracer
-        self.metrics = metrics
-        self.collect_report = collect_report
 
     # ------------------------------------------------------------------
-
-    @property
-    def weights(self) -> CostWeights:
-        """The caller's cost weights, else the device's."""
-        return self.granules.weights
-
-    def _run_tracer(self) -> Any:
-        tracer = self.tracer
-        if tracer is not None and (tracer.enabled or not self.collect_report):
-            return tracer
-        if self.collect_report:
-            # Reports need phase timings even without a caller tracer.
-            from ..obs.trace import Tracer
-
-            return Tracer()
-        from ..obs.trace import NULL_TRACER
-
-        return NULL_TRACER
 
     def run(
         self,
@@ -271,100 +249,48 @@ class BatchJoin:
             raise ValueError("batch execution needs at least one window")
         started = time.perf_counter()
         build_counters = CostCounters()
-        batch_resilience = ResilienceCounters()
+        self._resilience = ResilienceCounters()
         if outer.is_empty or inner.is_empty:
             return self._empty_batch(windows, build_counters, started)
 
-        tracer = self._run_tracer()
+        tracer = self._tracer_for_run()
         kernel = resolve_kernel(self.kernel, outer, inner)
-
+        storage = self._storage(build_counters)
         queries: List[JoinResult] = []
-        query_spans: List[Any] = []
-        trace_marks: List[Tuple[int, int]] = []
-        cancelled = False
+        # Per query: its span and the spans/events it opened.
+        marks: List[Tuple[Any, int, int]] = []
         with tracer.span("batch", algorithm=self.name, windows=len(windows)):
-            with tracer.span("derive_k") as k_span:
-                derivation = self.granules.derive(outer, inner, self.device)
-                self_adjusting = derivation is not None
-                k_outer, k_inner = self.granules.counts(
-                    outer, inner, derivation
-                )
-                k_span.set("k_outer", k_outer)
-                k_span.set("k_inner", k_inner)
-                k_span.set("self_adjusting", self_adjusting)
-
-            config_r = OIPConfiguration.for_relation(outer, k_outer)
-            config_s = OIPConfiguration.for_relation(inner, k_inner)
-            injector = (
-                FaultInjector(self.fault_policy)
-                if self.fault_policy is not None
-                else None
+            # The batch's one build: exactly two oipcreate spans appear
+            # in the trace, however many windows follow.
+            derivation, outer_list, inner_list = self._build(
+                outer, inner, storage, tracer
             )
-            storage = StorageManager(
-                device=self.device,
-                counters=build_counters,
-                fault_injector=injector,
-                resilience=batch_resilience,
-                max_retries=self.max_read_retries,
-                verify_checksums=self.verify_checksums,
-                tracer=tracer,
-            )
-            # The batch's one partitioning pass: exactly two oipcreate
-            # spans appear in the trace, however many windows follow.
-            with tracer.span("oipcreate", side="outer") as create_span:
-                outer_list = oip_create(outer, config_r, storage)
-                create_span.set("partitions", outer_list.partition_count)
-            with tracer.span("oipcreate", side="inner") as create_span:
-                inner_list = oip_create(inner, config_s, storage)
-                create_span.set("partitions", inner_list.partition_count)
-
             for index, window in enumerate(windows):
                 spans_before = tracer.span_count
                 events_before = tracer.event_count
-                if self.admission is not None:
-                    with self.admission.admit(timeout=self.admission_timeout):
-                        result, span = self._run_query(
-                            index,
-                            window,
-                            outer_list,
-                            inner_list,
-                            storage,
-                            batch_resilience,
-                            kernel,
-                            tracer,
-                        )
-                else:
+                with (
+                    self.admission.admit(timeout=self.admission_timeout)
+                    if self.admission is not None
+                    else nullcontext()
+                ):
                     result, span = self._run_query(
-                        index,
-                        window,
-                        outer_list,
-                        inner_list,
-                        storage,
-                        batch_resilience,
-                        kernel,
-                        tracer,
+                        index, window, outer_list, inner_list, storage, kernel
                     )
                 queries.append(result)
-                query_spans.append(span)
                 # The query span is closed by now, so these deltas cover
                 # exactly this query's spans/events.
-                trace_marks.append(
+                marks.append(
                     (
+                        span,
                         tracer.span_count - spans_before,
                         tracer.event_count - events_before,
                     )
                 )
                 if self.metrics is not None:
-                    for key, value in result.counters.snapshot().items():
-                        self.metrics.counter(f"join.counters.{key}").inc(value)
-                    for key, value in result.resilience.snapshot().items():
-                        self.metrics.counter(
-                            f"join.resilience.{key}"
-                        ).inc(value)
+                    self._publish(result)
                 if not result.completed:
                     # A cancel stops the whole batch: later windows would
                     # observe the same cancelled token immediately.
-                    cancelled = True
                     break
 
         if self.metrics is not None:
@@ -375,16 +301,21 @@ class BatchJoin:
             if self.admission is not None:
                 self.admission.publish_metrics(self.metrics)
         if self.collect_report:
-            self._attach_reports(queries, query_spans, trace_marks)
+            # Each report is rooted at its query's span, finished by now
+            # (the batch span closed first).
+            for result, (span, span_count, event_count) in zip(queries, marks):
+                root = span if getattr(span, "end_ms", None) is not None else None
+                self._report(result, root, span_count, event_count)
 
+        cancelled = not queries[-1].completed
         details: Dict[str, Any] = {
             # The inner side's count is the one the probe navigates.
-            "k": k_inner,
-            "k_outer": k_outer,
-            "k_inner": k_inner,
+            "k": inner_list.config.k,
+            "k_outer": outer_list.config.k,
+            "k_inner": inner_list.config.k,
             "outer_partitions": outer_list.partition_count,
             "inner_partitions": inner_list.partition_count,
-            "self_adjusting": self_adjusting,
+            "self_adjusting": derivation is not None,
             "kernel": kernel,
             "windows": len(windows),
             "queries_executed": len(queries),
@@ -400,7 +331,7 @@ class BatchJoin:
             windows=list(windows),
             queries=queries,
             build_counters=build_counters,
-            resilience=batch_resilience,
+            resilience=self._resilience,
             details=details,
             completed=not cancelled,
             elapsed_ms=(time.perf_counter() - started) * 1000.0,
@@ -412,8 +343,9 @@ class BatchJoin:
         build_counters: CostCounters,
         started: float,
     ) -> BatchResult:
-        """All-empty results for an empty input side (no partitioning,
-        no spans — mirrors the base class's empty-input short circuit)."""
+        """All-empty results for an empty input side: no partitioning and
+        no spans, but metrics and reports as for the join's empty-input
+        short circuit."""
         queries = [
             JoinResult(
                 algorithm=self.name,
@@ -423,6 +355,12 @@ class BatchJoin:
             )
             for index, w in enumerate(windows)
         ]
+        if self.metrics is not None:
+            for result in queries:
+                self._publish(result)
+        if self.collect_report:
+            for result in queries:
+                self._report(result, None, 0, 0)
         return BatchResult(
             algorithm=self.name,
             windows=list(windows),
@@ -440,10 +378,8 @@ class BatchJoin:
         window: Interval,
         outer_list,
         inner_list,
-        storage: StorageManager,
-        batch_resilience: ResilienceCounters,
+        storage,
         kernel: str,
-        tracer,
     ) -> Tuple[JoinResult, Any]:
         """One windowed query against the shared partitioning.
 
@@ -454,23 +390,13 @@ class BatchJoin:
         totals afterwards.
         """
         query_started = time.perf_counter()
+        tracer = self._run_tracer
         counters = CostCounters()
         resilience = ResilienceCounters()
         storage.counters = counters
         storage.resilience = resilience
-        governor = (
-            GovernedRun(
-                budget=self.budget,
-                cancellation=self.cancellation,
-                weights=self.weights,
-                tracer=tracer,
-            )
-            if self.budget is not None or self.cancellation is not None
-            else None
-        )
+        governor = self._governed_run()
         pairs: List = []
-        cancelled = False
-        visited = 0
         span = tracer.span(
             "query", index=index, window=(window.start, window.end)
         )
@@ -494,7 +420,7 @@ class BatchJoin:
                 )
         finally:
             span.__exit__(None, None, None)
-            batch_resilience.merge(resilience)
+            self._resilience.merge(resilience)
         counters.result_tuples = len(pairs)
         details: Dict[str, Any] = {
             "query_index": index,
@@ -518,41 +444,3 @@ class BatchJoin:
             elapsed_ms=(time.perf_counter() - query_started) * 1000.0,
         )
         return result, span
-
-    # ------------------------------------------------------------------
-
-    def _attach_reports(
-        self,
-        queries: List[JoinResult],
-        query_spans: List[Any],
-        trace_marks: List[Tuple[int, int]],
-    ) -> None:
-        """Build one schema-valid run report per executed query, rooted
-        at that query's trace span (finished by now — the batch span
-        closed first)."""
-        from ..obs.report import build_report
-
-        metrics_snapshot = (
-            self.metrics.snapshot() if self.metrics is not None else None
-        )
-        for position, result in enumerate(queries):
-            span = query_spans[position]
-            span_count, event_count = trace_marks[position]
-            governor_summary = None
-            if not result.completed:
-                governor_summary = {
-                    "cancelled": True,
-                    "partitions_completed": result.details.get(
-                        "partitions_completed", 0
-                    ),
-                }
-            result.report = build_report(
-                result,
-                self.device,
-                self.weights,
-                root=span if getattr(span, "end_ms", None) is not None else None,
-                span_count=span_count,
-                event_count=event_count,
-                governor=governor_summary,
-                metrics=metrics_snapshot,
-            )

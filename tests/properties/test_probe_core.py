@@ -11,9 +11,15 @@ contract end to end:
   random boundary and a resume from the checkpoint written there;
 * one ``BatchJoin`` run over a window covering both domains plus
   several drawn partial windows returns, per window, the oracle's pairs
-  that meet the window (the service's ``_window_matches`` filter);
+  that meet the window (the service's ``_window_matches`` filter), and
+  a second batch on the naive kernel agrees with it per query on pairs
+  in order, cost and resilience counters, and the build counters;
 * a join through a snapshot saved with ``save_index`` under the same
   device and granules loads it and equals the plain join;
+* an in-process ``JoinService`` on that snapshot, its result cache on
+  or off, answers each window's ``lookup`` (twice) and one ``join``
+  exactly as ``offline_query`` does, and each lookup's pair count is
+  the window-filtered oracle's;
 * drawn journaled inserts and deletes, compacted, serve a join through
   ``ServingGeneration.join_kwargs()`` that equals the oracle and the
   plain join over the maintained relations.
@@ -53,7 +59,7 @@ from repro.core.oip import OIPConfiguration
 from repro.core.relation import TemporalRelation
 from repro.engine.batch import BatchJoin
 from repro.engine.governor import CancellationToken
-from repro.service.service import _window_matches
+from repro.service.service import JoinService, _window_matches, offline_query
 from repro.service.snapshots import ServingGeneration
 from repro.storage.device import TUPLE_SIZE_BYTES, DeviceProfile
 from repro.storage.faults import (
@@ -145,8 +151,9 @@ configs = st.fixed_dictionaries(
         # blocks, so the seeded faults hit them far more often.
         "block_tuples": st.sampled_from([14, 2]),
         # Join through a snapshot of the pair saved under the example's
-        # device and granules.
+        # device and granules, and serve it.
         "index": st.booleans(),
+        "result_cache_size": st.sampled_from([0, 4]),
         # Journaled deltas folded into a snapshot: (op, side, a, b) with
         # a and b per-mille positions in the domain for an insert; a
         # picks the tuple a delete removes.
@@ -239,33 +246,55 @@ def check_probe_core(pair, config):
         windows.append(Interval(ts, te))
     if outer.cardinality and inner.cardinality:
         if config["index"]:
-            check_index(outer, inner, config, plain)
+            check_index(outer, inner, config, plain, windows, oracle)
         if config["journal"] is not None:
             check_journal(outer, inner, config)
 
-    batch_k = config["granules"].get("k")
-    batch = _outcome(
-        lambda: BatchJoin(k=batch_k, kernel=config["kernel"], **storage).run(
-            outer, inner, windows
+    granules = config["granules"]
+    options = dict(k=granules.get("k"), weights=granules.get("weights"), **storage)
+    batch, naive = [
+        _outcome(
+            lambda: BatchJoin(kernel=kernel, **options).run(outer, inner, windows)
         )
-    )
+        for kernel in (config["kernel"], "naive")
+    ]
     if isinstance(batch, type):
+        assert naive is batch
         return
+    assert _batch_fingerprint(batch) == _batch_fingerprint(naive)
     assert Counter(_keys(batch.queries[0].pairs)) == Counter(
         _keys(oracle.pairs)
     )
     assert len(batch.queries) == len(windows)
     for window, query in zip(windows, batch.queries):
-        expected = [
-            pair
-            for pair in oracle.pairs
-            if _window_matches(pair, window.start, window.end)
-        ]
-        assert Counter(_keys(query.pairs)) == Counter(_keys(expected))
+        assert Counter(_keys(query.pairs)) == Counter(
+            _keys(_windowed(oracle, window))
+        )
 
 
-def check_index(outer, inner, config, plain):
-    """A join through the pair's snapshot equals the plain join."""
+def _windowed(oracle, window):
+    return [
+        pair
+        for pair in oracle.pairs
+        if _window_matches(pair, window.start, window.end)
+    ]
+
+
+def _batch_fingerprint(batch):
+    """What must not depend on the kernel: per query, pairs in order and
+    the cost and resilience counters; and the shared build's counters."""
+    return (
+        [
+            (_keys(q.pairs), q.counters.snapshot(), q.resilience.snapshot())
+            for q in batch.queries
+        ],
+        batch.build_counters.snapshot(),
+    )
+
+
+def check_index(outer, inner, config, plain, windows, oracle):
+    """A join through the pair's snapshot equals the plain join, and a
+    service on the snapshot answers like its offline oracle."""
     storage = _storage(config)
     with tempfile.TemporaryDirectory() as scratch:
         path = os.path.join(scratch, "pair.oip")
@@ -277,6 +306,7 @@ def check_index(outer, inner, config, plain):
                 index_path=path, **config["granules"], **storage
             ).join(outer, inner)
         )
+        check_service(path, config, windows, oracle)
     event("joined through a snapshot")
     if isinstance(plain, type):
         assert loaded is plain
@@ -285,6 +315,36 @@ def check_index(outer, inner, config, plain):
     assert _keys(loaded.pairs) == _keys(plain.pairs)
     assert loaded.counters.snapshot() == plain.counters.snapshot()
     assert loaded.resilience.snapshot() == plain.resilience.snapshot()
+
+
+def check_service(path, config, windows, oracle):
+    """Served lookups (each issued twice, so a result cache answers the
+    second) and a served join equal ``offline_query``'s bodies."""
+    kernel = config["kernel"]
+    service = JoinService(
+        path, kernel=kernel, result_cache_size=config["result_cache_size"]
+    )
+    service.start()
+    try:
+        requests = [
+            ("lookup", [window.start, window.end])
+            for window in windows
+            for _ in range(2)
+        ] + [("join", None)]
+        for op, window in requests:
+            body = service.query(op, window=window)
+            expected = offline_query(path, op=op, window=window, kernel=kernel)
+            for field in ("pairs", "fingerprint", "counters"):
+                assert body[field] == expected[field], (op, window, field)
+            if body.get("cached"):
+                event("served from the result cache")
+            if op == "lookup":
+                assert body["pairs"] == len(
+                    _windowed(oracle, Interval(*window))
+                )
+    finally:
+        service.drain()
+    event("served lookups and a join")
 
 
 def check_journal(outer, inner, config):
@@ -350,6 +410,7 @@ REDECODED = (
         "faults": ("corrupt", 3),
         "block_tuples": 2,
         "index": True,
+        "result_cache_size": 4,
         "journal": [("delete", "inner", 3, 0), ("insert", "outer", 100, 300)],
     },
 )
@@ -363,6 +424,7 @@ REDECODED = (
         "faults": None,
         "block_tuples": 14,
         "index": True,
+        "result_cache_size": 0,
         "journal": [("insert", "inner", 0, 1000), ("delete", "outer", 0, 0)],
     },
 )
