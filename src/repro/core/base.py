@@ -22,8 +22,9 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..obs.gcpause import gc_pauses
 from ..obs.trace import NULL_TRACER
 from ..storage.buffer import BufferPool
 from ..storage.device import DeviceProfile
@@ -56,14 +57,17 @@ def join_pair_key(pair: JoinPair) -> Tuple[int, int, Any, int, int, Any]:
 class JoinResult:
     """Output of one join execution.
 
-    ``pairs`` is the overlap-join result ``{r o s | r.T cap s.T}``;
-    ``counters`` the cost events charged while computing it; ``details``
-    algorithm-specific facts (derived ``k``, partition counts, tree heights,
-    ...) the benchmarks report.
+    ``pairs`` is the overlap-join result ``{r o s | r.T cap s.T}``, a
+    sequence of ``(outer, inner)`` tuple pairs: a list for the baselines,
+    a :class:`~repro.core.join.PairChunks` (hit chunks that build pairs
+    on demand) for the OIPJOIN and its batch; ``counters`` the cost
+    events charged while computing it; ``details`` algorithm-specific
+    facts (derived ``k``, partition counts, tree heights, ...) the
+    benchmarks report.
     """
 
     algorithm: str
-    pairs: List[JoinPair]
+    pairs: Sequence[JoinPair]
     counters: CostCounters
     details: Dict[str, Any] = field(default_factory=dict)
     #: Fault-handling events of the run (all zero on a healthy device).
@@ -181,7 +185,7 @@ class OverlapJoinAlgorithm(ABC):
         if outer.is_empty or inner.is_empty:
             result = JoinResult(
                 algorithm=self.name,
-                pairs=[],
+                pairs=self._begin_pairs(),
                 counters=counters,
                 resilience=resilience,
             )
@@ -191,8 +195,13 @@ class OverlapJoinAlgorithm(ABC):
             from ..engine.governor import QueryCancelledError
 
             try:
-                with tracer.span("join", algorithm=self.name):
-                    result = self._execute(outer, inner, counters)
+                with tracer.span("join", algorithm=self.name) as span:
+                    if tracer.enabled:
+                        with gc_pauses() as pauses:
+                            result = self._execute(outer, inner, counters)
+                        pauses.record(span)
+                    else:
+                        result = self._execute(outer, inner, counters)
             except QueryCancelledError:
                 result = JoinResult(
                     algorithm=self.name,
@@ -286,9 +295,10 @@ class OverlapJoinAlgorithm(ABC):
         return summary or None
 
     def _begin_pairs(self) -> List[JoinPair]:
-        """The pair sink of one execution.  Registering the list here
-        lets :meth:`join` hand back a well-formed partial result when a
-        cancellation unwinds through :class:`QueryCancelledError`."""
+        """The pair sink of one execution, also the result of an empty
+        input.  Registering the list here lets :meth:`join` hand back a
+        well-formed partial result when a cancellation unwinds through
+        :class:`QueryCancelledError`."""
         self._partial_pairs = []
         return self._partial_pairs
 

@@ -22,12 +22,23 @@ per outer partition, via
 this thread (:func:`probe_inline`), and :mod:`repro.engine.batch`, an
 ``OIPJoin`` subclass sharing :meth:`OIPJoin._build`, runs one windowed
 schedule per query through the same loop.
+
+Algorithm 2 emits ``r o s`` for every kernel hit.  The emission step
+(:func:`pair_emitter`) keeps each task's hits as they come out of the
+kernel, one chunk per task, in a :class:`PairChunks` — the join's
+``JoinResult.pairs``.  A pair tuple is built only when a consumer
+iterates or indexes the result; :func:`repro.service.service
+.summarize_result` counts, window-filters and fingerprints the chunks
+without building any.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from itertools import chain
+from operator import index as as_index
 from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..storage.buffer import BufferPool
@@ -45,10 +56,12 @@ from .relation import TemporalRelation
 
 __all__ = [
     "OIPJoin",
+    "PairChunks",
     "ProbeSchedule",
     "ProbeTask",
     "RunReader",
     "build_probe_schedule",
+    "hits_in_window",
     "pair_emitter",
     "probe_inline",
     "run_probe_task",
@@ -57,6 +70,81 @@ __all__ = [
 #: Outer partitions between periodic checkpoints when ``checkpoint_path``
 #: is set but ``checkpoint_every`` is not.
 DEFAULT_CHECKPOINT_EVERY = 8
+
+#: One :class:`PairChunks` chunk: ``(outer tuples, inner tuples, n_outer,
+#: hits)``, hit ``e`` standing for ``(outer[e % n_outer], inner[e //
+#: n_outer])``.
+PairChunk = Tuple[Sequence, Sequence, int, List[int]]
+
+
+class PairChunks(SequenceABC):
+    """The result pairs of an OIPJOIN, kept as the kernel's hit chunks.
+
+    One chunk per probe task with hits (see :data:`PairChunk`), in
+    emission order.  The hits use the kernels' encoding ``inner_pos *
+    n_outer + outer_pos`` over the chunk's tuple sequences, so a chunk
+    costs its hit list and no pair tuple until one is asked for.
+
+    A read-only sequence of ``(outer, inner)`` tuple pairs: ``len()`` is
+    O(1); iteration, indexing (negative indices, slices — a slice is a
+    list) yield the pairs in emission order; it compares equal to a list
+    (or another ``PairChunks``) of the same pairs, and is unhashable like
+    a list.  Consumers that only count, filter or fingerprint read
+    :attr:`chunks` directly.
+    """
+
+    __slots__ = ("chunks", "_ends")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self) -> None:
+        self.chunks: List[PairChunk] = []
+        #: Pairs up to and including each chunk, for indexing.
+        self._ends: List[int] = []
+
+    def append(
+        self,
+        outer_tuples: Sequence,
+        inner_tuples: Sequence,
+        n_outer: int,
+        hits: List[int],
+    ) -> None:
+        """Add one chunk; a chunk without hits adds nothing."""
+        if hits:
+            self.chunks.append((outer_tuples, inner_tuples, n_outer, hits))
+            self._ends.append(len(self) + len(hits))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __iter__(self):
+        for outer, inner, n_outer, hits in self.chunks:
+            yield from [(outer[e % n_outer], inner[e // n_outer]) for e in hits]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        position = as_index(index)
+        length = len(self)
+        if position < 0:
+            position += length
+        if not 0 <= position < length:
+            raise IndexError("pair index out of range")
+        chunk = bisect_right(self._ends, position)
+        if chunk:
+            position -= self._ends[chunk - 1]
+        outer, inner, n_outer, hits = self.chunks[chunk]
+        encoded = hits[position]
+        return outer[encoded % n_outer], inner[encoded // n_outer]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, PairChunks)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    def __repr__(self) -> str:
+        return f"PairChunks({len(self)} pairs in {len(self.chunks)} chunks)"
 
 
 class OIPJoin(OverlapJoinAlgorithm):
@@ -272,6 +360,12 @@ class OIPJoin(OverlapJoinAlgorithm):
 
     # ------------------------------------------------------------------
 
+    def _begin_pairs(self) -> PairChunks:
+        """The join's pair sink: hit chunks (see :class:`PairChunks`).
+        A cancel stops the probe at a governor boundary and returns
+        them, so no partial result needs registering."""
+        return PairChunks()
+
     @property
     def weights(self) -> CostWeights:
         """The caller's cost weights, else the device's."""
@@ -473,7 +567,7 @@ class OIPJoin(OverlapJoinAlgorithm):
                 for node in partition_list.iter_nodes():
                     histogram.observe(len(node.run.block_ids))
 
-        pairs: List = self._begin_pairs()
+        pairs = self._begin_pairs()
         start_at = 0
         fingerprint = None
         if checkpoint is not None or self.checkpoint_path is not None:
@@ -488,7 +582,15 @@ class OIPJoin(OverlapJoinAlgorithm):
             # work, so overwriting keeps the final totals bit-identical
             # to an uninterrupted run.
             checkpoint.restore_into(counters, self._resilience)
-            pairs.extend(checkpoint.rebuild_pairs(outer, inner))
+            # The checkpointed prefix is one chunk over the relations'
+            # tuples, its hits encoded from the stored positions.
+            n_outer = outer.cardinality
+            pairs.append(
+                outer.tuples,
+                inner.tuples,
+                n_outer,
+                [i * n_outer + o for o, i in checkpoint.pairs],
+            )
             start_at = checkpoint.partitions_completed
         if governor is not None and self.checkpoint_path is not None:
             governor.attach_writer(
@@ -777,33 +879,53 @@ def joined_tuples(inner_runs: Sequence[DecodedRun], hits: List[int]) -> Sequence
     return list(chain.from_iterable(run.tuples for run in inner_runs))
 
 
+def hits_in_window(
+    outer_tuples: Sequence,
+    inner_tuples: Sequence,
+    n_outer: int,
+    hits: List[int],
+    start: int,
+    end: int,
+) -> List[int]:
+    """The *hits* (encoded as in :data:`PairChunk`) whose pair meets the
+    window ``[start, end]``: all three intervals share a point.
+
+    A hit's two tuples overlap, so that holds iff each tuple meets the
+    window (Helly's theorem in one dimension): one flag per outer tuple
+    and a test of each hit's inner tuple decide it, and no hit survives
+    when no outer tuple meets the window."""
+    meets = [t.start <= end and start <= t.end for t in outer_tuples]
+    if not any(meets):
+        return []
+    return [
+        encoded
+        for encoded in hits
+        if meets[encoded % n_outer]
+        and (inner := inner_tuples[encoded // n_outer]).start <= end
+        and start <= inner.end
+    ]
+
+
 #: An emission step: ``emit(outer run, [inner run, ...], hits)``.
 Emitter = Callable[[DecodedRun, Sequence[DecodedRun], List[int]], None]
 
 
 def pair_emitter(
-    pairs: List, observe: Optional[Callable[[int], Any]] = None
+    pairs: PairChunks, observe: Optional[Callable[[int], Any]] = None
 ) -> Emitter:
-    """The emission step of one outer partition: decode the runner's hits
-    over the concatenated inner runs into ``(outer, inner)`` tuple pairs
-    appended to *pairs*, observing each partition pair's candidate count
-    with *observe* (a histogram hook)."""
+    """The emission step of one outer partition: append the runner's hits
+    to *pairs* as one chunk over the outer run's tuples and the
+    concatenated inner runs' tuples (no pair tuple is built), observing
+    each partition pair's candidate count with *observe* (a histogram
+    hook)."""
 
     def emit(outer, inner_runs, hits) -> None:
         n_outer = outer.length
         if observe is not None:
             for run in inner_runs:
                 observe(run.length * n_outer)
-        outer_tuples = outer.tuples
-        inner_tuples = joined_tuples(inner_runs, hits)
-        pairs.extend(
-            [
-                (
-                    outer_tuples[encoded % n_outer],
-                    inner_tuples[encoded // n_outer],
-                )
-                for encoded in hits
-            ]
+        pairs.append(
+            outer.tuples, joined_tuples(inner_runs, hits), n_outer, hits
         )
 
     return emit
@@ -813,7 +935,7 @@ def probe_inline(
     schedule: ProbeSchedule,
     reader: RunReader,
     counters: CostCounters,
-    pairs: List,
+    pairs: Sequence,
     emit: Emitter,
     kernel: str,
     governor: Optional[Any] = None,
@@ -826,9 +948,10 @@ def probe_inline(
     consulted *before* the partition's work, so a cancel or budget stop
     leaves the counters exactly at the last completed partition.  Tasks
     below *start_at* (completed by the run a checkpoint was restored
-    from) are skipped without charges.  *emit* turns the hits of each
-    task with relevant inner runs into result pairs (see
-    :func:`pair_emitter`).  Per-partition and kernel spans are opened
+    from) are skipped without charges.  *emit* adds the hits of each
+    task with relevant inner runs to *pairs* as a chunk (see
+    :func:`pair_emitter`); *pairs* is what governor boundaries
+    checkpoint.  Per-partition and kernel spans are opened
     only while *tracer* is live and not depth-capped.  Returns
     ``(cancelled, partitions_completed)``.
     """

@@ -26,7 +26,8 @@ pruning interval:
 * the partition-pair kernel (:mod:`repro.core.kernels` — shared with
   the single-query join, including the numpy tier) yields the
   overlapping pairs, which a final two-comparison test filters against
-  the window.
+  the window; the kept hits stay hit chunks
+  (:class:`~repro.core.join.PairChunks`), like the join's.
 
 A pair ``(r, s)`` matches window ``W`` iff ``max(r.TS, s.TS, W.TS) <=
 min(r.TE, s.TE, W.TE)`` — plain interval overlap of all three.
@@ -65,8 +66,10 @@ from ..core.base import JoinResult
 from ..core.interval import Interval
 from ..core.join import (
     OIPJoin,
+    PairChunks,
     RunReader,
     build_probe_schedule,
+    hits_in_window,
     joined_tuples,
     probe_inline,
 )
@@ -104,28 +107,22 @@ def equal_windows(time_range: Interval, count: int) -> List[Interval]:
     return windows
 
 
-def _window_emitter(window: Interval, counters: CostCounters, pairs: List):
+def _window_emitter(window: Interval, counters: CostCounters, pairs: PairChunks):
     """The batch's emission step: keep only the kernel's hits that also
-    overlap *window* — two more comparisons per hit, and the hits that
-    fail the window count as false hits too."""
+    overlap *window* (:func:`~repro.core.join.hits_in_window`) — two
+    more comparisons per hit, and the hits that fail the window count as
+    false hits too — as one chunk of *pairs*."""
     w_start, w_end = window.start, window.end
 
     def emit(outer, inner_runs, hits) -> None:
         n_outer = outer.length
-        outer_tuples = outer.tuples
         inner_tuples = joined_tuples(inner_runs, hits)
         counters.charge_cpu(2 * len(hits))
-        emitted = 0
-        for encoded in hits:
-            outer_tuple = outer_tuples[encoded % n_outer]
-            inner_tuple = inner_tuples[encoded // n_outer]
-            if (
-                max(outer_tuple.start, inner_tuple.start) <= w_end
-                and w_start <= min(outer_tuple.end, inner_tuple.end)
-            ):
-                pairs.append((outer_tuple, inner_tuple))
-                emitted += 1
-        counters.charge_false_hit(len(hits) - emitted)
+        kept = hits_in_window(
+            outer.tuples, inner_tuples, n_outer, hits, w_start, w_end
+        )
+        counters.charge_false_hit(len(hits) - len(kept))
+        pairs.append(outer.tuples, inner_tuples, n_outer, kept)
 
     return emit
 
@@ -349,7 +346,7 @@ class BatchJoin(OIPJoin):
         queries = [
             JoinResult(
                 algorithm=self.name,
-                pairs=[],
+                pairs=PairChunks(),
                 counters=CostCounters(),
                 details={"query_index": index, "window": (w.start, w.end)},
             )
@@ -396,7 +393,7 @@ class BatchJoin(OIPJoin):
         storage.counters = counters
         storage.resilience = resilience
         governor = self._governed_run()
-        pairs: List = []
+        pairs = PairChunks()
         span = tracer.span(
             "query", index=index, window=(window.start, window.end)
         )

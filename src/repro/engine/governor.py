@@ -444,8 +444,9 @@ class QueryCheckpoint:
     probe loop after ``partitions_completed`` outer partitions.
     ``pairs`` holds
     ``(outer_index, inner_index)`` positions into the two relations in
-    emission order, so a resume rebuilds the exact pair list without
-    re-reading a single block.
+    emission order, so a resume rebuilds the exact pair list (one
+    :class:`~repro.core.join.PairChunks` chunk over the relations)
+    without re-reading a single block.
     """
 
     fingerprint: Dict[str, Any]
@@ -533,14 +534,6 @@ class QueryCheckpoint:
         """
         _overwrite_counters(counters, self.counters)
         _overwrite_resilience(resilience, self.resilience)
-
-    def rebuild_pairs(self, outer: Any, inner: Any) -> List[Tuple[Any, Any]]:
-        """Materialise the checkpointed pairs from the live relations."""
-        outer_tuples = outer.tuples
-        inner_tuples = inner.tuples
-        return [
-            (outer_tuples[o], inner_tuples[i]) for o, i in self.pairs
-        ]
 
 
 class CheckpointWriter:

@@ -4,7 +4,8 @@ The benchmark scripts print tables and the CLI prints counters, but
 neither leaves a *stable machine-readable artifact* behind — nothing a
 perf-trajectory tracker (or the next PR) can diff.  A run report is that
 artifact: algorithm, configuration (``k``, granule durations, cost
-weights), wall-clock phase timings, the full
+weights), wall-clock phase timings, the garbage-collector pauses of the
+run (:mod:`repro.obs.gcpause`), the full
 :class:`~repro.storage.metrics.CostCounters` /
 :class:`~repro.storage.metrics.ResilienceCounters`, the governor outcome
 and the trace span tree.
@@ -102,6 +103,17 @@ def phase_table(root: Optional[Span]) -> List[Dict[str, Any]]:
     return rows
 
 
+def _gc_section(root: Optional[Span]) -> Optional[Dict[str, Any]]:
+    """The collector pauses the root span recorded (see
+    :mod:`repro.obs.gcpause`), or None when it recorded none."""
+    if root is None or "gc_ms" not in root.attributes:
+        return None
+    return {
+        "ms": root.attributes["gc_ms"],
+        "collections": list(root.attributes["gc_collections"]),
+    }
+
+
 def build_report(
     result: Any,
     device: Any,
@@ -143,6 +155,7 @@ def build_report(
         },
         "governor": _jsonable(governor) if governor is not None else None,
         "metrics": _jsonable(metrics) if metrics is not None else None,
+        "gc": _gc_section(root),
         "index": (
             _jsonable(result.details["index"])
             if isinstance(getattr(result, "details", None), dict)

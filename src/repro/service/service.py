@@ -43,7 +43,7 @@ import time
 import zlib
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.join import OIPJoin
+from ..core.join import OIPJoin, PairChunks, hits_in_window
 from ..engine.governor import (
     AdmissionController,
     AdmissionRejectedError,
@@ -88,6 +88,7 @@ STOPPED = "stopped"
 
 _STATE_VALUES = {STARTING: 0, SERVING: 1, DRAINING: 2, STOPPED: 3}
 _OPS = ("join", "lookup")
+_FINGERPRINT_MASK = 0xFFFFFFFFFFFF
 
 
 def _window_matches(pair: Tuple[Any, Any], ts: int, te: int) -> bool:
@@ -124,6 +125,76 @@ def _check_number(field: str, value: Any, kind: Callable[[Any], Any]) -> Any:
         ) from None
 
 
+def _tuple_key(tup: Any) -> str:
+    """One tuple's part of a pair's fingerprint key; the pair's key is
+    ``outer key | inner key``, UTF-8 encoded."""
+    return f"{tup.start}|{tup.end}|{tup.payload!r}"
+
+
+def _summarize_pairs(
+    pairs: Sequence[Tuple[Any, Any]],
+    window: Optional[Tuple[int, int]],
+    limit: int,
+) -> Tuple[int, int, List[Tuple[Any, Any]]]:
+    """``(count, fingerprint, first *limit* pairs)`` of a pair list's
+    pairs that meet *window* (all of them without one)."""
+    if window is not None:
+        ts, te = window
+        pairs = [pair for pair in pairs if _window_matches(pair, ts, te)]
+    fingerprint = 0
+    for outer, inner in pairs:
+        fingerprint = (
+            fingerprint
+            + zlib.crc32(f"{_tuple_key(outer)}|{_tuple_key(inner)}".encode())
+        ) & _FINGERPRINT_MASK
+    return len(pairs), fingerprint, list(pairs[:limit])
+
+
+def _summarize_chunks(
+    pairs: PairChunks,
+    window: Optional[Tuple[int, int]],
+    limit: int,
+) -> Tuple[int, int, List[Tuple[Any, Any]]]:
+    """:func:`_summarize_pairs` straight from the join's hit chunks,
+    building no pair beyond the first *limit* kept ones.
+
+    The window keeps a chunk's hits by one flag per tuple
+    (:func:`~repro.core.join.hits_in_window`).  The key of a pair is its
+    outer tuple's prefix followed by its inner tuple's key, and
+    ``crc32(a + b) == crc32(b, crc32(a))``, so each pair's CRC is the
+    inner key's CRC seeded with the outer prefix's CRC: one prefix per
+    outer tuple of the chunk, and one key per inner tuple, cached
+    across chunks."""
+    crc32 = zlib.crc32
+    inner_keys: Dict[int, bytes] = {}
+    count = fingerprint = 0
+    kept_pairs: List[Tuple[Any, Any]] = []
+    for outer, inner, n_outer, hits in pairs.chunks:
+        if window is not None:
+            hits = hits_in_window(outer, inner, n_outer, hits, *window)
+            if not hits:
+                continue
+        if len(kept_pairs) < limit:
+            kept_pairs += [
+                (outer[encoded % n_outer], inner[encoded // n_outer])
+                for encoded in hits[: limit - len(kept_pairs)]
+            ]
+        prefixes = [crc32(f"{_tuple_key(t)}|".encode()) for t in outer]
+        keys = list(map(inner_keys.get, map(id, inner)))
+        if None in keys:
+            for position, key in enumerate(keys):
+                if key is None:
+                    tup = inner[position]
+                    keys[position] = inner_keys[id(tup)] = _tuple_key(
+                        tup
+                    ).encode()
+        fingerprint += sum(
+            [crc32(keys[e // n_outer], prefixes[e % n_outer]) for e in hits]
+        )
+        count += len(hits)
+    return count, fingerprint & _FINGERPRINT_MASK, kept_pairs
+
+
 def summarize_result(
     result: Any,
     *,
@@ -140,25 +211,24 @@ def summarize_result(
     CRC32s over the canonical pair key, so two runs agree exactly when
     they produced the same result multiset — cheap to ship over the
     wire, stable across processes, and computed in one pass without
-    sorting the (potentially huge) result."""
-    pairs = result.pairs
-    if op == "lookup":
-        ts, te = window if window is not None else (None, None)
-        pairs = [pair for pair in pairs if _window_matches(pair, ts, te)]
-    fingerprint = 0
-    for outer, inner in pairs:
-        key = (
-            f"{outer.start}|{outer.end}|{outer.payload!r}|"
-            f"{inner.start}|{inner.end}|{inner.payload!r}"
-        )
-        fingerprint = (
-            fingerprint + zlib.crc32(key.encode("utf-8"))
-        ) & 0xFFFFFFFFFFFF
+    sorting the (potentially huge) result.  An OIPJOIN's
+    :class:`~repro.core.join.PairChunks` is read chunk by chunk without
+    building its pairs; any other pair sequence is filtered and hashed
+    pair by pair, to the same body."""
+    limit = max(0, int(max_pairs)) if include_pairs else 0
+    summarize = (
+        _summarize_chunks
+        if isinstance(result.pairs, PairChunks)
+        else _summarize_pairs
+    )
+    count, fingerprint, kept_pairs = summarize(
+        result.pairs, window if op == "lookup" else None, limit
+    )
     body: Dict[str, Any] = {
         "op": op,
         "generation": generation,
         "window": None if window is None else list(window),
-        "pairs": len(pairs),
+        "pairs": count,
         "fingerprint": fingerprint,
         "completed": bool(result.completed),
         "elapsed_ms": result.elapsed_ms,
@@ -171,9 +241,9 @@ def summarize_result(
                 [outer.start, outer.end, outer.payload],
                 [inner.start, inner.end, inner.payload],
             ]
-            for outer, inner in pairs[: max(0, int(max_pairs))]
+            for outer, inner in kept_pairs
         ]
-        body["results_truncated"] = len(pairs) > max(0, int(max_pairs))
+        body["results_truncated"] = count > limit
     return body
 
 

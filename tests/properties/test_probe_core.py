@@ -22,7 +22,13 @@ contract end to end:
   the window-filtered oracle's;
 * drawn journaled inserts and deletes, compacted, serve a join through
   ``ServingGeneration.join_kwargs()`` that equals the oracle and the
-  plain join over the maintained relations.
+  plain join over the maintained relations;
+* ``summarize_result`` straight from the hit chunks of the drawn join,
+  of every batch query and of the served join equals
+  ``summarize_result`` of the same pairs as a plain list, for ``join``
+  and for ``lookup`` on the drawn windows, windows outside the domain
+  and point windows, with ``include_pairs`` at ``max_pairs`` 0, 1 and
+  past the count.
 
 A drawn seeded fault profile (``FAULT_PROFILES``) applies to every run
 of an example.  Faults are a pure function of ``(block, attempt)``, so
@@ -33,7 +39,8 @@ re-decode of an already decoded run.
 A small profile runs in tier-1; the deep one runs under ``-m slow``.
 A direct test of ``run_probe_task`` pins its shape: one kernel call per
 outer partition over the concatenation of its relevant inner runs, with
-the pairs and charges of one call per partition pair.
+the pairs and charges of one call per partition pair.  Unit tests pin
+the ``PairChunks`` sequence semantics.
 """
 
 import os
@@ -45,9 +52,11 @@ import pytest
 from hypothesis import event, example, given, settings
 
 from repro.baselines.nested_loop import NestedLoopJoin
+from repro.core.base import JoinResult
 from repro.core.interval import Interval
 from repro.core.join import (
     OIPJoin,
+    PairChunks,
     RunReader,
     build_probe_schedule,
     pair_emitter,
@@ -59,7 +68,12 @@ from repro.core.oip import OIPConfiguration
 from repro.core.relation import TemporalRelation
 from repro.engine.batch import BatchJoin
 from repro.engine.governor import CancellationToken
-from repro.service.service import JoinService, _window_matches, offline_query
+from repro.service.service import (
+    JoinService,
+    _window_matches,
+    offline_query,
+    summarize_result,
+)
 from repro.service.snapshots import ServingGeneration
 from repro.storage.device import TUPLE_SIZE_BYTES, DeviceProfile
 from repro.storage.faults import (
@@ -244,6 +258,8 @@ def check_probe_core(pair, config):
     for a, b in config["windows"]:
         ts, te = sorted(lo + (hi - lo) * m // 1000 for m in (a, b))
         windows.append(Interval(ts, te))
+    if not isinstance(result, type):
+        check_summaries(result, windows)
     if outer.cardinality and inner.cardinality:
         if config["index"]:
             check_index(outer, inner, config, plain, windows, oracle)
@@ -270,6 +286,42 @@ def check_probe_core(pair, config):
         assert Counter(_keys(query.pairs)) == Counter(
             _keys(_windowed(oracle, window))
         )
+        check_summaries(query, [window])
+
+
+def check_summaries(result, windows):
+    """The chunked summary of *result* equals the pair-by-pair summary of
+    its pairs as a plain list: for ``join``, and for ``lookup`` on each
+    of *windows*, on windows wholly outside the domain and on point
+    windows, with and without ``include_pairs`` at several
+    ``max_pairs``."""
+    listed = JoinResult(
+        algorithm=result.algorithm,
+        pairs=list(result.pairs),
+        counters=result.counters,
+        details=result.details,
+        completed=result.completed,
+        elapsed_ms=result.elapsed_ms,
+    )
+    lo = min((w.start for w in windows), default=0)
+    hi = max((w.end for w in windows), default=0)
+    lookups = [(w.start, w.end) for w in windows] + [
+        (hi + 1, hi + 50),  # after the domain
+        (lo - 50, lo - 1),  # before it
+        (lo, lo),  # point windows
+        (hi, hi),
+        ((lo + hi) // 2, (lo + hi) // 2),
+    ]
+    count = len(result.pairs)
+    for op, window in [("join", None)] + [("lookup", w) for w in lookups]:
+        for extra in (
+            {},
+            *({"include_pairs": True, "max_pairs": m} for m in (0, 1, count + 1)),
+        ):
+            options = dict(op=op, window=window, generation=None, **extra)
+            assert summarize_result(result, **options) == summarize_result(
+                listed, **options
+            ), (op, window, extra)
 
 
 def _windowed(oracle, window):
@@ -342,6 +394,13 @@ def check_service(path, config, windows, oracle):
                 assert body["pairs"] == len(
                     _windowed(oracle, Interval(*window))
                 )
+        generation = service.snapshots.current
+        served = OIPJoin(
+            index_provider=generation,
+            kernel=kernel,
+            **generation.join_kwargs(),
+        ).join(generation.outer, generation.inner)
+        check_summaries(served, windows)
     finally:
         service.drain()
     event("served lookups and a join")
@@ -532,7 +591,7 @@ def test_run_probe_task_makes_one_kernel_call_per_outer_partition(kernel):
         counters,
         counting,
     )
-    pairs = []
+    pairs = PairChunks()
     pair_emitter(pairs)(outer_run, inner_runs, hits)
 
     assert calls == [sum(len(run) for run in inner_runs)]
@@ -560,7 +619,7 @@ def test_corrupt_middle_inner_run_invalidates_its_cached_decode(
     visits = []
     for _ in range(2):
         del decode_log[:]
-        pairs = []
+        pairs = PairChunks()
         pair_emitter(pairs)(
             *run_probe_task(
                 task.outer,
@@ -622,3 +681,110 @@ def test_schedule_matches_lemma1_navigation():
             s, e = config_s.query_indices(query)
             expected = [(node.i, node.j) for node in inner_list.iter_relevant(s, e)]
         assert [(node.i, node.j) for node in task.inner] == expected
+
+
+# ----------------------------------------------------------------------
+# PairChunks: the join's result as hit chunks, read as a sequence.
+# ----------------------------------------------------------------------
+
+
+def _chunked_join(**options):
+    return OIPJoin(k=8, **options).join(PROBE_OUTER, PROBE_INNER)
+
+
+def test_pair_chunks_read_like_the_pair_list():
+    result = _chunked_join()
+    pairs = result.pairs
+    listed = list(pairs)
+    assert isinstance(pairs, PairChunks)
+    assert len(pairs.chunks) > 1
+    assert len(pairs) == len(listed) == result.counters.result_tuples
+    oracle = NestedLoopJoin().join(PROBE_OUTER, PROBE_INNER)
+    assert Counter(_keys(listed)) == Counter(_keys(oracle.pairs))
+    assert [pairs[i] for i in range(len(pairs))] == listed
+    assert [pairs[-i] for i in range(1, len(pairs) + 1)] == listed[::-1]
+    for cut in (
+        slice(None),
+        slice(3, 40),
+        slice(-7, None),
+        slice(None, None, -3),
+        slice(5, 2),
+        slice(len(listed) + 10, None),
+    ):
+        assert pairs[cut] == listed[cut]
+    with pytest.raises(IndexError):
+        pairs[len(listed)]
+    with pytest.raises(IndexError):
+        pairs[-len(listed) - 1]
+    with pytest.raises(TypeError):
+        pairs["0"]
+    assert pairs == listed and listed == pairs
+    assert not (pairs != listed)
+    assert pairs == _chunked_join().pairs
+    assert pairs != listed[:-1] and listed[:-1] != pairs
+    assert pairs != listed[::-1]
+    assert pairs != tuple(listed)
+    with pytest.raises(TypeError):
+        hash(pairs)
+    assert listed[5] in pairs
+    assert pairs.index(listed[5]) == listed.index(listed[5])
+    assert list(reversed(pairs)) == listed[::-1]
+
+
+def test_pair_chunks_empty_result():
+    empty = TemporalRelation.from_records([], name="r")
+    for result in (
+        OIPJoin().join(empty, PROBE_INNER),
+        # Disjoint domains: the probe runs and emits no chunk.
+        OIPJoin().join(
+            PROBE_OUTER,
+            TemporalRelation.from_records([(1000, 1001, "far")], name="s"),
+        ),
+    ):
+        assert isinstance(result.pairs, PairChunks)
+        assert len(result.pairs) == 0 and result.pairs.chunks == []
+        assert result.pairs == [] and [] == result.pairs
+        assert list(result.pairs) == [] and result.pairs[:] == []
+        with pytest.raises(IndexError):
+            result.pairs[0]
+        body = summarize_result(
+            result, op="join", window=None, generation=None, include_pairs=True
+        )
+        assert (body["pairs"], body["fingerprint"], body["results"]) == (0, 0, [])
+    empty_batch = BatchJoin().run(empty, PROBE_INNER, [Interval(0, 10)])
+    assert empty_batch.queries[0].pairs == []
+
+
+def test_pair_chunks_partial_result_after_cancel_is_a_prefix():
+    full = _chunked_join().pairs
+    partial = _chunked_join(cancellation=CancellationToken(3))
+    assert not partial.completed
+    assert isinstance(partial.pairs, PairChunks)
+    assert 0 < len(partial.pairs) < len(full)
+    assert partial.counters.result_tuples == len(partial.pairs)
+    assert partial.pairs == full[: len(partial.pairs)]
+
+
+def test_pair_chunks_resumed_prefix_is_one_chunk(tmp_path):
+    full = _chunked_join()
+    path = str(tmp_path / "probe.ckpt")
+    partial = _chunked_join(
+        cancellation=CancellationToken(3), checkpoint_path=path, checkpoint_every=1
+    )
+    assert not partial.completed
+    resumed = _chunked_join(resume_from=path)
+    assert resumed.pairs == full.pairs
+    assert resumed.counters.snapshot() == full.counters.snapshot()
+    # The checkpointed prefix comes back as one chunk over the relations.
+    outer_tuples, inner_tuples, n_outer, hits = resumed.pairs.chunks[0]
+    assert outer_tuples is PROBE_OUTER.tuples
+    assert n_outer == PROBE_OUTER.cardinality
+    assert inner_tuples is PROBE_INNER.tuples
+    assert len(hits) == len(partial.pairs)
+    assert resumed.pairs[: len(hits)] == list(partial.pairs)
+    for op, window in (("join", None), ("lookup", (100, 180))):
+        options = dict(op=op, window=window, generation=None, include_pairs=True)
+        bodies = [summarize_result(r, **options) for r in (resumed, full)]
+        for body in bodies:
+            del body["elapsed_ms"]
+        assert bodies[0] == bodies[1]
