@@ -31,16 +31,17 @@ TIME_RANGE = Interval(1, 2**20)
 def _scramble(*lists) -> None:
     """Assign random block ids — the layout of an unsorted build."""
     rng = random.Random(0)
-    blocks = [
-        block
+    runs = [
+        node.run
         for partition_list in lists
         for node in partition_list.iter_nodes()
-        for block in node.run.blocks
     ]
-    new_ids = list(range(len(blocks)))
+    new_ids = list(range(sum(len(run) for run in runs)))
     rng.shuffle(new_ids)
-    for block, block_id in zip(blocks, new_ids):
-        block.block_id = block_id
+    taken = 0
+    for run in runs:
+        run.relocate(new_ids[taken : taken + len(run)])
+        taken += len(run)
 
 
 def fragmented_layout(device):

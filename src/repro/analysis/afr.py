@@ -50,7 +50,7 @@ def partition_views_from_lazy_list(
     return [
         PartitionView(
             interval=config.partition_interval(node.i, node.j),
-            tuples=list(node.run.iter_tuples()),
+            tuples=node.run.tuples(),
         )
         for node in partition_list.iter_nodes()
     ]

@@ -39,7 +39,7 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from itertools import chain
 from operator import index as as_index
-from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..storage.buffer import BufferPool
 from ..storage.device import DeviceProfile
@@ -91,15 +91,22 @@ class PairChunks(SequenceABC):
     (or another ``PairChunks``) of the same pairs, and is unhashable like
     a list.  Consumers that only count, filter or fingerprint read
     :attr:`chunks` directly.
+
+    A chunk may also carry the relation positions of its tuples (see
+    :func:`chunk_positions`); :meth:`positions` then encodes every pair
+    as ``(outer position, inner position)`` — what a checkpoint stores.
     """
 
-    __slots__ = ("chunks", "_ends")
+    __slots__ = ("chunks", "_ends", "_positions")
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self) -> None:
         self.chunks: List[PairChunk] = []
         #: Pairs up to and including each chunk, for indexing.
         self._ends: List[int] = []
+        #: Chunk index -> ``(outer positions, [inner positions, ...])``,
+        #: for the chunks that carry positions.
+        self._positions: Dict[int, Tuple[Sequence[int], List]] = {}
 
     def append(
         self,
@@ -107,11 +114,28 @@ class PairChunks(SequenceABC):
         inner_tuples: Sequence,
         n_outer: int,
         hits: List[int],
+        positions: Optional[Tuple[Sequence[int], List]] = None,
     ) -> None:
         """Add one chunk; a chunk without hits adds nothing."""
         if hits:
+            if positions is not None:
+                self._positions[len(self.chunks)] = positions
             self.chunks.append((outer_tuples, inner_tuples, n_outer, hits))
             self._ends.append(len(self) + len(hits))
+
+    def positions(self) -> List[Tuple[int, int]]:
+        """Every pair as ``(outer position, inner position)`` in its
+        relations, in emission order."""
+        encoded: List[Tuple[int, int]] = []
+        for index, (_, _, n_outer, hits) in enumerate(self.chunks):
+            if index not in self._positions:
+                raise ValueError("these pairs carry no relation positions")
+            outer, inner_runs = self._positions[index]
+            inner = list(chain.from_iterable(inner_runs))
+            encoded.extend(
+                [(outer[e % n_outer], inner[e // n_outer]) for e in hits]
+            )
+        return encoded
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
@@ -565,7 +589,7 @@ class OIPJoin(OverlapJoinAlgorithm):
             histogram = self.metrics.histogram("oip.partition_blocks")
             for partition_list in (outer_list, inner_list):
                 for node in partition_list.iter_nodes():
-                    histogram.observe(len(node.run.block_ids))
+                    histogram.observe(len(node.run))
 
         pairs = self._begin_pairs()
         start_at = 0
@@ -590,6 +614,7 @@ class OIPJoin(OverlapJoinAlgorithm):
                 inner.tuples,
                 n_outer,
                 [i * n_outer + o for o, i in checkpoint.pairs],
+                (range(n_outer), [range(inner.cardinality)]),
             )
             start_at = checkpoint.partitions_completed
         if governor is not None and self.checkpoint_path is not None:
@@ -599,8 +624,6 @@ class OIPJoin(OverlapJoinAlgorithm):
                     self.checkpoint_every,
                     fingerprint,
                     outer_list.partition_count,
-                    outer,
-                    inner,
                 )
             )
 
@@ -615,6 +638,7 @@ class OIPJoin(OverlapJoinAlgorithm):
                     candidate_histogram.observe
                     if candidate_histogram is not None
                     else None,
+                    positions=self.checkpoint_path is not None,
                 ),
                 kernel,
                 governor=governor,
@@ -770,23 +794,25 @@ def build_probe_schedule(
 
 class RunReader:
     """The probe's one reader.  Every read goes through the storage
-    manager, so block IO, checksum verification, injected faults and the
-    buffer pool all apply on every visit.
+    manager's ``read_run``, so block IO, checksum verification, injected
+    faults and the buffer pool all apply on every visit.
 
     A read returns the node's columnar decode, memoised on the node
     (:attr:`~repro.core.lazy_list.PartitionNode.decoded`).  The run is
-    decoded on the node's first read, and again after a read that
+    decoded on the node's first read — from the run's stored columns,
+    through ``DecodedRun.from_tuples`` — and again after a read that
     detected a corruption or a buffer-pool invalidation on its blocks,
     so a corrupt read is never answered from a stale decode.
     ``decode=False`` reads without decoding a node that has no decode
-    yet.  ``DecodedRun.from_tuples`` is looked up at call time, so a
-    wrapper installed on it (a profiler) sees every decode.
+    yet.  ``StorageManager.read_run`` and ``DecodedRun.from_tuples`` are
+    looked up at call time, so a wrapper installed on either (a
+    profiler) sees every read and every decode.
     """
 
-    __slots__ = ("read_run", "resilience")
+    __slots__ = ("storage", "resilience")
 
     def __init__(self, storage: StorageManager) -> None:
-        self.read_run = storage.read_run
+        self.storage = storage
         #: The run's resilience sink, also handed to governor boundaries.
         self.resilience = storage.resilience
 
@@ -801,7 +827,8 @@ class RunReader:
         detected = (
             resilience.corruptions_detected + resilience.pool_invalidations
         )
-        tuples = list(self.read_run(node.run, context=(side, (node.i, node.j))))
+        run = node.run
+        tuples = self.storage.read_run(run, context=(side, (node.i, node.j)))
         if (
             resilience.corruptions_detected + resilience.pool_invalidations
             != detected
@@ -809,10 +836,10 @@ class RunReader:
             node.decoded = None
         if decode and node.decoded is None:
             if trace is not None:
-                with trace.span("kernel.decode", tuples=len(tuples)):
-                    node.decoded = DecodedRun.from_tuples(tuples)
+                with trace.span("kernel.decode", tuples=run.count):
+                    node.decoded = DecodedRun.from_tuples(tuples, *run.slices())
             else:
-                node.decoded = DecodedRun.from_tuples(tuples)
+                node.decoded = DecodedRun.from_tuples(tuples, *run.slices())
         return node.decoded
 
 
@@ -879,6 +906,18 @@ def joined_tuples(inner_runs: Sequence[DecodedRun], hits: List[int]) -> Sequence
     return list(chain.from_iterable(run.tuples for run in inner_runs))
 
 
+def chunk_positions(
+    outer: DecodedRun, inner_runs: Sequence[DecodedRun], hits: List[int]
+) -> Optional[Tuple[Sequence[int], List[Sequence[int]]]]:
+    """The relation positions of a chunk's tuples: the outer run's, and
+    the inner runs' in :func:`joined_tuples` order, left unjoined until
+    :meth:`PairChunks.positions` needs them (``None`` for runs without
+    positions)."""
+    if not hits or outer.positions is None:
+        return None
+    return outer.positions, [run.positions for run in inner_runs]
+
+
 def hits_in_window(
     outer_tuples: Sequence,
     inner_tuples: Sequence,
@@ -911,13 +950,16 @@ Emitter = Callable[[DecodedRun, Sequence[DecodedRun], List[int]], None]
 
 
 def pair_emitter(
-    pairs: PairChunks, observe: Optional[Callable[[int], Any]] = None
+    pairs: PairChunks,
+    observe: Optional[Callable[[int], Any]] = None,
+    positions: bool = False,
 ) -> Emitter:
     """The emission step of one outer partition: append the runner's hits
     to *pairs* as one chunk over the outer run's tuples and the
     concatenated inner runs' tuples (no pair tuple is built), observing
     each partition pair's candidate count with *observe* (a histogram
-    hook)."""
+    hook).  With *positions* each chunk also keeps its tuples' relation
+    positions (:func:`chunk_positions`), which a checkpoint needs."""
 
     def emit(outer, inner_runs, hits) -> None:
         n_outer = outer.length
@@ -925,7 +967,11 @@ def pair_emitter(
             for run in inner_runs:
                 observe(run.length * n_outer)
         pairs.append(
-            outer.tuples, joined_tuples(inner_runs, hits), n_outer, hits
+            outer.tuples,
+            joined_tuples(inner_runs, hits),
+            n_outer,
+            hits,
+            chunk_positions(outer, inner_runs, hits) if positions else None,
         )
 
     return emit

@@ -71,7 +71,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "KERNELS",
@@ -126,7 +126,9 @@ class DecodedRun:
 
     ``starts`` / ``ends`` are parallel ``array('q')`` columns in the
     run's storage order; ``tuples`` keeps the original tuple objects
-    (``None`` for a run joined by :meth:`concatenate`).  The
+    and ``positions`` their positions in the source relation when the
+    run came from a partition list (both ``None`` for a run joined by
+    :meth:`concatenate`).  The
     start-sorted permutation (``order``) and the starts in that order
     (``sorted_starts``) are computed lazily on first use and memoised —
     the naive kernel never needs them.
@@ -136,6 +138,7 @@ class DecodedRun:
         "tuples",
         "starts",
         "ends",
+        "positions",
         "length",
         "_order",
         "_sorted_starts",
@@ -147,19 +150,32 @@ class DecodedRun:
         starts: array,
         ends: array,
         tuples: Optional[Tuple[Any, ...]] = None,
+        positions: Optional[array] = None,
     ) -> None:
         self.starts = starts
         self.ends = ends
         self.tuples = tuples
+        self.positions = positions
         self.length = len(starts)
         self._order: Optional[List[int]] = None
         self._sorted_starts: Optional[array] = None
         self._np_view: Optional[Tuple[Any, Any, Any, Any]] = None
 
     @classmethod
-    def from_tuples(cls, tuples: Sequence[Any]) -> "DecodedRun":
-        starts, ends = decode_columns(tuples)
-        return cls(starts, ends, tuple(tuples))
+    def from_tuples(
+        cls,
+        tuples: Iterable[Any],
+        starts: Optional[array] = None,
+        ends: Optional[array] = None,
+        positions: Optional[array] = None,
+    ) -> "DecodedRun":
+        """The run of *tuples*; a partition run passes its stored
+        ``starts``/``ends``/``positions`` columns, which spares the
+        per-tuple endpoint decode."""
+        tuples = tuple(tuples)
+        if starts is None or ends is None:
+            starts, ends = decode_columns(tuples)
+        return cls(starts, ends, tuples, positions)
 
     @classmethod
     def concatenate(cls, runs: Sequence["DecodedRun"]) -> "DecodedRun":

@@ -17,16 +17,23 @@ tuple lands either in the current head node or in a brand-new node
 prepended at the head, so insertion is O(1) and the total build cost is
 O(n log n) — independent of ``k`` — while tuples of one partition are laid
 out in contiguous storage blocks.
+
+The list holds its tuples once, as creation-order columns
+(:class:`~repro.storage.columns.RunColumns`); each node's run is a slice
+of them plus the block ids it occupies
+(:class:`~repro.storage.columns.ColumnRun`).
 """
 
 from __future__ import annotations
 
+from array import array
+from itertools import groupby
 from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
-from ..storage.block import BlockRun
+from ..storage.columns import ColumnRun, RunColumns, block_bounds
 from ..storage.manager import StorageManager
 from .oip import OIPConfiguration
-from .relation import TemporalRelation, TemporalTuple
+from .relation import TemporalRelation
 
 if TYPE_CHECKING:
     from .kernels import DecodedRun
@@ -44,7 +51,7 @@ class PartitionNode:
 
     __slots__ = ("i", "j", "run", "down", "right", "decoded")
 
-    def __init__(self, i: int, j: int, run: BlockRun) -> None:
+    def __init__(self, i: int, j: int, run: ColumnRun) -> None:
         self.i = i
         self.j = j
         self.run = run
@@ -61,18 +68,21 @@ class PartitionNode:
 
 
 class LazyPartitionList:
-    """The compressed triangular grid graph of non-empty partitions."""
+    """The compressed triangular grid graph of non-empty partitions,
+    over the creation-order *columns* its runs slice."""
 
-    __slots__ = ("config", "head", "storage")
+    __slots__ = ("config", "head", "storage", "columns")
 
     def __init__(
         self,
         config: OIPConfiguration,
         storage: StorageManager,
+        columns: RunColumns,
     ) -> None:
         self.config = config
         self.head: Optional[PartitionNode] = None
         self.storage = storage
+        self.columns = columns
 
     # -- navigation ------------------------------------------------------------
 
@@ -156,31 +166,44 @@ def oip_create(
 
     Sorts the relation by partition index ``(j ASC, i DESC)`` and builds
     the lazy partition list with O(1) head insertions.  Tuples of the same
-    partition are appended consecutively, so each partition occupies a
-    contiguous block run on the storage manager.
+    partition are consecutive in the sort, so each partition is one slice
+    of the list's columns and occupies a contiguous block run on the
+    storage manager, allocated as the partition is created.
     """
     if storage is None:
         storage = StorageManager()
-    partition_list = LazyPartitionList(config, storage)
-
     d, o = config.d, config.o
-
-    def sort_key(tup: TemporalTuple) -> Tuple[int, int]:
-        return ((tup.end - o) // d, -((tup.start - o) // d))
-
-    for tup in sorted(relation, key=sort_key):
-        i = (tup.start - o) // d
-        j = (tup.end - o) // d
+    tuples = relation.tuples
+    # One int per tuple orders (j ASC, i DESC): the relation's starts span
+    # fewer than ``width`` granules, so ``j * width - i`` grows with j
+    # first and falls with i among equal j.
+    width = 1
+    if tuples:
+        span = relation.time_range
+        width += (span.end - o) // d - (span.start - o) // d
+    keys = [(tup.end - o) // d * width - (tup.start - o) // d for tup in tuples]
+    order = sorted(range(len(tuples)), key=keys.__getitem__)
+    sizes = [len(list(run)) for _, run in groupby(map(keys.__getitem__, order))]
+    del keys  # the largest temporary: free it before the columns exist
+    columns = RunColumns(list(map(tuples.__getitem__, order)), array("q", order))
+    partition_list = LazyPartitionList(config, storage, columns)
+    capacity = storage.device.tuples_per_block
+    bounds: List[Tuple[int, int]] = []
+    offset = 0
+    for size in sizes:
+        first = columns.tuples[offset]
+        i, j = (first.start - o) // d, (first.end - o) // d
+        node = PartitionNode(
+            i, j, storage.column_run(columns, offset, size, len(bounds))
+        )
         head = partition_list.head
         if head is None or head.j < j:
-            node = PartitionNode(i, j, storage.new_run())
             node.down = head
-            partition_list.head = node
-        elif head.i > i:
-            node = PartitionNode(i, j, storage.new_run())
+        else:  # same j, smaller i: the branch insert
             node.down = head.down
             node.right = head
-            partition_list.head = node
-        storage.append(partition_list.head.run, tup)
-
+        partition_list.head = node
+        bounds.extend(block_bounds(offset, size, capacity))
+        offset += size
+    columns.seal(bounds)
     return partition_list

@@ -540,11 +540,10 @@ class CheckpointWriter:
     """Writes boundary checkpoints for one run, every *every* partitions
     (and unconditionally at a cancellation/budget stop).
 
-    Pair encoding maps each emitted tuple back to its position in its
-    relation by value ``(start, end, payload)`` — duplicate tuples all
-    map to the first equal position, which reproduces a value-identical
-    pair list on resume.  Payloads must be hashable to checkpoint (the
-    library's workloads use ints and strings).
+    Pairs are stored as ``(outer position, inner position)`` in their
+    relations, read off the result's hit chunks
+    (:meth:`repro.core.join.PairChunks.positions`), so any payload
+    checkpoints and equal tuples keep their own positions.
     """
 
     def __init__(
@@ -553,8 +552,6 @@ class CheckpointWriter:
         every: int,
         fingerprint: Dict[str, Any],
         partition_count: int,
-        outer: Any,
-        inner: Any,
     ) -> None:
         if every < 1:
             raise ValueError(f"checkpoint interval must be >= 1, got {every}")
@@ -562,53 +559,21 @@ class CheckpointWriter:
         self.every = every
         self.fingerprint = fingerprint
         self.partition_count = partition_count
-        self._outer = outer
-        self._inner = inner
-        self._outer_index: Optional[Dict[Any, int]] = None
-        self._inner_index: Optional[Dict[Any, int]] = None
         self._last_written: Optional[int] = None
         #: How many checkpoints this run wrote (observability/tests).
         self.writes = 0
-
-    @staticmethod
-    def _index_of(relation: Any) -> Dict[Any, int]:
-        index: Dict[Any, int] = {}
-        for position, tup in enumerate(relation):
-            key = (tup.start, tup.end, tup.payload)
-            if key not in index:
-                index[key] = position
-        return index
-
-    def _encode_pairs(
-        self, pairs: Sequence[Tuple[Any, Any]]
-    ) -> List[Tuple[int, int]]:
-        if self._outer_index is None:
-            try:
-                self._outer_index = self._index_of(self._outer)
-                self._inner_index = self._index_of(self._inner)
-            except TypeError as error:
-                raise TypeError(
-                    "checkpointing requires hashable tuple payloads"
-                ) from error
-        outer_index, inner_index = self._outer_index, self._inner_index
-        return [
-            (
-                outer_index[(o.start, o.end, o.payload)],
-                inner_index[(i.start, i.end, i.payload)],
-            )
-            for o, i in pairs
-        ]
 
     def maybe_write(
         self,
         partitions_completed: int,
         counters: CostCounters,
         resilience: ResilienceCounters,
-        pairs: Sequence[Tuple[Any, Any]],
+        pairs: Any,
         force: bool = False,
     ) -> Optional[str]:
-        """Write a checkpoint when the cadence (or *force*) says so;
-        returns the path when one was written."""
+        """Write a checkpoint of *pairs* (the run's
+        :class:`~repro.core.join.PairChunks`) when the cadence (or
+        *force*) says so; returns the path when one was written."""
         due = (
             partitions_completed > 0
             and partitions_completed % self.every == 0
@@ -623,7 +588,7 @@ class CheckpointWriter:
             partition_count=self.partition_count,
             counters=counters.snapshot(),
             resilience=resilience.snapshot(),
-            pairs=self._encode_pairs(pairs),
+            pairs=pairs.positions(),
         )
         checkpoint.write(self.path)
         self._last_written = partitions_completed

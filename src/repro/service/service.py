@@ -723,7 +723,9 @@ class JoinService:
             self._capture_trace(tracer)
 
     def _capture_trace(self, tracer: Any) -> None:
-        """Deposit a finished request trace and observe phase latencies."""
+        """Deposit a finished request trace and observe phase latencies,
+        plus the collector pauses the traced join recorded as phase
+        ``gc``."""
         if not tracer.enabled:
             return
         root = tracer.last_root
@@ -733,6 +735,10 @@ class JoinService:
             self._observe(
                 f"service.phase.{child.name}.latency_ms", child.duration_ms
             )
+            if child.name == "join" and "gc_ms" in child.attributes:
+                self._observe(
+                    "service.phase.gc.latency_ms", child.attributes["gc_ms"]
+                )
         if self.traces is not None:
             self.traces.add(root.as_dict())
 

@@ -1,11 +1,14 @@
 """Block-storage substrate: devices, blocks, buffer pool and cost counters.
 
 This package is the measured "hardware" of the reproduction.  Every join
-algorithm stores its partitions/nodes in :class:`~repro.storage.block.Block`
-runs via a :class:`~repro.storage.manager.StorageManager` and pays for reads
-through an optional :class:`~repro.storage.buffer.BufferPool`, so the block
-IOs, buffer hits and sequential/random split the paper plots fall out of the
-same code path the join executes.
+algorithm stores its partitions/nodes in block runs via a
+:class:`~repro.storage.manager.StorageManager` — the baselines in
+:class:`~repro.storage.block.Block` runs, the OIPJOIN as slices of each
+partition list's columns (:class:`~repro.storage.columns.ColumnRun`) —
+and pays for reads through an optional
+:class:`~repro.storage.buffer.BufferPool`, so the block IOs, buffer hits
+and sequential/random split the paper plots fall out of the same code
+path the join executes.
 """
 
 from .block import Block, BlockRun, tuple_checksum
@@ -17,6 +20,7 @@ from .buffer import (
     ReplacementPolicy,
     UnboundedBufferPool,
 )
+from .columns import ColumnRun, RunColumns
 from .device import TUPLE_SIZE_BYTES, DeviceProfile
 from .faults import (
     FAULT_PROFILES,
@@ -54,6 +58,8 @@ from .snapshot import (
 __all__ = [
     "Block",
     "BlockRun",
+    "ColumnRun",
+    "RunColumns",
     "tuple_checksum",
     "BufferPool",
     "ClockPolicy",

@@ -1,10 +1,12 @@
 """Fixed-capacity storage blocks with content checksums.
 
 Tuples are stored in blocks of a fixed byte size; a block holds at most
-``b = block_size // tuple_size`` tuples.  Partitions and index nodes own
-*runs* of blocks; the block ids double as the device addresses the buffer
-pool caches, and consecutive ids model physically contiguous storage (the
-property Algorithm 1's sorting buys the OIPJOIN).
+``b = block_size // tuple_size`` tuples.  The baselines' partitions and
+index nodes own *runs* of blocks; the block ids double as the device
+addresses the buffer pool caches, and consecutive ids model physically
+contiguous storage (the property Algorithm 1's sorting buys the
+OIPJOIN, whose partitions are column slices instead — see
+:mod:`repro.storage.columns`).
 
 Every block also carries a cheap CRC32 content checksum, folded
 incrementally as tuples are appended.  Storage-manager reads verify it
@@ -95,77 +97,6 @@ class Block:
         self._tuples.append(tup)
         self._stored_checksum = tuple_checksum(tup, self._stored_checksum)
         self._dirty = True
-
-    @classmethod
-    def from_stored(
-        cls,
-        block_id: int,
-        capacity: int,
-        tuples: Sequence[TemporalTuple],
-        stored_checksum: "int | None" = None,
-    ) -> "Block":
-        """Rebuild a block from persisted content in one shot.
-
-        *stored_checksum* is the checksum recorded at original write
-        time; passing it skips the per-tuple CRC fold (the bulk-load
-        fast path).  ``None`` folds the checksum from *tuples*, exactly
-        as repeated :meth:`append` calls would.  The block starts dirty
-        either way, so the first :meth:`verify` recomputes from content
-        and an adopted checksum that does not match is detected, not
-        trusted.
-        """
-        if len(tuples) > capacity:
-            raise OverflowError(
-                f"{len(tuples)} tuples exceed block capacity {capacity}"
-            )
-        block = cls(block_id, capacity)
-        block._tuples.extend(tuples)
-        if stored_checksum is None:
-            crc = 0
-            for tup in tuples:
-                crc = tuple_checksum(tup, crc)
-            stored_checksum = crc
-        block._stored_checksum = stored_checksum
-        block._dirty = True
-        return block
-
-    @classmethod
-    def restore_chunks(
-        cls,
-        run: "BlockRun",
-        tuples: Sequence[TemporalTuple],
-        capacity: int,
-        first_id: int,
-        checksums: Sequence[int],
-    ) -> int:
-        """Bulk-restore *tuples* into consecutive blocks appended to *run*.
-
-        The snapshot-load fast path: behaviourally identical to one
-        :meth:`from_stored` call per ``capacity``-sized chunk with its
-        recorded checksum — consecutive ids from *first_id*, blocks
-        starting dirty so adopted checksums are verified on first read —
-        but with the per-block constructor overhead flattened into one
-        loop.  Returns the number of blocks appended.
-        """
-        if capacity < 1:
-            raise ValueError(f"block capacity must be >= 1, got {capacity}")
-        if type(tuples) is not list:
-            tuples = list(tuples)
-        blocks = run._blocks
-        chunk = 0
-        for start in range(0, len(tuples), capacity):
-            block = cls.__new__(cls)
-            block.block_id = first_id + chunk
-            block.capacity = capacity
-            block._tuples = tuples[start : start + capacity]
-            block._stored_checksum = checksums[chunk]
-            block._computed_checksum = 0
-            block._dirty = True
-            block._delivery_corrupt = False
-            block._media_corrupt = False
-            blocks.append(block)
-            chunk += 1
-        return chunk
 
     # -- integrity ----------------------------------------------------------
 

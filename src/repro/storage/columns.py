@@ -1,0 +1,220 @@
+"""Partition runs as slices of one partition list's columns.
+
+Algorithm 1 sorts a relation by partition index ``(j ASC, i DESC)``, so
+every OIP partition is one contiguous stretch of the sorted relation and
+one contiguous run of blocks.  :class:`RunColumns` holds a whole
+partition list in that creation order as parallel columns — the tuple
+objects, their start and end points and their positions in the source
+relation — and a :class:`ColumnRun` is one partition's slice
+``[offset, offset + count)`` of them plus the ids of the blocks the run
+occupies.  Blocks are an accounting here, not a container: the block
+ids come from the storage manager's monotonic allocator (one write each,
+exactly as appending tuple by tuple would charge), and reads are charged
+per block id by :meth:`~repro.storage.manager.StorageManager.read_run`.
+
+Checksums stay real.  Every block has a stored CRC32, and a block's
+content is checked against it on the block's first delivery; the verdict
+is kept (content never changes after the build), so later reads compare
+nothing.  Two kinds of stored checksum exist:
+
+* a list built by OIPCREATE folds each block's column bytes (start, end,
+  position) with ``zlib.crc32`` over memoryview slices;
+* a list restored from a snapshot adopts the snapshot's ``blocks_<side>``
+  checksums, which fold the tuples themselves
+  (:func:`~repro.storage.block.tuple_checksum`).  A parsed snapshot keeps
+  the restored columns, verdicts included, across restores, so pinned
+  bytes are checked once, not once per query — and a mismatching block
+  fails every query's read of it.
+"""
+
+from __future__ import annotations
+
+import zlib
+from array import array
+from operator import attrgetter
+from typing import Any, List, Optional, Sequence, Tuple
+
+from .block import tuple_checksum
+
+__all__ = ["ColumnRun", "RunColumns", "block_bounds"]
+
+#: Per-block verdicts: not yet checked, content matches, content differs.
+UNCHECKED, GOOD, BAD = 0, 1, 2
+
+_start = attrgetter("start")
+_end = attrgetter("end")
+
+
+def block_bounds(offset: int, count: int, capacity: int) -> List[Tuple[int, int]]:
+    """The rows ``[lo, hi)`` of each block of a run of *count* tuples at
+    *offset*, *capacity* tuples per block."""
+    stop = offset + count
+    return [(lo, min(lo + capacity, stop)) for lo in range(offset, stop, capacity)]
+
+
+class RunColumns:
+    """One partition list's tuples as creation-order columns.
+
+    ``starts``/``ends``/``positions`` are ``array('q')`` columns parallel
+    to ``tuples``.  ``checksums`` holds one stored CRC per block in
+    creation order; ``tuple_checksums`` says which kind (see the module
+    docstring).  ``verdicts`` remembers each block's check.
+    """
+
+    __slots__ = (
+        "tuples",
+        "starts",
+        "ends",
+        "positions",
+        "checksums",
+        "tuple_checksums",
+        "verdicts",
+    )
+
+    def __init__(
+        self,
+        tuples: List[Any],
+        positions: array,
+        checksums: Optional[array] = None,
+    ) -> None:
+        self.tuples = tuples
+        self.starts = array("q", map(_start, tuples))
+        self.ends = array("q", map(_end, tuples))
+        self.positions = positions
+        self.tuple_checksums = checksums is not None
+        self.checksums = checksums if checksums is not None else array("q")
+        self.verdicts = bytearray(len(self.checksums))
+
+    def seal(self, bounds: Sequence[Tuple[int, int]]) -> None:
+        """Record a column checksum for each block of *bounds* (every
+        block of the list, in creation order) — the build's write-time
+        checksums."""
+        self.checksums = array(
+            "q", [self.content_checksum(lo, hi) for lo, hi in bounds]
+        )
+        self.verdicts = bytearray(len(bounds))
+
+    def content_checksum(self, lo: int, hi: int) -> int:
+        """The checksum of rows ``[lo, hi)`` as they are now."""
+        if self.tuple_checksums:
+            crc = 0
+            for tup in self.tuples[lo:hi]:
+                crc = tuple_checksum(tup, crc)
+            return crc
+        crc32 = zlib.crc32
+        return crc32(
+            memoryview(self.positions)[lo:hi],
+            crc32(
+                memoryview(self.ends)[lo:hi],
+                crc32(memoryview(self.starts)[lo:hi]),
+            ),
+        )
+
+    def check(self, block: int, lo: int, hi: int) -> bool:
+        """Whether block *block* (rows ``[lo, hi)``) matches its stored
+        checksum; computed once, then remembered."""
+        verdict = self.verdicts[block]
+        if verdict == UNCHECKED:
+            matches = self.content_checksum(lo, hi) == self.checksums[block]
+            verdict = GOOD if matches else BAD
+            self.verdicts[block] = verdict
+        return verdict == GOOD
+
+
+class ColumnRun:
+    """One partition's run: rows ``[offset, offset + count)`` of its
+    list's :class:`RunColumns`, stored in the blocks ``ids`` (a
+    ``range`` unless relocated).
+
+    ``first_block`` indexes the run's first block among its list's
+    checksums.  ``chained`` counts the block ids that follow their
+    predecessor in the run (``len(ids) - 1`` for the contiguous
+    runs OIPCREATE allocates), which is what the read charge needs.
+    """
+
+    __slots__ = (
+        "columns",
+        "offset",
+        "count",
+        "capacity",
+        "first_block",
+        "ids",
+        "chained",
+        "verified",
+    )
+
+    def __init__(
+        self,
+        columns: RunColumns,
+        offset: int,
+        count: int,
+        capacity: int,
+        first_block: int,
+        ids: Sequence[int],
+    ) -> None:
+        self.columns = columns
+        self.offset = offset
+        self.count = count
+        self.capacity = capacity
+        self.first_block = first_block
+        self.ids = ids
+        self.chained = len(ids) - 1
+        #: Every block of the run has passed its check.
+        self.verified = False
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __repr__(self) -> str:
+        return f"ColumnRun(blocks={len(self.ids)}, tuples={self.count})"
+
+    @property
+    def block_ids(self) -> List[int]:
+        return list(self.ids)
+
+    @property
+    def tuple_count(self) -> int:
+        return self.count
+
+    def tuples(self) -> List[Any]:
+        """The run's tuples in storage order."""
+        return self.columns.tuples[self.offset : self.offset + self.count]
+
+    def iter_tuples(self):
+        return iter(self.tuples())
+
+    def slices(self) -> Tuple[array, array, array]:
+        """The run's ``(starts, ends, positions)`` columns."""
+        lo, hi = self.offset, self.offset + self.count
+        columns = self.columns
+        return columns.starts[lo:hi], columns.ends[lo:hi], columns.positions[lo:hi]
+
+    def block_ok(self, index: int) -> bool:
+        """Whether the run's *index*-th block matches its checksum."""
+        lo = self.offset + index * self.capacity
+        hi = min(lo + self.capacity, self.offset + self.count)
+        return self.columns.check(self.first_block + index, lo, hi)
+
+    def verify(self) -> bool:
+        """Whether every block of the run matches its checksum."""
+        if not self.verified:
+            blocks = len(self.ids)
+            first = self.first_block
+            known = self.columns.verdicts.count(GOOD, first, first + blocks)
+            if known != blocks and not all(
+                self.block_ok(index) for index in range(blocks)
+            ):
+                return False
+            self.verified = True
+        return True
+
+    def relocate(self, block_ids: Sequence[int]) -> None:
+        """Move the run to other block ids (layout ablations)."""
+        if len(block_ids) != len(self.ids):
+            raise ValueError("a relocated run keeps its block count")
+        self.ids = list(block_ids)
+        self.chained = sum(
+            1
+            for before, after in zip(block_ids, block_ids[1:])
+            if after == before + 1
+        )

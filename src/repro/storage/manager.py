@@ -1,19 +1,24 @@
 """Storage manager: block allocation, charged reads, and fault recovery.
 
 One :class:`StorageManager` represents the storage of one algorithm run.
-It allocates block ids monotonically, so a structure that appends its
+It allocates block ids monotonically, so a structure that writes its
 tuples in one pass (as ``OIPCREATE`` does after sorting) receives
 physically contiguous runs, and later full-run reads are sequential IO —
-exactly the effect the paper attributes to Algorithm 1's sort.
+exactly the effect the paper attributes to Algorithm 1's sort.  Two
+kinds of run exist: a :class:`~repro.storage.block.BlockRun` of
+:class:`~repro.storage.block.Block` objects filled by :meth:`append`
+(the baselines), and a :class:`~repro.storage.columns.ColumnRun` — a
+slice of an OIP partition list's columns in blocks reserved by
+:meth:`allocate` (:meth:`column_run`).
 
 Reads are routed through an optional :class:`~repro.storage.buffer.BufferPool`
 (the OS page cache of Figure 11); without a pool every read reaches the
 device.
 
-Resilience (see :mod:`repro.storage.faults`): when a block object is
-available the manager verifies its content checksum on every read —
-including buffer hits, so a corrupted cached copy is evicted and
-re-fetched rather than served stale — and an optional
+Resilience (see :mod:`repro.storage.faults`): the manager verifies a
+block's content checksum on every read — including buffer hits, so a
+corrupted cached copy is evicted and re-fetched rather than served stale
+— and an optional
 :class:`~repro.storage.faults.FaultInjector` subjects device reads to a
 deterministic fault schedule.  Recovery runs a bounded exponential-backoff
 retry loop whose re-reads are charged as *random* IO (the cost model stays
@@ -25,11 +30,13 @@ context instead of returning partial data.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Union
 
 from ..core.relation import TemporalTuple
 from .block import Block, BlockRun
 from .buffer import BufferPool
+from .columns import ColumnRun, RunColumns
 from .device import DeviceProfile
 from .faults import FaultInjector, perform_read
 from .metrics import CostCounters, ResilienceCounters
@@ -107,92 +114,83 @@ class StorageManager:
             self.append(run, tup)
         return run
 
-    def restore_block(
-        self,
-        run: BlockRun,
-        tuples: List[TemporalTuple],
-        stored_checksum: Optional[int] = None,
-    ) -> Block:
-        """Materialise one persisted block of *run* in bulk.
+    def allocate(self, blocks: int) -> range:
+        """Reserve *blocks* consecutive block ids, charging one write
+        per block — what appending their tuples one by one would
+        charge."""
+        first = self._next_block_id
+        self._next_block_id = first + blocks
+        if self.charge_writes and blocks:
+            self.counters.charge_write(blocks)
+        return range(first, first + blocks)
 
-        Cost parity with :meth:`append`: the block id comes from the
-        same monotonic allocator and exactly one write is charged per
-        block, so an index restored from a snapshot carries the same
-        :class:`~repro.storage.metrics.CostCounters` and the same
-        fault/buffer schedule as a freshly built one.  When
-        *stored_checksum* is given it is adopted instead of re-folded
-        (the snapshot layer guarantees consistency via its relation
-        content fingerprint); either way the block verifies lazily on
-        first read, like any appended block.
-        """
-        block = Block.from_stored(
-            self._next_block_id,
-            self.device.tuples_per_block,
-            tuples,
-            stored_checksum,
-        )
-        self._next_block_id += 1
-        run.add_block(block)
-        if self.charge_writes:
-            self.counters.charge_write()
-        return block
-
-    def restore_run(
-        self,
-        run: BlockRun,
-        tuples: List[TemporalTuple],
-        checksums: Optional[Sequence[int]] = None,
-    ) -> int:
-        """Materialise a whole persisted run in bulk.
-
-        Equivalent to calling :meth:`restore_block` once per
-        ``tuples_per_block`` chunk of *tuples* — same monotonic block
-        ids, same one-write-per-block charge — but with the chunk loop
-        and the write charge batched here, where the per-block Python
-        overhead amortises across the run.  *checksums*, when given,
-        holds one adopted checksum per chunk.  Returns the number of
-        blocks restored.
-        """
+    def column_run(
+        self, columns: RunColumns, offset: int, count: int, first_block: int
+    ) -> ColumnRun:
+        """A run over rows ``[offset, offset + count)`` of *columns* in
+        freshly allocated blocks; *first_block* is the index of its
+        first block among the list's checksums."""
         capacity = self.device.tuples_per_block
-        block_id = self._next_block_id
-        if checksums is not None:
-            chunk = Block.restore_chunks(
-                run, tuples, capacity, block_id, checksums
-            )
-        else:
-            # No recorded checksums (unstable payloads): fold each
-            # block's checksum from content, as append would.
-            add_block = run.add_block
-            from_stored = Block.from_stored
-            chunk = 0
-            for start in range(0, len(tuples), capacity):
-                add_block(
-                    from_stored(
-                        block_id + chunk,
-                        capacity,
-                        tuples[start : start + capacity],
-                        None,
-                    )
-                )
-                chunk += 1
-        self._next_block_id = block_id + chunk
-        if self.charge_writes and chunk:
-            self.counters.charge_write(chunk)
-        return chunk
+        return ColumnRun(
+            columns,
+            offset,
+            count,
+            capacity,
+            first_block,
+            self.allocate(-(-count // capacity)),
+        )
 
     # -- reading ----------------------------------------------------------------
 
     def read_run(
-        self, run: BlockRun, context: Any = None
-    ) -> Iterator[TemporalTuple]:
-        """Fetch every block of *run*, charging IO, and yield its tuples.
+        self, run: Union[BlockRun, ColumnRun], context: Any = None
+    ) -> Iterable[TemporalTuple]:
+        """Fetch every block of *run*, charging IO, and return its tuples
+        (a :class:`BlockRun` yields them block by block).
 
         *context* (typically the partition identity) is carried into any
         structured fault error raised while fetching.
         """
+        if isinstance(run, ColumnRun):
+            return self._read_columns(run, context)
+        return self._read_blocks(run, context)
+
+    def _read_blocks(self, run: BlockRun, context: Any) -> Iterator[TemporalTuple]:
         for block in run:
             self.read_block(block.block_id, block=block, context=context)
             yield from block
+
+    def _read_columns(self, run: ColumnRun, context: Any) -> List[TemporalTuple]:
+        """Read a column run.  Without fault injection, a buffer pool or
+        a cancellation token, and once every block of the run has passed
+        its check, the charge is computed for the whole run: the first
+        block sequential iff it follows the last block read, the run's
+        chained blocks sequential, the rest random, and one checksum
+        verification per block.  Otherwise each block goes through
+        :meth:`read_block`'s path, retries and pool included."""
+        verify = self.verify_checksums
+        if (
+            self.fault_injector is None
+            and self.buffer_pool is None
+            and self.cancellation is None
+            and (not verify or run.verified or run.verify())
+        ):
+            block_ids = run.ids
+            blocks = len(block_ids)
+            last = self._last_read_id
+            sequential = run.chained
+            if last is not None and block_ids[0] == last + 1:
+                sequential += 1
+            self.counters.charge_read(sequential)
+            self.counters.charge_read(blocks - sequential, sequential=False)
+            self._last_read_id = block_ids[-1]
+            if verify:
+                self.resilience.checksum_verifications += blocks
+        else:
+            for index, block_id in enumerate(run.ids):
+                check = partial(run.block_ok, index) if verify else None
+                self._fetch(block_id, check, check, context)
+        return run.tuples()
 
     def read_runs(self, runs: Iterable[BlockRun]) -> Iterator[TemporalTuple]:
         """Fetch several runs back to back."""
@@ -218,23 +216,32 @@ class StorageManager:
         :class:`repro.engine.governor.QueryCancelledError` *before* the
         read is charged, so partial counters never include abandoned IO.
         """
+        if block is not None and self.verify_checksums:
+            self._fetch(
+                block_id, block.verify, self._make_verifier(block), context
+            )
+        else:
+            self._fetch(block_id, None, None, context)
+
+    def _fetch(
+        self,
+        block_id: int,
+        check_cached: Optional[Callable[[], bool]],
+        verify: Optional[Callable[[], bool]],
+        context: Any,
+    ) -> None:
+        """One block read: *check_cached* verifies a buffer-pool hit and
+        *verify* each device delivery (``None``: not verified)."""
         if self.cancellation is not None:
             self.cancellation.raise_if_cancelled()
-        verify = (
-            self._make_verifier(block)
-            if block is not None and self.verify_checksums
-            else None
-        )
         pool = self.buffer_pool
         if pool is not None:
             if block_id in pool:
-                if block is not None and self.verify_checksums:
-                    self.resilience.checksum_verifications += 1
-                if (
-                    block is None
-                    or not self.verify_checksums
-                    or block.verify()
-                ):
+                if check_cached is None:
+                    pool.note_hit(block_id, self.counters)
+                    return
+                self.resilience.checksum_verifications += 1
+                if check_cached():
                     pool.note_hit(block_id, self.counters)
                     return
                 # Corrupted cached copy: never serve it stale — evict and
@@ -300,7 +307,9 @@ class StorageManager:
         """Blocks needed for *tuple_count* tuples on this device."""
         return self.device.blocks_for_tuples(tuple_count)
 
-    def run_block_ids(self, runs: Iterable[BlockRun]) -> List[int]:
+    def run_block_ids(
+        self, runs: Iterable[Union[BlockRun, ColumnRun]]
+    ) -> List[int]:
         """All block ids of *runs* in order (diagnostics and tests)."""
         ids: List[int] = []
         for run in runs:

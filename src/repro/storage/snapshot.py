@@ -83,6 +83,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .block import tuple_checksum
+from .columns import RunColumns, block_bounds
 from .faults import (
     SimulatedCrashError,
     WriteFault,
@@ -559,33 +561,36 @@ def _content_digest(relation: Any) -> int:
 
 
 def _serialize_side(
-    relation: Any, partition_list: Any
-) -> Tuple[array, array, array, array, array]:
-    """Flatten one lazy partition list into creation-order columns."""
+    partition_list: Any, with_checksums: bool
+) -> Tuple[array, array, array, array, Optional[array]]:
+    """One lazy partition list as its creation-order columns: the
+    directory, positions, starts, ends and — when *with_checksums* — the
+    per-block tuple checksums."""
     nodes = list(partition_list.iter_nodes())
     nodes.reverse()  # grid order is (j DESC, i ASC); creation order is
     # its exact reverse, which is what replay needs.
-    position_of = {
-        id(tup): position for position, tup in enumerate(relation.tuples)
-    }
     directory = array("q")
-    positions = array("q")
-    starts = array("q")
-    ends = array("q")
-    checksums = array("q")
     for node in nodes:
-        count = 0
-        for block in node.run.blocks:
-            checksums.append(block.checksum)
-            for tup in block.tuples:
-                positions.append(position_of[id(tup)])
-                starts.append(tup.start)
-                ends.append(tup.end)
-            count += len(block)
-        directory.append(node.i)
-        directory.append(node.j)
-        directory.append(count)
-    return directory, positions, starts, ends, checksums
+        directory.extend((node.i, node.j, node.tuple_count))
+    columns = partition_list.columns
+    checksums = None
+    if with_checksums:
+        checksums = array("q")
+        tuples = columns.tuples
+        for node in nodes:
+            run = node.run
+            for lo, hi in block_bounds(run.offset, run.count, run.capacity):
+                crc = 0
+                for tup in tuples[lo:hi]:
+                    crc = tuple_checksum(tup, crc)
+                checksums.append(crc)
+    return (
+        directory,
+        columns.positions,
+        columns.starts,
+        columns.ends,
+        checksums,
+    )
 
 
 def _next_generation(path: str) -> int:
@@ -665,11 +670,11 @@ def save_index(
         ("inner", inner, inner_list, config_inner),
     )
     for side, relation, partition_list, config in sides:
-        directory, positions, starts, ends, checksums = _serialize_side(
-            relation, partition_list
-        )
         tuples = relation.tuples
         stable = _payloads_stable(tuples)
+        directory, positions, starts, ends, checksums = _serialize_side(
+            partition_list, stable
+        )
         sections[f"dir_{side}"] = directory.tobytes()
         sections[f"pos_{side}"] = positions.tobytes()
         sections[f"starts_{side}"] = starts.tobytes()
@@ -962,49 +967,58 @@ def _decode_side(
     return directory, positions, checksums
 
 
-def _restore_side(
+def _side_columns(
     relation: Any,
-    config: Any,
     directory: array,
     positions: array,
     checksums: Optional[array],
-    storage: Any,
+    capacity: int,
+) -> RunColumns:
+    """One side's creation-order columns over the caller's own tuple
+    objects (one C-speed gather through the stored positions).  Stored
+    checksums are adopted; without them (unstable payloads) each block
+    gets a column checksum, as a build would."""
+    columns = RunColumns(
+        list(map(relation.tuples.__getitem__, positions)),
+        positions,
+        checksums,
+    )
+    if checksums is None:
+        bounds: List[Tuple[int, int]] = []
+        offset = 0
+        for count in directory[2::3]:
+            bounds.extend(block_bounds(offset, count, capacity))
+            offset += count
+        columns.seal(bounds)
+    return columns
+
+
+def _restore_side(
+    config: Any, directory: array, columns: RunColumns, storage: Any
 ) -> Any:
     """Replay the creation-order directory through Algorithm 1's two
-    head-insert branches, pointing the runs at the caller's own tuple
-    objects — the loaded list is pointer-compatible with a rebuild."""
+    head-insert branches; each node's run is the next slice of
+    *columns* in freshly allocated blocks, so block ids and write
+    charges match a rebuild's."""
     from ..core.lazy_list import LazyPartitionList, PartitionNode
 
-    partition_list = LazyPartitionList(config, storage)
-    restore_run = storage.restore_run
-    tuples_per_block = storage.device.tuples_per_block
-    # One C-speed gather for the whole side; each run then takes a list
-    # slice — cheaper than a per-run map over an array slice.
-    gathered = list(map(relation.tuples.__getitem__, positions))
-    cursor = 0
-    block_index = 0
+    partition_list = LazyPartitionList(config, storage, columns)
+    column_run = storage.column_run
+    offset = 0
+    first_block = 0
     for at in range(0, len(directory), 3):
         i, j, count = directory[at], directory[at + 1], directory[at + 2]
+        run = column_run(columns, offset, count, first_block)
+        offset += count
+        first_block += len(run)
         head = partition_list.head
-        node = PartitionNode(i, j, storage.new_run())
+        node = PartitionNode(i, j, run)
         if head is None or head.j < j:
             node.down = head
         else:  # validated: head.i > i, same j — the branch insert
             node.down = head.down
             node.right = head
         partition_list.head = node
-        run_tuples = gathered[cursor : cursor + count]
-        cursor += count
-        if checksums is not None:
-            blocks = -(-count // tuples_per_block)
-            restore_run(
-                node.run,
-                run_tuples,
-                checksums[block_index : block_index + blocks],
-            )
-            block_index += blocks
-        else:
-            restore_run(node.run, run_tuples, None)
     return partition_list
 
 
@@ -1025,6 +1039,14 @@ class ParsedSnapshot:
     meta: Dict[str, Any]
     stats: Any
     fingerprints: Any
+    #: Per side, ``(relation, tuples per block, directory, columns)`` of
+    #: the last restore: the decoded, validated sections and the columns
+    #: over that relation's tuples, with their checksum verdicts.  Pinned
+    #: bytes never change, so a restore against the same relation
+    #: object reuses them and only allocates the runs' blocks.
+    _sides: Dict[str, Tuple[Any, int, array, RunColumns]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def read(cls, path: str) -> "ParsedSnapshot":
@@ -1143,8 +1165,8 @@ class ParsedSnapshot:
             _check_expected(meta, expected)
         _check_fingerprints(self.fingerprints, outer, inner)
 
-        configs = {}
-        decoded = {}
+        capacity = storage.device.tuples_per_block
+        restored = {}
         for side, relation in (("outer", outer), ("inner", inner)):
             recorded = meta[f"config_{side}"]
             try:
@@ -1164,20 +1186,31 @@ class ParsedSnapshot:
                     "relation's time range",
                     reason="config_mismatch",
                 )
-            configs[side] = config
-            decoded[side] = _decode_side(
-                sections, side, meta, stats, relation
-            )
+            memo = self._sides.get(side)
+            if memo is None or memo[0] is not relation or memo[1] != capacity:
+                directory, positions, checksums = _decode_side(
+                    sections, side, meta, stats, relation
+                )
+                if capacity != meta["tuples_per_block"]:
+                    # The stored checksums cover the saving device's
+                    # blocks, not these.
+                    checksums = None
+                memo = (
+                    relation,
+                    capacity,
+                    directory,
+                    _side_columns(
+                        relation, directory, positions, checksums, capacity
+                    ),
+                )
+                self._sides[side] = memo
+            restored[side] = (config, memo[2], memo[3])
 
         # Build order (outer first) matches oip_create's, so block ids —
         # and therefore the whole downstream fault/cost schedule — line
         # up.
-        outer_list = _restore_side(
-            outer, configs["outer"], *decoded["outer"], storage
-        )
-        inner_list = _restore_side(
-            inner, configs["inner"], *decoded["inner"], storage
-        )
+        outer_list = _restore_side(*restored["outer"], storage)
+        inner_list = _restore_side(*restored["inner"], storage)
         return LoadedIndex(
             path=self.path,
             generation=self.generation,

@@ -103,9 +103,10 @@ def decode_log(monkeypatch) -> List[Tuple]:
     decode = DecodedRun.from_tuples.__func__
     log: List[Tuple] = []
 
-    def logged(cls, tuples):
+    def logged(cls, tuples, *columns):
+        tuples = list(tuples)
         log.append(tuple((t.start, t.end, t.payload) for t in tuples))
-        return decode(cls, tuples)
+        return decode(cls, tuples, *columns)
 
     monkeypatch.setattr(DecodedRun, "from_tuples", classmethod(logged))
     return log

@@ -18,8 +18,8 @@ from repro.baselines.sort_merge import SortMergeJoin
 from repro.core import cost_model_for, derive_k
 from repro.core.base import join_pair_key
 from repro.core.interval import Interval
-from repro.core.join import OIPJoin
-from repro.core.relation import TemporalRelation
+from repro.core.join import OIPJoin, PairChunks
+from repro.core.relation import TemporalRelation, TemporalTuple
 from repro.engine.governor import (
     AdmissionController,
     AdmissionRejectedError,
@@ -321,6 +321,37 @@ class TestQueryCheckpoint:
             OIPJoin(resume_from=path).join(outer, other)
 
 
+class TestResumeAnyPayload:
+    def test_dict_payloads_and_equal_tuples_resume_exactly(
+        self, relations, tmp_path
+    ):
+        # Dict payloads are unhashable, and the copies at the end equal
+        # earlier tuples in value: the checkpoint must store each pair's
+        # own positions, so the resumed pairs are the very same objects.
+        base, inner = relations
+        tuples = [
+            TemporalTuple(t.start, t.end, {"row": t.payload}) for t in base
+        ]
+        tuples += [
+            TemporalTuple(t.start, t.end, dict(t.payload)) for t in tuples[:20]
+        ]
+        outer = TemporalRelation(tuples, name="outer")
+        path = str(tmp_path / "ck.json")
+        token = CancellationToken(cancel_after_checks=4)
+        part = OIPJoin(
+            cancellation=token, checkpoint_path=path, checkpoint_every=1
+        ).join(outer, inner)
+        assert not part.completed
+        resumed = OIPJoin(resume_from=path).join(outer, inner)
+        full = OIPJoin().join(outer, inner)
+        assert resumed.details["resumed_from_partition"] > 0
+        assert [(id(o), id(i)) for o, i in resumed.pairs] == [
+            (id(o), id(i)) for o, i in full.pairs
+        ]
+        assert resumed.counters.snapshot() == full.counters.snapshot()
+        assert resumed.resilience.snapshot() == full.resilience.snapshot()
+
+
 class TestCheckpointWriter:
     def _writer(self, relations, tmp_path, every=2):
         outer, inner = relations
@@ -329,15 +360,13 @@ class TestCheckpointWriter:
             every=every,
             fingerprint=make_fingerprint("oip", 3, 3, outer, inner),
             partition_count=10,
-            outer=outer,
-            inner=inner,
         )
 
     def test_cadence(self, relations, tmp_path):
         writer = self._writer(relations, tmp_path, every=2)
         counters, resilience = CostCounters(), ResilienceCounters()
         written = [
-            writer.maybe_write(done, counters, resilience, [])
+            writer.maybe_write(done, counters, resilience, PairChunks())
             for done in range(1, 6)
         ]
         # Due at 2 and 4; never at 0 work, odd counts skipped.
@@ -349,9 +378,9 @@ class TestCheckpointWriter:
     def test_force_overrides_cadence(self, relations, tmp_path):
         writer = self._writer(relations, tmp_path, every=100)
         counters, resilience = CostCounters(), ResilienceCounters()
-        assert writer.maybe_write(0, counters, resilience, []) is None
+        assert writer.maybe_write(0, counters, resilience, PairChunks()) is None
         assert (
-            writer.maybe_write(3, counters, resilience, [], force=True)
+            writer.maybe_write(3, counters, resilience, PairChunks(), force=True)
             is not None
         )
         loaded = QueryCheckpoint.load(writer.path)
@@ -360,8 +389,8 @@ class TestCheckpointWriter:
     def test_duplicate_boundary_not_rewritten(self, relations, tmp_path):
         writer = self._writer(relations, tmp_path, every=2)
         counters, resilience = CostCounters(), ResilienceCounters()
-        assert writer.maybe_write(2, counters, resilience, []) is not None
-        assert writer.maybe_write(2, counters, resilience, []) is None
+        assert writer.maybe_write(2, counters, resilience, PairChunks()) is not None
+        assert writer.maybe_write(2, counters, resilience, PairChunks()) is None
         assert writer.writes == 1
 
     def test_interval_must_be_positive(self, relations):
@@ -372,8 +401,6 @@ class TestCheckpointWriter:
                 every=0,
                 fingerprint={},
                 partition_count=1,
-                outer=outer,
-                inner=inner,
             )
 
 

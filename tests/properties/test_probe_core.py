@@ -30,8 +30,9 @@ contract end to end:
   and point windows, with ``include_pairs`` at ``max_pairs`` 0, 1 and
   past the count.
 
-A drawn seeded fault profile (``FAULT_PROFILES``) applies to every run
-of an example.  Faults are a pure function of ``(block, attempt)``, so
+A drawn seeded fault profile (``FAULT_PROFILES``) and a drawn small
+buffer pool (fresh per run) apply to every run of an example; a run with
+a pool is not cancelled and resumed, since checkpoints reject pools.  Faults are a pure function of ``(block, attempt)``, so
 the drawn join and the plain join either raise the same storage-fault
 error or satisfy the contract above; detected corruptions exercise the
 re-decode of an already decoded run.
@@ -75,6 +76,7 @@ from repro.service.service import (
     summarize_result,
 )
 from repro.service.snapshots import ServingGeneration
+from repro.storage.buffer import BufferPool, ClockPolicy, LRUPolicy
 from repro.storage.device import TUPLE_SIZE_BYTES, DeviceProfile
 from repro.storage.faults import (
     FAULT_PROFILES,
@@ -164,6 +166,11 @@ configs = st.fixed_dictionaries(
         # Tuples per block: two spreads these small relations over many
         # blocks, so the seeded faults hit them far more often.
         "block_tuples": st.sampled_from([14, 2]),
+        # A small buffer pool (replacement policy, capacity in blocks),
+        # fresh for every run; checkpoints reject pools, so a drawn pool
+        # runs without the cancel and resume.
+        "pool": st.none()
+        | st.tuples(st.sampled_from(["lru", "clock"]), st.integers(1, 8)),
         # Join through a snapshot of the pair saved under the example's
         # device and granules, and serve it.
         "index": st.booleans(),
@@ -192,15 +199,24 @@ def _keys(pairs):
     ]
 
 
-def _storage(config):
-    """The example's storage keywords: its device and fault policy."""
+def _storage(config, with_pool=True):
+    """The example's storage keywords: its device, fault policy and a
+    fresh buffer pool (pool hits depend on what earlier reads left;
+    ``BatchJoin`` takes no pool)."""
     faults = config["faults"]
-    return {
+    pool = config.get("pool") if with_pool else None
+    if pool is not None:
+        policy, capacity = pool
+        pool = BufferPool(capacity, LRUPolicy() if policy == "lru" else ClockPolicy())
+    storage = {
         "device": DeviceProfile(
             "probe", block_size_bytes=config["block_tuples"] * TUPLE_SIZE_BYTES
         ),
         "fault_policy": fault_profile(*faults) if faults is not None else None,
     }
+    if with_pool:
+        storage["buffer_pool"] = pool
+    return storage
 
 
 def _outcome(run):
@@ -216,7 +232,7 @@ def _run(outer, inner, config):
     """The configured join, cancelled and resumed when the config says
     so."""
     options = dict(config["granules"], kernel=config["kernel"], **_storage(config))
-    if config["cancel_after"] is None:
+    if config["cancel_after"] is None or options["buffer_pool"] is not None:
         return OIPJoin(**options).join(outer, inner)
     with tempfile.TemporaryDirectory() as scratch:
         path = os.path.join(scratch, "probe.ckpt")
@@ -234,11 +250,12 @@ def _run(outer, inner, config):
 
 def check_probe_core(pair, config):
     outer, inner = pair
-    storage = _storage(config)
     oracle = NestedLoopJoin().join(outer, inner)
     result = _outcome(lambda: _run(outer, inner, config))
     plain = _outcome(
-        lambda: OIPJoin(**config["granules"], **storage).join(outer, inner)
+        lambda: OIPJoin(**config["granules"], **_storage(config)).join(
+            outer, inner
+        )
     )
     if isinstance(plain, type):
         assert result is plain
@@ -267,10 +284,14 @@ def check_probe_core(pair, config):
             check_journal(outer, inner, config)
 
     granules = config["granules"]
-    options = dict(k=granules.get("k"), weights=granules.get("weights"), **storage)
     batch, naive = [
         _outcome(
-            lambda: BatchJoin(kernel=kernel, **options).run(outer, inner, windows)
+            lambda: BatchJoin(
+                kernel=kernel,
+                k=granules.get("k"),
+                weights=granules.get("weights"),
+                **_storage(config, with_pool=False),
+            ).run(outer, inner, windows)
         )
         for kernel in (config["kernel"], "naive")
     ]
@@ -485,6 +506,21 @@ REDECODED = (
         "index": True,
         "result_cache_size": 0,
         "journal": [("insert", "inner", 0, 1000), ("delete", "outer", 0, 0)],
+    },
+)
+@example(
+    pair=REDECODED,
+    config={
+        "granules": {"k": 3},
+        "kernel": "naive",
+        "windows": [(0, 400)],
+        "cancel_after": None,
+        "faults": ("corrupt", 3),
+        "block_tuples": 2,
+        "pool": ("lru", 3),
+        "index": True,
+        "result_cache_size": 0,
+        "journal": None,
     },
 )
 @SMALL

@@ -284,3 +284,37 @@ class TestDispatchAndHealth:
         assert health["uptime_s"] >= 0
         assert health["queries_served"] >= 1
         assert health["admission"]["admitted"] >= 1
+
+
+class TestRepeatedTupleObjects:
+    def test_relation_holding_one_tuple_twice_serves(self, tmp_path):
+        # The same tuple object at two positions must be saved under both,
+        # or the snapshot's positions are not a permutation and no
+        # service can load it.
+        from repro.core.join import OIPJoin
+        from repro.core.relation import TemporalRelation
+
+        outer = long_lived_mixture(
+            120, 0.3, Interval(1, 12_000), seed=81, name="outer"
+        )
+        inner = long_lived_mixture(
+            120, 0.3, Interval(1, 12_000), seed=82, name="inner"
+        )
+        shared = outer.tuples[0]
+        outer = TemporalRelation(
+            [shared, *outer.tuples[1:], shared], name="outer"
+        )
+        path = str(tmp_path / "repeated.oip")
+        save_index(path, outer, inner)
+        svc = JoinService(path)
+        svc.start()
+        try:
+            response = svc.query("join", include_pairs=True)
+        finally:
+            svc.drain(timeout_s=5.0)
+        oracle = offline_query(path, include_pairs=True)
+        expected = OIPJoin().join(outer, inner)
+        assert response["pairs"] == oracle["pairs"] == len(expected.pairs)
+        assert response["fingerprint"] == oracle["fingerprint"]
+        assert response["counters"] == oracle["counters"]
+        assert response["results"] == oracle["results"]

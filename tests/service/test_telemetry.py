@@ -137,6 +137,35 @@ class TestStatsEndpoint:
         finally:
             server.shutdown()
 
+    def test_collector_pauses_are_a_phase(self, snapshot, monkeypatch, capsys):
+        import gc
+
+        import repro.core.join as join_module
+        from repro.cli import main
+
+        probe = join_module.probe_inline
+
+        def collecting(*args, **kwargs):
+            gc.collect()  # a pause inside the traced join span
+            return probe(*args, **kwargs)
+
+        monkeypatch.setattr(join_module, "probe_inline", collecting)
+        service = JoinService(snapshot, tracing=True)
+        service.start()
+        server = ServiceServer(service).start()
+        try:
+            with ServiceClient(server.host, server.port) as client:
+                client.join()
+                stats = client.stats()
+            assert main(["stats", "--port", str(server.port)]) == 0
+        finally:
+            server.shutdown()
+        row = stats["phases"]["gc"]
+        assert row["count"] == 1
+        assert row["mean_ms"] > 0
+        printed = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert ["gc", "1"] in [line[:2] for line in printed]
+
     def test_stats_captures_are_compare_ready(self, snapshot, tmp_path):
         from repro.obs.compare import compare_stats, main as compare_main
 

@@ -19,6 +19,7 @@ from repro.core.interval import Interval
 from repro.core.join import OIPJoin
 from repro.core.relation import TemporalRelation
 from repro.storage import (
+    DeviceProfile,
     SimulatedCrashError,
     SnapshotError,
     StorageManager,
@@ -97,8 +98,23 @@ class TestRoundTrip:
         }
         assert restored <= {id(tup) for tup in outer.tuples}
         for node in loaded.outer_list.iter_nodes():
-            for block in node.run.blocks:
-                assert block.verify()
+            assert node.run.verify()
+
+    def test_load_into_another_block_size_reads_clean(self, tmp_path):
+        # The stored checksums describe the saving device's blocks; a
+        # load into storage with other blocks must not hold its own
+        # blocks to them.
+        outer = WORKLOADS["mixture"](3)
+        inner = WORKLOADS["mixture"](4)
+        path = str(tmp_path / "blocks.oip")
+        save_index(path, outer, inner)
+        storage = StorageManager(device=DeviceProfile.disk())
+        loaded = load_index(path, outer, inner, storage=storage)
+        for partition_list in (loaded.outer_list, loaded.inner_list):
+            for node in partition_list.iter_nodes():
+                list(storage.read_run(node.run))
+        assert storage.resilience.corruptions_detected == 0
+        assert storage.resilience.checksum_verifications > 0
 
     def test_generation_increments(self, tmp_path):
         outer = WORKLOADS["uniform"](5)
