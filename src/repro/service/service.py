@@ -257,11 +257,14 @@ def offline_query(
     max_pairs: int = 1000,
     join_options: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """One-shot offline execution of a service request: reconstruct the
-    relations from the snapshot, run ``OIPJoin(index_path=...)`` through
-    the *file* load path, and summarise with the same helper the service
+    """One-shot offline execution of a service request: parse the
+    snapshot once, reconstruct the relations and restore the index from
+    that same parse (a fresh :class:`ServingGeneration` as the join's
+    ``index_provider``), and summarise with the same helper the service
     uses.  This is the differential oracle the chaos suite compares the
-    long-lived service against, bit for bit."""
+    long-lived service against, bit for bit: its parse and generation
+    are its own, shared with no service under test, and one read cannot
+    pair one generation's relations with another's index."""
     if op not in _OPS:
         raise BadRequestError(f"unknown op {op!r}; choose from {_OPS}")
     checked = _check_window(window) if op == "lookup" else None
@@ -269,7 +272,7 @@ def offline_query(
     kwargs = generation.join_kwargs()
     if join_options:
         kwargs.update(join_options)
-    join = OIPJoin(index_path=index_path, kernel=kernel, **kwargs)
+    join = OIPJoin(index_provider=generation, kernel=kernel, **kwargs)
     result = join.join(generation.outer, generation.inner)
     return summarize_result(
         result,

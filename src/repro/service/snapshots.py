@@ -16,13 +16,14 @@ swap → drop**:
                 │
                 ▼
         ┌──────────────┐  not loadable   ┌────────────────────┐
-        │ fsck_index() │ ───────────────▶│ swap REJECTED:     │
-        └──────┬───────┘                 │ old generation     │
-               │ loadable                │ keeps serving      │
-               ▼                         └────────────────────┘
-        ┌──────────────┐  SnapshotError          ▲
-        │ parse + re-  │ ────────────────────────┘
-        │ construct    │
+        │ read + fsck  │ ───────────────▶│ swap REJECTED:     │
+        │ (one parse)  │                 │ old generation     │
+        └──────┬───────┘                 │ keeps serving      │
+               │ loadable                └────────────────────┘
+               ▼                                 ▲
+        ┌──────────────┐  SnapshotError          │
+        │ reconstruct  │ ────────────────────────┘
+        │ from parse   │
         └──────┬───────┘
                │ ok
                ▼
@@ -52,7 +53,7 @@ from ..storage.snapshot import (
     IndexExpectation,
     ParsedSnapshot,
     SnapshotError,
-    fsck_index,
+    _fsck,
 )
 from .errors import ServiceUnavailableError, SnapshotSwapRejectedError
 
@@ -272,8 +273,10 @@ class SnapshotManager:
         when the candidate is missing, corrupt, or fails fsck."""
         started = self._clock()
         verdict: Optional[Dict[str, Any]] = None
+        parsed: Optional[ParsedSnapshot] = None
         if self.fsck_on_refresh:
-            verdict = fsck_index(self.path, repair=True)
+            # Serve the snapshot fsck parsed and decoded: one read.
+            verdict, parsed = _fsck(self.path, repair=True, deep=True)
             if not verdict["loadable"]:
                 self.swaps_rejected += 1
                 fatal = [
@@ -293,7 +296,11 @@ class SnapshotManager:
                     verdict=verdict,
                 )
         try:
-            candidate = ServingGeneration.load(self.path, clock=self._clock)
+            if parsed is None:
+                parsed = ParsedSnapshot.read(self.path)
+            candidate = ServingGeneration(
+                parsed, *parsed.reconstruct_relations(), clock=self._clock
+            )
         except SnapshotError as error:
             self.swaps_rejected += 1
             raise SnapshotSwapRejectedError(

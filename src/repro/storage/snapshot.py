@@ -45,9 +45,11 @@ is recorded in ``meta`` and byte-swapped on load when needed):
     Per-block stored CRC32 checksums in creation order (omitted when
     payloads are unstable; then checksums are re-folded on load).
 ``starts_<side>`` / ``ends_<side>``
-    Columnar endpoints, used by ``fsck`` deep validation and by
-    :class:`MaintainedIndex` (which has no source relation to index
-    into).
+    Columnar endpoints.  Every reader checks each tuple's granules
+    against its partition on them; a restore also checks that the
+    caller's tuples carry these endpoints, and relation reconstruction
+    (:class:`MaintainedIndex`, the query service) builds its tuples
+    from them.
 ``payloads_<side>``
     JSON payload list (only when every payload is ``None``/bool/int/
     float/str), enabling journaled maintenance without the original
@@ -81,6 +83,7 @@ import zlib
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import le
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .block import tuple_checksum
@@ -110,6 +113,7 @@ __all__ = [
     "IndexExpectation",
     "LoadedIndex",
     "ParsedSnapshot",
+    "SideColumns",
     "JournalState",
     "MaintenanceJournal",
     "MaintainedIndex",
@@ -451,13 +455,17 @@ def _json_bytes(value: Any) -> bytes:
     ).encode("utf-8")
 
 
-def _json_section(sections: Dict[str, bytes], name: str) -> Any:
+def _section(sections: Dict[str, bytes], name: str) -> bytes:
     try:
-        payload = sections[name]
+        return sections[name]
     except KeyError:
         raise SnapshotFormatError(
             f"missing section {name!r}", reason="missing_section"
         ) from None
+
+
+def _json_section(sections: Dict[str, bytes], name: str) -> Any:
+    payload = _section(sections, name)
     try:
         return json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
@@ -470,12 +478,7 @@ def _json_section(sections: Dict[str, bytes], name: str) -> Any:
 def _array_section(
     sections: Dict[str, bytes], name: str, byteorder: str
 ) -> array:
-    try:
-        payload = sections[name]
-    except KeyError:
-        raise SnapshotFormatError(
-            f"missing section {name!r}", reason="missing_section"
-        ) from None
+    payload = _section(sections, name)
     values = array("q")
     if len(payload) % values.itemsize:
         raise SnapshotFormatError(
@@ -556,51 +559,273 @@ def _content_digest(relation: Any) -> int:
 
 
 # ----------------------------------------------------------------------
-# Saving
+# One side's columns
 # ----------------------------------------------------------------------
 
 
-def _serialize_side(
-    partition_list: Any, with_checksums: bool
-) -> Tuple[array, array, array, array, Optional[array]]:
-    """One lazy partition list as its creation-order columns: the
-    directory, positions, starts, ends and — when *with_checksums* — the
-    per-block tuple checksums."""
-    nodes = list(partition_list.iter_nodes())
-    nodes.reverse()  # grid order is (j DESC, i ASC); creation order is
-    # its exact reverse, which is what replay needs.
-    directory = array("q")
-    for node in nodes:
-        directory.extend((node.i, node.j, node.tuple_count))
-    columns = partition_list.columns
-    checksums = None
-    if with_checksums:
-        checksums = array("q")
-        tuples = columns.tuples
-        for node in nodes:
-            run = node.run
-            for lo, hi in block_bounds(run.offset, run.count, run.capacity):
+def _inconsistent(side: str, problem: str) -> SnapshotFormatError:
+    return SnapshotFormatError(f"{side} {problem}", reason="inconsistent")
+
+
+def _validate_directory(directory: array, k: int, side: str) -> None:
+    """A directory replays cleanly iff every entry takes exactly one of
+    Algorithm 1's two head-insert branches."""
+    head_i = head_j = None
+    for at in range(0, len(directory), 3):
+        i, j, count = directory[at], directory[at + 1], directory[at + 2]
+        if not (0 <= i <= j < k) or count < 1:
+            raise _inconsistent(
+                side, f"entry ({i}, {j}, {count}) is off the k={k} grid"
+            )
+        new_main = head_j is None or head_j < j
+        new_branch = head_j == j and head_i is not None and head_i > i
+        if not (new_main or new_branch):
+            raise _inconsistent(side, f"entry ({i}, {j}) is out of order")
+        head_i, head_j = i, j
+
+
+def _block_rows(directory: array, capacity: int) -> List[Tuple[int, int]]:
+    """The rows ``[lo, hi)`` of every block of a creation-order
+    directory's runs, *capacity* tuples per block."""
+    rows: List[Tuple[int, int]] = []
+    offset = 0
+    for count in directory[2::3]:
+        rows.extend(block_bounds(offset, count, capacity))
+        offset += count
+    return rows
+
+
+@dataclass(frozen=True)
+class SideColumns:
+    """One side of a snapshot: Algorithm 1's output as creation-order
+    columns, and the only code that knows their section names and
+    layout.
+
+    ``directory`` holds ``(i, j, tuple_count)`` triples in creation
+    order (``j`` ASC, ``i`` DESC); ``positions``, ``starts`` and ``ends``
+    are per-tuple columns in the same order; ``checksums`` holds one
+    tuple-folded CRC per block of ``capacity`` tuples, or ``None`` when
+    the payloads are not stable enough to store them.  :meth:`decode`
+    checks everything a reader relies on, so restore, reconstruction,
+    maintenance and ``fsck`` accept exactly the same sides.
+    """
+
+    config: Any
+    capacity: int
+    directory: array
+    positions: array
+    starts: array
+    ends: array
+    checksums: Optional[array]
+
+    @classmethod
+    def of_list(
+        cls, partition_list: Any, with_checksums: bool
+    ) -> "SideColumns":
+        """A built lazy partition list's columns; *with_checksums* folds
+        each block's tuples into its stored CRC."""
+        directory = array("q")
+        # Grid order is (j DESC, i ASC); creation order is its exact
+        # reverse, which is what replay needs.
+        for node in reversed(list(partition_list.iter_nodes())):
+            directory.extend((node.i, node.j, node.tuple_count))
+        columns = partition_list.columns
+        capacity = partition_list.storage.device.tuples_per_block
+        checksums = None
+        if with_checksums:
+            checksums = array("q")
+            for lo, hi in _block_rows(directory, capacity):
                 crc = 0
-                for tup in tuples[lo:hi]:
+                for tup in columns.tuples[lo:hi]:
                     crc = tuple_checksum(tup, crc)
                 checksums.append(crc)
-    return (
-        directory,
-        columns.positions,
-        columns.starts,
-        columns.ends,
-        checksums,
-    )
+        return cls(
+            partition_list.config,
+            capacity,
+            directory,
+            columns.positions,
+            columns.starts,
+            columns.ends,
+            checksums,
+        )
+
+    def sections(self, side: str) -> Dict[str, bytes]:
+        """The side's sections, in the order the container stores them."""
+        sections = {
+            f"dir_{side}": self.directory.tobytes(),
+            f"pos_{side}": self.positions.tobytes(),
+            f"starts_{side}": self.starts.tobytes(),
+            f"ends_{side}": self.ends.tobytes(),
+        }
+        if self.checksums is not None:
+            sections[f"blocks_{side}"] = self.checksums.tobytes()
+        return sections
+
+    @classmethod
+    def decode(
+        cls,
+        sections: Dict[str, bytes],
+        side: str,
+        meta: Dict[str, Any],
+        stats: Any,
+        fingerprints: Any,
+    ) -> "SideColumns":
+        """Decode one side and check it whole, before any block is
+        materialised — restore must be infallible so a degrade can never
+        leave half an index charged to the caller's counters.  Raises
+        :class:`SnapshotFormatError` (``missing_section``,
+        ``section_json`` or ``inconsistent``)."""
+        from ..core.oip import OIPConfiguration
+
+        byteorder = meta["byteorder"]
+        directory, positions, starts, ends = (
+            _array_section(sections, f"{name}_{side}", byteorder)
+            for name in ("dir", "pos", "starts", "ends")
+        )
+        checksums = (
+            _array_section(sections, f"blocks_{side}", byteorder)
+            if f"blocks_{side}" in sections
+            else None
+        )
+        recorded = meta[f"config_{side}"]
+        try:
+            config = OIPConfiguration(
+                k=recorded["k"], d=recorded["d"], o=recorded["o"]
+            )
+        except (TypeError, KeyError, ValueError) as error:
+            raise SnapshotFormatError(
+                f"invalid {side} configuration: {error}",
+                reason="section_json",
+            ) from None
+        fingerprint = (
+            fingerprints.get(side) if isinstance(fingerprints, dict) else None
+        )
+        cardinality = (
+            fingerprint.get("cardinality")
+            if isinstance(fingerprint, dict)
+            else None
+        )
+
+        if len(directory) % 3:
+            raise _inconsistent(side, "directory is not (i, j, count) triples")
+        counts = directory[2::3]
+        lengths = (sum(counts), len(positions), len(starts), len(ends))
+        if lengths != (cardinality,) * 4:
+            raise _inconsistent(
+                side, f"columns cover {lengths} tuples, not {cardinality}"
+            )
+        distinct = set(positions)
+        if distinct and (
+            len(distinct) != cardinality
+            or min(distinct) < 0
+            or max(distinct) >= cardinality
+        ):
+            raise _inconsistent(side, "positions are not a permutation")
+        _validate_directory(directory, meta[f"k_{side}"], side)
+        # Definition 2: a tuple belongs to [i, j] iff its start lies in
+        # granule i and its end in granule j.  Lists, because min/max over
+        # an array box every item on each pass.
+        start_list, end_list = starts.tolist(), ends.tolist()
+        d, origin = config.d, config.o
+        offset = 0
+        for at in range(0, len(directory), 3):
+            i, j, count = directory[at], directory[at + 1], directory[at + 2]
+            run_starts = start_list[offset : offset + count]
+            run_ends = end_list[offset : offset + count]
+            offset += count
+            if not (
+                origin + i * d <= min(run_starts)
+                and max(run_starts) < origin + (i + 1) * d
+                and origin + j * d <= min(run_ends)
+                and max(run_ends) < origin + (j + 1) * d
+            ):
+                raise _inconsistent(side, f"partition ({i}, {j}) is misfiled")
+        if not all(map(le, start_list, end_list)):
+            raise _inconsistent(side, "holds a tuple ending before its start")
+        capacity = meta["tuples_per_block"]
+        if checksums is not None and len(checksums) != sum(
+            -(-count // capacity) for count in counts
+        ):
+            raise _inconsistent(side, "block checksums miscount the blocks")
+        side_stats = stats.get(side) if isinstance(stats, dict) else None
+        if isinstance(side_stats, dict) and side_stats.get(
+            "partitions"
+        ) not in (None, len(counts)):
+            raise _inconsistent(side, "statistics miscount the partitions")
+        return cls(
+            config, capacity, directory, positions, starts, ends, checksums
+        )
+
+    def bind(self, relation: Any, capacity: int) -> RunColumns:
+        """The side's columns over the caller's own tuple objects, for
+        *capacity* tuples per block.  Their endpoints must be the checked
+        ones, so the probe reads exactly what :meth:`decode` checked.
+        Stored checksums are adopted when they cover blocks of this size;
+        otherwise each block gets a column checksum, as a build would."""
+        checksums = self.checksums if capacity == self.capacity else None
+        columns = RunColumns(
+            list(map(relation.tuples.__getitem__, self.positions)),
+            self.positions,
+            checksums,
+        )
+        if columns.starts != self.starts or columns.ends != self.ends:
+            raise SnapshotFormatError(
+                "snapshot columns disagree with the relation's tuples",
+                reason="inconsistent",
+            )
+        if checksums is None:
+            columns.seal(_block_rows(self.directory, capacity))
+        return columns
+
+    def relation_tuples(self, payloads: Sequence[Any]) -> List[Any]:
+        """The side's tuples in relation order, built from its columns
+        and *payloads* (in relation order)."""
+        from ..core.relation import TemporalTuple
+
+        positions = self.positions
+        tuples: List[Any] = [None] * len(positions)
+        for position, start, end in zip(positions, self.starts, self.ends):
+            tuples[position] = TemporalTuple(start, end, payloads[position])
+        return tuples
+
+    def replay(self, columns: RunColumns, storage: Any) -> Any:
+        """Replay the directory through Algorithm 1's two head-insert
+        branches; each node's run is the next slice of *columns* (from
+        :meth:`bind`) in freshly allocated blocks, so block ids and write
+        charges match a rebuild's."""
+        from ..core.lazy_list import LazyPartitionList, PartitionNode
+
+        partition_list = LazyPartitionList(self.config, storage, columns)
+        directory = self.directory
+        offset = 0
+        first_block = 0
+        for at in range(0, len(directory), 3):
+            i, j, count = directory[at], directory[at + 1], directory[at + 2]
+            run = storage.column_run(columns, offset, count, first_block)
+            offset += count
+            first_block += len(run)
+            head = partition_list.head
+            node = PartitionNode(i, j, run)
+            if head is None or head.j < j:
+                node.down = head
+            else:  # decoded: head.i > i, same j — the branch insert
+                node.down = head.down
+                node.right = head
+            partition_list.head = node
+        return partition_list
+
+
+# ----------------------------------------------------------------------
+# Saving
+# ----------------------------------------------------------------------
 
 
 def _next_generation(path: str) -> int:
     """Auto-increment: one past the existing snapshot's generation."""
     try:
-        with open(path, "rb") as handle:
-            blob = handle.read()
-        meta = _json_section(_parse_sections(blob), "meta")
-        return int(meta["generation"]) + 1
-    except (OSError, SnapshotError, KeyError, TypeError, ValueError):
+        sections = _parse_sections(_read_snapshot_bytes(path))
+        return int(_json_section(sections, "meta")["generation"]) + 1
+    except (SnapshotError, KeyError, TypeError, ValueError):
         return 0
 
 
@@ -672,28 +897,16 @@ def save_index(
     for side, relation, partition_list, config in sides:
         tuples = relation.tuples
         stable = _payloads_stable(tuples)
-        directory, positions, starts, ends, checksums = _serialize_side(
-            partition_list, stable
-        )
-        sections[f"dir_{side}"] = directory.tobytes()
-        sections[f"pos_{side}"] = positions.tobytes()
-        sections[f"starts_{side}"] = starts.tobytes()
-        sections[f"ends_{side}"] = ends.tobytes()
-        if stable:
-            # Folded checksums depend only on (start, end, repr(payload)),
-            # all stable for these types — safe to adopt at load time.
-            sections[f"blocks_{side}"] = checksums.tobytes()
-            if store_payloads:
-                sections[f"payloads_{side}"] = _json_bytes(
-                    [tup.payload for tup in tuples]
-                )
-            else:
-                payloads_stored = False
+        # Folded checksums depend only on (start, end, repr(payload)),
+        # all stable for these types — safe to adopt at load time.
+        columns = SideColumns.of_list(partition_list, stable)
+        sections.update(columns.sections(side))
+        if stable and store_payloads:
+            sections[f"payloads_{side}"] = _json_bytes(
+                [tup.payload for tup in tuples]
+            )
         else:
             payloads_stored = False
-        block_count = sum(
-            len(node.run) for node in partition_list.iter_nodes()
-        )
         stats[side] = {
             "cardinality": relation.cardinality,
             "time_range": list(relation.time_range.as_tuple()),
@@ -701,7 +914,7 @@ def save_index(
             "duration_fraction": relation.duration_fraction,
             "partitions": partition_list.partition_count,
             "tuples": partition_list.tuple_count,
-            "blocks": block_count,
+            "blocks": len(_block_rows(columns.directory, columns.capacity)),
         }
         fingerprints[side] = {
             "cardinality": relation.cardinality,
@@ -781,10 +994,12 @@ class LoadedIndex:
     stats: Dict[str, Any]
 
 
-def _read_snapshot_bytes(path: str) -> bytes:
+@contextmanager
+def _snapshot_file_errors(path: str) -> Iterator[None]:
+    """Turn a failure to open or read the snapshot at *path* into a
+    :class:`SnapshotError` (``missing`` or ``unreadable``)."""
     try:
-        with open(path, "rb") as handle:
-            return handle.read()
+        yield
     except FileNotFoundError:
         raise SnapshotError(
             f"no snapshot at {path!r}", reason="missing"
@@ -793,6 +1008,11 @@ def _read_snapshot_bytes(path: str) -> bytes:
         raise SnapshotError(
             f"unreadable snapshot {path!r}: {error}", reason="unreadable"
         ) from None
+
+
+def _read_snapshot_bytes(path: str) -> bytes:
+    with _snapshot_file_errors(path), open(path, "rb") as handle:
+        return handle.read()
 
 
 def _require_meta(sections: Dict[str, bytes]) -> Dict[str, Any]:
@@ -881,147 +1101,6 @@ def _check_fingerprints(
             )
 
 
-def _validate_directory(
-    directory: array, k: int, side: str
-) -> None:
-    """A directory replays cleanly iff every entry takes exactly one of
-    Algorithm 1's two head-insert branches."""
-    head_i = head_j = None
-    for at in range(0, len(directory), 3):
-        i, j, count = directory[at], directory[at + 1], directory[at + 2]
-        if not (0 <= i <= j < k) or count < 1:
-            raise SnapshotFormatError(
-                f"{side} directory entry ({i}, {j}, {count}) is not a "
-                f"valid partition of a k={k} grid",
-                reason="inconsistent",
-            )
-        new_main = head_j is None or head_j < j
-        new_branch = head_j == j and head_i is not None and head_i > i
-        if not (new_main or new_branch):
-            raise SnapshotFormatError(
-                f"{side} directory is not in creation order at "
-                f"({i}, {j})",
-                reason="inconsistent",
-            )
-        head_i, head_j = i, j
-
-
-def _decode_side(
-    sections: Dict[str, bytes],
-    side: str,
-    meta: Dict[str, Any],
-    stats: Dict[str, Any],
-    relation: Any,
-) -> Tuple[array, array, Optional[array]]:
-    """Decode and *fully* validate one side's columns before any block
-    is materialised — restore must be infallible so a degrade can never
-    leave half an index charged to the caller's counters."""
-    byteorder = meta["byteorder"]
-    directory = _array_section(sections, f"dir_{side}", byteorder)
-    positions = _array_section(sections, f"pos_{side}", byteorder)
-    blocks_name = f"blocks_{side}"
-    checksums = (
-        _array_section(sections, blocks_name, byteorder)
-        if blocks_name in sections
-        else None
-    )
-    if len(directory) % 3:
-        raise SnapshotFormatError(
-            f"{side} directory length {len(directory)} is not a "
-            "multiple of 3",
-            reason="inconsistent",
-        )
-    cardinality = relation.cardinality
-    counts = directory[2::3]
-    if sum(counts) != cardinality or len(positions) != cardinality:
-        raise SnapshotFormatError(
-            f"{side} directory covers {sum(counts)} tuples and "
-            f"positions {len(positions)}; relation has {cardinality}",
-            reason="inconsistent",
-        )
-    if positions and (min(positions) < 0 or max(positions) >= cardinality):
-        raise SnapshotFormatError(
-            f"{side} positions exceed the relation", reason="inconsistent"
-        )
-    _validate_directory(directory, meta[f"k_{side}"], side)
-    if checksums is not None:
-        tuples_per_block = meta["tuples_per_block"]
-        expected_blocks = sum(
-            -(-count // tuples_per_block) for count in counts
-        )
-        if len(checksums) != expected_blocks:
-            raise SnapshotFormatError(
-                f"{side} stores {len(checksums)} block checksums; the "
-                f"directory implies {expected_blocks}",
-                reason="inconsistent",
-            )
-    side_stats = stats.get(side) if isinstance(stats, dict) else None
-    if isinstance(side_stats, dict):
-        recorded = side_stats.get("partitions")
-        if recorded is not None and recorded != len(directory) // 3:
-            raise SnapshotFormatError(
-                f"{side} statistics claim {recorded} partitions; the "
-                f"directory holds {len(directory) // 3}",
-                reason="inconsistent",
-            )
-    return directory, positions, checksums
-
-
-def _side_columns(
-    relation: Any,
-    directory: array,
-    positions: array,
-    checksums: Optional[array],
-    capacity: int,
-) -> RunColumns:
-    """One side's creation-order columns over the caller's own tuple
-    objects (one C-speed gather through the stored positions).  Stored
-    checksums are adopted; without them (unstable payloads) each block
-    gets a column checksum, as a build would."""
-    columns = RunColumns(
-        list(map(relation.tuples.__getitem__, positions)),
-        positions,
-        checksums,
-    )
-    if checksums is None:
-        bounds: List[Tuple[int, int]] = []
-        offset = 0
-        for count in directory[2::3]:
-            bounds.extend(block_bounds(offset, count, capacity))
-            offset += count
-        columns.seal(bounds)
-    return columns
-
-
-def _restore_side(
-    config: Any, directory: array, columns: RunColumns, storage: Any
-) -> Any:
-    """Replay the creation-order directory through Algorithm 1's two
-    head-insert branches; each node's run is the next slice of
-    *columns* in freshly allocated blocks, so block ids and write
-    charges match a rebuild's."""
-    from ..core.lazy_list import LazyPartitionList, PartitionNode
-
-    partition_list = LazyPartitionList(config, storage, columns)
-    column_run = storage.column_run
-    offset = 0
-    first_block = 0
-    for at in range(0, len(directory), 3):
-        i, j, count = directory[at], directory[at + 1], directory[at + 2]
-        run = column_run(columns, offset, count, first_block)
-        offset += count
-        first_block += len(run)
-        head = partition_list.head
-        node = PartitionNode(i, j, run)
-        if head is None or head.j < j:
-            node.down = head
-        else:  # validated: head.i > i, same j — the branch insert
-            node.down = head.down
-            node.right = head
-        partition_list.head = node
-    return partition_list
-
-
 @dataclass
 class ParsedSnapshot:
     """A snapshot container parsed (section table and CRCs verified)
@@ -1039,12 +1118,16 @@ class ParsedSnapshot:
     meta: Dict[str, Any]
     stats: Any
     fingerprints: Any
-    #: Per side, ``(relation, tuples per block, directory, columns)`` of
-    #: the last restore: the decoded, validated sections and the columns
-    #: over that relation's tuples, with their checksum verdicts.  Pinned
-    #: bytes never change, so a restore against the same relation
-    #: object reuses them and only allocates the runs' blocks.
-    _sides: Dict[str, Tuple[Any, int, array, RunColumns]] = field(
+    #: Per side, its decoded and checked :class:`SideColumns`.
+    _columns: Dict[str, SideColumns] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    #: Per side, ``(relation, tuples per block, columns)`` of the last
+    #: restore: the side's columns over that relation's tuples, with
+    #: their checksum verdicts.  Pinned bytes never change, so a restore
+    #: against the same relation object reuses them and only allocates
+    #: the runs' blocks.
+    _sides: Dict[str, Tuple[Any, int, RunColumns]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -1058,12 +1141,17 @@ class ParsedSnapshot:
     @classmethod
     def parse(cls, path: str, blob: bytes) -> "ParsedSnapshot":
         """Parse an already-read container blob."""
-        sections = _parse_sections(blob)
-        meta = _require_meta(sections)
+        return cls.of_sections(path, _parse_sections(blob))
+
+    @classmethod
+    def of_sections(
+        cls, path: str, sections: Dict[str, bytes]
+    ) -> "ParsedSnapshot":
+        """A snapshot over already CRC-checked sections."""
         return cls(
             path=path,
             sections=sections,
-            meta=meta,
+            meta=_require_meta(sections),
             stats=_json_section(sections, "stats"),
             fingerprints=_json_section(sections, "fingerprints"),
         )
@@ -1076,44 +1164,28 @@ class ParsedSnapshot:
     def payloads_stored(self) -> bool:
         return bool(self.meta.get("payloads_stored"))
 
+    def side(self, side: str) -> SideColumns:
+        """One side's columns, decoded and checked once per parsed
+        snapshot (see :meth:`SideColumns.decode`)."""
+        columns = self._columns.get(side)
+        if columns is None:
+            columns = self._columns[side] = SideColumns.decode(
+                self.sections, side, self.meta, self.stats, self.fingerprints
+            )
+        return columns
+
     def reconstruct_side(self, side: str) -> List[Any]:
         """Rebuild one side's tuples in *relation order* from the
         columnar sections alone (requires stored payloads) — how
         :class:`MaintainedIndex` and the query service obtain relations
         without the original workload in hand."""
-        from ..core.relation import TemporalTuple
-
-        byteorder = self.meta["byteorder"]
-        sections = self.sections
-        positions = _array_section(sections, f"pos_{side}", byteorder)
-        starts = _array_section(sections, f"starts_{side}", byteorder)
-        ends = _array_section(sections, f"ends_{side}", byteorder)
-        payloads = _json_section(sections, f"payloads_{side}")
-        count = len(positions)
-        if not (
-            len(starts) == len(ends) == count
-            and isinstance(payloads, list)
-            and len(payloads) == count
+        columns = self.side(side)
+        payloads = _json_section(self.sections, f"payloads_{side}")
+        if not isinstance(payloads, list) or len(payloads) != len(
+            columns.positions
         ):
-            raise SnapshotFormatError(
-                f"{side} column lengths disagree", reason="inconsistent"
-            )
-        relation_order: List[Any] = [None] * count
-        for at in range(count):
-            position = positions[at]
-            if not 0 <= position < count or (
-                relation_order[position] is not None
-            ):
-                raise SnapshotFormatError(
-                    f"{side} positions are not a permutation",
-                    reason="inconsistent",
-                )
-            # starts/ends/positions are creation-order columns; the
-            # payload list is stored in relation order.
-            relation_order[position] = TemporalTuple(
-                starts[at], ends[at], payloads[position]
-            )
-        return relation_order
+            raise _inconsistent(side, "payloads miscount the tuples")
+        return columns.relation_tuples(payloads)
 
     def reconstruct_relations(self) -> Tuple[Any, Any]:
         """Rebuild both source relations from the snapshot's columns.
@@ -1160,57 +1232,36 @@ class ParsedSnapshot:
         """
         from ..core.oip import OIPConfiguration
 
-        sections, meta, stats = self.sections, self.meta, self.stats
+        meta = self.meta
         if expected is not None:
             _check_expected(meta, expected)
         _check_fingerprints(self.fingerprints, outer, inner)
 
         capacity = storage.device.tuples_per_block
-        restored = {}
+        restored = []
         for side, relation in (("outer", outer), ("inner", inner)):
-            recorded = meta[f"config_{side}"]
-            try:
-                config = OIPConfiguration(
-                    k=recorded["k"], d=recorded["d"], o=recorded["o"]
-                )
-            except (TypeError, KeyError, ValueError) as error:
-                raise SnapshotFormatError(
-                    f"invalid {side} configuration: {error}",
-                    reason="section_json",
-                ) from None
-            if config != OIPConfiguration.for_relation(
+            columns = self.side(side)
+            if columns.config != OIPConfiguration.for_relation(
                 relation, meta[f"k_{side}"]
             ):
                 raise SnapshotMismatchError(
-                    f"{side} configuration {recorded} does not match the "
-                    "relation's time range",
+                    f"{side} configuration {columns.config} does not "
+                    "match the relation's time range",
                     reason="config_mismatch",
                 )
             memo = self._sides.get(side)
             if memo is None or memo[0] is not relation or memo[1] != capacity:
-                directory, positions, checksums = _decode_side(
-                    sections, side, meta, stats, relation
-                )
-                if capacity != meta["tuples_per_block"]:
-                    # The stored checksums cover the saving device's
-                    # blocks, not these.
-                    checksums = None
-                memo = (
-                    relation,
-                    capacity,
-                    directory,
-                    _side_columns(
-                        relation, directory, positions, checksums, capacity
-                    ),
-                )
+                memo = (relation, capacity, columns.bind(relation, capacity))
                 self._sides[side] = memo
-            restored[side] = (config, memo[2], memo[3])
+            restored.append((columns, memo[2]))
 
         # Build order (outer first) matches oip_create's, so block ids —
         # and therefore the whole downstream fault/cost schedule — line
         # up.
-        outer_list = _restore_side(*restored["outer"], storage)
-        inner_list = _restore_side(*restored["inner"], storage)
+        outer_list, inner_list = (
+            columns.replay(run_columns, storage)
+            for columns, run_columns in restored
+        )
         return LoadedIndex(
             path=self.path,
             generation=self.generation,
@@ -1219,7 +1270,7 @@ class ParsedSnapshot:
             outer_list=outer_list,
             inner_list=inner_list,
             meta=meta,
-            stats=stats,
+            stats=self.stats,
         )
 
 
@@ -1248,38 +1299,27 @@ def load_index(
 def read_statistics(path: str) -> Dict[str, Any]:
     """Read only the ``meta`` and ``stats`` sections (CRC-checked) —
     what the planner needs, without touching the array sections."""
-    with advisory_lock(path, exclusive=False):
-        try:
-            with open(path, "rb") as handle:
-                total_size = os.fstat(handle.fileno()).st_size
-                prefix = handle.read(_HEADER.size)
-                if len(prefix) == _HEADER.size:
-                    _, _, count = _HEADER.unpack(prefix)
-                    prefix += handle.read(
-                        _SECTION.size * min(count, _MAX_SECTIONS)
-                    )
-                entries = _parse_section_table(prefix, total_size)
-                wanted: Dict[str, bytes] = {}
-                for name, offset, length, crc in entries:
-                    if name not in ("meta", "stats"):
-                        continue
-                    handle.seek(offset)
-                    payload = handle.read(length)
-                    if len(payload) != length or zlib.crc32(payload) != crc:
-                        raise SnapshotFormatError(
-                            f"checksum mismatch in section {name!r}",
-                            reason="section_crc",
-                        )
-                    wanted[name] = payload
-        except FileNotFoundError:
-            raise SnapshotError(
-                f"no snapshot at {path!r}", reason="missing"
-            ) from None
-        except OSError as error:
-            raise SnapshotError(
-                f"unreadable snapshot {path!r}: {error}",
-                reason="unreadable",
-            ) from None
+    with advisory_lock(path, exclusive=False), _snapshot_file_errors(
+        path
+    ), open(path, "rb") as handle:
+        total_size = os.fstat(handle.fileno()).st_size
+        prefix = handle.read(_HEADER.size)
+        if len(prefix) == _HEADER.size:
+            _, _, count = _HEADER.unpack(prefix)
+            prefix += handle.read(_SECTION.size * min(count, _MAX_SECTIONS))
+        entries = _parse_section_table(prefix, total_size)
+        wanted: Dict[str, bytes] = {}
+        for name, offset, length, crc in entries:
+            if name not in ("meta", "stats"):
+                continue
+            handle.seek(offset)
+            payload = handle.read(length)
+            if len(payload) != length or zlib.crc32(payload) != crc:
+                raise SnapshotFormatError(
+                    f"checksum mismatch in section {name!r}",
+                    reason="section_crc",
+                )
+            wanted[name] = payload
     meta = _require_meta(wanted)
     return {"meta": meta, "stats": _json_section(wanted, "stats")}
 
@@ -1501,7 +1541,6 @@ class MaintainedIndex:
         the last whole frame and left for :func:`fsck_index` to trim.
         """
         from ..core.incremental import IncrementalOIP
-        from ..core.oip import OIPConfiguration
         from .device import DeviceProfile
 
         if device is None:
@@ -1526,12 +1565,7 @@ class MaintainedIndex:
         incremental: Dict[str, Any] = {}
         for side in _SIDES:
             relation_order = parsed.reconstruct_side(side)
-            recorded = meta[f"config_{side}"]
-            structure = IncrementalOIP(
-                OIPConfiguration(
-                    k=recorded["k"], d=recorded["d"], o=recorded["o"]
-                )
-            )
+            structure = IncrementalOIP(parsed.side(side).config)
             for tup in relation_order:
                 structure.insert(tup)
             tuples[side] = relation_order
@@ -1741,64 +1775,6 @@ _NON_FATAL_PROBLEMS = frozenset(
 )
 
 
-def _fsck_deep_side(
-    sections: Dict[str, bytes],
-    side: str,
-    meta: Dict[str, Any],
-    fingerprints: Dict[str, Any],
-    problems: List[str],
-) -> None:
-    """Cross-validate one side's columns against the stored
-    configuration — the directory/statistics consistency pass."""
-    byteorder = meta["byteorder"]
-    try:
-        directory = _array_section(sections, f"dir_{side}", byteorder)
-        positions = _array_section(sections, f"pos_{side}", byteorder)
-        starts = _array_section(sections, f"starts_{side}", byteorder)
-        ends = _array_section(sections, f"ends_{side}", byteorder)
-    except SnapshotError as error:
-        problems.append(error.reason)
-        return
-    if len(directory) % 3:
-        problems.append("inconsistent")
-        return
-    counts = directory[2::3]
-    recorded = fingerprints.get(side, {})
-    cardinality = recorded.get("cardinality")
-    if not (
-        sum(counts)
-        == len(positions)
-        == len(starts)
-        == len(ends)
-        == cardinality
-    ):
-        problems.append("inconsistent")
-        return
-    if positions and (
-        min(positions) < 0 or max(positions) >= cardinality
-    ):
-        problems.append("inconsistent")
-        return
-    try:
-        _validate_directory(directory, meta[f"k_{side}"], side)
-    except SnapshotError as error:
-        problems.append(error.reason)
-        return
-    config = meta[f"config_{side}"]
-    d, origin = config["d"], config["o"]
-    cursor = 0
-    for at in range(0, len(directory), 3):
-        i, j, count = directory[at], directory[at + 1], directory[at + 2]
-        for position in range(cursor, cursor + count):
-            if (
-                (starts[position] - origin) // d != i
-                or (ends[position] - origin) // d != j
-            ):
-                problems.append("inconsistent")
-                return
-        cursor += count
-
-
 def fsck_index(
     path: str, *, repair: bool = True, deep: bool = True
 ) -> Dict[str, Any]:
@@ -1813,6 +1789,14 @@ def fsck_index(
     Returns a machine-readable verdict dict (also what ``python -m
     repro fsck`` prints with ``--json``).
     """
+    return _fsck(path, repair=repair, deep=deep)[0]
+
+
+def _fsck(
+    path: str, *, repair: bool, deep: bool
+) -> Tuple[Dict[str, Any], Optional[ParsedSnapshot]]:
+    """:func:`fsck_index`'s verdict and the snapshot it parsed (or
+    ``None``), so a caller that goes on to serve it reads it once."""
     verdict: Dict[str, Any] = {
         "path": path,
         "exists": False,
@@ -1838,16 +1822,16 @@ def fsck_index(
                 pass
 
     meta: Optional[Dict[str, Any]] = None
+    parsed: Optional[ParsedSnapshot] = None
     try:
         blob = _read_snapshot_bytes(path)
         verdict["exists"] = True
         sections = _parse_sections(blob)
         verdict["sections"] = sorted(sections)
-        meta = _require_meta(sections)
-        stats = _json_section(sections, "stats")
-        fingerprints = _json_section(sections, "fingerprints")
-        verdict["generation"] = int(meta["generation"])
-        verdict["stats"] = stats
+        parsed = ParsedSnapshot.of_sections(path, sections)
+        meta = parsed.meta
+        verdict["generation"] = parsed.generation
+        verdict["stats"] = parsed.stats
         # The commit is a single contiguous blob, so bytes past the
         # last section are never written by this code — flag (and, on
         # request, trim) whatever appended them.
@@ -1863,9 +1847,10 @@ def fsck_index(
                 repairs.append("truncated_trailing_bytes")
         if deep:
             for side in _SIDES:
-                _fsck_deep_side(
-                    sections, side, meta, fingerprints, problems
-                )
+                try:
+                    parsed.side(side)
+                except SnapshotFormatError as error:
+                    problems.append(error.reason)
     except SnapshotError as error:
         if error.reason != "missing":
             verdict["exists"] = True
@@ -1915,4 +1900,4 @@ def fsck_index(
     verdict["ok"] = verdict["loadable"] and (
         len(repairs) >= len(repairable)
     )
-    return verdict
+    return verdict, parsed

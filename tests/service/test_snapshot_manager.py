@@ -12,6 +12,7 @@ from repro.service.errors import (
     SnapshotSwapRejectedError,
 )
 from repro.storage import save_index
+from repro.storage import snapshot as snapshot_module
 from repro.workloads import long_lived_mixture
 
 
@@ -114,6 +115,24 @@ class TestSnapshotManager:
         assert report["previous_still_pinned"] is False
         assert manager.generation == 1
         assert manager.retired == ()
+
+    def test_refresh_reads_the_candidate_once(self, snapshot, monkeypatch):
+        manager = SnapshotManager(snapshot)
+        manager.load()
+        save_index(snapshot, *_relations(79))
+        reads = []
+        read = snapshot_module._read_snapshot_bytes
+        monkeypatch.setattr(
+            snapshot_module,
+            "_read_snapshot_bytes",
+            lambda path: reads.append(path) or read(path),
+        )
+        assert manager.refresh()["swapped"] is True
+        assert reads == [snapshot]
+        # The served generation is the one fsck parsed and decoded: the
+        # first restore decodes no side again.
+        generation = manager.current
+        assert set(generation.parsed._columns) == {"outer", "inner"}
 
     def test_swap_retires_pinned_generation_until_released(self, snapshot):
         manager = SnapshotManager(snapshot)
