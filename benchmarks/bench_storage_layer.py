@@ -24,7 +24,7 @@ Every figure is min-of-repeats and the document records ``cpu_count``.
 archive`` of the parent commit, say): both trees run in subprocesses,
 alternating, and ``BENCH_storage.json`` records both.  ``--smoke`` (the
 CI ``tests`` job) joins one small pair with and without a no-fault
-injector — which forces the per-block read path — and asserts equal
+policy — which forces the per-block read path — and asserts equal
 pairs, cost and resilience counters, and that the per-run charge takes
 at most :data:`SMOKE_CEILING` of the per-block path's read time.
 
@@ -61,7 +61,7 @@ from repro.core.join import OIPJoin, build_probe_schedule
 from repro.core.lazy_list import oip_create
 from repro.core.oip import OIPConfiguration
 from repro.service.service import JoinService
-from repro.storage.faults import FaultInjector, FaultPolicy
+from repro.storage.faults import FaultPolicy
 from repro.storage.manager import StorageManager
 from repro.storage.snapshot import save_index
 from repro.workloads import long_lived_mixture
@@ -252,7 +252,7 @@ def smoke(repeats: int = 5, attempts: int = 3) -> float:
     ks = _granules(pairs)
 
     def blockwise() -> StorageManager:
-        return StorageManager(fault_injector=FaultInjector(FaultPolicy()))
+        return StorageManager(fault_policy=FaultPolicy())
 
     best = float("inf")
     for _ in range(attempts):

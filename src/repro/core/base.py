@@ -28,7 +28,7 @@ from ..obs.gcpause import gc_pauses
 from ..obs.trace import NULL_TRACER
 from ..storage.buffer import BufferPool
 from ..storage.device import DeviceProfile
-from ..storage.faults import FaultInjector, FaultPolicy
+from ..storage.faults import FaultPolicy
 from ..storage.manager import StorageManager
 from ..storage.metrics import CostCounters, CostWeights, ResilienceCounters
 from .relation import TemporalRelation, TemporalTuple
@@ -307,16 +307,11 @@ class OverlapJoinAlgorithm(ABC):
         device, buffer pool and resilience configuration.  All algorithms
         build their storage through this helper so fault injection and
         checksum verification apply uniformly."""
-        injector = (
-            FaultInjector(self.fault_policy)
-            if self.fault_policy is not None
-            else None
-        )
         return StorageManager(
             device=self.device,
             counters=counters,
             buffer_pool=self.buffer_pool,
-            fault_injector=injector,
+            fault_policy=self.fault_policy,
             resilience=self._resilience,
             max_retries=self.max_read_retries,
             verify_checksums=self.verify_checksums,

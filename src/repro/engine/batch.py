@@ -51,14 +51,11 @@ outer-partition boundaries through a per-query
 with the partial query marked ``completed=False``), each query's
 counters flow into the shared metrics registry, and
 ``collect_report=True`` builds one schema-valid run report per query.
-Only admission is the batch's own: an optional
-:class:`AdmissionController` admits each query.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -78,7 +75,6 @@ from ..core.relation import TemporalRelation
 from ..storage.device import DeviceProfile
 from ..storage.faults import FaultPolicy
 from ..storage.metrics import CostCounters, CostWeights, ResilienceCounters
-from .governor import AdmissionController
 
 __all__ = ["BatchJoin", "BatchResult", "equal_windows"]
 
@@ -177,14 +173,6 @@ class BatchJoin(OIPJoin):
     resilience and observability keywords); the batch-specific ones
     are:
 
-    admission:
-        An optional :class:`AdmissionController`; every query of the
-        batch acquires one slot for the duration of its probe (the
-        batch itself is sequential, so the controller's effect is the
-        shared accounting — and back-pressure against *other* sessions
-        using the same controller).
-    admission_timeout:
-        Seconds each query waits for an admission slot.
     budget:
         An optional :class:`~repro.engine.governor.QueryBudget`
         enforced **per query** at outer-partition boundaries (each
@@ -205,8 +193,6 @@ class BatchJoin(OIPJoin):
         k: Optional[int] = None,
         weights: Optional[CostWeights] = None,
         kernel: str = "auto",
-        admission: Optional[AdmissionController] = None,
-        admission_timeout: Optional[float] = None,
         budget: Optional[Any] = None,
         cancellation: Optional[Any] = None,
         fault_policy: Optional[FaultPolicy] = None,
@@ -230,8 +216,6 @@ class BatchJoin(OIPJoin):
             metrics=metrics,
             collect_report=collect_report,
         )
-        self.admission = admission
-        self.admission_timeout = admission_timeout
 
     # ------------------------------------------------------------------
 
@@ -265,14 +249,9 @@ class BatchJoin(OIPJoin):
             for index, window in enumerate(windows):
                 spans_before = tracer.span_count
                 events_before = tracer.event_count
-                with (
-                    self.admission.admit(timeout=self.admission_timeout)
-                    if self.admission is not None
-                    else nullcontext()
-                ):
-                    result, span = self._run_query(
-                        index, window, outer_list, inner_list, storage, kernel
-                    )
+                result, span = self._run_query(
+                    index, window, outer_list, inner_list, storage, kernel
+                )
                 queries.append(result)
                 # The query span is closed by now, so these deltas cover
                 # exactly this query's spans/events.
@@ -295,8 +274,6 @@ class BatchJoin(OIPJoin):
                 "batch.build", build_counters.snapshot()
             )
             storage.publish_metrics(self.metrics)
-            if self.admission is not None:
-                self.admission.publish_metrics(self.metrics)
         if self.collect_report:
             # Each report is rooted at its query's span, finished by now
             # (the batch span closed first).
@@ -319,8 +296,6 @@ class BatchJoin(OIPJoin):
         }
         if self.kernel not in ("auto", kernel):
             details["kernel_requested"] = self.kernel
-        if self.admission is not None:
-            details["admission"] = self.admission.stats.snapshot()
         if cancelled:
             details["cancelled"] = True
         return BatchResult(

@@ -64,26 +64,11 @@ __all__ = [
     "AdmissionController",
     "AdmissionStats",
     "make_fingerprint",
-    "counters_from_snapshot",
-    "resilience_from_snapshot",
     "CHECKPOINT_VERSION",
 ]
 
 #: On-disk checkpoint format version.
 CHECKPOINT_VERSION = 1
-
-#: The named (non-``extras``) integer fields of :class:`CostCounters`.
-_COUNTER_FIELDS = (
-    "cpu_comparisons",
-    "block_reads",
-    "block_writes",
-    "sequential_reads",
-    "random_reads",
-    "buffer_hits",
-    "false_hits",
-    "partition_accesses",
-    "result_tuples",
-)
 
 
 # ----------------------------------------------------------------------
@@ -358,58 +343,6 @@ class CancellationToken:
 
 
 # ----------------------------------------------------------------------
-# Snapshot plumbing.
-# ----------------------------------------------------------------------
-
-
-def _extra_key(key: str) -> str:
-    """Snapshot key → ``extras`` key: :meth:`CostCounters.snapshot`
-    namespaces extras as ``extra.<key>``; strip that prefix on restore so
-    a snapshot → rebuild round trip is exact."""
-    return key[6:] if key.startswith("extra.") else key
-
-
-def counters_from_snapshot(snapshot: Dict[str, int]) -> CostCounters:
-    """Rebuild a :class:`CostCounters` from a :meth:`CostCounters
-    .snapshot` dict (unknown keys become ``extras``)."""
-    counters = CostCounters()
-    for key, value in snapshot.items():
-        if key in _COUNTER_FIELDS:
-            setattr(counters, key, int(value))
-        else:
-            counters.extras[_extra_key(key)] = int(value)
-    return counters
-
-
-def resilience_from_snapshot(snapshot: Dict[str, int]) -> ResilienceCounters:
-    """Rebuild a :class:`ResilienceCounters` from its snapshot dict."""
-    resilience = ResilienceCounters()
-    for key, value in snapshot.items():
-        if hasattr(resilience, key):
-            setattr(resilience, key, int(value))
-    return resilience
-
-
-def _overwrite_counters(target: CostCounters, snapshot: Dict[str, int]) -> None:
-    """Reset *target* to exactly the snapshot's state, in place."""
-    target.reset()
-    for key, value in snapshot.items():
-        if key in _COUNTER_FIELDS:
-            setattr(target, key, int(value))
-        else:
-            target.extras[_extra_key(key)] = int(value)
-
-
-def _overwrite_resilience(
-    target: ResilienceCounters, snapshot: Dict[str, int]
-) -> None:
-    target.reset()
-    for key, value in snapshot.items():
-        if hasattr(target, key):
-            setattr(target, key, int(value))
-
-
-# ----------------------------------------------------------------------
 # Checkpoint / resume.
 # ----------------------------------------------------------------------
 
@@ -532,8 +465,8 @@ class QueryCheckpoint:
         the checkpoint snapshot — which already contains those charges —
         keeps the final totals bit-identical to an uninterrupted run.
         """
-        _overwrite_counters(counters, self.counters)
-        _overwrite_resilience(resilience, self.resilience)
+        counters.restore(self.counters)
+        resilience.restore(self.resilience)
 
 
 class CheckpointWriter:
@@ -714,8 +647,8 @@ class GovernedRun:
                 raise BudgetExceededError(
                     reason,
                     partitions_completed=partitions_completed,
-                    counters=counters_from_snapshot(counters.snapshot()),
-                    resilience=resilience_from_snapshot(
+                    counters=CostCounters.from_snapshot(counters.snapshot()),
+                    resilience=ResilienceCounters.from_snapshot(
                         resilience.snapshot()
                     ),
                     elapsed_ms=self.elapsed_ms(),

@@ -93,11 +93,14 @@ class _TCPServer(socketserver.ThreadingTCPServer):
         # Adopt an already-bound, already-listening socket — the
         # pre-fork worker model: the parent binds once, every forked
         # worker accepts on the inherited fd and the kernel balances
-        # connections across them.
+        # connections across them.  Siblings race for each connection:
+        # the loser's accept must fail at once rather than block the
+        # serve loop (and so its shutdown) until the next connection.
         super().__init__(
             listener.getsockname(), handler_class, bind_and_activate=False
         )
         self.socket.close()
+        listener.setblocking(False)
         self.socket = listener
         self.server_address = listener.getsockname()
 

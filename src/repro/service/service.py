@@ -335,8 +335,7 @@ class JoinService:
         )
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Extra ``OIPJoin`` keywords applied to every query (fault
-        #: policies, kernels, cache sizes); mutate through
-        #: :meth:`set_join_option` only.
+        #: policies, kernels, cache sizes), fixed at construction.
         self._join_options: Dict[str, Any] = dict(join_options or {})
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
@@ -371,18 +370,6 @@ class JoinService:
         #: supervisor maintains for cross-worker stats aggregation.
         self.worker_id = worker_id
         self.roster_path = roster_path
-
-    # -- configuration -------------------------------------------------------
-
-    def set_join_option(self, key: str, value: Any) -> None:
-        """Set one per-query join keyword; :meth:`clear_join_option`
-        removes it."""
-        with self._lock:
-            self._join_options[key] = value
-
-    def clear_join_option(self, key: str) -> None:
-        with self._lock:
-            self._join_options.pop(key, None)
 
     # -- observability plumbing ----------------------------------------------
 
@@ -860,7 +847,6 @@ class JoinService:
         token = CancellationToken()
         with self._lock:
             self._tokens.add(token)
-            options = dict(self._join_options)
         try:
             attempts = 0
             while True:
@@ -878,7 +864,7 @@ class JoinService:
                         )
                     budget = QueryBudget(deadline_ms=remaining_ms)
                 kwargs = generation.join_kwargs()
-                kwargs.update(options)
+                kwargs.update(self._join_options)
                 if tracer.enabled:
                     # The join's own phase spans (oipcreate, probe,
                     # kernels) nest under the open service.query span.

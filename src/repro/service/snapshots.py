@@ -163,11 +163,9 @@ class SnapshotManager:
         self,
         path: str,
         *,
-        fsck_on_refresh: bool = True,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.path = path
-        self.fsck_on_refresh = fsck_on_refresh
         self._clock = clock
         self._lock = threading.Lock()
         self._current: Optional[ServingGeneration] = None
@@ -272,32 +270,27 @@ class SnapshotManager:
         :class:`SnapshotSwapRejectedError` (old generation untouched)
         when the candidate is missing, corrupt, or fails fsck."""
         started = self._clock()
-        verdict: Optional[Dict[str, Any]] = None
-        parsed: Optional[ParsedSnapshot] = None
-        if self.fsck_on_refresh:
-            # Serve the snapshot fsck parsed and decoded: one read.
-            verdict, parsed = _fsck(self.path, repair=True, deep=True)
-            if not verdict["loadable"]:
-                self.swaps_rejected += 1
-                fatal = [
-                    problem
-                    for problem in verdict["problems"]
-                    if problem not in _NON_FATAL_PROBLEMS
-                ]
-                reason = (
-                    fatal[0]
-                    if fatal
-                    else ("missing" if not verdict["exists"] else "format")
-                )
-                raise SnapshotSwapRejectedError(
-                    f"refresh rejected: snapshot at {self.path!r} is not "
-                    f"loadable ({reason})",
-                    reason=reason,
-                    verdict=verdict,
-                )
+        # Serve the snapshot fsck parsed and decoded: one read.
+        verdict, parsed = _fsck(self.path, repair=True, deep=True)
+        if not verdict["loadable"]:
+            self.swaps_rejected += 1
+            fatal = [
+                problem
+                for problem in verdict["problems"]
+                if problem not in _NON_FATAL_PROBLEMS
+            ]
+            reason = (
+                fatal[0]
+                if fatal
+                else ("missing" if not verdict["exists"] else "format")
+            )
+            raise SnapshotSwapRejectedError(
+                f"refresh rejected: snapshot at {self.path!r} is not "
+                f"loadable ({reason})",
+                reason=reason,
+                verdict=verdict,
+            )
         try:
-            if parsed is None:
-                parsed = ParsedSnapshot.read(self.path)
             candidate = ServingGeneration(
                 parsed, *parsed.reconstruct_relations(), clock=self._clock
             )

@@ -231,7 +231,11 @@ class WorkerSupervisor:
         self.restarts = 0
         self._ctx = multiprocessing.get_context("fork")
         self._listener: Optional[socket.socket] = None
+        #: Every started worker, from fork until reaped.  ``_lock``
+        #: orders each fork against :meth:`shutdown`: a worker is either
+        #: registered before shutdown signals the pool, or never forked.
         self._procs: List[Any] = []
+        self._lock = threading.Lock()
         self._roster_entries: List[Dict[str, Any]] = []
         self._stopping = threading.Event()
         if runtime_dir is None:
@@ -296,21 +300,28 @@ class WorkerSupervisor:
             args=(self._listener, index, child_conn, self._config),
             name=f"oip-worker-{index}",
         )
-        proc.start()
+        with self._lock:
+            if self._stopping.is_set():
+                raise WorkerStartupError(
+                    f"worker {index} not started: the pool is stopping"
+                )
+            proc.start()
+            self._procs.append(proc)
         child_conn.close()
         if not parent_conn.poll(self.ready_timeout_s):
             proc.terminate()
-            proc.join(timeout=5.0)
+            self._reap_failed(proc, teardown_on_failure)
             raise WorkerStartupError(
                 f"worker {index} did not report ready within "
                 f"{self.ready_timeout_s:.0f}s"
             )
-        report = parent_conn.recv()
+        try:
+            report = parent_conn.recv()
+        except EOFError:  # died before reporting, e.g. SIGTERMed by shutdown
+            report = {"error": "exited before reporting ready"}
         parent_conn.close()
         if not report.get("ok"):
-            proc.join(timeout=5.0)
-            if teardown_on_failure:
-                self._teardown_procs()
+            self._reap_failed(proc, teardown_on_failure)
             raise WorkerStartupError(
                 f"worker {index} failed to start: {report.get('error')}",
                 exit_code=int(report.get("exit_code", 70)),
@@ -322,25 +333,37 @@ class WorkerSupervisor:
             "control_host": report["control_host"],
             "control_port": report["control_port"],
         }
-        self._procs.append(proc)
         self._roster_entries = [
             e for e in self._roster_entries if e["worker"] != index
         ] + [entry]
         self._roster_entries.sort(key=lambda e: e["worker"])
         return entry
 
+    def _reap_failed(self, proc: Any, teardown: bool) -> None:
+        """Reap a worker that failed to start, then tear the whole pool
+        down when *teardown* is set."""
+        proc.join(timeout=5.0)
+        with self._lock:
+            if proc in self._procs:
+                self._procs.remove(proc)
+        if teardown:
+            self._teardown_procs()
+
     def _write_roster(self) -> None:
-        _write_atomic(
-            self.roster_path,
-            {
-                "version": 1,
-                "parent_pid": os.getpid(),
-                "host": self.host,
-                "port": self.port,
-                "workers": self._roster_entries,
-                "restarts": self.restarts,
-            },
-        )
+        with self._lock:
+            if self._listener is None:
+                return  # shut down: there is no pool to describe
+            _write_atomic(
+                self.roster_path,
+                {
+                    "version": 1,
+                    "parent_pid": os.getpid(),
+                    "host": self.host,
+                    "port": self.port,
+                    "workers": self._roster_entries,
+                    "restarts": self.restarts,
+                },
+            )
 
     def run(self, poll_interval_s: float = 0.5) -> None:
         """Supervise until shutdown: wait on process sentinels, replace
@@ -355,11 +378,12 @@ class WorkerSupervisor:
         pending: set = set()
         while not self._stopping.is_set():
             changed = False
-            for proc in list(self._procs):
-                if proc.is_alive():
-                    continue
+            with self._lock:
+                dead = [p for p in self._procs if not p.is_alive()]
+                for proc in dead:
+                    self._procs.remove(proc)
+            for proc in dead:
                 index = int(proc.name.rsplit("-", 1)[1])
-                self._procs.remove(proc)
                 # Drop the dead worker's roster entry now so fleet-wide
                 # stats aggregation stops dialling its control port.
                 self._roster_entries = [
@@ -406,9 +430,12 @@ class WorkerSupervisor:
         self._stopping.set()
 
     def shutdown(self) -> None:
-        """SIGTERM the pool, wait for drains, reap stragglers."""
-        self._stopping.set()
-        for proc in self._procs:
+        """SIGTERM the pool, wait for drains, reap stragglers.  A worker
+        still starting is signalled too; no worker starts afterwards."""
+        with self._lock:
+            self._stopping.set()
+            procs = list(self._procs)
+        for proc in procs:
             if proc.is_alive() and proc.pid:
                 try:
                     os.kill(proc.pid, signal.SIGTERM)
@@ -420,16 +447,17 @@ class WorkerSupervisor:
             + self.hard_stop_timeout_s
             + 5.0
         )
-        for proc in self._procs:
+        for proc in procs:
             proc.join(timeout=max(0.1, deadline - time.monotonic()))
-        for proc in self._procs:
+        for proc in procs:
             if proc.is_alive():
                 proc.kill()
                 proc.join(timeout=5.0)
-        self._procs = []
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
+        with self._lock:
+            self._procs = []
+            listener, self._listener = self._listener, None
+        if listener is not None:
+            listener.close()
 
     def _teardown_procs(self) -> None:
         for proc in self._procs:

@@ -25,7 +25,6 @@ from .device import TUPLE_SIZE_BYTES, DeviceProfile
 from .faults import (
     FAULT_PROFILES,
     CorruptBlockError,
-    FaultInjector,
     FaultKind,
     FaultPolicy,
     ReadRetriesExceededError,
@@ -71,7 +70,6 @@ __all__ = [
     "TUPLE_SIZE_BYTES",
     "FAULT_PROFILES",
     "CorruptBlockError",
-    "FaultInjector",
     "FaultKind",
     "FaultPolicy",
     "ReadRetriesExceededError",

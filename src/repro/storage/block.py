@@ -16,7 +16,7 @@ corrupted payloads.  Two explicit corruption hooks exist for fault
 injection and tests:
 
 * :meth:`Block.mark_corrupted` flags the *delivered/cached* copy as bad —
-  a device re-read (:meth:`Block.refresh_from_device`) restores it unless
+  a device re-read (:meth:`Block.reread`) restores it unless
   the corruption was marked permanent (bad media), and
 * :meth:`Block.tamper` silently replaces stored content without updating
   the recorded checksum, modelling a genuine undetected bit-flip that
@@ -86,10 +86,6 @@ class Block:
     def is_full(self) -> bool:
         return len(self._tuples) >= self.capacity
 
-    @property
-    def free_slots(self) -> int:
-        return self.capacity - len(self._tuples)
-
     def append(self, tup: TemporalTuple) -> None:
         """Add *tup*; raises :class:`OverflowError` when the block is full."""
         if self.is_full:
@@ -127,7 +123,7 @@ class Block:
         """Fault hook: flag this copy of the block as corrupted.
 
         Non-permanent corruption models a bad cached/delivered copy — a
-        re-read from the device (:meth:`refresh_from_device`) clears it.
+        re-read from the device (:meth:`reread`) clears it.
         Permanent corruption models bad media: no re-read helps, and the
         storage manager's retry loop ends in a
         :class:`~repro.storage.faults.CorruptBlockError`.
@@ -143,10 +139,12 @@ class Block:
         self._tuples[index] = tup
         self._dirty = True
 
-    def refresh_from_device(self) -> None:
-        """Model a fresh device read delivering a clean copy: transient
-        delivery corruption clears; permanent media corruption does not."""
+    def reread(self) -> bool:
+        """Model one device read: it delivers a fresh copy (transient
+        delivery corruption clears; permanent media corruption does
+        not), which must then pass :meth:`verify`."""
         self._delivery_corrupt = False
+        return self.verify()
 
 
 class BlockRun:

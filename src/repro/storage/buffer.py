@@ -5,7 +5,10 @@ disk blocks is cached by the operating system", with a 4-GB server where
 they are not.  We model that OS page cache with a bounded buffer pool in
 front of the device: a read request for a cached block id is a buffer hit
 (no IO charged); a miss charges one block read — sequential when the id
-directly follows the previously *device-read* id, random otherwise.
+directly follows the previously *device-read* id, random otherwise.  The
+pool keeps residency and that chain; the charges are made by the read
+path every algorithm's reads take,
+:meth:`repro.storage.manager.StorageManager.read_block`.
 
 LRU is the default policy; FIFO and CLOCK are provided for the
 buffer-replacement ablation the paper's future-work section mentions.
@@ -14,9 +17,7 @@ buffer-replacement ablation the paper's future-work section mentions.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional
-
-from .metrics import CostCounters
+from typing import Dict, List, Optional
 
 __all__ = [
     "ReplacementPolicy",
@@ -129,8 +130,8 @@ class BufferPool:
     """Bounded cache of block ids in front of the storage device.
 
     The pool does not hold block *contents* — the simulation keeps tuples in
-    Python objects regardless — it decides which read requests are charged
-    as device IOs.
+    Python objects regardless — its residency decides which read requests
+    the storage manager charges as device IOs.
     """
 
     def __init__(
@@ -157,35 +158,17 @@ class BufferPool:
     def resident_count(self) -> int:
         return len(self._resident)
 
-    def read(self, block_id: int, counters: CostCounters) -> None:
-        """Request *block_id*, charging a hit or a device read."""
-        if block_id in self._resident:
-            counters.charge_buffer_hit()
-            self._policy.record_access(block_id)
-            return
-        sequential = (
-            self._last_device_read is not None
-            and block_id == self._last_device_read + 1
-        )
-        counters.charge_read(sequential=sequential)
-        self._last_device_read = block_id
-        self._admit(block_id)
-
-    # -- resilience hooks ---------------------------------------------------
-    #
-    # The storage manager's fault-aware read path drives the pool through
-    # these finer-grained steps instead of :meth:`read`, so it can verify
-    # cached copies, retry device reads and evict corrupted blocks while
-    # keeping hit/miss charging and the sequential/random chain identical.
+    # The storage manager's read path (``StorageManager._fetch``) is the
+    # only caller: it charges hits and device reads itself, and keeps
+    # residency, the chain and corrupted-copy eviction here.
 
     @property
     def last_device_read(self) -> Optional[int]:
         """The block id of the most recent read that reached the device."""
         return self._last_device_read
 
-    def note_hit(self, block_id: int, counters: CostCounters) -> None:
-        """Charge a buffer hit for the resident *block_id*."""
-        counters.charge_buffer_hit()
+    def note_hit(self, block_id: int) -> None:
+        """Record a request served by the resident *block_id*."""
         self._policy.record_access(block_id)
 
     def note_device_read(self, block_id: int) -> None:
@@ -202,11 +185,6 @@ class BufferPool:
         self._resident.discard(block_id)
         self._policy.discard(block_id)
         return True
-
-    def read_run(self, block_ids: Iterable[int], counters: CostCounters) -> None:
-        """Request a run of block ids in order."""
-        for block_id in block_ids:
-            self.read(block_id, counters)
 
     def _admit(self, block_id: int) -> None:
         if len(self._resident) >= self.capacity_blocks:

@@ -4,8 +4,8 @@ The paper's cost model (Section 6, Equation 2) assumes a perfectly
 reliable device; production deployments of partition joins do not get
 one.  This module provides the chaos half of the resilience layer: a
 seeded, fully deterministic :class:`FaultPolicy` describing *which* reads
-misbehave and :class:`FaultInjector` deciding it per ``(block id,
-attempt)``, plus :func:`perform_read` — the one retry/charging loop the
+misbehave and deciding it per ``(block id, attempt)``, plus
+:func:`perform_read` — the one retry/charging loop the
 :class:`~repro.storage.manager.StorageManager` runs its device reads
 through, so every run of a join observes the *identical* fault schedule
 and charges the identical IO.
@@ -74,7 +74,6 @@ from .metrics import CostCounters, ResilienceCounters
 __all__ = [
     "FaultKind",
     "FaultPolicy",
-    "FaultInjector",
     "StorageFaultError",
     "TransientReadError",
     "CorruptBlockError",
@@ -165,7 +164,7 @@ class ReadRetriesExceededError(StorageFaultError):
 
 
 # ----------------------------------------------------------------------
-# Policy and injector.
+# Fault policy.
 # ----------------------------------------------------------------------
 
 
@@ -296,25 +295,6 @@ class FaultPolicy:
         return FaultKind.OK
 
 
-class FaultInjector:
-    """Applies a :class:`FaultPolicy` to a stream of read attempts.
-
-    The injector itself is stateless (decisions are pure functions of the
-    policy), so every copy of it injects the same faults.
-    """
-
-    __slots__ = ("policy",)
-
-    def __init__(self, policy: FaultPolicy) -> None:
-        self.policy = policy
-
-    def decide(self, block_id: int, attempt: int) -> FaultKind:
-        return self.policy.decide(block_id, attempt)
-
-    def __repr__(self) -> str:
-        return f"FaultInjector(seed={self.policy.seed})"
-
-
 # ----------------------------------------------------------------------
 # Named chaos profiles (CLI --fault-profile).
 # ----------------------------------------------------------------------
@@ -360,7 +340,7 @@ def perform_read(
     block_id: int,
     counters: CostCounters,
     last_read: Optional[int],
-    injector: Optional[FaultInjector] = None,
+    policy: Optional[FaultPolicy] = None,
     resilience: Optional[ResilienceCounters] = None,
     max_retries: int = 3,
     verify: Optional[Callable[[], bool]] = None,
@@ -396,8 +376,8 @@ def perform_read(
     attempt = 0
     while True:
         kind = (
-            injector.decide(block_id, attempt)
-            if injector is not None
+            policy.decide(block_id, attempt)
+            if policy is not None
             else FaultKind.OK
         )
         sequential = (

@@ -15,17 +15,21 @@ Reads are routed through an optional :class:`~repro.storage.buffer.BufferPool`
 (the OS page cache of Figure 11); without a pool every read reaches the
 device.
 
+Every charged block read goes through :meth:`StorageManager._fetch`
+(buffer-pool hits and misses) and
+:func:`~repro.storage.faults.perform_read` (device attempts); the pool
+only keeps residency and the sequential/random chain.
+
 Resilience (see :mod:`repro.storage.faults`): the manager verifies a
 block's content checksum on every read — including buffer hits, so a
 corrupted cached copy is evicted and re-fetched rather than served stale
-— and an optional
-:class:`~repro.storage.faults.FaultInjector` subjects device reads to a
-deterministic fault schedule.  Recovery runs a bounded exponential-backoff
-retry loop whose re-reads are charged as *random* IO (the cost model stays
-honest), with every event recorded in a
-:class:`~repro.storage.metrics.ResilienceCounters`.  A read that cannot be
-recovered raises a structured error naming the block and the partition
-context instead of returning partial data.
+— and an optional :class:`~repro.storage.faults.FaultPolicy` decides
+each device read attempt's fate on a deterministic schedule.  Recovery
+runs a bounded exponential-backoff retry loop whose re-reads are charged
+as *random* IO (the cost model stays honest), with every event recorded
+in a :class:`~repro.storage.metrics.ResilienceCounters`.  A read that
+cannot be recovered raises a structured error naming the block and the
+partition context instead of returning partial data.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .block import Block, BlockRun
 from .buffer import BufferPool
 from .columns import ColumnRun, RunColumns
 from .device import DeviceProfile
-from .faults import FaultInjector, perform_read
+from .faults import FaultPolicy, perform_read
 from .metrics import CostCounters, ResilienceCounters
 
 __all__ = ["StorageManager"]
@@ -52,8 +56,7 @@ class StorageManager:
         device: Optional[DeviceProfile] = None,
         counters: Optional[CostCounters] = None,
         buffer_pool: Optional[BufferPool] = None,
-        charge_writes: bool = True,
-        fault_injector: Optional[FaultInjector] = None,
+        fault_policy: Optional[FaultPolicy] = None,
         resilience: Optional[ResilienceCounters] = None,
         max_retries: int = 3,
         verify_checksums: bool = True,
@@ -65,8 +68,7 @@ class StorageManager:
         self.device = device if device is not None else DeviceProfile.main_memory()
         self.counters = counters if counters is not None else CostCounters()
         self.buffer_pool = buffer_pool
-        self.charge_writes = charge_writes
-        self.fault_injector = fault_injector
+        self.fault_policy = fault_policy
         self.resilience = (
             resilience if resilience is not None else ResilienceCounters()
         )
@@ -103,8 +105,7 @@ class StorageManager:
             block = Block(self._next_block_id, self.device.tuples_per_block)
             self._next_block_id += 1
             run.add_block(block)
-            if self.charge_writes:
-                self.counters.charge_write()
+            self.counters.charge_write()
         run.last_block.append(tup)
 
     def store_tuples(self, tuples: Iterable[TemporalTuple]) -> BlockRun:
@@ -120,7 +121,7 @@ class StorageManager:
         charge."""
         first = self._next_block_id
         self._next_block_id = first + blocks
-        if self.charge_writes and blocks:
+        if blocks:
             self.counters.charge_write(blocks)
         return range(first, first + blocks)
 
@@ -170,7 +171,7 @@ class StorageManager:
         :meth:`read_block`'s path, retries and pool included."""
         verify = self.verify_checksums
         if (
-            self.fault_injector is None
+            self.fault_policy is None
             and self.buffer_pool is None
             and self.cancellation is None
             and (not verify or run.verified or run.verify())
@@ -192,11 +193,6 @@ class StorageManager:
                 self._fetch(block_id, check, check, context)
         return run.tuples()
 
-    def read_runs(self, runs: Iterable[BlockRun]) -> Iterator[TemporalTuple]:
-        """Fetch several runs back to back."""
-        for run in runs:
-            yield from self.read_run(run)
-
     def read_block(
         self,
         block_id: int,
@@ -217,9 +213,7 @@ class StorageManager:
         read is charged, so partial counters never include abandoned IO.
         """
         if block is not None and self.verify_checksums:
-            self._fetch(
-                block_id, block.verify, self._make_verifier(block), context
-            )
+            self._fetch(block_id, block.verify, block.reread, context)
         else:
             self._fetch(block_id, None, None, context)
 
@@ -237,12 +231,11 @@ class StorageManager:
         pool = self.buffer_pool
         if pool is not None:
             if block_id in pool:
-                if check_cached is None:
-                    pool.note_hit(block_id, self.counters)
-                    return
-                self.resilience.checksum_verifications += 1
-                if check_cached():
-                    pool.note_hit(block_id, self.counters)
+                if check_cached is not None:
+                    self.resilience.checksum_verifications += 1
+                if check_cached is None or check_cached():
+                    self.counters.charge_buffer_hit()
+                    pool.note_hit(block_id)
                     return
                 # Corrupted cached copy: never serve it stale — evict and
                 # fall through to a device re-read.
@@ -257,7 +250,7 @@ class StorageManager:
                 block_id,
                 self.counters,
                 pool.last_device_read,
-                injector=self.fault_injector,
+                policy=self.fault_policy,
                 resilience=self.resilience,
                 max_retries=self.max_retries,
                 verify=verify,
@@ -272,25 +265,13 @@ class StorageManager:
             block_id,
             self.counters,
             self._last_read_id,
-            injector=self.fault_injector,
+            policy=self.fault_policy,
             resilience=self.resilience,
             max_retries=self.max_retries,
             verify=verify,
             context=context,
             tracer=self._trace,
         )
-
-    @staticmethod
-    def _make_verifier(block: Block):
-        """Per-attempt verification: each device read delivers a fresh
-        copy (clearing transient delivery corruption) and must pass the
-        content checksum."""
-
-        def verify() -> bool:
-            block.refresh_from_device()
-            return block.verify()
-
-        return verify
 
     # -- observability --------------------------------------------------------
 
@@ -300,18 +281,3 @@ class StorageManager:
         base class publishes)."""
         registry.gauge("storage.allocated_blocks").set(self.allocated_blocks)
         registry.gauge("storage.max_retries").set(self.max_retries)
-
-    # -- convenience ----------------------------------------------------------
-
-    def blocks_for(self, tuple_count: int) -> int:
-        """Blocks needed for *tuple_count* tuples on this device."""
-        return self.device.blocks_for_tuples(tuple_count)
-
-    def run_block_ids(
-        self, runs: Iterable[Union[BlockRun, ColumnRun]]
-    ) -> List[int]:
-        """All block ids of *runs* in order (diagnostics and tests)."""
-        ids: List[int] = []
-        for run in runs:
-            ids.extend(run.block_ids)
-        return ids

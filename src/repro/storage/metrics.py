@@ -14,8 +14,8 @@ independent cost next to wall-clock time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass, field, fields
+from typing import Any, ClassVar, Dict, Mapping, Tuple
 
 __all__ = ["CostWeights", "CostCounters", "ResilienceCounters"]
 
@@ -66,8 +66,58 @@ class CostWeights:
         return cls(cpu=cpu_over_io * io, io=io)
 
 
+class _CounterSet:
+    """The integer counters of a dataclass, named once in ``FIELDS``
+    (declaration order, which is the snapshot key order), and every
+    whole-set operation derived from that tuple."""
+
+    FIELDS: ClassVar[Tuple[str, ...]] = ()
+
+    def merge(self, other: Any) -> None:
+        """Add every field of *other* onto this counter set in place."""
+        for name in self.FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+    def snapshot(self) -> Dict[str, int]:
+        """Plain-dict view for printing and test assertions."""
+        return {name: getattr(self, name) for name in self.FIELDS}
+
+    def reset(self) -> None:
+        """Zero every counter in place."""
+        for name in self.FIELDS:
+            setattr(self, name, 0)
+
+    def restore(self, snapshot: Mapping[str, int]) -> None:
+        """Overwrite this set, in place, with exactly the state of a
+        :meth:`snapshot` dict."""
+        self.reset()
+        for key, value in snapshot.items():
+            if key in self.FIELDS:
+                setattr(self, key, int(value))
+            else:
+                self._restore_unknown(key, value)
+
+    def _restore_unknown(self, key: str, value: Any) -> None:
+        """A snapshot key that names no field is ignored."""
+
+    @classmethod
+    def from_snapshot(cls, snapshot: Mapping[str, int]) -> Any:
+        """A new counter set holding the state of a :meth:`snapshot`
+        dict."""
+        counters = cls()
+        counters.restore(snapshot)
+        return counters
+
+
+def _counter_fields(cls: type) -> type:
+    """Class decorator: record a counter dataclass's integer fields."""
+    cls.FIELDS = tuple(f.name for f in fields(cls) if f.name != "extras")
+    return cls
+
+
+@_counter_fields
 @dataclass
-class CostCounters:
+class CostCounters(_CounterSet):
     """Mutable event counters for one algorithm run.
 
     Attributes mirror the paper's reported quantities:
@@ -162,15 +212,7 @@ class CostCounters:
 
     def merge(self, other: "CostCounters") -> None:
         """Add every field of *other* onto this counter set in place."""
-        self.cpu_comparisons += other.cpu_comparisons
-        self.block_reads += other.block_reads
-        self.block_writes += other.block_writes
-        self.sequential_reads += other.sequential_reads
-        self.random_reads += other.random_reads
-        self.buffer_hits += other.buffer_hits
-        self.false_hits += other.false_hits
-        self.partition_accesses += other.partition_accesses
-        self.result_tuples += other.result_tuples
+        super().merge(other)
         for key, value in other.extras.items():
             self.extras[key] = self.extras.get(key, 0) + value
 
@@ -187,37 +229,27 @@ class CostCounters:
         Algorithm-specific ``extras`` are namespaced as ``extra.<key>``
         so an extra named e.g. ``block_reads`` can never shadow the
         built-in counter of the same name."""
-        data = {
-            "cpu_comparisons": self.cpu_comparisons,
-            "block_reads": self.block_reads,
-            "block_writes": self.block_writes,
-            "sequential_reads": self.sequential_reads,
-            "random_reads": self.random_reads,
-            "buffer_hits": self.buffer_hits,
-            "false_hits": self.false_hits,
-            "partition_accesses": self.partition_accesses,
-            "result_tuples": self.result_tuples,
-        }
+        data = super().snapshot()
         for key, value in self.extras.items():
             data[f"extra.{key}"] = value
         return data
 
     def reset(self) -> None:
         """Zero every counter in place."""
-        self.cpu_comparisons = 0
-        self.block_reads = 0
-        self.block_writes = 0
-        self.sequential_reads = 0
-        self.random_reads = 0
-        self.buffer_hits = 0
-        self.false_hits = 0
-        self.partition_accesses = 0
-        self.result_tuples = 0
+        super().reset()
         self.extras.clear()
 
+    def _restore_unknown(self, key: str, value: Any) -> None:
+        """A key that names no field is an extra; strip the
+        ``extra.`` namespace :meth:`snapshot` added."""
+        if key.startswith("extra."):
+            key = key[6:]
+        self.extras[key] = int(value)
 
+
+@_counter_fields
 @dataclass
-class ResilienceCounters:
+class ResilienceCounters(_CounterSet):
     """Fault-handling events of one algorithm run, reported alongside
     :class:`CostCounters`.
 
@@ -288,52 +320,7 @@ class ResilienceCounters:
         result, survived)."""
         return self.faults_observed > 0
 
-    def merge(self, other: "ResilienceCounters") -> None:
-        """Add every field of *other* onto this counter set in place."""
-        self.transient_faults += other.transient_faults
-        self.corruptions_detected += other.corruptions_detected
-        self.retries += other.retries
-        self.backoff_units += other.backoff_units
-        self.latency_spikes += other.latency_spikes
-        self.checksum_verifications += other.checksum_verifications
-        self.pool_invalidations += other.pool_invalidations
-        self.chunk_retries += other.chunk_retries
-        self.chunk_timeouts += other.chunk_timeouts
-        self.worker_crashes += other.worker_crashes
-        self.sequential_downgrades += other.sequential_downgrades
-
-    def snapshot(self) -> Dict[str, int]:
-        """Plain-dict view for printing and test assertions."""
-        return {
-            "transient_faults": self.transient_faults,
-            "corruptions_detected": self.corruptions_detected,
-            "retries": self.retries,
-            "backoff_units": self.backoff_units,
-            "latency_spikes": self.latency_spikes,
-            "checksum_verifications": self.checksum_verifications,
-            "pool_invalidations": self.pool_invalidations,
-            "chunk_retries": self.chunk_retries,
-            "chunk_timeouts": self.chunk_timeouts,
-            "worker_crashes": self.worker_crashes,
-            "sequential_downgrades": self.sequential_downgrades,
-        }
-
     def storage_snapshot(self) -> Dict[str, int]:
         """The device-level subset of :meth:`snapshot` (the fields every
         run of the same fault schedule reproduces exactly)."""
-        full = self.snapshot()
-        return {key: full[key] for key in self.STORAGE_FIELDS}
-
-    def reset(self) -> None:
-        """Zero every counter in place."""
-        self.transient_faults = 0
-        self.corruptions_detected = 0
-        self.retries = 0
-        self.backoff_units = 0
-        self.latency_spikes = 0
-        self.checksum_verifications = 0
-        self.pool_invalidations = 0
-        self.chunk_retries = 0
-        self.chunk_timeouts = 0
-        self.worker_crashes = 0
-        self.sequential_downgrades = 0
+        return {key: getattr(self, key) for key in self.STORAGE_FIELDS}

@@ -527,15 +527,24 @@ def relation_endpoint_digest(relation: Any) -> int:
     if cache is not None and "endpoint" in cache:
         return cache["endpoint"]
     tuples = relation.tuples
-    starts = array("q", [tup.start for tup in tuples])
-    ends = array("q", [tup.end for tup in tuples])
-    if sys.byteorder != "little":  # pragma: no cover - big-endian host
-        starts.byteswap()
-        ends.byteswap()
-    crc = zlib.crc32(ends.tobytes(), zlib.crc32(starts.tobytes()))
+    crc = _endpoint_crc(
+        [tup.start for tup in tuples], [tup.end for tup in tuples]
+    )
     if cache is not None:
         cache["endpoint"] = crc
     return crc
+
+
+def _endpoint_crc(starts: List[int], ends: List[int]) -> int:
+    """The :func:`relation_endpoint_digest` of endpoint columns given
+    in relation order."""
+    starts_column, ends_column = array("q", starts), array("q", ends)
+    if sys.byteorder != "little":  # pragma: no cover - big-endian host
+        starts_column.byteswap()
+        ends_column.byteswap()
+    return zlib.crc32(
+        ends_column.tobytes(), zlib.crc32(starts_column.tobytes())
+    )
 
 
 def _payloads_stable(tuples: Sequence[Any]) -> bool:
@@ -742,6 +751,23 @@ class SideColumns:
                 raise _inconsistent(side, f"partition ({i}, {j}) is misfiled")
         if not all(map(le, start_list, end_list)):
             raise _inconsistent(side, "holds a tuple ending before its start")
+        # The checks above hold for an endpoint moved within its
+        # granule; the fingerprint of the saved relation does not.
+        endpoint_crc = (
+            fingerprint.get("endpoint_crc")
+            if isinstance(fingerprint, dict)
+            else None
+        )
+        if endpoint_crc is not None:
+            relation_starts = [0] * cardinality
+            relation_ends = [0] * cardinality
+            for position, start, end in zip(positions, start_list, end_list):
+                relation_starts[position] = start
+                relation_ends[position] = end
+            if _endpoint_crc(relation_starts, relation_ends) != endpoint_crc:
+                raise _inconsistent(
+                    side, "endpoints differ from the saved relation's"
+                )
         capacity = meta["tuples_per_block"]
         if checksums is not None and len(checksums) != sum(
             -(-count // capacity) for count in counts

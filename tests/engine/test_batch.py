@@ -27,7 +27,6 @@ from repro.core.oip import OIPConfiguration
 from repro.core.relation import TemporalRelation
 from repro.engine.batch import BatchJoin, BatchResult, equal_windows
 from repro.engine.governor import (
-    AdmissionController,
     BudgetExceededError,
     CancellationToken,
     QueryBudget,
@@ -298,18 +297,6 @@ class TestBatchLifecycle:
             budget=QueryBudget(max_comparisons=per_query)
         ).run(outer, inner, equal_windows(outer.time_range, 4))
         assert result.completed
-
-    def test_admission_accounting(self, relations):
-        outer, inner = relations
-        admission = AdmissionController(max_active=1)
-        result = BatchJoin(admission=admission).run(
-            outer, inner, equal_windows(outer.time_range, 4)
-        )
-        assert result.completed
-        stats = result.details["admission"]
-        assert stats["admitted"] == 4
-        assert stats["completed"] == 4
-        assert stats["rejected"] == 0
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="kernel"):

@@ -80,7 +80,6 @@ from repro.storage.buffer import BufferPool, ClockPolicy, LRUPolicy
 from repro.storage.device import TUPLE_SIZE_BYTES, DeviceProfile
 from repro.storage.faults import (
     FAULT_PROFILES,
-    FaultInjector,
     FaultPolicy,
     StorageFaultError,
     fault_profile,
@@ -560,7 +559,7 @@ def _probe_fixture(policy=None):
     counters = CostCounters()
     storage = StorageManager(
         counters=counters,
-        fault_injector=FaultInjector(policy) if policy is not None else None,
+        fault_policy=policy,
     )
     outer_list = oip_create(
         PROBE_OUTER, OIPConfiguration.for_relation(PROBE_OUTER, 8), storage

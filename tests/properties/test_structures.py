@@ -14,6 +14,7 @@ from repro.core.lazy_list import oip_create
 from repro.core.oip import OIPConfiguration
 from repro.core.relation import TemporalRelation
 from repro.storage.buffer import BufferPool
+from repro.storage.manager import StorageManager
 from repro.storage.metrics import CostCounters
 
 
@@ -118,8 +119,9 @@ class TestBufferPoolProperties:
     def test_accounting_identity_and_capacity(self, requests, capacity):
         pool = BufferPool(capacity)
         counters = CostCounters()
+        manager = StorageManager(counters=counters, buffer_pool=pool)
         for block_id in requests:
-            pool.read(block_id, counters)
+            manager.read_block(block_id)
             assert pool.resident_count <= capacity
         assert counters.block_reads + counters.buffer_hits == len(requests)
         assert (

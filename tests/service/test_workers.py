@@ -4,6 +4,7 @@ reconnect-retry)."""
 
 import os
 import signal
+import socket
 import threading
 import time
 
@@ -18,6 +19,7 @@ from repro.service import (
 )
 from repro.service.aggregate import read_roster
 from repro.service.errors import ScaleOutConfigError
+from repro.service import workers as workers_module
 from repro.service.workers import WorkerStartupError
 from repro.storage import save_index
 from repro.workloads import long_lived_mixture
@@ -297,3 +299,79 @@ class TestRespawnRetry:
         assert rosters[-1] == [0, 1]
         for proc in (dead, survivor, replacement):
             proc.close_fds()
+
+
+class TestShutdownRaces:
+    """Two ways a pool used to outlive ``shutdown()`` until the SIGKILL
+    deadline (drain + hard stop + 5 s)."""
+
+    def test_lost_accept_race_does_not_block_the_serve_loop(self):
+        """Siblings share one listener, so a worker woken for a
+        connection another worker already accepted finds none; its
+        accept must fail at once, or the serve loop (and the worker's
+        shutdown, which waits for it) blocks until the next connect."""
+        from repro.service.server import _Handler, _TCPServer
+
+        listener = socket.create_server(("127.0.0.1", 0))
+        server = _TCPServer(None, _Handler, listener=listener)
+        # What serve_forever does once select() reported the listener
+        # readable: handle one pending connection (here: none left).
+        loser = threading.Thread(
+            target=server._handle_request_noblock, daemon=True
+        )
+        loser.start()
+        loser.join(timeout=2.0)
+        blocked = loser.is_alive()
+        if blocked:  # release the stuck accept before failing
+            socket.create_connection(listener.getsockname()).close()
+            loser.join(timeout=2.0)
+        server.server_close()
+        assert not blocked, "accept blocked with no connection pending"
+
+    def test_replacement_starting_during_shutdown_is_stopped(
+        self, snapshot, tmp_path, monkeypatch
+    ):
+        """A worker that dies is replaced by the supervision loop; a
+        shutdown that begins while the replacement is still starting
+        must stop it too, not leave it serving unsignalled."""
+        started = tmp_path / "replacement.pid"
+        release = tmp_path / "release"
+        real_main = workers_module._worker_main
+
+        def slow_main(*args):
+            # Runs in the forked replacement: report, then hold its
+            # startup until the test has called shutdown().
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            started.write_text(str(os.getpid()))
+            deadline = time.monotonic() + 30.0
+            while not release.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            real_main(*args)
+
+        supervisor = WorkerSupervisor(
+            snapshot, workers=1, drain_timeout_s=10.0, hard_stop_timeout_s=2.0
+        )
+        supervisor.start()
+        monkeypatch.setattr(workers_module, "_worker_main", slow_main)
+        runner = threading.Thread(
+            target=supervisor.run,
+            kwargs={"poll_interval_s": 0.05},
+            daemon=True,
+        )
+        runner.start()
+        try:
+            os.kill(supervisor._roster_entries[0]["pid"], signal.SIGKILL)
+            assert _wait_until(started.exists, interval_s=0.02)
+            began = time.monotonic()
+            supervisor.shutdown()
+            release.write_text("go")
+            runner.join(timeout=10.0)
+            assert not runner.is_alive()
+            assert time.monotonic() - began < 5.0
+            survivors = [p for p in supervisor._procs if p.is_alive()]
+            assert not survivors, "a replacement outlived shutdown()"
+        finally:
+            release.write_text("go")
+            for proc in list(supervisor._procs):
+                proc.kill()
+                proc.join(timeout=5.0)

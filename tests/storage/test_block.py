@@ -13,7 +13,6 @@ class TestBlock:
         assert not block.is_full
         block.append(TemporalTuple(3, 4))
         assert block.is_full
-        assert block.free_slots == 0
 
     def test_overflow_rejected(self):
         block = Block(0, capacity=1)

@@ -5,7 +5,6 @@ import pytest
 from repro.storage.faults import (
     FAULT_PROFILES,
     CorruptBlockError,
-    FaultInjector,
     FaultKind,
     FaultPolicy,
     ReadRetriesExceededError,
@@ -77,9 +76,9 @@ class TestFaultPolicy:
         with pytest.raises(ValueError, match="transient_schedule"):
             FaultPolicy(transient_schedule={1: -1})
 
-    def test_injector_is_stateless(self):
-        policy = FaultPolicy(seed=9, corrupt_probability=0.3)
-        first, second = FaultInjector(policy), FaultInjector(policy)
+    def test_equal_policies_decide_alike(self):
+        first = FaultPolicy(seed=9, corrupt_probability=0.3)
+        second = FaultPolicy(seed=9, corrupt_probability=0.3)
         for block_id in range(100):
             assert first.decide(block_id, 0) == second.decide(block_id, 0)
 
@@ -113,9 +112,9 @@ class TestPerformRead:
     def test_retries_charged_random(self):
         counters = CostCounters()
         resilience = ResilienceCounters()
-        injector = FaultInjector(FaultPolicy(transient_schedule={1: 2}))
+        policy = FaultPolicy(transient_schedule={1: 2})
         new_last = perform_read(
-            1, counters, 0, injector=injector, resilience=resilience
+            1, counters, 0, policy=policy, resilience=resilience
         )
         assert new_last == 1
         # Attempt 0 follows block 0 (sequential); both retries are random.
@@ -126,14 +125,14 @@ class TestPerformRead:
         assert resilience.backoff_units == 2 ** 0 + 2 ** 1
 
     def test_retry_budget_exhaustion_raises_structured_error(self):
-        injector = FaultInjector(FaultPolicy(permanent_blocks={4}))
+        policy = FaultPolicy(permanent_blocks={4})
         resilience = ResilienceCounters()
         with pytest.raises(ReadRetriesExceededError) as excinfo:
             perform_read(
                 4,
                 CostCounters(),
                 None,
-                injector=injector,
+                policy=policy,
                 resilience=resilience,
                 max_retries=2,
                 context=("inner partition", (3, 5)),
@@ -147,10 +146,10 @@ class TestPerformRead:
         assert isinstance(error, StorageFaultError)
 
     def test_persistent_corruption_raises_corrupt_error(self):
-        injector = FaultInjector(FaultPolicy(corrupt_schedule={2: 10}))
+        policy = FaultPolicy(corrupt_schedule={2: 10})
         with pytest.raises(CorruptBlockError) as excinfo:
             perform_read(
-                2, CostCounters(), None, injector=injector, max_retries=1
+                2, CostCounters(), None, policy=policy, max_retries=1
             )
         assert excinfo.value.block_id == 2
         assert excinfo.value.attempts == 2
@@ -171,10 +170,10 @@ class TestPerformRead:
 
     def test_latency_spike_succeeds_but_is_recorded(self):
         resilience = ResilienceCounters()
-        injector = FaultInjector(FaultPolicy(seed=0, latency_probability=1.0))
+        policy = FaultPolicy(seed=0, latency_probability=1.0)
         counters = CostCounters()
         assert perform_read(
-            3, counters, None, injector=injector, resilience=resilience
+            3, counters, None, policy=policy, resilience=resilience
         ) == 3
         assert resilience.latency_spikes == 1
         assert resilience.retries == 0

@@ -46,12 +46,6 @@ class TestAllocation:
         manager.store_tuples(tuples(30))
         assert counters.block_writes == 3
 
-    def test_writes_not_charged_when_disabled(self):
-        counters = CostCounters()
-        manager = StorageManager(counters=counters, charge_writes=False)
-        manager.store_tuples(tuples(30))
-        assert counters.block_writes == 0
-
     def test_device_capacity_respected(self):
         manager = StorageManager(device=DeviceProfile.disk())
         run = manager.store_tuples(tuples(117))
@@ -98,21 +92,3 @@ class TestReading:
         assert counters.block_reads == 3
         assert counters.buffer_hits == 3
 
-    def test_read_runs_concatenates(self):
-        manager = StorageManager()
-        run_a = manager.store_tuples(tuples(5))
-        run_b = manager.store_tuples(tuples(5))
-        assert len(list(manager.read_runs([run_a, run_b]))) == 10
-
-
-class TestHelpers:
-    def test_blocks_for(self):
-        manager = StorageManager()
-        assert manager.blocks_for(0) == 0
-        assert manager.blocks_for(15) == 2
-
-    def test_run_block_ids(self):
-        manager = StorageManager()
-        run_a = manager.store_tuples(tuples(15))
-        run_b = manager.store_tuples(tuples(1))
-        assert manager.run_block_ids([run_a, run_b]) == [0, 1, 2]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.storage.metrics import CostCounters, CostWeights
+from repro.storage.metrics import CostCounters, CostWeights, ResilienceCounters
 
 
 class TestCostWeights:
@@ -165,3 +165,64 @@ class TestCostCounters:
             "result_tuples",
         ):
             assert key in snap
+
+
+class TestCounterSchema:
+    """``merge``/``snapshot``/``reset``/``restore`` all follow one field
+    tuple per class, in the recorded snapshot key order."""
+
+    def test_snapshot_key_order_is_the_recorded_contract(self):
+        assert list(CostCounters().snapshot()) == [
+            "cpu_comparisons", "block_reads", "block_writes",
+            "sequential_reads", "random_reads", "buffer_hits",
+            "false_hits", "partition_accesses", "result_tuples",
+        ]
+        assert list(ResilienceCounters().snapshot()) == [
+            "transient_faults", "corruptions_detected", "retries",
+            "backoff_units", "latency_spikes", "checksum_verifications",
+            "pool_invalidations", "chunk_retries", "chunk_timeouts",
+            "worker_crashes", "sequential_downgrades",
+        ]
+
+    @pytest.mark.parametrize("cls", [CostCounters, ResilienceCounters])
+    def test_round_trip_merge_and_reset(self, cls):
+        counters = cls(**{name: n + 1 for n, name in enumerate(cls.FIELDS)})
+        copy = cls.from_snapshot(counters.snapshot())
+        assert copy == counters
+        copy.merge(counters)
+        assert copy.snapshot() == {
+            key: 2 * value for key, value in counters.snapshot().items()
+        }
+        copy.reset()
+        assert copy == cls()
+
+    def test_cost_counters_keep_unknown_keys_as_extras(self):
+        counters = CostCounters()
+        counters.charge_extra("probes", 4)
+        counters.charge_extra("block_reads", 9)
+        snap = dict(counters.snapshot(), legacy=2)
+        restored = CostCounters.from_snapshot(snap)
+        assert restored.extras == {"probes": 4, "block_reads": 9, "legacy": 2}
+        assert restored.block_reads == 0
+
+    def test_resilience_ignores_keys_that_name_no_field(self):
+        # ``recovered`` and ``faults_observed`` are properties and
+        # ``STORAGE_FIELDS`` a class constant: none is a counter.
+        snap = dict(
+            ResilienceCounters(retries=3).snapshot(),
+            recovered=1,
+            faults_observed=7,
+            STORAGE_FIELDS=0,
+            unknown=5,
+        )
+        restored = ResilienceCounters.from_snapshot(snap)
+        assert restored == ResilienceCounters(retries=3)
+        assert restored.STORAGE_FIELDS == ResilienceCounters.STORAGE_FIELDS
+
+    def test_restore_overwrites_in_place(self):
+        target = CostCounters(block_reads=5)
+        target.charge_extra("stale")
+        target.restore({"cpu_comparisons": 2, "extra.fresh": 1})
+        assert target.snapshot() == dict(
+            CostCounters(cpu_comparisons=2).snapshot(), **{"extra.fresh": 1}
+        )

@@ -8,7 +8,6 @@ from repro.storage.block import Block, tuple_checksum
 from repro.storage.buffer import BufferPool, UnboundedBufferPool
 from repro.storage.faults import (
     CorruptBlockError,
-    FaultInjector,
     FaultPolicy,
     ReadRetriesExceededError,
 )
@@ -58,15 +57,13 @@ class TestBlockChecksums:
         block.append(TemporalTuple(1, 2))
         block.mark_corrupted()
         assert not block.verify()
-        block.refresh_from_device()
-        assert block.verify()
+        assert block.reread()
 
     def test_media_corruption_survives_refresh(self):
         block = Block(0, 4)
         block.append(TemporalTuple(1, 2))
         block.mark_corrupted(permanent=True)
-        block.refresh_from_device()
-        assert not block.verify()
+        assert not block.reread()
 
     def test_tuple_checksum_depends_on_payload(self):
         assert tuple_checksum(TemporalTuple(1, 2, "x")) != tuple_checksum(
@@ -120,9 +117,9 @@ class TestLastReadClassification:
     classification of the next successful read."""
 
     def test_failed_read_leaves_chain_at_last_success(self):
-        injector = FaultInjector(FaultPolicy(permanent_blocks={1}))
+        policy = FaultPolicy(permanent_blocks={1})
         manager, counters, resilience = make_manager(
-            fault_injector=injector, max_retries=1
+            fault_policy=policy, max_retries=1
         )
         manager.store_tuples(tuples(42))  # blocks 0..2
         manager.read_block(0)
@@ -131,9 +128,9 @@ class TestLastReadClassification:
         assert manager._last_read_id == 0  # unchanged by the failure
 
     def test_next_read_classified_against_last_successful(self):
-        injector = FaultInjector(FaultPolicy(permanent_blocks={5}))
+        policy = FaultPolicy(permanent_blocks={5})
         manager, counters, resilience = make_manager(
-            fault_injector=injector, max_retries=0
+            fault_policy=policy, max_retries=0
         )
         manager.store_tuples(tuples(140))  # blocks 0..9
         manager.read_block(0)
@@ -145,8 +142,8 @@ class TestLastReadClassification:
         assert counters.sequential_reads == counters_before + 1
 
     def test_retried_read_still_advances_chain_on_success(self):
-        injector = FaultInjector(FaultPolicy(transient_schedule={1: 1}))
-        manager, counters, resilience = make_manager(fault_injector=injector)
+        policy = FaultPolicy(transient_schedule={1: 1})
+        manager, counters, resilience = make_manager(fault_policy=policy)
         manager.store_tuples(tuples(42))
         manager.read_block(0)
         manager.read_block(1)  # one transient fault, then success
@@ -214,10 +211,8 @@ class TestBufferPoolCorruption:
 
 class TestFaultInjectionThroughManager:
     def test_transient_faults_recovered_transparently(self):
-        injector = FaultInjector(
-            FaultPolicy(seed=2, transient_probability=0.3)
-        )
-        manager, counters, resilience = make_manager(fault_injector=injector)
+        policy = FaultPolicy(seed=2, transient_probability=0.3)
+        manager, counters, resilience = make_manager(fault_policy=policy)
         run = manager.store_tuples(tuples(420))
         assert list(manager.read_run(run)) == list(run.iter_tuples())
         assert resilience.transient_faults > 0
@@ -229,12 +224,11 @@ class TestFaultInjectionThroughManager:
 
     def test_same_seed_same_resilience_counters(self):
         def chaos_run():
-            injector = FaultInjector(
-                FaultPolicy(seed=5, transient_probability=0.1,
-                            corrupt_probability=0.05)
+            policy = FaultPolicy(
+                seed=5, transient_probability=0.1, corrupt_probability=0.05
             )
             manager, counters, resilience = make_manager(
-                fault_injector=injector
+                fault_policy=policy
             )
             run = manager.store_tuples(tuples(140))
             list(manager.read_run(run))
