@@ -10,6 +10,7 @@ k (the cost function is flat around its minimum — Figure 7's message).
 from repro.core.granules import cost_model_for
 from repro.core.interval import Interval
 from repro.core.join import OIPJoin
+from repro.storage.metrics import CostWeights
 from repro.workloads import long_lived_mixture
 
 from .common import emit, heading, scaled, table, timed_join
@@ -28,7 +29,9 @@ def test_ablation_self_adjusting_k(benchmark):
 
     def run():
         rows = []
-        auto_result, auto_elapsed = timed_join(OIPJoin(), outer, inner)
+        auto_result, auto_elapsed = timed_join(
+            OIPJoin(weights=CostWeights.main_memory()), outer, inner
+        )
         auto_k = auto_result.details["k"]
         rows.append(
             (

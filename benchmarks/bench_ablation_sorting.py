@@ -85,10 +85,17 @@ def test_ablation_sorted_layout(benchmark):
     def run():
         rows = []
         for label, join in (
-            ("sorted (Algorithm 1)", OIPJoin(device=device)),
+            (
+                "sorted (Algorithm 1)",
+                OIPJoin(device=device, weights=device.weights),
+            ),
             (
                 "fragmented layout",
-                OIPJoin(device=device, index_provider=fragmented_layout(device)),
+                OIPJoin(
+                    device=device,
+                    weights=device.weights,
+                    index_provider=fragmented_layout(device),
+                ),
             ),
         ):
             result, elapsed = timed_join(join, outer, inner)

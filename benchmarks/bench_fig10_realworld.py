@@ -11,10 +11,9 @@ because a large share of each dataset is short-lived.
 
 import pytest
 
-from repro.baselines import ALGORITHMS
 from repro.workloads import DATASET_GENERATORS
 
-from .common import heading, run_contenders, scaled, table
+from .common import heading, paper_algorithm, run_contenders, scaled, table
 
 CONTENDERS = ("oip", "lqt", "rit", "sgt", "smj")
 CARDINALITY = {"incumbent": 2_500, "feed": 2_500, "webkit": 2_500}
@@ -33,7 +32,7 @@ def test_fig10_dataset(benchmark, dataset):
             step = max(1, round(100 / percent))
             outer = inner.sample_every(step, name=f"{dataset}-{percent}%")
             results = run_contenders(
-                {name: ALGORITHMS[name] for name in CONTENDERS},
+                {name: paper_algorithm(name) for name in CONTENDERS},
                 outer,
                 inner,
             )

@@ -12,11 +12,10 @@ degrades least when the cache shrinks; the segment tree is worst on IO
 
 import pytest
 
-from repro.baselines import ALGORITHMS
 from repro.storage import BufferPool, DeviceProfile, UnboundedBufferPool
 from repro.workloads import scaling_pair
 
-from .common import heading, run_contenders, scaled, table
+from .common import heading, paper_algorithm, run_contenders, scaled, table
 
 CONTENDERS = ("oip", "lqt", "sgt", "smj")
 INNER_SIZES = (4_000, 8_000, 16_000)
@@ -45,7 +44,7 @@ def test_fig11_scaling(benchmark, cache_label):
             )
             factories = {
                 name: (
-                    lambda name=name: ALGORITHMS[name](
+                    lambda name=name: paper_algorithm(name)(
                         device=DeviceProfile.disk(),
                         buffer_pool=cache_factory(),
                     )

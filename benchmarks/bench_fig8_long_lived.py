@@ -13,13 +13,13 @@ sort-merge join degrades with the longest duration.
 
 import pytest
 
-from repro.baselines import ALGORITHMS
 from repro.core.interval import Interval
 from repro.workloads import long_lived_mixture, uniform_relation
 
 from .common import (
     emit,
     heading,
+    paper_algorithm,
     run_contenders,
     scaled,
     structural_afr_lqt,
@@ -36,7 +36,7 @@ MAX_DURATIONS = (0.001, 0.02, 0.04, 0.06, 0.08, 0.10)
 
 
 def _factories():
-    return {name: ALGORITHMS[name] for name in CONTENDERS}
+    return {name: paper_algorithm(name) for name in CONTENDERS}
 
 
 def test_fig8a_share_of_long_lived(benchmark):
@@ -147,7 +147,7 @@ def test_fig8_single_algorithm_timing(benchmark, name):
         scaled(N), 0.5, TIME_RANGE, seed=2, name="s"
     )
     benchmark.pedantic(
-        lambda: ALGORITHMS[name]().join(outer, inner),
+        lambda: paper_algorithm(name)().join(outer, inner),
         rounds=1,
         iterations=1,
     )

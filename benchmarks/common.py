@@ -24,8 +24,10 @@ import os
 import time
 from typing import Callable, Dict, List, Sequence
 
+from repro.baselines import ALGORITHMS
 from repro.core.base import JoinResult, OverlapJoinAlgorithm
 from repro.core.relation import TemporalRelation
+from repro.storage.device import DeviceProfile
 
 #: Multiplier applied to every benchmark cardinality.
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
@@ -74,6 +76,21 @@ def table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
                 str(cell).rjust(width) for cell, width in zip(row, widths)
             )
         )
+
+
+def paper_algorithm(name: str) -> Callable[..., OverlapJoinAlgorithm]:
+    """``ALGORITHMS[name]``, with the OIPJOIN deriving ``k`` from the
+    paper's weights (its device's) instead of the engine's, as the
+    paper's figures do."""
+    factory = ALGORITHMS[name]
+    if name != "oip":
+        return factory
+
+    def oip(device=None, **kwargs):
+        device = device if device is not None else DeviceProfile.main_memory()
+        return factory(device=device, weights=device.weights, **kwargs)
+
+    return oip
 
 
 def timed_join(

@@ -8,13 +8,16 @@ number of granules ``k`` that minimises the overhead cost
 
 where
 
-    x = |p_r| * (c_io + 2 * c_cpu)
+    x = |p_r| * (c_io + 2 * c_cpu + c_access)
     y = |p_r| * n_s * (c_io / b  +  2 * (n_r / |p_r|) * 2 * c_cpu)
 
 ``x`` prices partition accesses (one extra block IO per accessed inner
 partition plus two index comparisons) and ``y`` prices false hits (extra
 block transfers at ``b`` tuples per block plus two endpoint comparisons per
-false hit on either side).  Substituting the analytical
+false hit on either side).  ``c_access`` is not in the paper: it prices
+the fixed work this engine does per accessed partition (navigation, the
+run read, charging, the kernel call), and is ``0`` under the paper's
+weights.  Substituting the analytical
 ``APA <= tau * (k^2 + k + 1) / 3`` (Theorem 2) and ``AFR < 1/k``
 (Theorem 1) and setting the derivative to zero yields a cubic in ``k``
 whose positive real root the paper states in closed form, with the compact
@@ -30,7 +33,11 @@ the trace.
 
 :class:`GranulePolicy` is the one place a join, a batch or a snapshot
 decides ``k``: pinned or derived, with which inputs, capped per side,
-and recorded in (and checked against) a snapshot's meta.
+and recorded in (and checked against) a snapshot's meta.  A derived
+``k`` uses the caller's weights, else :meth:`CostWeights.engine
+<repro.storage.metrics.CostWeights.engine>` (fitted to this engine);
+the paper's reproductions pass the paper's weights
+(``CostWeights.main_memory()``, or a device's ``weights``).
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ __all__ = [
     "cost_model_for",
     "approximate_k",
     "exact_k",
+    "weights_label",
 ]
 
 
@@ -104,8 +112,11 @@ class JoinCostModel:
     # -- Equation (1) ---------------------------------------------------------
 
     def x_term(self, outer_partitions: int) -> float:
-        """``x = |p_r| * (c_io + 2 c_cpu)``."""
-        return outer_partitions * (self.weights.io + 2 * self.weights.cpu)
+        """``x = |p_r| * (c_io + 2 c_cpu + c_access)``."""
+        weights = self.weights
+        return outer_partitions * (
+            weights.io + 2 * weights.cpu + weights.access
+        )
 
     def y_term(self, outer_partitions: int) -> float:
         """``y = |p_r| * n_s * (c_io/b + 4 * n_r * c_cpu / |p_r|)``."""
@@ -180,6 +191,11 @@ class KDerivation:
     converged: bool
     oscillated: bool
     trace: List["KStep"] = field(default_factory=list)
+    #: The model the iteration ran on, for Equation 1's cost at a
+    #: chosen ``k`` (:meth:`JoinCostModel.overhead_cost`).
+    model: Optional[JoinCostModel] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def steps(self) -> int:
@@ -209,7 +225,9 @@ def derive_k(
     is the average of the two.
     """
     if model.inner_cardinality == 0 or model.outer_cardinality == 0:
-        return KDerivation(k=1, converged=True, oscillated=False, trace=[])
+        return KDerivation(
+            k=1, converged=True, oscillated=False, trace=[], model=model
+        )
 
     solver = exact_k if use_exact_root else approximate_k
     k = 1
@@ -225,7 +243,8 @@ def derive_k(
         next_k = max(1, round(solver(x, y, tau)))
         if next_k == k:
             return KDerivation(
-                k=k, converged=True, oscillated=False, trace=trace
+                k=k, converged=True, oscillated=False, trace=trace,
+                model=model,
             )
         if len(seen) >= 2 and next_k == seen[-2]:
             # Two-cycle: the paper takes the average of the two values.
@@ -238,12 +257,15 @@ def derive_k(
                 )
             )
             return KDerivation(
-                k=final, converged=True, oscillated=True, trace=trace
+                k=final, converged=True, oscillated=True, trace=trace,
+                model=model,
             )
         seen.append(next_k)
         k = next_k
 
-    return KDerivation(k=k, converged=False, oscillated=False, trace=trace)
+    return KDerivation(
+        k=k, converged=False, oscillated=False, trace=trace, model=model
+    )
 
 
 def cost_model_for(
@@ -274,6 +296,15 @@ def cost_model_for(
     )
 
 
+def weights_label(weights: CostWeights) -> str:
+    """Which cost model a weight set is: ``"engine"``
+    (:meth:`CostWeights.engine`), ``"paper"`` (no partition-access
+    term, Equation 1 as printed) or ``"fitted"`` (any other)."""
+    if weights == CostWeights.engine():
+        return "engine"
+    return "paper" if weights.access == 0 else "fitted"
+
+
 # The policy calls these names, bound at import, not the public ones: a
 # profiler that wraps both the public functions and a caller of the
 # policy (perfbench wraps ``OIPJoin._derive_k``) then times each
@@ -297,7 +328,7 @@ class GranulePolicy:
     """How a join chooses its granule counts (Section 6.2).
 
     ``k`` is either *derived* by the Equation (2) fixed point — from
-    ``weights`` (else the device's), the exact root or the
+    ``weights`` (else :meth:`CostWeights.engine`), the exact root or the
     approximation, and Lemma-3 or duration-histogram statistics — or
     *pinned*: one ``k`` (Figure 7's sweep) or a ``k_outer``/``k_inner``
     pair (the shared-``k`` ablation).  Either way :meth:`counts` caps it
@@ -334,11 +365,12 @@ class GranulePolicy:
             return "fixed"
         return "per_side" if self.k_outer is not None else "derived"
 
-    def on(self, device: DeviceProfile) -> "GranulePolicy":
-        """This policy with *device*'s cost weights when it has none."""
+    def resolved(self) -> "GranulePolicy":
+        """This policy with :meth:`CostWeights.engine` when it has no
+        weights."""
         if self.weights is not None:
             return self
-        return replace(self, weights=device.weights)
+        return replace(self, weights=CostWeights.engine())
 
     def keywords(self) -> Dict[str, Any]:
         """The fields as ``OIPJoin``/``save_index`` keywords."""
@@ -353,21 +385,29 @@ class GranulePolicy:
         """The Equation (2) derivation, or ``None`` when ``k`` is pinned."""
         if self.mode != "derived":
             return None
-        weights = self.on(device).weights
+        return _derive_k(
+            self.cost_model(outer, inner, device),
+            use_exact_root=self.use_exact_root,
+        )
+
+    def cost_model(
+        self,
+        outer: TemporalRelation,
+        inner: TemporalRelation,
+        device: DeviceProfile,
+    ) -> JoinCostModel:
+        """The Section 6.2 model this policy derives ``k`` from."""
+        weights = self.resolved().weights
         if self.use_histogram_statistics:
             from .statistics import histogram_cost_model
 
-            model = histogram_cost_model(
+            return histogram_cost_model(
                 outer,
                 inner,
                 tuples_per_block=device.tuples_per_block,
                 weights=weights,
             )
-        else:
-            model = _cost_model_for(
-                outer, inner, device=device, weights=weights
-            )
-        return _derive_k(model, use_exact_root=self.use_exact_root)
+        return _cost_model_for(outer, inner, device=device, weights=weights)
 
     def counts(
         self,
@@ -393,11 +433,7 @@ class GranulePolicy:
         """The snapshot meta keys recording this policy."""
         weights = self.weights
         return {
-            "weights": (
-                None
-                if weights is None
-                else {"cpu": weights.cpu, "io": weights.io}
-            ),
+            "weights": None if weights is None else weights.as_dict(),
             "use_exact_root": self.use_exact_root,
             "use_histogram_statistics": self.use_histogram_statistics,
             "k_mode": self.mode,

@@ -47,7 +47,7 @@ from ..storage.faults import FaultPolicy
 from ..storage.manager import StorageManager
 from ..storage.metrics import CostCounters, CostWeights
 from .base import JoinResult, OverlapJoinAlgorithm
-from .granules import GranulePolicy, KDerivation
+from .granules import GranulePolicy, KDerivation, weights_label
 from .kernels import KERNELS, DecodedRun, kernel_function, resolve_kernel
 from .interval import Interval
 from .lazy_list import LazyPartitionList, PartitionNode, oip_create
@@ -186,8 +186,13 @@ class OIPJoin(OverlapJoinAlgorithm):
         for the ablation that verifies that claim and are mutually
         exclusive with ``k``.
     weights:
-        Override the device's cost weights for the ``k`` derivation only
-        (the Figure 6 ``c_cpu / c_io`` sweep).
+        The cost weights ``k`` is derived from, and that price the
+        counters (budgets, run reports).  By default ``k`` is derived
+        from :meth:`CostWeights.engine`, fitted to this engine, and the
+        device's weights price the counters; pass
+        ``CostWeights.main_memory()`` (or a device's ``weights``) for
+        the paper's Equation 1, or any other set (the Figure 6
+        ``c_cpu / c_io`` sweep).
     use_exact_root:
         Derive ``k`` from the exact cubic root (default) or the paper's
         compact approximation.
@@ -305,7 +310,8 @@ class OIPJoin(OverlapJoinAlgorithm):
             metrics=metrics,
             collect_report=collect_report,
         )
-        #: How this join chooses ``k``, with the device's weights filled in.
+        #: How this join chooses ``k``: the caller's weights, else the
+        #: engine's (:meth:`CostWeights.engine`).
         self.granules = GranulePolicy(
             k=k,
             k_outer=k_outer,
@@ -313,7 +319,8 @@ class OIPJoin(OverlapJoinAlgorithm):
             weights=weights,
             use_exact_root=use_exact_root,
             use_histogram_statistics=use_histogram_statistics,
-        ).on(self.device)
+        ).resolved()
+        self._weights = weights
         if kernel not in ("auto",) + KERNELS:
             raise ValueError(
                 f"unknown join kernel {kernel!r}; choose from "
@@ -392,8 +399,33 @@ class OIPJoin(OverlapJoinAlgorithm):
 
     @property
     def weights(self) -> CostWeights:
-        """The caller's cost weights, else the device's."""
-        return self.granules.weights
+        """The weights that price this join's counters (budgets, run
+        reports): the caller's, else the device's."""
+        if self._weights is not None:
+            return self._weights
+        return self.device.weights
+
+    def _k_model_details(
+        self,
+        outer: TemporalRelation,
+        inner: TemporalRelation,
+        derivation: Optional[KDerivation],
+        k: int,
+    ) -> Dict[str, Any]:
+        """Which weights chose a derived *k*, and Equation 1's predicted
+        overhead cost at it (empty when ``k`` is pinned).  Without a
+        *derivation* (a restored snapshot) the model is rebuilt."""
+        if self.granules.mode != "derived":
+            return {}
+        model = (
+            derivation.model
+            if derivation is not None
+            else self.granules.cost_model(outer, inner, self.device)
+        )
+        return {
+            "k_weights": weights_label(self.granules.weights),
+            "k_predicted_cost": model.overhead_cost(k),
+        }
 
     def _derive_k(
         self,
@@ -560,6 +592,7 @@ class OIPJoin(OverlapJoinAlgorithm):
             # The snapshot recorded the same derivation this join would
             # run (the load validated that), caps included.
             outer_list, inner_list = loaded.outer_list, loaded.inner_list
+            derivation = None
             self_adjusting = self.granules.mode == "derived"
             k_steps = loaded.meta.get("k_steps")
             k_oscillated = loaded.meta.get("k_oscillated")
@@ -657,6 +690,7 @@ class OIPJoin(OverlapJoinAlgorithm):
             "inner_partitions": inner_list.partition_count,
             "self_adjusting": self_adjusting,
             "kernel": kernel,
+            **self._k_model_details(outer, inner, derivation, k_inner),
         }
         if index_details is not None:
             details["index"] = index_details

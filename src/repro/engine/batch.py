@@ -291,6 +291,9 @@ class BatchJoin(OIPJoin):
             "inner_partitions": inner_list.partition_count,
             "self_adjusting": derivation is not None,
             "kernel": kernel,
+            **self._k_model_details(
+                outer, inner, derivation, inner_list.config.k
+            ),
             "windows": len(windows),
             "queries_executed": len(queries),
         }

@@ -7,22 +7,27 @@ main-memory setting).  Figure 7 then shows the model tracking measured
 runtime.  This module closes that loop for the reproduction: every
 :func:`~repro.obs.report.build_report` artifact already records both
 sides of the equation — the ``counters`` snapshot (``cpu_comparisons``,
-``block_reads`` + ``block_writes``) and the measured ``elapsed_ms`` —
-so a corpus of reports is a regression dataset, and the constants can
-be *measured* per machine instead of guessed.
+``block_reads`` + ``block_writes``, ``partition_accesses``) and the
+measured ``elapsed_ms`` — so a corpus of reports is a regression
+dataset, and the constants can be *measured* per machine instead of
+guessed.  A third constant, ``c_access``, prices the fixed work of one
+partition access (:attr:`CostWeights.access
+<repro.storage.metrics.CostWeights.access>`), which the paper's model
+leaves out.
 
 The fit is ordinary least squares through the origin (the model has no
 constant term: zero work costs zero):
 
-    minimize  sum_i (cpu_i * c_cpu + io_i * c_io - elapsed_i)^2
+    minimize  sum_i (cpu_i * c_cpu + io_i * c_io
+                     + accesses_i * c_access - elapsed_i)^2
 
-solved in closed form from the 2x2 normal equations.  Degenerate
-corpora are handled explicitly:
+solved from the normal equations.  Degenerate corpora are handled
+explicitly:
 
-* if the two predictors are collinear (or one never varies), the fit
-  falls back to the single informative predictor;
+* if the predictors are collinear (or one never varies), the fit drops
+  the predictor with the least signal until the rest are independent;
 * a negative fitted constant (possible when predictors correlate and
-  noise dominates) is clamped to zero and the other constant refit —
+  noise dominates) is clamped to zero and the other constants refit —
   ``CostWeights`` requires non-negative weights.
 
 Fitted constants are in **milliseconds per operation**; only their
@@ -45,7 +50,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..storage.metrics import CostWeights
 from .report import load_report
@@ -63,10 +68,12 @@ __all__ = [
     "main",
 ]
 
-CALIBRATION_VERSION = 1
+#: Version 2 added ``access_ms``; a version-1 file loads with 0.
+CALIBRATION_VERSION = 2
 
-#: Determinant below this (relative to the predictor scale) is treated
-#: as collinear and triggers the single-predictor fallback.
+#: A normalised Gram determinant (1 for orthogonal predictors, 0 for
+#: collinear ones) below this is treated as collinear and triggers the
+#: fallback to fewer predictors.
 _SINGULAR_EPS = 1e-12
 
 
@@ -82,6 +89,13 @@ class Observation:
     io: float
     elapsed_ms: float
     source: str = ""
+    accesses: float = 0.0
+
+    @property
+    def predictors(self) -> Tuple[float, float, float]:
+        """``(cpu, io, accesses)``: the order of the fitted constants
+        ``(cpu_ms, io_ms, access_ms)``."""
+        return (self.cpu, self.io, self.accesses)
 
 
 def observation_from_report(
@@ -100,7 +114,13 @@ def observation_from_report(
     io = float(counters.get("block_reads", 0)) + float(
         counters.get("block_writes", 0)
     )
-    return Observation(cpu=cpu, io=io, elapsed_ms=float(elapsed), source=source)
+    return Observation(
+        cpu=cpu,
+        io=io,
+        elapsed_ms=float(elapsed),
+        source=source,
+        accesses=float(counters.get("partition_accesses", 0)),
+    )
 
 
 @dataclass(frozen=True)
@@ -112,19 +132,25 @@ class Calibration:
     r_squared: float
     samples: int
     residual_rms_ms: float
+    access_ms: float = 0.0
 
-    def predict_ms(self, cpu: float, io: float) -> float:
-        """Predicted latency for a (cpu, io) workload — Equation 2."""
-        return cpu * self.cpu_ms + io * self.io_ms
+    def predict_ms(
+        self, cpu: float, io: float, accesses: float = 0.0
+    ) -> float:
+        """Predicted latency for a (cpu, io, accesses) workload —
+        Equation 2 plus the partition-access term."""
+        return cpu * self.cpu_ms + io * self.io_ms + accesses * self.access_ms
 
     def to_weights(self) -> CostWeights:
         """The fitted constants as planner/join-ready cost weights."""
-        if self.cpu_ms <= 0.0 and self.io_ms <= 0.0:
+        if self.cpu_ms <= 0.0 and self.io_ms <= 0.0 and self.access_ms <= 0.0:
             raise CalibrationError(
-                "calibration fitted both constants to zero; corpus carries "
+                "calibration fitted every constant to zero; corpus carries "
                 "no cost signal"
             )
-        return CostWeights(cpu=self.cpu_ms, io=self.io_ms)
+        return CostWeights(
+            cpu=self.cpu_ms, io=self.io_ms, access=self.access_ms
+        )
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -132,6 +158,7 @@ class Calibration:
             "version": CALIBRATION_VERSION,
             "cpu_ms": self.cpu_ms,
             "io_ms": self.io_ms,
+            "access_ms": self.access_ms,
             "r_squared": self.r_squared,
             "samples": self.samples,
             "residual_rms_ms": self.residual_rms_ms,
@@ -149,15 +176,71 @@ class Calibration:
             r_squared=float(data.get("r_squared", 0.0)),  # type: ignore[arg-type]
             samples=int(data.get("samples", 0)),  # type: ignore[arg-type]
             residual_rms_ms=float(data.get("residual_rms_ms", 0.0)),  # type: ignore[arg-type]
+            access_ms=float(data.get("access_ms", 0.0)),  # type: ignore[arg-type]
         )
 
 
-def _fit_single(xs: List[float], ts: List[float]) -> float:
-    """Least squares through the origin for one predictor; >= 0."""
-    sxx = sum(x * x for x in xs)
-    if sxx <= 0.0:
-        return 0.0
-    return max(0.0, sum(x * t for x, t in zip(xs, ts)) / sxx)
+def _solve(gram: List[List[float]], rhs: List[float]) -> Optional[List[float]]:
+    """The normal equations ``gram @ c = rhs`` by Gaussian elimination
+    with partial pivoting, or ``None`` when *gram* is (near-)singular
+    relative to its diagonal."""
+    size = len(rhs)
+    scale = 1.0
+    for index in range(size):
+        scale *= gram[index][index]
+    rows = [list(row) + [value] for row, value in zip(gram, rhs)]
+    det = 1.0
+    for col in range(size):
+        pivot = max(range(col, size), key=lambda row: abs(rows[row][col]))
+        if rows[pivot][col] == 0.0:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        det *= rows[col][col]
+        for row in range(col + 1, size):
+            factor = rows[row][col] / rows[col][col]
+            for index in range(col, size + 1):
+                rows[row][index] -= factor * rows[col][index]
+    if abs(det) <= _SINGULAR_EPS * scale:
+        return None
+    solution = [0.0] * size
+    for row in reversed(range(size)):
+        tail = sum(
+            rows[row][index] * solution[index]
+            for index in range(row + 1, size)
+        )
+        solution[row] = (rows[row][size] - tail) / rows[row][row]
+    return solution
+
+
+def _fit(columns: List[List[float]], ts: List[float]) -> Dict[int, float]:
+    """Non-negative through-origin fit: predictor index -> constant.
+
+    Collinear predictors are dropped, least signal (sum of squares)
+    first; negative constants are clamped to zero and the rest refit.
+    """
+    active = [index for index, column in enumerate(columns) if any(column)]
+    while active:
+        gram = [
+            [
+                sum(a * b for a, b in zip(columns[i], columns[j]))
+                for j in active
+            ]
+            for i in active
+        ]
+        rhs = [sum(x * t for x, t in zip(columns[i], ts)) for i in active]
+        solution = _solve(gram, rhs)
+        if solution is None:
+            weakest = min(
+                range(len(active)), key=lambda at: gram[at][at]
+            )
+            del active[weakest]
+            continue
+        if all(value >= 0.0 for value in solution):
+            return dict(zip(active, solution))
+        active = [
+            index for index, value in zip(active, solution) if value >= 0.0
+        ]
+    return {}
 
 
 def fit_observations(observations: Sequence[Observation]) -> Calibration:
@@ -165,44 +248,18 @@ def fit_observations(observations: Sequence[Observation]) -> Calibration:
     rows = [o for o in observations if o.elapsed_ms >= 0.0]
     if not rows:
         raise CalibrationError("no usable observations (need elapsed_ms >= 0)")
-    cpus = [o.cpu for o in rows]
-    ios = [o.io for o in rows]
+    columns = [list(column) for column in zip(*(o.predictors for o in rows))]
     ts = [o.elapsed_ms for o in rows]
-    if max(cpus, default=0.0) <= 0.0 and max(ios, default=0.0) <= 0.0:
+    if not any(value > 0.0 for column in columns for value in column):
         raise CalibrationError(
             "no usable observations (all counters are zero)"
         )
-
-    sxx = sum(c * c for c in cpus)
-    syy = sum(i * i for i in ios)
-    sxy = sum(c * i for c, i in zip(cpus, ios))
-    sxt = sum(c * t for c, t in zip(cpus, ts))
-    syt = sum(i * t for i, t in zip(ios, ts))
-
-    det = sxx * syy - sxy * sxy
-    scale = max(sxx, syy, 1.0)
-    if det <= _SINGULAR_EPS * scale * scale:
-        # Collinear or single-predictor corpus: fit whichever predictor
-        # carries variance; attribute all cost to it.
-        if sxx >= syy:
-            cpu_ms, io_ms = _fit_single(cpus, ts), 0.0
-        else:
-            cpu_ms, io_ms = 0.0, _fit_single(ios, ts)
-    else:
-        cpu_ms = (syy * sxt - sxy * syt) / det
-        io_ms = (sxx * syt - sxy * sxt) / det
-        # The model is physical: unit costs cannot be negative.  Clamp
-        # and refit the surviving predictor so residuals stay optimal
-        # within the constraint.
-        if cpu_ms < 0.0 and io_ms < 0.0:
-            cpu_ms = io_ms = 0.0
-        elif cpu_ms < 0.0:
-            cpu_ms, io_ms = 0.0, _fit_single(ios, ts)
-        elif io_ms < 0.0:
-            cpu_ms, io_ms = _fit_single(cpus, ts), 0.0
+    fitted = _fit(columns, ts)
+    constants = [fitted.get(index, 0.0) for index in range(len(columns))]
 
     residuals = [
-        t - (c * cpu_ms + i * io_ms) for c, i, t in zip(cpus, ios, ts)
+        t - sum(c * x for c, x in zip(constants, o.predictors))
+        for o, t in zip(rows, ts)
     ]
     ss_res = sum(r * r for r in residuals)
     mean_t = sum(ts) / len(ts)
@@ -211,12 +268,14 @@ def fit_observations(observations: Sequence[Observation]) -> Calibration:
         1.0 if ss_res == 0.0 else 0.0
     )
     rms = (ss_res / len(rows)) ** 0.5
+    cpu_ms, io_ms, access_ms = constants
     return Calibration(
         cpu_ms=cpu_ms,
         io_ms=io_ms,
         r_squared=r_squared,
         samples=len(rows),
         residual_rms_ms=rms,
+        access_ms=access_ms,
     )
 
 
@@ -245,6 +304,7 @@ def format_calibration(calibration: Calibration) -> str:
         f"samples          : {calibration.samples}",
         f"c_cpu            : {calibration.cpu_ms:.3e} ms/comparison",
         f"c_io             : {calibration.io_ms:.3e} ms/block",
+        f"c_access         : {calibration.access_ms:.3e} ms/partition access",
         f"r^2              : {calibration.r_squared:.4f}",
         f"residual rms     : {calibration.residual_rms_ms:.3f} ms",
     ]
@@ -260,7 +320,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-calibrate",
         description=(
-            "Fit cost-model CPU/IO constants (Equation 2) from run reports"
+            "Fit cost-model CPU, IO and partition-access constants "
+            "(Equation 2) from run reports"
         ),
     )
     parser.add_argument("reports", nargs="+", help="run-report JSON files")

@@ -142,7 +142,7 @@ def build_report(
         },
         "config": {
             "device": device.name,
-            "weights": {"cpu": weights.cpu, "io": weights.io},
+            "weights": weights.as_dict(),
             "details": _jsonable(result.details),
         },
         "counters": result.counters.snapshot(),

@@ -22,23 +22,30 @@ __all__ = ["CostWeights", "CostCounters", "ResilienceCounters"]
 
 @dataclass(frozen=True)
 class CostWeights:
-    """Unit costs of the two primitive operations of the paper's cost model.
+    """Unit costs of the primitive operations of the paper's cost model.
 
     The paper's main-memory configuration uses ``c_cpu = 0.5`` ns per
     comparison and ``c_io = 10`` ns per 512-byte memory block; the
     disk-resident experiments use a ``c_io / c_cpu`` ratio of 200.  Both
     weights must be non-negative (Section 6.2 requires ``c_io >= 0`` and
     ``c_cpu >= 0``).
+
+    ``access`` prices the fixed work of one partition access beyond its
+    block IO and index comparisons (navigation, the run read, charging,
+    the kernel call).  The paper's model has no such term: ``0`` (the
+    default) is the paper's Equation 1, and :meth:`engine` is the set
+    fitted to this implementation.
     """
 
     cpu: float = 0.5
     io: float = 10.0
+    access: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.cpu < 0 or self.io < 0:
+        if self.cpu < 0 or self.io < 0 or self.access < 0:
             raise ValueError(
                 f"cost weights must be non-negative, got cpu={self.cpu} "
-                f"io={self.io}"
+                f"io={self.io} access={self.access}"
             )
 
     @property
@@ -47,6 +54,14 @@ class CostWeights:
         if self.io == 0:
             return float("inf")
         return self.cpu / self.io
+
+    def as_dict(self) -> Dict[str, float]:
+        """``{"cpu", "io"}``, plus ``"access"`` when it is priced, so the
+        paper's weights serialise as they always have."""
+        data = {"cpu": self.cpu, "io": self.io}
+        if self.access:
+            data["access"] = self.access
+        return data
 
     @classmethod
     def main_memory(cls) -> "CostWeights":
@@ -57,6 +72,17 @@ class CostWeights:
     def disk(cls) -> "CostWeights":
         """The paper's disk setting: IO 200x the cost of a comparison."""
         return cls(cpu=0.5, io=100.0)
+
+    @classmethod
+    def engine(cls) -> "CostWeights":
+        """The weights fitted to this implementation, in ms per
+        comparison, block IO and partition access: the through-origin
+        least-squares fit of ``repro calibrate`` over the
+        runtime-against-``k`` sweep that ``benchmarks/bench_k_model.py``
+        records in ``BENCH_k.json`` (``fit.pooled``, rounded).  Every
+        join that is given neither ``weights`` nor ``k`` derives its
+        ``k`` from these."""
+        return cls(cpu=4.18e-7, io=2.39e-3, access=2.64e-3)
 
     @classmethod
     def from_ratio(cls, cpu_over_io: float, io: float = 10.0) -> "CostWeights":
@@ -205,9 +231,13 @@ class CostCounters(_CounterSet):
         return self.false_hits / fetched
 
     def modelled_cost(self, weights: CostWeights) -> float:
-        """Paper-style cost ``#cpu * c_cpu + #io * c_io``."""
+        """Paper-style cost ``#cpu * c_cpu + #io * c_io``, plus
+        ``#accesses * c_access`` when *weights* price partition
+        accesses."""
         return (
-            self.cpu_comparisons * weights.cpu + self.total_ios * weights.io
+            self.cpu_comparisons * weights.cpu
+            + self.total_ios * weights.io
+            + self.partition_accesses * weights.access
         )
 
     def merge(self, other: "CostCounters") -> None:

@@ -901,7 +901,7 @@ def save_index(
         weights=weights,
         use_exact_root=use_exact_root,
         use_histogram_statistics=use_histogram_statistics,
-    ).on(device)
+    ).resolved()
     derivation = policy.derive(outer, inner, device)
     chosen_outer, chosen_inner = policy.counts(outer, inner, derivation)
     config_outer = OIPConfiguration.for_relation(outer, chosen_outer)

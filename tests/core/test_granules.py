@@ -1,6 +1,8 @@
 """Tests for the cost model and the derivation of k (Section 6.2,
 Example 8, Figure 5)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.granules import (
@@ -162,6 +164,32 @@ class TestCostFunction:
             weights=CostWeights.from_ratio(100.0),
         )
         assert derive_k(cheap_cpu).k < derive_k(costly_cpu).k
+
+
+class TestAccessWeight:
+    """The partition-access term: ``x = |p_r| (c_io + 2 c_cpu + c_access)``."""
+
+    def test_zero_access_is_the_paper_model(self):
+        model = example_8_model()
+        assert model.x_term(100) == 100 * (10.0 + 2 * 0.5)
+        assert derive_k(model).k == derive_k(
+            replace(model, weights=CostWeights(cpu=0.5, io=10.0, access=0.0))
+        ).k
+
+    def test_priced_access_enters_x_and_lowers_k(self):
+        model = example_8_model()
+        priced = replace(
+            model, weights=CostWeights(cpu=0.5, io=10.0, access=1000.0)
+        )
+        assert priced.x_term(100) == 100 * (10.0 + 2 * 0.5 + 1000.0)
+        assert priced.y_term(100) == model.y_term(100)
+        assert derive_k(priced).k < derive_k(model).k
+
+    def test_derivation_keeps_its_model(self):
+        model = example_8_model()
+        derivation = derive_k(model)
+        assert derivation.model is model
+        assert derivation.model.overhead_cost(derivation.k) > 0
 
 
 class TestDeriveKEdgeCases:

@@ -34,6 +34,7 @@ from repro.engine.governor import CancellationToken
 from repro.engine.planner import JoinPlanner
 from repro.obs.registry import MetricsRegistry
 from repro.storage.faults import fault_profile
+from repro.storage.metrics import CostWeights
 from repro.workloads import long_lived_mixture
 
 from ..conftest import oracle_pairs, probe_decodes, random_relation
@@ -252,19 +253,23 @@ class TestCheckpointResume:
         self, tmp_path, start_kernel, resume_kernel
     ):
         outer, inner = WORKLOADS["mixed"]
-        reference = OIPJoin(kernel="naive").join(outer, inner)
+        # The paper's weights partition finely enough that the cancel
+        # after four checks lands mid-probe.
+        weights = CostWeights.main_memory()
+        reference = OIPJoin(kernel="naive", weights=weights).join(outer, inner)
         path = str(tmp_path / f"{start_kernel}-{resume_kernel}.ckpt")
         token = CancellationToken(cancel_after_checks=4)
         partial = OIPJoin(
             kernel=start_kernel,
+            weights=weights,
             cancellation=token,
             checkpoint_path=path,
             checkpoint_every=1,
         ).join(outer, inner)
         assert not partial.completed
-        resumed = OIPJoin(kernel=resume_kernel, resume_from=path).join(
-            outer, inner
-        )
+        resumed = OIPJoin(
+            kernel=resume_kernel, weights=weights, resume_from=path
+        ).join(outer, inner)
         assert resumed.completed
         assert resumed.pair_keys() == reference.pair_keys()
 

@@ -33,6 +33,7 @@ from repro.core.kernels import (
     sweep_matches,
 )
 from repro.engine.governor import CancellationToken
+from repro.storage.metrics import CostWeights
 from repro.workloads import long_lived_mixture
 
 from ..conftest import random_relation
@@ -160,19 +161,23 @@ class TestNumpyDifferentialIdentity:
     def test_checkpoint_handoff(self, tmp_path, resume_kernel):
         # A checkpoint written under numpy resumes under any kernel.
         outer, inner = WORKLOADS["mixed"]
-        reference = OIPJoin(kernel="naive").join(outer, inner)
+        # The paper's weights partition finely enough that the cancel
+        # after four checks lands mid-probe.
+        weights = CostWeights.main_memory()
+        reference = OIPJoin(kernel="naive", weights=weights).join(outer, inner)
         path = str(tmp_path / f"numpy-{resume_kernel}.ckpt")
         token = CancellationToken(cancel_after_checks=4)
         partial = OIPJoin(
             kernel="numpy",
+            weights=weights,
             cancellation=token,
             checkpoint_path=path,
             checkpoint_every=1,
         ).join(outer, inner)
         assert not partial.completed
-        resumed = OIPJoin(kernel=resume_kernel, resume_from=path).join(
-            outer, inner
-        )
+        resumed = OIPJoin(
+            kernel=resume_kernel, weights=weights, resume_from=path
+        ).join(outer, inner)
         assert resumed.completed
         assert resumed.pair_keys() == reference.pair_keys()
 

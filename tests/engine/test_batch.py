@@ -34,6 +34,7 @@ from repro.engine.governor import (
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import validate_report
 from repro.obs.trace import Tracer
+from repro.storage.metrics import CostWeights
 
 from ..conftest import probe_decodes, random_relation
 
@@ -261,9 +262,13 @@ class TestBatchLifecycle:
         outer, inner = relations
         token = CancellationToken(cancel_after_checks=6)
         windows = equal_windows(outer.time_range, 5)
-        result = BatchJoin(cancellation=token, collect_report=True).run(
-            outer, inner, windows
-        )
+        # The paper's weights partition finely enough that the cancel
+        # after six checks lands before the last window.
+        result = BatchJoin(
+            weights=CostWeights.main_memory(),
+            cancellation=token,
+            collect_report=True,
+        ).run(outer, inner, windows)
         assert not result.completed
         assert result.details["cancelled"] is True
         assert len(result.queries) < len(windows)

@@ -42,6 +42,10 @@ from repro.storage.metrics import (
 from repro.storage.snapshot import relation_endpoint_digest
 from repro.workloads import long_lived_mixture
 
+#: The paper's weights: on the fixture relations they partition finely
+#: enough that a cancel after a few checks lands mid-probe.
+PAPER = CostWeights.main_memory()
+
 
 @pytest.fixture(scope="module")
 def relations():
@@ -311,14 +315,17 @@ class TestQueryCheckpoint:
         path = str(tmp_path / "ck.json")
         token = CancellationToken(cancel_after_checks=3)
         part = OIPJoin(
-            cancellation=token, checkpoint_path=path, checkpoint_every=1
+            weights=PAPER,
+            cancellation=token,
+            checkpoint_path=path,
+            checkpoint_every=1,
         ).join(outer, inner)
         assert not part.completed
         other = long_lived_mixture(
             200, 0.3, Interval(1, 12_000), seed=99, name="inner"
         )
         with pytest.raises(CheckpointMismatchError, match="differs in"):
-            OIPJoin(resume_from=path).join(outer, other)
+            OIPJoin(weights=PAPER, resume_from=path).join(outer, other)
 
 
 class TestResumeAnyPayload:
@@ -339,11 +346,14 @@ class TestResumeAnyPayload:
         path = str(tmp_path / "ck.json")
         token = CancellationToken(cancel_after_checks=4)
         part = OIPJoin(
-            cancellation=token, checkpoint_path=path, checkpoint_every=1
+            weights=PAPER,
+            cancellation=token,
+            checkpoint_path=path,
+            checkpoint_every=1,
         ).join(outer, inner)
         assert not part.completed
-        resumed = OIPJoin(resume_from=path).join(outer, inner)
-        full = OIPJoin().join(outer, inner)
+        resumed = OIPJoin(weights=PAPER, resume_from=path).join(outer, inner)
+        full = OIPJoin(weights=PAPER).join(outer, inner)
         assert resumed.details["resumed_from_partition"] > 0
         assert [(id(o), id(i)) for o, i in resumed.pairs] == [
             (id(o), id(i)) for o, i in full.pairs
@@ -539,9 +549,9 @@ class TestPlannerBudget:
 class TestCancellationIntegration:
     def test_oip_cancels_at_partition_boundary(self, relations):
         outer, inner = relations
-        reference = OIPJoin().join(outer, inner)
+        reference = OIPJoin(weights=PAPER).join(outer, inner)
         token = CancellationToken(cancel_after_checks=5)
-        partial = OIPJoin(cancellation=token).join(outer, inner)
+        partial = OIPJoin(weights=PAPER, cancellation=token).join(outer, inner)
         assert not partial.completed
         assert partial.details["cancelled"] is True
         done = partial.details["partitions_completed"]

@@ -197,7 +197,8 @@ class TestCostComparability:
         outer = long_lived_mixture(400, 0.5, range_, seed=11, name="r")
         inner = long_lived_mixture(400, 0.5, range_, seed=12, name="s")
         weights = CostWeights.main_memory()
-        oip = ALGORITHMS["oip"]().join(outer, inner)
+        # OIP derives k from the weights it is judged by (the paper's).
+        oip = ALGORITHMS["oip"](weights=weights).join(outer, inner)
         lqt = ALGORITHMS["lqt"]().join(outer, inner)
         assert oip.modelled_cost(weights) < lqt.modelled_cost(weights)
 

@@ -72,6 +72,65 @@ class TestFit:
         cal = fit_observations(_obs(rows))
         assert cal.cpu_ms >= 0.0 and cal.io_ms >= 0.0
 
+    def test_exact_recovery_with_partition_accesses(self):
+        cpu_ms, io_ms, access_ms = 0.002, 0.5, 3.0
+        rows = [
+            (1000.0, 10.0, 4.0),
+            (5000.0, 80.0, 1.0),
+            (20000.0, 300.0, 90.0),
+            (400.0, 900.0, 30.0),
+            (7000.0, 20.0, 250.0),
+        ]
+        cal = fit_observations(
+            [
+                Observation(
+                    cpu=c,
+                    io=i,
+                    accesses=a,
+                    elapsed_ms=c * cpu_ms + i * io_ms + a * access_ms,
+                )
+                for c, i, a in rows
+            ]
+        )
+        assert cal.cpu_ms == pytest.approx(cpu_ms)
+        assert cal.io_ms == pytest.approx(io_ms)
+        assert cal.access_ms == pytest.approx(access_ms)
+        weights = cal.to_weights()
+        assert (weights.cpu, weights.io, weights.access) == pytest.approx(
+            (cpu_ms, io_ms, access_ms)
+        )
+        assert cal.predict_ms(100.0, 2.0, 3.0) == pytest.approx(
+            100.0 * cpu_ms + 2.0 * io_ms + 3.0 * access_ms
+        )
+
+    def test_accesses_collinear_with_io_fall_back(self):
+        # Every access reads exactly one block: accesses carry no
+        # signal apart from io, so one of the two is dropped.
+        rows = [(c, c / 10.0, c / 10.0, c * 0.01) for c in (100.0, 500.0, 2000.0)]
+        cal = fit_observations(
+            [
+                Observation(cpu=c, io=i, accesses=a, elapsed_ms=t)
+                for c, i, a, t in rows
+            ]
+        )
+        assert min(cal.io_ms, cal.access_ms) == 0.0
+        assert cal.predict_ms(1000.0, 100.0, 100.0) == pytest.approx(10.0)
+
+    def test_negative_access_constant_clamped_and_refit(self):
+        rows = [
+            (1000.0, 100.0, 50.0, 10.0),
+            (2000.0, 90.0, 10.0, 20.0),
+            (4000.0, 10.0, 90.0, 40.0),
+            (3000.0, 40.0, 5.0, 31.0),
+        ]
+        cal = fit_observations(
+            [
+                Observation(cpu=c, io=i, accesses=a, elapsed_ms=t)
+                for c, i, a, t in rows
+            ]
+        )
+        assert min(cal.cpu_ms, cal.io_ms, cal.access_ms) >= 0.0
+
     def test_empty_and_all_zero_corpora_raise(self):
         with pytest.raises(CalibrationError, match="no usable"):
             fit_observations([])
@@ -106,6 +165,8 @@ class TestReports:
         assert obs == Observation(
             cpu=100.0, io=10.0, elapsed_ms=12.5, source="r.json"
         )
+        report["counters"]["partition_accesses"] = 4
+        assert observation_from_report(report).accesses == 4.0
 
     def test_malformed_reports_raise(self):
         with pytest.raises(CalibrationError, match="no counters"):
@@ -124,6 +185,25 @@ class TestPersistence:
         assert load_calibration(path) == cal
         document = json.loads(open(path).read())
         assert document["kind"] == "cost_calibration"
+
+    def test_version_one_file_loads_without_access(self, tmp_path):
+        path = str(tmp_path / "v1.json")
+        with open(path, "w") as handle:
+            json.dump(
+                {
+                    "kind": "cost_calibration",
+                    "version": 1,
+                    "cpu_ms": 0.01,
+                    "io_ms": 0.2,
+                    "r_squared": 0.9,
+                    "samples": 3,
+                    "residual_rms_ms": 0.1,
+                },
+                handle,
+            )
+        loaded = load_calibration(path)
+        assert loaded.access_ms == 0.0
+        assert loaded.to_weights() == CostWeights(cpu=0.01, io=0.2)
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = str(tmp_path / "not_cal.json")

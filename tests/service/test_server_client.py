@@ -143,7 +143,15 @@ class TestTimeoutNotRetried:
             assert client.reconnects == 0
         finally:
             client.close()
+            # Closing alone does not wake an accept() blocked in another
+            # thread; shutting the socket down does, so the join below
+            # returns at once instead of waiting out the timeout.
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             listener.close()
             for conn in accepted:
                 conn.close()
             thread.join(timeout=5.0)
+            assert not thread.is_alive()

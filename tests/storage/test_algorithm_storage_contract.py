@@ -8,7 +8,8 @@ it raised.  The baselines read ``Block`` runs and the OIP join reads
 column runs, so together the cases drive every charged read path:
 plain reads, buffer-pool hits and evictions, each fault profile's
 retries and checksum failures, a permanent fault and reads without
-verification.
+verification.  The OIP join derives ``k`` from the paper's weights (the
+device's), passed explicitly, as when the fixture was recorded.
 
 Regenerate the fixture (only when the contract changes on purpose)::
 
@@ -75,6 +76,8 @@ def run_case(algorithm, case, outer, inner):
     if "pool" in case:
         policy = LRUPolicy() if case["pool"] == "lru" else ClockPolicy()
         options["buffer_pool"] = BufferPool(8, policy)
+    if algorithm == "oip":
+        options["weights"] = options["device"].weights
     join = ALGORITHMS[algorithm](**options)
     try:
         result = join.join(outer, inner)

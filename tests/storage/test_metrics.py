@@ -32,6 +32,18 @@ class TestCostWeights:
         """Section 6.2 explicitly allows c_io >= 0 and c_cpu >= 0."""
         CostWeights(cpu=0.0, io=0.0)
 
+    def test_access_weight(self):
+        """The paper's weights price no partition access and serialise
+        as they always have; a priced access is non-negative and
+        serialised."""
+        assert CostWeights.main_memory().access == 0.0
+        assert CostWeights.main_memory().as_dict() == {"cpu": 0.5, "io": 10.0}
+        with pytest.raises(ValueError):
+            CostWeights(cpu=0.5, io=10.0, access=-1.0)
+        engine = CostWeights.engine()
+        assert min(engine.cpu, engine.io) >= 0.0 and engine.access > 0.0
+        assert CostWeights(**engine.as_dict()) == engine
+
 
 class TestCostCounters:
     def test_initial_state_zero(self):
@@ -78,6 +90,9 @@ class TestCostCounters:
         counters.charge_read(2)
         weights = CostWeights(cpu=1.0, io=5.0)
         assert counters.modelled_cost(weights) == pytest.approx(20.0)
+        counters.charge_partition_access(3)
+        priced = CostWeights(cpu=1.0, io=5.0, access=2.0)
+        assert counters.modelled_cost(priced) == pytest.approx(26.0)
 
     def test_extras(self):
         counters = CostCounters()

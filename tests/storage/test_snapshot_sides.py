@@ -29,6 +29,7 @@ from repro.core.interval import Interval
 from repro.core.join import OIPJoin
 from repro.core.relation import TemporalRelation, TemporalTuple
 from repro.service.snapshots import ServingGeneration
+from repro.storage.metrics import CostWeights
 from repro.storage.snapshot import (
     MaintainedIndex,
     SnapshotError,
@@ -40,8 +41,13 @@ from repro.storage.snapshot import (
 )
 from repro.workloads import long_lived_mixture
 
-#: The outer side's saved layout these mutations are written against:
-#: k=12, d=1663, o=52, 14 tuples per block; directory entries begin
+#: Every snapshot here is saved, and every join run, under the paper's
+#: weights.
+PAPER = CostWeights.main_memory()
+
+#: The outer side's saved layout these mutations are written against
+#: (the paper's weights derive it): k=12, d=1663, o=52, 14 tuples per
+#: block; directory entries begin
 #: (0, 0, 15), (1, 1, 18), (0, 1, 7), (2, 2, 10), ...  Row 0 is the
 #: tuple [564, 565] of entry (0, 0); row 15 is [2462, 2462], the first
 #: of entry (1, 1), whose granule is [1715, 3378).
@@ -178,7 +184,7 @@ def _outcome(call):
 
 def _join_outcome(path, outer, inner, rebuild):
     try:
-        result = OIPJoin(index_path=path).join(outer, inner)
+        result = OIPJoin(weights=PAPER, index_path=path).join(outer, inner)
     except Exception as error:  # the outcome is recorded, not raised
         return f"raised:{type(error).__name__}", None
     index = result.details["index"]
@@ -193,10 +199,10 @@ def observe(directory, case):
     """Save, damage and hand one snapshot to every consumer."""
     outer, inner = _relations()
     path = os.path.join(str(directory), f"{case}.oip")
-    save_index(path, outer, inner)
+    save_index(path, outer, inner, weights=PAPER)
     _tamper(path, MUTATIONS[case])
     verdict = fsck_index(path, repair=False)
-    join, _ = _join_outcome(path, outer, inner, OIPJoin().join(outer, inner))
+    join, _ = _join_outcome(path, outer, inner, OIPJoin(weights=PAPER).join(outer, inner))
     return {
         "join": join,
         "serve": _outcome(lambda: ServingGeneration.load(path)),
@@ -214,9 +220,9 @@ def test_every_consumer_rejects_the_damaged_side(tmp_path, case):
 def test_degraded_join_equals_the_rebuild(tmp_path, case):
     outer, inner = _relations()
     path = str(tmp_path / "damaged.oip")
-    save_index(path, outer, inner)
+    save_index(path, outer, inner, weights=PAPER)
     _tamper(path, MUTATIONS[case])
-    rebuild = OIPJoin().join(outer, inner)
+    rebuild = OIPJoin(weights=PAPER).join(outer, inner)
     _, result = _join_outcome(path, outer, inner, rebuild)
     assert result is not None and not result.details["index"]["loaded"]
     assert result.pairs == rebuild.pairs
@@ -233,7 +239,7 @@ class TestDirectoryDisagreesWithColumns:
     def _damaged(self, tmp_path, tuple_payloads, source, target):
         outer, inner = _relations(tuple_payloads)
         path = str(tmp_path / "shifted.oip")
-        save_index(path, outer, inner)
+        save_index(path, outer, inner, weights=PAPER)
         _tamper(path, _shift(source, target))
         return path, outer, inner
 
@@ -246,8 +252,8 @@ class TestDirectoryDisagreesWithColumns:
         path, outer, inner = self._damaged(
             tmp_path, tuple_payloads, source, target
         )
-        rebuild = OIPJoin().join(outer, inner)
-        result = OIPJoin(index_path=path).join(outer, inner)
+        rebuild = OIPJoin(weights=PAPER).join(outer, inner)
+        result = OIPJoin(weights=PAPER, index_path=path).join(outer, inner)
         assert result.details["index"]["reason"] == "inconsistent"
         assert result.pairs == rebuild.pairs
         assert result.counters.snapshot() == rebuild.counters.snapshot()

@@ -5,7 +5,9 @@
 ``OIPJoin`` produced for each case below when the fixture was recorded.
 A change to how runs are stored, read, charged or verified must keep
 every case exactly equal; comparing the join with itself would not
-notice a charging change made on both sides.
+notice a charging change made on both sides.  The join derives ``k``
+from the paper's weights (the device's), passed explicitly, as when the
+fixture was recorded.
 
 Regenerate the fixture (only when the contract changes on purpose)::
 
@@ -81,7 +83,11 @@ def _pairs_digest(pairs):
 def run_case(case, outer, inner, workdir):
     """One join of *case*: its counters, or the storage error it raised."""
     device = _device(case.get("block_tuples", 14))
-    options = {"device": device, "verify_checksums": case.get("verify", True)}
+    options = {
+        "device": device,
+        "weights": device.weights,
+        "verify_checksums": case.get("verify", True),
+    }
     if "faults" in case:
         profile, seed = case["faults"]
         options["fault_policy"] = FAULT_PROFILES[profile](seed)
@@ -94,7 +100,7 @@ def run_case(case, outer, inner, workdir):
         options["buffer_pool"] = BufferPool(8, policy)
     if case.get("index"):
         path = os.path.join(workdir, "contract.oip")
-        save_index(path, outer, inner, device=device)
+        save_index(path, outer, inner, device=device, weights=device.weights)
         options["index_path"] = path
     join = OIPJoin(**options)
     try:

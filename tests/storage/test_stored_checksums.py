@@ -18,8 +18,12 @@ from repro.core.interval import Interval
 from repro.core.join import OIPJoin
 from repro.service.snapshots import ServingGeneration
 from repro.storage.faults import CorruptBlockError
+from repro.storage.metrics import CostWeights
 from repro.storage.snapshot import _pack_sections, _parse_sections, save_index
 from repro.workloads import long_lived_mixture
+
+#: The layout below is the one the paper's weights derive.
+PAPER = CostWeights.main_memory()
 
 #: The block whose stored checksum is changed (creation order = block id
 #: for the outer side, which is built first).
@@ -54,7 +58,7 @@ def _relations():
 def tampered(tmp_path):
     outer, inner = _relations()
     path = str(tmp_path / "tampered.oip")
-    save_index(path, outer, inner)
+    save_index(path, outer, inner, weights=PAPER)
     with open(path, "rb") as handle:
         sections = _parse_sections(handle.read())
     checksums = array("q", sections["blocks_outer"])
@@ -75,7 +79,7 @@ def _failed_read(join, outer, inner):
 def test_file_load_fails_the_tampered_block(tampered):
     path, outer, inner = tampered
     block_id, attempts, context, resilience = _failed_read(
-        OIPJoin(index_path=path), outer, inner
+        OIPJoin(weights=PAPER, index_path=path), outer, inner
     )
     assert (block_id, attempts, context) == (BAD_BLOCK, 4, EXPECTED_CONTEXT)
     assert resilience == EXPECTED_RESILIENCE
