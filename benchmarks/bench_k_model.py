@@ -1,29 +1,37 @@
-"""Runtime against ``k``, beside Equation 1's prediction, and the
-engine weights fitted to it.
+"""Runtime against ``k`` per kernel, beside the cost model's
+prediction, and the engine weights fitted to it.
 
 The paper's self-adjusting ``k`` (Section 6.2) minimises Equation 1,
-``cost(k) = x * APA + y * AFR``, whose ``x`` prices a partition access
-as one block IO plus two comparisons.  This script measures where the
-runtime minimum really lies on this engine and fits the weights that
-put Equation 1's minimiser there:
+``cost(k) = x * APA + y * AFR``, which prices every candidate pair.
+That is what the naive kernel executes; the ``sweep`` and ``numpy``
+kernels never touch a false hit, and the granule policy derives their
+``k`` from partition accesses, block IOs and inner-tuple visits
+instead (``JoinCostModel.visit_cost``).  This script measures where the
+runtime minimum really lies on this engine and fits the weights of both
+costs:
 
 * **sweep** — for each of perfbench's three relation sets (generated
   here exactly as ``perfbench/scenarios.py`` does for seed 1) and each
-  kernel (``sweep``, ``numpy``), ``OIPJoin(k=k)`` is timed over
-  :data:`K_GRID`: min over interleaved rounds of the mean over the set's
-  relation pairs.  Each point records its counters and Equation 1's
-  predicted overhead cost under the paper's and the fitted weights.
+  kernel, ``OIPJoin(k=k)`` is timed over :data:`K_GRID` (the naive
+  kernel over the coarser :data:`NAIVE_K_GRID`, where a join takes
+  milliseconds, not seconds): min over interleaved rounds of the mean
+  over the set's relation pairs.  Each point records its counters, its
+  inner-tuple visits and the model's predicted cost under the paper's
+  and the fitted weights.
 * **fit** — each point becomes one run report (its ``elapsed_ms`` the
   timed minimum), and :func:`repro.obs.calibrate.fit_observations` —
-  the fit ``python -m repro calibrate`` runs — fits ``c_cpu``, ``c_io``
-  and ``c_access`` per kernel and over both.  ``--reports DIR`` writes
-  the reports, so ``python -m repro calibrate DIR/*.json`` repeats it.
+  the fit ``python -m repro calibrate`` runs — fits ``c_cpu``,
+  ``c_io``, ``c_access`` and ``c_visit`` per kernel and over all of
+  them (a fast kernel's rows count no comparison, so ``c_cpu`` comes
+  from the naive rows).  ``--reports DIR`` writes the reports, so
+  ``python -m repro calibrate DIR/*.json`` repeats it.
 * **check** — per relation set and kernel: the ``k`` each weight set
-  derives, the measured optimum, and the runtime at the derived ``k``.
+  derives for that kernel, the measured optimum, and the runtime at the
+  derived ``k``.
 
 The checked-in :meth:`CostWeights.engine
 <repro.storage.metrics.CostWeights.engine>` constants are the
-``fit.pooled`` weights of a full run, recorded in ``BENCH_k.json`` with
+``fit.engine`` weights of a full run, recorded in ``BENCH_k.json`` with
 ``cpu_count`` and the Python and numpy versions.
 
     PYTHONPATH=src python benchmarks/bench_k_model.py            # BENCH_k.json
@@ -41,6 +49,7 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 if not __package__:  # run as a script: put src/ on the path
@@ -54,7 +63,12 @@ from repro.core.granules import GranulePolicy
 from repro.core.interval import Interval
 from repro.core.join import OIPJoin
 from repro.core.kernels import numpy_available
-from repro.obs.calibrate import fit_observations, observation_from_report
+from repro.obs.calibrate import (
+    Observation,
+    excess_over_fastest,
+    fit_observations,
+    observation_from_report,
+)
 from repro.obs.report import write_report
 from repro.storage.device import DeviceProfile
 from repro.storage.metrics import CostWeights
@@ -65,6 +79,8 @@ RESULTS_FILE = os.path.join(ROOT, "BENCH_k.json")
 
 K_GRID = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 108)
 SMOKE_K_GRID = (1, 4, 16)
+NAIVE_K_GRID = (8, 16, 32, 64, 108)
+SMOKE_NAIVE_K_GRID = (16, 64)
 #: Per-side granule counts; every unequal pair is timed for the fit.
 SIDE_GRID = (1, 4, 16, 64)
 SMOKE_SIDE_GRID = (1, 16)
@@ -116,19 +132,23 @@ def relation_sets(seed: int = 1) -> Dict[str, List[Pair]]:
 DEVICE = DeviceProfile.main_memory()
 
 
-def derived_k(pairs: Sequence[Pair], weights: CostWeights) -> int:
-    """The (inner) ``k`` a join derives under *weights*, for the first
-    pair (a set's pairs share their generator)."""
+def derived_k(pairs: Sequence[Pair], weights: CostWeights, kernel: str) -> int:
+    """The (inner) ``k`` a join on *kernel* derives under *weights*, for
+    the first pair (a set's pairs share their generator)."""
     outer, inner = pairs[0]
     policy = GranulePolicy(weights=weights)
-    return policy.counts(outer, inner, policy.derive(outer, inner, DEVICE))[1]
+    derivation = policy.derive(outer, inner, DEVICE, kernel)
+    return policy.counts(outer, inner, derivation)[1]
 
 
-def predicted_cost(pairs: Sequence[Pair], weights: CostWeights, k: int) -> float:
-    """Equation 1's overhead cost at *k*, mean over the pairs."""
+def predicted_cost(
+    pairs: Sequence[Pair], weights: CostWeights, k: int, kernel: str
+) -> float:
+    """The cost a join on *kernel* derives ``k`` from, at *k*, mean over
+    the pairs."""
     policy = GranulePolicy(weights=weights)
     return sum(
-        policy.cost_model(outer, inner, DEVICE).overhead_cost(k)
+        policy.cost_model(outer, inner, DEVICE, kernel).cost(k)
         for outer, inner in pairs
     ) / len(pairs)
 
@@ -148,16 +168,16 @@ def configurations(
 
 def sweep(
     pairs: Sequence[Pair],
-    kernels: Sequence[str],
-    points: Sequence[Tuple[int, int]],
+    points: Dict[str, Sequence[Tuple[int, int]]],
     rounds: int,
 ) -> Dict[Tuple[str, int, int], Dict[str, Any]]:
-    """Time every ``(kernel, k_outer, k_inner)`` point: ``rounds``
-    interleaved rounds, each the mean join time over *pairs*; keeps
-    every round and the run report of one join per pair."""
+    """Time every ``(kernel, k_outer, k_inner)`` point of *points* (per
+    kernel): ``rounds`` interleaved rounds, each the mean join time over
+    *pairs*; keeps every round and the run report of one join per
+    pair."""
     timed: Dict[Tuple[str, int, int], Dict[str, Any]] = {}
-    for kernel in kernels:
-        for ko, ki in points:
+    for kernel, grid in points.items():
+        for ko, ki in grid:
             reports = [
                 OIPJoin(
                     k_outer=ko, k_inner=ki, kernel=kernel, collect_report=True
@@ -166,8 +186,8 @@ def sweep(
             ]
             timed[(kernel, ko, ki)] = {"reports": reports, "times": []}
     for _ in range(rounds):
-        for kernel in kernels:
-            for ko, ki in points:
+        for kernel, grid in points.items():
+            for ko, ki in grid:
                 elapsed = 0.0
                 for outer, inner in pairs:
                     join = OIPJoin(k_outer=ko, k_inner=ki, kernel=kernel)
@@ -195,7 +215,24 @@ def point_record(point: Dict[str, Any]) -> Dict[str, Any]:
         "cpu_comparisons": mean("cpu_comparisons"),
         "block_ios": mean("block_reads") + mean("block_writes"),
         "partition_accesses": mean("partition_accesses"),
+        "inner_visits": sum(
+            r["config"]["details"]["inner_visits"] for r in reports
+        )
+        / len(reports),
     }
+
+
+def mean_observation(point: Dict[str, Any]) -> Observation:
+    """The point's work, mean over its pairs' run reports, and its
+    timed minimum."""
+    rows = [observation_from_report(r) for r in point["reports"]]
+    return Observation(
+        cpu=sum(o.cpu for o in rows) / len(rows),
+        io=sum(o.io for o in rows) / len(rows),
+        elapsed_ms=min(point["times"]),
+        accesses=sum(o.accesses for o in rows) / len(rows),
+        visits=sum(o.visits for o in rows) / len(rows),
+    )
 
 
 def reports_for(point: Dict[str, Any]) -> List[Dict[str, Any]]:
@@ -205,7 +242,12 @@ def reports_for(point: Dict[str, Any]) -> List[Dict[str, Any]]:
 
 
 def weights_record(weights: CostWeights) -> Dict[str, float]:
-    return {"cpu": weights.cpu, "io": weights.io, "access": weights.access}
+    return {
+        "cpu": weights.cpu,
+        "io": weights.io,
+        "access": weights.access,
+        "visit": weights.visit,
+    }
 
 
 def environment() -> Dict[str, Any]:
@@ -235,19 +277,20 @@ def environment() -> Dict[str, Any]:
 def run(
     grid: Sequence[int],
     sides: Sequence[int],
+    naive_grid: Sequence[int],
     rounds: int,
     reports_dir: Optional[str] = None,
 ) -> Dict[str, Any]:
-    kernels = ("sweep", "numpy") if numpy_available() else ("sweep",)
+    fast = ("sweep", "numpy") if numpy_available() else ("sweep",)
+    kernels = ("naive",) + fast
+    points = {kernel: configurations(grid, sides) for kernel in fast}
+    points["naive"] = [(k, k) for k in naive_grid]
     sets = relation_sets()
-    measured = {
-        name: sweep(pairs, kernels, configurations(grid, sides), rounds)
-        for name, pairs in sets.items()
-    }
+    measured = {name: sweep(pairs, points, rounds) for name, pairs in sets.items()}
 
     reports: Dict[str, List[Dict[str, Any]]] = {kernel: [] for kernel in kernels}
-    for points in measured.values():
-        for (kernel, _, _), point in points.items():
+    for timed in measured.values():
+        for (kernel, _, _), point in timed.items():
             reports[kernel].extend(reports_for(point))
     if reports_dir is not None:
         os.makedirs(reports_dir, exist_ok=True)
@@ -256,51 +299,76 @@ def run(
                 write_report(
                     report, os.path.join(reports_dir, f"{kernel}-{index:03d}.json")
                 )
-    fits = {
-        kernel: fit_observations([observation_from_report(r) for r in documents])
-        for kernel, documents in reports.items()
-    }
-    fits["pooled"] = fit_observations(
-        [observation_from_report(r) for documents in reports.values() for r in documents]
-    )
+    # Per set and kernel: each point's excess over the fastest point.
+    excess: Dict[str, List[Observation]] = {kernel: [] for kernel in kernels}
+    for timed in measured.values():
+        for kernel in kernels:
+            excess[kernel] += excess_over_fastest(
+                [
+                    mean_observation(point)
+                    for (kern, _, _), point in timed.items()
+                    if kern == kernel
+                ]
+            )
+    fits = {kernel: fit_observations(rows) for kernel, rows in excess.items()}
+    fits["fast"] = fit_observations([o for kernel in fast for o in excess[kernel]])
+    # The engine's weights: the naive kernel's comparison price, and the
+    # fast kernels' prices of everything else.
+    fast_weights = fits["fast"].to_weights()
+    pooled = replace(fast_weights, cpu=fits["naive"].cpu_ms)
     # Time the k each weight set derives wherever the grid missed it.
-    paper = CostWeights.main_memory()
     candidates = {
-        "paper": paper,
+        "paper": CostWeights.main_memory(),
         **{f"fit.{kernel}": fit.to_weights() for kernel, fit in fits.items()},
+        "fit.engine": pooled,
     }
+    checked = ("paper", "fit.engine")
     derived_ks = {
-        name: {label: derived_k(pairs, w) for label, w in candidates.items()}
+        name: {
+            label: {kernel: derived_k(pairs, candidates[label], kernel) for kernel in kernels}
+            for label in checked
+        }
         for name, pairs in sets.items()
     }
     for name, pairs in sets.items():
-        missing = sorted(
-            {k for k in derived_ks[name].values() if (kernels[0], k, k) not in measured[name]}
-        )
-        if missing:
-            measured[name].update(
-                sweep(pairs, kernels, [(k, k) for k in missing], rounds)
+        missing = {
+            kernel: sorted(
+                {
+                    ks[kernel]
+                    for ks in derived_ks[name].values()
+                    if (kernel, ks[kernel], ks[kernel]) not in measured[name]
+                }
             )
+            for kernel in kernels
+        }
+        extra = {kernel: [(k, k) for k in ks] for kernel, ks in missing.items() if ks}
+        if extra:
+            measured[name].update(sweep(pairs, extra, rounds))
 
     document: Dict[str, Any] = {
         "benchmark": "bench_k_model",
         "what": (
             "OIPJoin runtime against pinned k per kernel (min over "
             "interleaved rounds of the mean over a set's pairs), beside "
-            "Equation 1's predicted overhead cost; c_cpu/c_io/c_access "
-            "fitted through the origin by repro.obs.calibrate over every "
-            "point, unequal (k_outer, k_inner) pairs included"
+            "the predicted cost a join on that kernel derives k from "
+            "(Equation 1 for naive, accesses + block IOs + inner-tuple "
+            "visits for sweep and numpy under weights that price "
+            "per-partition work); c_cpu/c_io/c_access/c_visit fitted "
+            "through the origin by repro.obs.calibrate to every point's "
+            "excess over the fastest point of its set and kernel, "
+            "unequal (k_outer, k_inner) pairs included"
         ),
         **environment(),
         "rounds": rounds,
         "k_grid": list(grid),
+        "naive_k_grid": list(naive_grid),
         "per_side_grid": list(sides),
         "weights": {
             **{
                 label: weights_record(weights)
                 for label, weights in candidates.items()
             },
-            # CostWeights.engine() when this ran: the fit.pooled weights
+            # CostWeights.engine() when this ran: the fit.engine weights
             # of the run that set them.
             "engine_in_force": weights_record(CostWeights.engine()),
         },
@@ -316,26 +384,26 @@ def run(
         "sets": {},
     }
     for name, pairs in sets.items():
-        points = measured[name]
-        derived = derived_ks[name]
+        timed = measured[name]
         entry: Dict[str, Any] = {
             "pairs": len(pairs),
             "n_per_side": pairs[0][0].cardinality,
-            "derived_k": derived,
             "kernels": {},
         }
-        shared = sorted(ko for (_, ko, ki) in points if ko == ki)
         for kernel in kernels:
-            rows = {k: point_record(points[(kernel, k, k)]) for k in shared}
+            shared = sorted(ko for (kern, ko, ki) in timed if kern == kernel and ko == ki)
+            rows = {k: point_record(timed[(kernel, k, k)]) for k in shared}
             for k, row in rows.items():
                 row["predicted_cost"] = {
-                    label: predicted_cost(pairs, weights, k)
-                    for label, weights in candidates.items()
-                    if label in ("paper", "fit.pooled")
+                    label: predicted_cost(pairs, candidates[label], k, kernel)
+                    for label in checked
                 }
             best_k = min(shared, key=lambda k: rows[k]["ms_min"])
             best = rows[best_k]
             entry["kernels"][kernel] = {
+                "derived_k": {
+                    label: derived_ks[name][label][kernel] for label in checked
+                },
                 "measured_optimum_k": best_k,
                 "measured_optimum_ms": best["ms_min"],
                 # Round-to-round spread at the optimum: the noise a
@@ -344,14 +412,14 @@ def run(
                 "paper_minimiser_k": min(
                     shared, key=lambda k: rows[k]["predicted_cost"]["paper"]
                 ),
-                "fit_pooled_minimiser_k": min(
+                "fit_engine_minimiser_k": min(
                     shared,
-                    key=lambda k: rows[k]["predicted_cost"]["fit.pooled"],
+                    key=lambda k: rows[k]["predicted_cost"]["fit.engine"],
                 ),
                 "points": {str(k): row for k, row in rows.items()},
                 "per_side_ms": {
                     f"{ko},{ki}": round(min(point["times"]), 3)
-                    for (kern, ko, ki), point in points.items()
+                    for (kern, ko, ki), point in timed.items()
                     if kern == kernel and ko != ki
                 },
             }
@@ -365,25 +433,23 @@ def summary(document: Dict[str, Any]) -> List[str]:
         w = fit["weights"]
         lines.append(
             f"fit {kernel:6s}: c_cpu={w['cpu']:.3e} c_io={w['io']:.3e} "
-            f"c_access={w['access']:.3e} ms  (r^2={fit['r_squared']})"
+            f"c_access={w['access']:.3e} c_visit={w['visit']:.3e} ms  "
+            f"(r^2={fit['r_squared']})"
         )
     for name, entry in document["sets"].items():
-        derived = entry["derived_k"]
-        lines.append(f"{name}: derived k {derived}")
+        lines.append(f"{name}:")
         for kernel, row in entry["kernels"].items():
             points = row["points"]
-            at = {
-                label: points[str(derived[label])]["ms_min"]
-                for label in ("paper", "fit.pooled")
-            }
+            derived = row["derived_k"]
+            at = {label: points[str(k)]["ms_min"] for label, k in derived.items()}
             lines.append(
                 f"  {kernel:6s} optimum k={row['measured_optimum_k']} "
                 f"{row['measured_optimum_ms']:.1f} ms (noise "
-                f"{row['noise']:.0%}); at derived k: paper "
-                f"{at['paper']:.1f}, fit.pooled {at['fit.pooled']:.1f} ms; "
-                f"grid minimiser of Equation 1: paper "
-                f"k={row['paper_minimiser_k']}, fit.pooled "
-                f"k={row['fit_pooled_minimiser_k']}"
+                f"{row['noise']:.0%}); derived: paper k={derived['paper']} "
+                f"{at['paper']:.1f} ms, fit.engine k={derived['fit.engine']} "
+                f"{at['fit.engine']:.1f} ms; grid minimiser: paper "
+                f"k={row['paper_minimiser_k']}, fit.engine "
+                f"k={row['fit_engine_minimiser_k']}"
             )
     return lines
 
@@ -400,8 +466,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     grid = SMOKE_K_GRID if args.smoke else K_GRID
     sides = SMOKE_SIDE_GRID if args.smoke else SIDE_GRID
+    naive_grid = SMOKE_NAIVE_K_GRID if args.smoke else NAIVE_K_GRID
     rounds = SMOKE_ROUNDS if args.smoke else ROUNDS
-    document = run(grid, sides, rounds, reports_dir=args.reports)
+    document = run(grid, sides, naive_grid, rounds, reports_dir=args.reports)
     for line in summary(document):
         print(line)
     out = args.out if args.out is not None else (None if args.smoke else RESULTS_FILE)

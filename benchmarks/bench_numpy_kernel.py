@@ -5,8 +5,8 @@ the partition-pair match step — broadcasted endpoint comparisons for
 small pairs, ``searchsorted`` range pruning for large ones — while
 emitting the identical pairs and charging the identical model costs as
 ``naive`` and ``sweep``.  This benchmark documents what the
-vectorization buys and calibrates the planner threshold
-(:data:`repro.core.kernels.AUTO_NUMPY_CANDIDATES`).
+vectorization buys and calibrates the granule policy's threshold
+(:data:`repro.core.granules.NUMPY_FROM_CANDIDATES`).
 
 Two measurements:
 
@@ -23,8 +23,10 @@ Two measurements:
 * **end-to-end** — full ``OIPJoin`` wall clock per kernel in the auto
   and coarse regimes, for context (IO, partitioning and analytic
   charging dominate there, so the end-to-end margin is smaller) and as
-  the measured basis of the ``AUTO_NUMPY_CANDIDATES`` threshold: the
+  the measured basis of the ``NUMPY_FROM_CANDIDATES`` threshold: the
   numpy tier must never lose end-to-end where auto selection picks it.
+  In the auto regime each kernel runs at the ``k`` the granule policy
+  derives for it, so naive partitions differently from the other two.
 
 The standalone script records both sweeps in ``BENCH_numpy.json`` at
 the repository root; ``--smoke`` (the CI ``kernel-smoke`` numpy leg)
@@ -56,12 +58,13 @@ else:  # run as a script: the harness sits next to this file
         sys.path.insert(0, _SRC)
     from common import emit, heading, scaled, table
 
-from repro.core import kernels
+from repro.core.granules import NUMPY_FROM_CANDIDATES, GranulePolicy
 from repro.core.interval import Interval
 from repro.core.join import OIPJoin
 from repro.core.kernels import DecodedRun, KERNEL_FUNCS, numpy_available
 from repro.core.lazy_list import oip_create
 from repro.core.oip import OIPConfiguration
+from repro.storage.device import DeviceProfile
 from repro.storage.manager import StorageManager
 from repro.workloads import long_lived_mixture
 
@@ -168,9 +171,13 @@ def _one_join(kernel: str, outer, inner, regime_kwargs: Dict) -> float:
 
 def run_join_sweep(cardinality: int, repeats: int = 3) -> List[Dict]:
     """End-to-end OIPJoin wall clock per kernel x regime (context rows
-    and the measured basis of the AUTO_NUMPY_CANDIDATES threshold)."""
+    and the measured basis of the NUMPY_FROM_CANDIDATES threshold)."""
     outer, inner = _figure8_pair(cardinality)
-    estimated = kernels.estimate_candidates(outer, inner)
+    estimated = (
+        GranulePolicy()
+        .cost_model(outer, inner, DeviceProfile.main_memory())
+        .estimated_candidates()
+    )
     rows: List[Dict] = []
     for regime, regime_kwargs in REGIMES.items():
         for kernel in KERNELS:  # warm-up, untimed
@@ -238,7 +245,8 @@ def _report(cardinality: int, kernel_row: Dict, join_rows: List[Dict]) -> None:
         "costs.  The gate is kernel-level: the match step is what the "
         f"numpy tier replaces; floor >= {SPEEDUP_BUDGET:.1f}x over "
         "sweep on the coarse-k pairs.  End-to-end rows show numpy never "
-        "losing where AUTO_NUMPY_CANDIDATES would select it.)"
+        "losing where NUMPY_FROM_CANDIDATES would select it; in the "
+        "auto regime each kernel runs at its own derived k.)"
     )
 
 
@@ -252,7 +260,7 @@ def _write_results(
         "budget_speedup": SPEEDUP_BUDGET,
         "gate": "kernel-level numpy over sweep, coarse-k Figure 8",
         "gate_speedup": kernel_row["numpy_over_sweep"],
-        "auto_numpy_candidates": kernels.AUTO_NUMPY_CANDIDATES,
+        "auto_numpy_candidates": NUMPY_FROM_CANDIDATES,
         "kernel_level": kernel_row,
         "end_to_end": join_rows,
     }

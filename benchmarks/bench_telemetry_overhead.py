@@ -13,9 +13,12 @@ most **3%**.  This benchmark measures exactly that delta:
   temp file with a slow-query threshold armed.
 
 Both services run over one snapshot and the measurement interleaves
-min-of-repeats batches (baseline, instrumented, baseline, ...) so CPU
-frequency drift hits both sides equally.  Gate: **instrumented <=
-1.03x baseline** at the gate cardinality.  The standalone run writes
+the two sides' batches, so CPU frequency drift hits both equally: each
+of :data:`BATCHES` rounds times one batch per side, the side that goes
+first alternating from round to round, each batch after a
+``gc.collect()`` (so no batch pays for the garbage of the one before),
+and each side keeps its fastest batch.  Gate: **instrumented <= 1.03x
+baseline** at the gate cardinality.  The standalone run writes
 ``BENCH_telemetry.json`` at the repository root; ``--smoke`` (the CI
 ``telemetry-smoke`` job) asserts the gate with best-of-attempts
 retries.
@@ -27,6 +30,7 @@ retries.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -53,19 +57,19 @@ from repro.workloads import long_lived_mixture
 CARDINALITIES = (400, 1200, 3600)
 GATE_CARDINALITY = 3600
 OVERHEAD_CEILING = 1.03
-BATCHES = 5
+#: Interleaved rounds; each side keeps its fastest batch.
+BATCHES = 15
 QUERIES_PER_BATCH = 4
 
 
-def _best_batch(fn, batches: int, queries: int) -> float:
-    """Best per-query latency (ms) over *batches* batches of *queries*."""
-    best = float("inf")
-    for _ in range(batches):
-        started = time.perf_counter()
-        for _ in range(queries):
-            fn()
-        best = min(best, (time.perf_counter() - started) / queries)
-    return best * 1e3
+def _batch_ms(fn, queries: int) -> float:
+    """Per-query latency (ms) of one batch of *queries* calls, timed
+    after a collection."""
+    gc.collect()
+    started = time.perf_counter()
+    for _ in range(queries):
+        fn()
+    return (time.perf_counter() - started) / queries * 1e3
 
 
 def bench_cardinality(cardinality: int) -> Dict[str, float]:
@@ -91,22 +95,18 @@ def bench_cardinality(cardinality: int) -> Dict[str, float]:
     baseline.query("join")
     instrumented.query("join")
 
-    # Interleave the measurement batches so machine drift is shared.
-    baseline_ms = float("inf")
-    telemetry_ms = float("inf")
-    for _ in range(BATCHES):
-        baseline_ms = min(
-            baseline_ms,
-            _best_batch(
-                lambda: baseline.query("join"), 1, QUERIES_PER_BATCH
-            ),
-        )
-        telemetry_ms = min(
-            telemetry_ms,
-            _best_batch(
-                lambda: instrumented.query("join"), 1, QUERIES_PER_BATCH
-            ),
-        )
+    # Interleave the measurement batches so machine drift is shared,
+    # alternating which side goes first.
+    sides = [
+        ("baseline", lambda: baseline.query("join")),
+        ("telemetry", lambda: instrumented.query("join")),
+    ]
+    best = {name: float("inf") for name, _ in sides}
+    for round_index in range(BATCHES):
+        order = sides if round_index % 2 == 0 else sides[::-1]
+        for name, query in order:
+            best[name] = min(best[name], _batch_ms(query, QUERIES_PER_BATCH))
+    baseline_ms, telemetry_ms = best["baseline"], best["telemetry"]
     log_lines = query_log.emitted
     traces = len(instrumented.traces)
     baseline.drain(timeout_s=10.0)

@@ -126,8 +126,18 @@ def _add_kernel_arguments(parser: argparse.ArgumentParser) -> None:
             "compares every candidate pair, 'sweep' forward-scans "
             "start-sorted columns, 'numpy' vectorizes the match step "
             "(falls back to 'sweep' when numpy is not installed; "
-            "identical pairs and cost counters in every case); 'auto' "
+            "identical pairs and cost counters at one k); 'auto' "
             "picks numpy for large joins when it is installed, else sweep"
+        ),
+    )
+    parser.add_argument(
+        "--k",
+        type=int,
+        default=None,
+        help=(
+            "pin the oip algorithm's granule count for both relations "
+            "instead of deriving it from the kernel's cost (every kernel "
+            "then partitions alike)"
         ),
     )
 
@@ -391,6 +401,16 @@ def _algorithm_kwargs(
             raise SystemExit(
                 f"--kernel is only supported by the oip algorithm, "
                 f"not {name!r}"
+            )
+    k = getattr(args, "k", None)
+    if k is not None:
+        if k < 1:
+            raise SystemExit(f"--k must be >= 1, got {k}")
+        if name == "oip":
+            kwargs["k"] = k
+        elif not skip_oip_only:
+            raise SystemExit(
+                f"--k is only supported by the oip algorithm, not {name!r}"
             )
     index = getattr(args, "index", None)
     if index is not None:

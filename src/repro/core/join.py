@@ -34,7 +34,7 @@ without building any.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from itertools import chain
@@ -48,7 +48,7 @@ from ..storage.manager import StorageManager
 from ..storage.metrics import CostCounters, CostWeights
 from .base import JoinResult, OverlapJoinAlgorithm
 from .granules import GranulePolicy, KDerivation, weights_label
-from .kernels import KERNELS, DecodedRun, kernel_function, resolve_kernel
+from .kernels import KERNELS, DecodedRun, kernel_function
 from .interval import Interval
 from .lazy_list import LazyPartitionList, PartitionNode, oip_create
 from .oip import OIPConfiguration
@@ -95,13 +95,20 @@ class PairChunks(SequenceABC):
     A chunk may also carry the relation positions of its tuples (see
     :func:`chunk_positions`); :meth:`positions` then encodes every pair
     as ``(outer position, inner position)`` — what a checkpoint stores.
+
+    A kernel's hits are ascending; a chunk whose hits are not (a
+    resumed run's prefix, in emission order) is listed in
+    :attr:`unordered`, so a consumer that relies on the order
+    (:func:`hits_in_window`) can tell.
     """
 
-    __slots__ = ("chunks", "_ends", "_positions")
+    __slots__ = ("chunks", "unordered", "_ends", "_positions")
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self) -> None:
         self.chunks: List[PairChunk] = []
+        #: Indices of the chunks whose hits are not ascending.
+        self.unordered: set = set()
         #: Pairs up to and including each chunk, for indexing.
         self._ends: List[int] = []
         #: Chunk index -> ``(outer positions, [inner positions, ...])``,
@@ -115,11 +122,14 @@ class PairChunks(SequenceABC):
         n_outer: int,
         hits: List[int],
         positions: Optional[Tuple[Sequence[int], List]] = None,
+        ascending: bool = True,
     ) -> None:
         """Add one chunk; a chunk without hits adds nothing."""
         if hits:
             if positions is not None:
                 self._positions[len(self.chunks)] = positions
+            if not ascending:
+                self.unordered.add(len(self.chunks))
             self.chunks.append((outer_tuples, inner_tuples, n_outer, hits))
             self._ends.append(len(self) + len(hits))
 
@@ -212,7 +222,12 @@ class OIPJoin(OverlapJoinAlgorithm):
         the result details — when numpy is not importable), and
         ``"auto"`` (default) picks ``"numpy"`` for large joins when numpy
         is importable and ``"sweep"`` otherwise
-        (:func:`~repro.core.kernels.choose_kernel`).  All kernels emit
+        (:meth:`GranulePolicy.kernel
+        <repro.core.granules.GranulePolicy.kernel>`).  The kernel is
+        decided first and a derived ``k`` is derived from its cost, so
+        under the engine's weights the naive kernel (Equation 1) and the
+        fast kernels (accesses, block IOs and inner-tuple visits) may
+        partition differently.  At the same ``k`` all kernels emit
         identical pairs in the identical order and charge the identical
         paper-model costs (two CPU comparisons per candidate, one false
         hit per failing candidate — accounted analytically per outer
@@ -411,36 +426,41 @@ class OIPJoin(OverlapJoinAlgorithm):
         inner: TemporalRelation,
         derivation: Optional[KDerivation],
         k: int,
+        kernel: str,
     ) -> Dict[str, Any]:
-        """Which weights chose a derived *k*, and Equation 1's predicted
-        overhead cost at it (empty when ``k`` is pinned).  Without a
-        *derivation* (a restored snapshot) the model is rebuilt."""
+        """Which weights chose a derived *k*, and the predicted cost at
+        it of the model that chose it (:meth:`JoinCostModel.cost
+        <repro.core.granules.JoinCostModel.cost>`; empty when ``k`` is
+        pinned).  Without a *derivation* (a restored snapshot) the model
+        is rebuilt."""
         if self.granules.mode != "derived":
             return {}
         model = (
             derivation.model
             if derivation is not None
-            else self.granules.cost_model(outer, inner, self.device)
+            else self.granules.cost_model(outer, inner, self.device, kernel)
         )
         return {
             "k_weights": weights_label(self.granules.weights),
-            "k_predicted_cost": model.overhead_cost(k),
+            "k_predicted_cost": model.cost(k),
         }
 
     def _derive_k(
         self,
         outer: TemporalRelation,
         inner: TemporalRelation,
+        kernel: str,
     ) -> Optional[KDerivation]:
-        """The join's ``derive_k`` phase, a method so that a profiler
-        (``perfbench/spans.py``) can wrap it."""
-        return self.granules.derive(outer, inner, self.device)
+        """The join's ``derive_k`` phase for a join on *kernel*, a
+        method so that a profiler (``perfbench/spans.py``) can wrap
+        it."""
+        return self.granules.derive(outer, inner, self.device, kernel)
 
     @property
     def _uses_index(self) -> bool:
         return self.index_path is not None or self.index_provider is not None
 
-    def _load_index(self, outer, inner, storage, tracer):
+    def _load_index(self, outer, inner, storage, tracer, kernel):
         """Try to restore both partition lists from ``index_path`` (or
         the pinned-section ``index_provider``).
 
@@ -455,7 +475,7 @@ class OIPJoin(OverlapJoinAlgorithm):
         from ..storage import snapshot
 
         expected = snapshot.IndexExpectation(
-            self.device.tuples_per_block, self.granules
+            self.device.tuples_per_block, self.granules, kernel
         )
         provider = self.index_provider
         path = (
@@ -527,16 +547,17 @@ class OIPJoin(OverlapJoinAlgorithm):
         inner: TemporalRelation,
         storage: StorageManager,
         tracer: Any,
+        kernel: str,
     ) -> Tuple[Optional[KDerivation], LazyPartitionList, LazyPartitionList]:
-        """Algorithm 2's build: choose ``k`` (the ``derive_k`` span), then
-        OIPCREATE each side once into *storage* (one ``oipcreate`` span
-        per side).  ``oip_create`` is looked up through this module at
-        call time, so a wrapper installed on it (a profiler) sees both
-        builds.  Returns ``(derivation or None when k is pinned, outer
-        list, inner list)``; each list's configuration carries its
-        granule count."""
+        """Algorithm 2's build: choose ``k`` for a join on *kernel* (the
+        ``derive_k`` span), then OIPCREATE each side once into *storage*
+        (one ``oipcreate`` span per side).  ``oip_create`` is looked up
+        through this module at call time, so a wrapper installed on it
+        (a profiler) sees both builds.  Returns ``(derivation or None
+        when k is pinned, outer list, inner list)``; each list's
+        configuration carries its granule count."""
         with tracer.span("derive_k") as k_span:
-            derivation = self._derive_k(outer, inner)
+            derivation = self._derive_k(outer, inner, kernel)
             k_outer, k_inner = self.granules.counts(outer, inner, derivation)
             k_span.set("k_outer", k_outer)
             k_span.set("k_inner", k_inner)
@@ -577,6 +598,10 @@ class OIPJoin(OverlapJoinAlgorithm):
             else None
         )
 
+        # The policy decides the kernel first: a derived k is priced
+        # for it.  Every kernel is bit-identical in pairs and counters
+        # at the same k, so beyond k the choice only decides speed.
+        kernel = self.granules.kernel(outer, inner, self.kernel)
         # Storage precedes the (optional) snapshot load: construction
         # makes no charges, so a degraded load hands the rebuild an
         # untouched manager and the counters stay bit-identical.
@@ -585,7 +610,7 @@ class OIPJoin(OverlapJoinAlgorithm):
         index_details = None
         if self._uses_index:
             loaded, index_details = self._load_index(
-                outer, inner, storage, tracer
+                outer, inner, storage, tracer, kernel
             )
 
         if loaded is not None:
@@ -598,7 +623,7 @@ class OIPJoin(OverlapJoinAlgorithm):
             k_oscillated = loaded.meta.get("k_oscillated")
         else:
             derivation, outer_list, inner_list = self._build(
-                outer, inner, storage, tracer
+                outer, inner, storage, tracer, kernel
             )
             self_adjusting = derivation is not None
             k_steps = derivation.steps if derivation is not None else None
@@ -608,9 +633,6 @@ class OIPJoin(OverlapJoinAlgorithm):
         config_r, config_s = outer_list.config, inner_list.config
         k_outer, k_inner = config_r.k, config_s.k
 
-        # Every kernel is bit-identical in pairs and counters, so the
-        # choice only decides physical execution speed.
-        kernel = resolve_kernel(self.kernel, outer, inner)
         candidate_histogram = (
             self.metrics.histogram("join.kernel.candidates")
             if self.metrics is not None
@@ -640,7 +662,8 @@ class OIPJoin(OverlapJoinAlgorithm):
             # to an uninterrupted run.
             checkpoint.restore_into(counters, self._resilience)
             # The checkpointed prefix is one chunk over the relations'
-            # tuples, its hits encoded from the stored positions.
+            # tuples, its hits encoded from the stored positions in
+            # emission order — not ascending.
             n_outer = outer.cardinality
             pairs.append(
                 outer.tuples,
@@ -648,6 +671,7 @@ class OIPJoin(OverlapJoinAlgorithm):
                 n_outer,
                 [i * n_outer + o for o, i in checkpoint.pairs],
                 (range(n_outer), [range(inner.cardinality)]),
+                ascending=False,
             )
             start_at = checkpoint.partitions_completed
         if governor is not None and self.checkpoint_path is not None:
@@ -660,9 +684,10 @@ class OIPJoin(OverlapJoinAlgorithm):
                 )
             )
 
+        schedule = build_probe_schedule(outer_list, inner_list)
         with tracer.span("probe"):
             cancelled, partitions_done = probe_inline(
-                build_probe_schedule(outer_list, inner_list),
+                schedule,
                 RunReader(storage),
                 counters,
                 pairs,
@@ -688,9 +713,10 @@ class OIPJoin(OverlapJoinAlgorithm):
             "granule_duration_inner": config_s.d,
             "outer_partitions": outer_list.partition_count,
             "inner_partitions": inner_list.partition_count,
+            "inner_visits": schedule.inner_visits,
             "self_adjusting": self_adjusting,
             "kernel": kernel,
-            **self._k_model_details(outer, inner, derivation, k_inner),
+            **self._k_model_details(outer, inner, derivation, k_inner, kernel),
         }
         if index_details is not None:
             details["index"] = index_details
@@ -751,11 +777,14 @@ class ProbeSchedule:
     """The navigated probe work of one OIPJOIN probe phase, one task per
     outer partition in the sequential join's order.  ``walk_tail`` holds
     the windowed outer walk's terminating index tests, charged after the
-    last task."""
+    last task.  ``inner_visits`` counts the inner tuples the tasks hand
+    to the kernel: each relevant inner partition's tuples, once per
+    outer partition that visits it."""
 
     tasks: List[ProbeTask]
     pair_count: int
     walk_tail: int = 0
+    inner_visits: int = 0
 
     @property
     def task_count(self) -> int:
@@ -798,7 +827,7 @@ def build_probe_schedule(
     partition_interval = config_r.partition_interval
     query_indices = config_s.clamped_query_indices
     tasks: List[ProbeTask] = []
-    pair_count = 0
+    pair_count = visits = 0
     walked = 0
     for index, outer_node in enumerate(outer_nodes):
         query = partition_interval(outer_node.i, outer_node.j)
@@ -813,6 +842,7 @@ def build_probe_schedule(
         else:
             inner, tests = inner_list.relevant(*inner_span)
             nav_cpu = 2 + tests[-1]
+            visits += sum([node.run.count for node in inner])
         walk_cpu = 0
         if walk is not None:
             walk_cpu = walk[index] - walked
@@ -823,6 +853,7 @@ def build_probe_schedule(
         tasks=tasks,
         pair_count=pair_count,
         walk_tail=walk[-1] - walked if walk is not None else 0,
+        inner_visits=visits,
     )
 
 
@@ -959,23 +990,50 @@ def hits_in_window(
     hits: List[int],
     start: int,
     end: int,
+    ascending: bool = True,
 ) -> List[int]:
     """The *hits* (encoded as in :data:`PairChunk`) whose pair meets the
-    window ``[start, end]``: all three intervals share a point.
+    window ``[start, end]``: all three intervals share a point, in the
+    order of *hits*.
 
     A hit's two tuples overlap, so that holds iff each tuple meets the
-    window (Helly's theorem in one dimension): one flag per outer tuple
-    and a test of each hit's inner tuple decide it, and no hit survives
-    when no outer tuple meets the window."""
-    meets = [t.start <= end and start <= t.end for t in outer_tuples]
-    if not any(meets):
+    window (Helly's theorem in one dimension).  Hits in the kernels'
+    ascending inner-major order hold each inner tuple's hits as one run,
+    so one test per inner tuple picks the runs to keep, two bisections
+    cut each out, and only their hits are tested against their outer
+    tuples: beyond that one pass over the inner tuples, the work
+    follows the hits kept, not the hits in the chunk.  *ascending*
+    ``False`` (a resumed run's prefix chunk, in emission order) tests
+    hit by hit."""
+    if not hits:
         return []
+    if not ascending:
+        return [
+            encoded
+            for encoded in hits
+            if (outer := outer_tuples[encoded % n_outer]).start <= end
+            and start <= outer.end
+            and (inner := inner_tuples[encoded // n_outer]).start <= end
+            and start <= inner.end
+        ]
+    runs: List[List[int]] = []
+    lo = 0
+    size = len(hits)
+    for position, inner in enumerate(inner_tuples):
+        if inner.start <= end and start <= inner.end:
+            base = position * n_outer
+            lo = bisect_left(hits, base, lo)
+            if lo == size:
+                break
+            hi = bisect_left(hits, base + n_outer, lo)
+            if hi > lo:
+                runs.append(hits[lo:hi])
+                lo = hi
     return [
         encoded
-        for encoded in hits
-        if meets[encoded % n_outer]
-        and (inner := inner_tuples[encoded // n_outer]).start <= end
-        and start <= inner.end
+        for encoded in chain.from_iterable(runs)
+        if (outer := outer_tuples[encoded % n_outer]).start <= end
+        and start <= outer.end
     ]
 
 

@@ -42,16 +42,15 @@ every workload.  This module separates the two concerns:
 
 All kernels return the identical match set encoded in the identical
 order — ``inner_pos * n_outer + outer_pos``, ascending, which is the
-emission order of the sequential Algorithm 2 loop — so result pairs,
-:class:`~repro.storage.metrics.CostCounters` and run reports are
-bit-identical regardless of the kernel (the differential suite in
-``tests/core/test_kernels.py`` and ``tests/core/test_numpy_kernel.py``
-pins this down).
+emission order of the sequential Algorithm 2 loop — so at the same
+``k`` result pairs, :class:`~repro.storage.metrics.CostCounters` and
+run reports are bit-identical regardless of the kernel (the
+differential suite in ``tests/core/test_kernels.py`` and
+``tests/core/test_numpy_kernel.py`` pins this down).
 
-``"auto"`` selection (:func:`choose_kernel`) is ``numpy`` from
-:data:`AUTO_NUMPY_CANDIDATES` estimated candidates up, when numpy is
-importable, and ``sweep`` otherwise (the constant says why the
-threshold exists).
+Which kernel a join runs, and the ``k`` it runs at, is decided by
+:class:`~repro.core.granules.GranulePolicy` (``"auto"`` is ``numpy`` for
+large joins when numpy is importable, ``sweep`` otherwise).
 
 Decoding a partition run into columnar form (two ``array('q')``
 endpoint columns plus, lazily, a start-sorted permutation) costs one
@@ -76,7 +75,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 __all__ = [
     "KERNELS",
     "KERNEL_FUNCS",
-    "AUTO_NUMPY_CANDIDATES",
     "NUMPY_BROADCAST_CELLS",
     "DecodedRun",
     "decode_columns",
@@ -85,21 +83,10 @@ __all__ = [
     "numpy_matches",
     "numpy_available",
     "kernel_function",
-    "estimate_candidates",
-    "choose_kernel",
-    "resolve_kernel",
 ]
 
 #: The selectable kernel names (``"auto"`` resolves to one of these).
 KERNELS = ("naive", "sweep", "numpy")
-
-#: Estimated candidate comparisons from which ``"auto"`` picks the numpy
-#: kernel (when numpy is importable); below it, ``"auto"`` picks the
-#: sweep.  numpy is as fast as the sweep or faster at every size measured
-#: (EXPERIMENTS.md), but importing it adds ~14 MB to the resident memory
-#: of a process that otherwise never loads it — a cost only joins of
-#: this size repay.
-AUTO_NUMPY_CANDIDATES = 150_000.0
 
 #: Candidate-count bound (``|outer run| * |inner run|``) up to which the
 #: numpy kernel joins its two runs with one broadcasted comparison
@@ -478,8 +465,9 @@ def kernel_function(
 ) -> Callable[[DecodedRun, DecodedRun], List[int]]:
     """The callable implementing *kernel* **in this process**.
 
-    This is the execution-time companion of :func:`resolve_kernel`:
-    selection picks a name, this maps the name to code, substituting
+    This is the execution-time companion of :meth:`GranulePolicy.kernel
+    <repro.core.granules.GranulePolicy.kernel>`: selection picks a
+    name, this maps the name to code, substituting
     :func:`sweep_matches` for ``"numpy"`` when numpy is not importable
     here (bit-identically, since every kernel computes the same
     matches).
@@ -493,57 +481,3 @@ def kernel_function(
     if fn is numpy_matches and not numpy_available():
         return sweep_matches
     return fn
-
-
-# ----------------------------------------------------------------------
-# Kernel selection.
-# ----------------------------------------------------------------------
-
-
-def estimate_candidates(outer: Any, inner: Any) -> float:
-    """Estimated probe-phase candidate comparisons of ``outer JOIN
-    inner`` (duck typed to :class:`~repro.core.relation.TemporalRelation`).
-
-    Two random intervals with duration fractions ``lambda_r`` and
-    ``lambda_s`` overlap with probability roughly ``lambda_r +
-    lambda_s``; applying that coverage to the nested-loop upper bound
-    ``n_r * n_s`` gives a pessimistic candidate estimate.
-    """
-    if outer.is_empty or inner.is_empty:
-        return 0.0
-    coverage = min(1.0, outer.duration_fraction + inner.duration_fraction)
-    return outer.cardinality * inner.cardinality * coverage
-
-
-def choose_kernel(
-    outer: Any, inner: Any, estimated: Optional[float] = None
-) -> str:
-    """The ``"auto"`` kernel: ``numpy`` from :data:`AUTO_NUMPY_CANDIDATES`
-    estimated candidates up when numpy is importable, ``sweep``
-    otherwise.  *estimated* overrides the estimate (the planner passes
-    the figure it derived from persisted index statistics)."""
-    if estimated is None:
-        estimated = estimate_candidates(outer, inner)
-    if estimated >= AUTO_NUMPY_CANDIDATES and numpy_available():
-        return "numpy"
-    return "sweep"
-
-
-def resolve_kernel(kernel: Optional[str], outer: Any, inner: Any) -> str:
-    """Resolve a kernel keyword (``None``/``"auto"``/explicit name) for
-    one join of *outer* and *inner*.
-
-    An explicit ``"numpy"`` in a numpy-less environment resolves to
-    ``"sweep"`` — the documented graceful fallback (callers surface the
-    substitution in their result details).
-    """
-    if kernel is None or kernel == "auto":
-        return choose_kernel(outer, inner)
-    if kernel not in KERNELS:
-        raise ValueError(
-            f"unknown join kernel {kernel!r}; choose from "
-            f"{KERNELS + ('auto',)}"
-        )
-    if kernel == "numpy" and not numpy_available():
-        return "sweep"
-    return kernel

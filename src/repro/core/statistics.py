@@ -85,6 +85,16 @@ class DurationHistogram:
     def cardinality(self) -> int:
         return sum(self.counts)
 
+    @property
+    def duration_fraction(self) -> float:
+        """The longest non-empty bucket's bound over the time range: an
+        upper bound on ``lambda``."""
+        longest = max(
+            (bound for bound, n in zip(self.bounds, self.counts) if n),
+            default=0,
+        )
+        return min(1.0, longest / self.time_range_duration)
+
     def span_counts(self, k: int, granule_duration: int) -> Dict[int, int]:
         """Tuple counts per partition span (in granules) for a
         configuration ``(k, d)``.
@@ -133,14 +143,18 @@ class HistogramCostModel(JoinCostModel):
         inner_histogram: DurationHistogram,
         tuples_per_block: int = 14,
         weights: CostWeights = CostWeights.main_memory(),
+        kernel: str = "naive",
     ) -> None:
         super().__init__(
             outer_cardinality=outer_histogram.cardinality,
             inner_cardinality=inner_histogram.cardinality,
-            outer_duration_fraction=1.0,  # unused by the overrides
-            inner_duration_fraction=1.0,
+            # Equation 1's terms use the overrides below; the fast
+            # kernels' cost also spreads spans up to the longest bucket.
+            outer_duration_fraction=outer_histogram.duration_fraction,
+            inner_duration_fraction=inner_histogram.duration_fraction,
             tuples_per_block=tuples_per_block,
             weights=weights,
+            kernel=kernel,
         )
         object.__setattr__(self, "outer_histogram", outer_histogram)
         object.__setattr__(self, "inner_histogram", inner_histogram)
@@ -152,6 +166,15 @@ class HistogramCostModel(JoinCostModel):
         histogram: DurationHistogram = self.outer_histogram
         return histogram.expected_used_partitions(
             k, self._granule_duration(histogram, k)
+        )
+
+    def inner_partitions(self, k: int) -> int:
+        histogram: DurationHistogram = self.inner_histogram
+        return max(
+            histogram.expected_used_partitions(
+                k, self._granule_duration(histogram, k)
+            ),
+            1,
         )
 
     def tightening(self, k: int) -> float:
@@ -170,6 +193,7 @@ def histogram_cost_model(
     inner: TemporalRelation,
     tuples_per_block: int = 14,
     weights: Optional[CostWeights] = None,
+    kernel: str = "naive",
 ) -> HistogramCostModel:
     """Convenience constructor from two relations."""
     return HistogramCostModel(
@@ -177,4 +201,5 @@ def histogram_cost_model(
         inner_histogram=DurationHistogram.from_relation(inner),
         tuples_per_block=tuples_per_block,
         weights=weights if weights is not None else CostWeights.main_memory(),
+        kernel=kernel,
     )

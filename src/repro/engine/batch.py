@@ -70,7 +70,6 @@ from ..core.join import (
     joined_tuples,
     probe_inline,
 )
-from ..core.kernels import resolve_kernel
 from ..core.relation import TemporalRelation
 from ..storage.device import DeviceProfile
 from ..storage.faults import FaultPolicy
@@ -235,7 +234,7 @@ class BatchJoin(OIPJoin):
             return self._empty_batch(windows, build_counters, started)
 
         tracer = self._tracer_for_run()
-        kernel = resolve_kernel(self.kernel, outer, inner)
+        kernel = self.granules.kernel(outer, inner, self.kernel)
         storage = self._storage(build_counters)
         queries: List[JoinResult] = []
         # Per query: its span and the spans/events it opened.
@@ -244,7 +243,7 @@ class BatchJoin(OIPJoin):
             # The batch's one build: exactly two oipcreate spans appear
             # in the trace, however many windows follow.
             derivation, outer_list, inner_list = self._build(
-                outer, inner, storage, tracer
+                outer, inner, storage, tracer, kernel
             )
             for index, window in enumerate(windows):
                 spans_before = tracer.span_count
@@ -292,7 +291,7 @@ class BatchJoin(OIPJoin):
             "self_adjusting": derivation is not None,
             "kernel": kernel,
             **self._k_model_details(
-                outer, inner, derivation, inner_list.config.k
+                outer, inner, derivation, inner_list.config.k, kernel
             ),
             "windows": len(windows),
             "queries_executed": len(queries),

@@ -14,10 +14,11 @@ are (almost) point data; otherwise it picks the self-adjusting OIPJOIN.
 On top of algorithm choice the planner estimates the number of candidate
 comparisons the probe phase will perform — ``n_r * n_s`` scaled by the
 overlap coverage ``min(1, lambda_r + lambda_s)`` implied by the duration
-statistics.  The estimate refuses over-budget plans up front and picks
-the partition-pair kernel through
-:func:`~repro.core.kernels.choose_kernel` — a pure physical-execution
-choice, since every kernel is bit-identical in pairs and counters.
+statistics (:meth:`~repro.core.granules.JoinCostModel
+.estimated_candidates`).  The estimate refuses over-budget plans up
+front; the partition-pair kernel is the one the OIPJOIN's granule policy
+decides (:meth:`~repro.core.granules.GranulePolicy.kernel`), which
+also derives ``k`` from that kernel's cost.
 
 ``plan(..., index_path=...)`` points the planner at a persisted index
 snapshot (:func:`repro.storage.save_index`): the snapshot's ``stats``
@@ -47,8 +48,9 @@ from __future__ import annotations
 from typing import Callable, Optional, Union
 
 from ..core.base import JoinResult, OverlapJoinAlgorithm
+from ..core.granules import GranulePolicy, JoinCostModel
 from ..core.join import OIPJoin
-from ..core.kernels import KERNELS, choose_kernel, estimate_candidates
+from ..core.kernels import KERNELS
 from ..core.relation import TemporalRelation
 from ..baselines.sort_merge import SortMergeJoin
 from ..storage.buffer import BufferPool
@@ -125,9 +127,8 @@ class JoinPlanner:
     conservative.
 
     ``kernel`` pins the OIPJOIN's partition-pair join kernel; the
-    default ``"auto"`` resolves through
-    :func:`~repro.core.kernels.choose_kernel` from the candidate
-    estimate.
+    default ``"auto"`` leaves it to the join's granule policy
+    (:meth:`~repro.core.granules.GranulePolicy.kernel`).
     """
 
     def __init__(
@@ -202,10 +203,6 @@ class JoinPlanner:
             n_s
         )
         return self.calibration.predict_ms(2.0 * estimated, est_reads)
-
-    #: Estimated probe-phase candidate comparisons (see
-    #: :func:`~repro.core.kernels.estimate_candidates`).
-    estimate_candidates = staticmethod(estimate_candidates)
 
     def _check_budget(
         self,
@@ -321,10 +318,8 @@ class JoinPlanner:
         if index_stats is not None:
             outer_lambda = float(index_stats["outer"]["duration_fraction"])
             inner_lambda = float(index_stats["inner"]["duration_fraction"])
-            coverage = min(1.0, outer_lambda + inner_lambda)
             outer_cardinality = int(index_stats["outer"]["cardinality"])
             inner_cardinality = int(index_stats["inner"]["cardinality"])
-            estimated = outer_cardinality * inner_cardinality * coverage
             index_note = "; planned from persisted index statistics"
         else:
             outer_lambda = (
@@ -334,7 +329,20 @@ class JoinPlanner:
                 inner.duration_fraction if not inner.is_empty else 0.0
             )
             outer_cardinality = inner_cardinality = None
-            estimated = self.estimate_candidates(outer, inner)
+        estimated = JoinCostModel(
+            outer_cardinality=(
+                outer.cardinality
+                if outer_cardinality is None
+                else outer_cardinality
+            ),
+            inner_cardinality=(
+                inner.cardinality
+                if inner_cardinality is None
+                else inner_cardinality
+            ),
+            outer_duration_fraction=outer_lambda,
+            inner_duration_fraction=inner_lambda,
+        ).estimated_candidates()
         predicted_ms = self._predict_ms(
             outer, inner, estimated, outer_cardinality, inner_cardinality
         )
@@ -369,17 +377,13 @@ class JoinPlanner:
                 return base
 
         else:
-            # Pinned explicitly (rather than left "auto") so the plan's
-            # reasoning matches exactly what the join will run.
-            kernel = (
-                choose_kernel(outer, inner, estimated=estimated)
-                if self.kernel == "auto"
-                else self.kernel
-            )
+            # The join's own policy decides the kernel (and k from its
+            # cost); the reason names what it will run.
+            kernel = GranulePolicy().kernel(outer, inner, self.kernel)
             algorithm = OIPJoin(
                 device=self.device,
                 buffer_pool=self.buffer_pool,
-                kernel=kernel,
+                kernel=self.kernel,
                 budget=budget,
                 tracer=self.tracer,
                 metrics=self.metrics,

@@ -10,16 +10,23 @@ sides of the equation — the ``counters`` snapshot (``cpu_comparisons``,
 ``block_reads`` + ``block_writes``, ``partition_accesses``) and the
 measured ``elapsed_ms`` — so a corpus of reports is a regression
 dataset, and the constants can be *measured* per machine instead of
-guessed.  A third constant, ``c_access``, prices the fixed work of one
-partition access (:attr:`CostWeights.access
-<repro.storage.metrics.CostWeights.access>`), which the paper's model
-leaves out.
+guessed.  Two more constants price what the paper's model leaves out:
+``c_access`` the fixed work of one partition access
+(:attr:`CostWeights.access <repro.storage.metrics.CostWeights.access>`)
+and ``c_visit`` one inner tuple handed to a kernel call
+(:attr:`CostWeights.visit <repro.storage.metrics.CostWeights.visit>`,
+read from the join's ``inner_visits`` detail).
+
+A row holds the work the join *executed*.  The naive kernel compares
+every candidate, so its row counts ``cpu_comparisons``; the ``sweep``
+and ``numpy`` kernels never touch a false hit, so their rows count no
+comparison, and ``c_cpu`` is fitted from naive rows alone.
 
 The fit is ordinary least squares through the origin (the model has no
 constant term: zero work costs zero):
 
-    minimize  sum_i (cpu_i * c_cpu + io_i * c_io
-                     + accesses_i * c_access - elapsed_i)^2
+    minimize  sum_i (cpu_i * c_cpu + io_i * c_io + accesses_i * c_access
+                     + visits_i * c_visit - elapsed_i)^2
 
 solved from the normal equations.  Degenerate corpora are handled
 explicitly:
@@ -61,6 +68,7 @@ __all__ = [
     "Calibration",
     "CalibrationError",
     "observation_from_report",
+    "excess_over_fastest",
     "fit_observations",
     "calibrate_reports",
     "load_calibration",
@@ -68,8 +76,9 @@ __all__ = [
     "main",
 ]
 
-#: Version 2 added ``access_ms``; a version-1 file loads with 0.
-CALIBRATION_VERSION = 2
+#: Version 2 added ``access_ms`` and version 3 ``visit_ms``; an older
+#: file loads with 0 for each.
+CALIBRATION_VERSION = 3
 
 #: A normalised Gram determinant (1 for orthogonal predictors, 0 for
 #: collinear ones) below this is treated as collinear and triggers the
@@ -90,18 +99,21 @@ class Observation:
     elapsed_ms: float
     source: str = ""
     accesses: float = 0.0
+    visits: float = 0.0
 
     @property
-    def predictors(self) -> Tuple[float, float, float]:
-        """``(cpu, io, accesses)``: the order of the fitted constants
-        ``(cpu_ms, io_ms, access_ms)``."""
-        return (self.cpu, self.io, self.accesses)
+    def predictors(self) -> Tuple[float, float, float, float]:
+        """``(cpu, io, accesses, visits)``: the order of the fitted
+        constants ``(cpu_ms, io_ms, access_ms, visit_ms)``."""
+        return (self.cpu, self.io, self.accesses, self.visits)
 
 
 def observation_from_report(
     report: Dict[str, object], source: str = ""
 ) -> Observation:
-    """Extract the Equation-2 predictors and response from a run report."""
+    """Extract the predictors and response from a run report: the
+    counters, and the ``inner_visits`` and ``kernel`` of its details (a
+    ``sweep`` or ``numpy`` join executes no candidate comparison)."""
     counters = report.get("counters")
     if not isinstance(counters, dict):
         raise CalibrationError(f"report {source or '<dict>'} has no counters")
@@ -110,7 +122,13 @@ def observation_from_report(
         raise CalibrationError(
             f"report {source or '<dict>'} has no elapsed_ms"
         )
+    config = report.get("config")
+    details = config.get("details") if isinstance(config, dict) else None
+    if not isinstance(details, dict):
+        details = {}
     cpu = float(counters.get("cpu_comparisons", 0))
+    if details.get("kernel") in ("sweep", "numpy"):
+        cpu = 0.0
     io = float(counters.get("block_reads", 0)) + float(
         counters.get("block_writes", 0)
     )
@@ -120,6 +138,7 @@ def observation_from_report(
         elapsed_ms=float(elapsed),
         source=source,
         accesses=float(counters.get("partition_accesses", 0)),
+        visits=float(details.get("inner_visits", 0)),
     )
 
 
@@ -133,23 +152,32 @@ class Calibration:
     samples: int
     residual_rms_ms: float
     access_ms: float = 0.0
+    visit_ms: float = 0.0
 
     def predict_ms(
-        self, cpu: float, io: float, accesses: float = 0.0
+        self, cpu: float, io: float, accesses: float = 0.0, visits: float = 0.0
     ) -> float:
-        """Predicted latency for a (cpu, io, accesses) workload —
-        Equation 2 plus the partition-access term."""
-        return cpu * self.cpu_ms + io * self.io_ms + accesses * self.access_ms
+        """Predicted latency for a (cpu, io, accesses, visits) workload —
+        Equation 2 plus the partition-access and visit terms."""
+        return (
+            cpu * self.cpu_ms
+            + io * self.io_ms
+            + accesses * self.access_ms
+            + visits * self.visit_ms
+        )
 
     def to_weights(self) -> CostWeights:
         """The fitted constants as planner/join-ready cost weights."""
-        if self.cpu_ms <= 0.0 and self.io_ms <= 0.0 and self.access_ms <= 0.0:
+        if max(self.cpu_ms, self.io_ms, self.access_ms, self.visit_ms) <= 0.0:
             raise CalibrationError(
                 "calibration fitted every constant to zero; corpus carries "
                 "no cost signal"
             )
         return CostWeights(
-            cpu=self.cpu_ms, io=self.io_ms, access=self.access_ms
+            cpu=self.cpu_ms,
+            io=self.io_ms,
+            access=self.access_ms,
+            visit=self.visit_ms,
         )
 
     def as_dict(self) -> Dict[str, object]:
@@ -159,6 +187,7 @@ class Calibration:
             "cpu_ms": self.cpu_ms,
             "io_ms": self.io_ms,
             "access_ms": self.access_ms,
+            "visit_ms": self.visit_ms,
             "r_squared": self.r_squared,
             "samples": self.samples,
             "residual_rms_ms": self.residual_rms_ms,
@@ -177,6 +206,7 @@ class Calibration:
             samples=int(data.get("samples", 0)),  # type: ignore[arg-type]
             residual_rms_ms=float(data.get("residual_rms_ms", 0.0)),  # type: ignore[arg-type]
             access_ms=float(data.get("access_ms", 0.0)),  # type: ignore[arg-type]
+            visit_ms=float(data.get("visit_ms", 0.0)),  # type: ignore[arg-type]
         )
 
 
@@ -243,6 +273,32 @@ def _fit(columns: List[List[float]], ts: List[float]) -> Dict[int, float]:
     return {}
 
 
+def excess_over_fastest(
+    observations: Sequence[Observation],
+) -> List[Observation]:
+    """Each of *observations* — runs of one join under different
+    configurations (granule counts) — minus the fastest of them: the
+    work it adds and the time that work costs.
+
+    A through-origin fit of absolute runtimes has to explain a join's
+    fixed cost (decoding, result pairs) with whichever predictor never
+    drops to zero.  A ``k`` derivation only ranks configurations of one
+    join, so it is fitted to excesses, in which that fixed cost cancels
+    (the response stays ``>= 0``; predictors may go negative)."""
+    fastest = min(observations, key=lambda o: o.elapsed_ms)
+    return [
+        Observation(
+            cpu=o.cpu - fastest.cpu,
+            io=o.io - fastest.io,
+            elapsed_ms=o.elapsed_ms - fastest.elapsed_ms,
+            source=o.source,
+            accesses=o.accesses - fastest.accesses,
+            visits=o.visits - fastest.visits,
+        )
+        for o in observations
+    ]
+
+
 def fit_observations(observations: Sequence[Observation]) -> Calibration:
     """Solve the through-origin least-squares fit with degenerate fallbacks."""
     rows = [o for o in observations if o.elapsed_ms >= 0.0]
@@ -268,7 +324,7 @@ def fit_observations(observations: Sequence[Observation]) -> Calibration:
         1.0 if ss_res == 0.0 else 0.0
     )
     rms = (ss_res / len(rows)) ** 0.5
-    cpu_ms, io_ms, access_ms = constants
+    cpu_ms, io_ms, access_ms, visit_ms = constants
     return Calibration(
         cpu_ms=cpu_ms,
         io_ms=io_ms,
@@ -276,6 +332,7 @@ def fit_observations(observations: Sequence[Observation]) -> Calibration:
         samples=len(rows),
         residual_rms_ms=rms,
         access_ms=access_ms,
+        visit_ms=visit_ms,
     )
 
 
@@ -305,6 +362,7 @@ def format_calibration(calibration: Calibration) -> str:
         f"c_cpu            : {calibration.cpu_ms:.3e} ms/comparison",
         f"c_io             : {calibration.io_ms:.3e} ms/block",
         f"c_access         : {calibration.access_ms:.3e} ms/partition access",
+        f"c_visit          : {calibration.visit_ms:.3e} ms/inner tuple visit",
         f"r^2              : {calibration.r_squared:.4f}",
         f"residual rms     : {calibration.residual_rms_ms:.3f} ms",
     ]
@@ -320,8 +378,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-calibrate",
         description=(
-            "Fit cost-model CPU, IO and partition-access constants "
-            "(Equation 2) from run reports"
+            "Fit cost-model CPU, IO, partition-access and visit "
+            "constants (Equation 2) from run reports"
         ),
     )
     parser.add_argument("reports", nargs="+", help="run-report JSON files")

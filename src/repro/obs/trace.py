@@ -36,9 +36,10 @@ durations are wall-clock measurements.
 from __future__ import annotations
 
 import json
+import os
+import random
 import threading
 import time
-import uuid
 from typing import Any, Dict, List, Optional, TextIO
 
 __all__ = [
@@ -55,6 +56,12 @@ __all__ = [
 ]
 
 
+#: The trace-id generator: seeded once from the OS, and again in every
+#: forked child, so pre-forked workers never mint the same sequence.
+_trace_ids = random.Random(os.urandom(16))
+os.register_at_fork(after_in_child=lambda: _trace_ids.seed(os.urandom(16)))
+
+
 def new_trace_id() -> str:
     """A fresh 16-hex-char request trace id.
 
@@ -62,8 +69,14 @@ def new_trace_id() -> str:
     wire request, the server threads it through its span tree, the
     query log and the response — so one id ties together everything a
     single request touched across both processes.
+
+    Ids are 64 random bits from an in-process generator, not one
+    ``os.urandom`` call per request: a thread that releases and retakes
+    the interpreter lock around a system call on every request can keep
+    the other threads of its process (a sleeping test driver, the
+    server's acceptor) from getting it back for seconds.
     """
-    return uuid.uuid4().hex[:16]
+    return f"{_trace_ids.getrandbits(64):016x}"
 
 
 class TraceEvent:

@@ -158,20 +158,38 @@ def _summarize_chunks(
     """:func:`_summarize_pairs` straight from the join's hit chunks,
     building no pair beyond the first *limit* kept ones.
 
-    The window keeps a chunk's hits by one flag per tuple
-    (:func:`~repro.core.join.hits_in_window`).  The key of a pair is its
-    outer tuple's prefix followed by its inner tuple's key, and
+    The window keeps a chunk's hits through the inner tuples that meet
+    it (:func:`~repro.core.join.hits_in_window`).  The key of a pair is
+    its outer tuple's prefix followed by its inner tuple's key, and
     ``crc32(a + b) == crc32(b, crc32(a))``, so each pair's CRC is the
     inner key's CRC seeded with the outer prefix's CRC: one prefix per
-    outer tuple of the chunk, and one key per inner tuple, cached
-    across chunks."""
+    outer tuple and one key per inner tuple — of the kept hits when they
+    are fewer than the chunk's tuples, else of the chunk — the keys
+    cached across chunks."""
     crc32 = zlib.crc32
     inner_keys: Dict[int, bytes] = {}
+
+    def prefix_of(tup: Any) -> int:
+        return crc32(f"{_tuple_key(tup)}|".encode())
+
+    def key_of(tup: Any) -> bytes:
+        key = inner_keys.get(id(tup))
+        if key is None:
+            key = inner_keys[id(tup)] = _tuple_key(tup).encode()
+        return key
+
     count = fingerprint = 0
     kept_pairs: List[Tuple[Any, Any]] = []
-    for outer, inner, n_outer, hits in pairs.chunks:
+    for index, (outer, inner, n_outer, hits) in enumerate(pairs.chunks):
         if window is not None:
-            hits = hits_in_window(outer, inner, n_outer, hits, *window)
+            hits = hits_in_window(
+                outer,
+                inner,
+                n_outer,
+                hits,
+                *window,
+                ascending=index not in pairs.unordered,
+            )
             if not hits:
                 continue
         if len(kept_pairs) < limit:
@@ -179,15 +197,15 @@ def _summarize_chunks(
                 (outer[encoded % n_outer], inner[encoded // n_outer])
                 for encoded in hits[: limit - len(kept_pairs)]
             ]
-        prefixes = [crc32(f"{_tuple_key(t)}|".encode()) for t in outer]
-        keys = list(map(inner_keys.get, map(id, inner)))
-        if None in keys:
-            for position, key in enumerate(keys):
-                if key is None:
-                    tup = inner[position]
-                    keys[position] = inner_keys[id(tup)] = _tuple_key(
-                        tup
-                    ).encode()
+        if len(hits) < len(outer) + len(inner):
+            # Few kept hits: only their tuples need a prefix or a key.
+            outer_at = {encoded % n_outer for encoded in hits}
+            inner_at = {encoded // n_outer for encoded in hits}
+            prefixes = {p: prefix_of(outer[p]) for p in outer_at}
+            keys = {p: key_of(inner[p]) for p in inner_at}
+        else:
+            prefixes = list(map(prefix_of, outer))
+            keys = list(map(key_of, inner))
         fingerprint += sum(
             [crc32(keys[e // n_outer], prefixes[e % n_outer]) for e in hits]
         )
@@ -234,6 +252,10 @@ def summarize_result(
         "elapsed_ms": result.elapsed_ms,
         "counters": result.counters.snapshot(),
         "index": result.details.get("index"),
+        # What the granule policy decided for the join that made this
+        # body; a cached body keeps them.
+        "k": result.details.get("k"),
+        "kernel": result.details.get("kernel"),
     }
     if include_pairs:
         body["results"] = [
@@ -677,6 +699,8 @@ class JoinService:
                 "generation": body.get("generation"),
                 "pairs": body.get("pairs"),
                 "attempts": body.get("attempts"),
+                "k": body.get("k"),
+                "kernel": body.get("kernel"),
             }
             if "cached" in body:
                 log_fields["cached"] = body["cached"]

@@ -32,21 +32,34 @@ class CostWeights:
 
     ``access`` prices the fixed work of one partition access beyond its
     block IO and index comparisons (navigation, the run read, charging,
-    the kernel call).  The paper's model has no such term: ``0`` (the
-    default) is the paper's Equation 1, and :meth:`engine` is the set
-    fitted to this implementation.
+    the kernel call).  ``visit`` prices one inner tuple handed to a
+    kernel call: the ``sweep`` and ``numpy`` kernels touch every inner
+    tuple of an outer partition's relevant runs but never a false hit,
+    so their ``k`` is derived from accesses, block IOs and visits
+    (:meth:`~repro.core.granules.JoinCostModel.visit_cost`).  The
+    paper's model has neither term: ``0`` (the default) is the paper's
+    Equation 1, and :meth:`engine` is the set fitted to this
+    implementation.
     """
 
     cpu: float = 0.5
     io: float = 10.0
     access: float = 0.0
+    visit: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.cpu < 0 or self.io < 0 or self.access < 0:
+        if min(self.cpu, self.io, self.access, self.visit) < 0:
             raise ValueError(
                 f"cost weights must be non-negative, got cpu={self.cpu} "
-                f"io={self.io} access={self.access}"
+                f"io={self.io} access={self.access} visit={self.visit}"
             )
+
+    @property
+    def prices_partitions(self) -> bool:
+        """Whether these weights price this engine's per-partition work
+        (an access or an inner-tuple visit); the paper's weights do
+        not."""
+        return bool(self.access or self.visit)
 
     @property
     def ratio(self) -> float:
@@ -56,11 +69,14 @@ class CostWeights:
         return self.cpu / self.io
 
     def as_dict(self) -> Dict[str, float]:
-        """``{"cpu", "io"}``, plus ``"access"`` when it is priced, so the
-        paper's weights serialise as they always have."""
+        """``{"cpu", "io"}``, plus ``"access"`` and ``"visit"`` when
+        they are priced, so the paper's weights serialise as they always
+        have."""
         data = {"cpu": self.cpu, "io": self.io}
         if self.access:
             data["access"] = self.access
+        if self.visit:
+            data["visit"] = self.visit
         return data
 
     @classmethod
@@ -76,13 +92,17 @@ class CostWeights:
     @classmethod
     def engine(cls) -> "CostWeights":
         """The weights fitted to this implementation, in ms per
-        comparison, block IO and partition access: the through-origin
-        least-squares fit of ``repro calibrate`` over the
-        runtime-against-``k`` sweep that ``benchmarks/bench_k_model.py``
-        records in ``BENCH_k.json`` (``fit.pooled``, rounded).  Every
-        join that is given neither ``weights`` nor ``k`` derives its
-        ``k`` from these."""
-        return cls(cpu=4.18e-7, io=2.39e-3, access=2.64e-3)
+        comparison, block IO, partition access and inner-tuple visit:
+        the through-origin least-squares fit of ``repro calibrate`` over
+        the runtime-against-``k`` sweep that
+        ``benchmarks/bench_k_model.py`` records in ``BENCH_k.json``
+        (``fit.engine``, rounded: ``c_cpu`` from the naive kernel's
+        points, the rest from the sweep and numpy kernels', each point
+        as its excess over the fastest ``k`` of its relation set).  The
+        fit leaves nothing to ``c_io``: a block read moves with the
+        accesses and visits it belongs to.  Every join that is given
+        neither ``weights`` nor ``k`` derives its ``k`` from these."""
+        return cls(cpu=2.13e-5, io=0.0, access=1.95e-3, visit=7.77e-5)
 
     @classmethod
     def from_ratio(cls, cpu_over_io: float, io: float = 10.0) -> "CostWeights":

@@ -17,22 +17,21 @@ from collections import Counter
 
 import pytest
 
+from repro.core.granules import NUMPY_FROM_CANDIDATES, GranulePolicy
 from repro.core.interval import Interval
 from repro.core.join import OIPJoin
 from repro.core import kernels
 from repro.core.kernels import (
-    AUTO_NUMPY_CANDIDATES,
     DecodedRun,
-    choose_kernel,
     decode_columns,
     naive_matches,
-    resolve_kernel,
     sweep_matches,
 )
 from repro.core.relation import TemporalRelation
 from repro.engine.governor import CancellationToken
 from repro.engine.planner import JoinPlanner
 from repro.obs.registry import MetricsRegistry
+from repro.storage.device import DeviceProfile
 from repro.storage.faults import fault_profile
 from repro.storage.metrics import CostWeights
 from repro.workloads import long_lived_mixture
@@ -44,6 +43,12 @@ KERNELS = ("naive", "sweep")
 #: The execution configurations (mirrors tests/chaos/test_lifecycle.py):
 #: the probe has one path, the sequential Algorithm 2 loop.
 CONFIGS = {"sequential": {}}
+
+#: Joins compared across kernels at a *derived* k use the paper's
+#: weights: they price no inner-tuple visit, so Equation 2 derives one
+#: k for every kernel, where the engine's weights derive the fast
+#: kernels' k from their own cost.
+SAME_K = {"weights": CostWeights.main_memory()}
 
 
 def fingerprint(result):
@@ -119,33 +124,46 @@ class TestKernelFunctions:
         assert list(run.sorted_starts) == ordered
 
 
+def _estimated(outer, inner):
+    policy = GranulePolicy()
+    return policy.cost_model(outer, inner, DEVICE).estimated_candidates()
+
+
+DEVICE = DeviceProfile.main_memory()
+
+
 class TestKernelSelection:
-    def test_resolve_validates(self):
+    def test_policy_validates(self):
         rng = random.Random(0)
         rel = random_relation(rng, 5)
         with pytest.raises(ValueError, match="unknown join kernel"):
-            resolve_kernel("bogus", rel, rel)
+            GranulePolicy().kernel(rel, rel, "bogus")
 
-    def test_auto_picks_by_candidate_estimate(self):
+    def test_policy_picks_kernel_by_candidate_estimate(self):
         rng = random.Random(1)
         small = random_relation(rng, 8, range_size=100)
-        assert kernels.estimate_candidates(small, small) < AUTO_NUMPY_CANDIDATES
-        assert choose_kernel(small, small) == "sweep"
-        assert resolve_kernel(None, small, small) == "sweep"
+        policy = GranulePolicy()
+        assert _estimated(small, small) < NUMPY_FROM_CANDIDATES
+        assert policy.kernel(small, small) == "sweep"
         big = long_lived_mixture(
             1_000, 0.5, Interval(1, 2**20), seed=7, name="big"
         )
         # From the threshold up: the vectorized tier when numpy is
         # importable, the sweep otherwise.
         top = "numpy" if kernels.numpy_available() else "sweep"
-        assert kernels.estimate_candidates(big, big) >= AUTO_NUMPY_CANDIDATES
-        assert choose_kernel(big, big) == top
-        assert resolve_kernel("auto", big, big) == top
-        assert resolve_kernel("naive", big, big) == "naive"
-        # An explicit estimate (the planner's, from index statistics)
-        # overrides the relations' own.
-        assert choose_kernel(big, big, estimated=0.0) == "sweep"
-        assert choose_kernel(small, small, estimated=AUTO_NUMPY_CANDIDATES) == top
+        assert _estimated(big, big) >= NUMPY_FROM_CANDIDATES
+        assert policy.kernel(big, big) == top
+        assert policy.kernel(big, big, "auto") == top
+        assert policy.kernel(big, big, "naive") == "naive"
+        # The join runs what the policy decides, and derives k from
+        # that kernel's cost.
+        for requested, expected in (("auto", top), ("naive", "naive")):
+            result = OIPJoin(kernel=requested).join(big, big)
+            assert result.details["kernel"] == expected
+            derivation = policy.derive(big, big, DEVICE, expected)
+            assert result.details["k"] == policy.counts(
+                big, big, derivation
+            )[1]
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +198,18 @@ def make_workloads():
 WORKLOADS = make_workloads()
 
 
+def _granules(k):
+    """A pinned shared k, or the derivation every kernel shares."""
+    return SAME_K if k is None else {"k_outer": k, "k_inner": k}
+
+
 class TestDifferentialIdentity:
     """Sweep kernel == naive kernel, bit for bit."""
 
     @pytest.fixture(scope="class")
     def references(self):
         return {
-            (name, k): OIPJoin(kernel="naive", k_outer=k, k_inner=k).join(*rels)
+            (name, k): OIPJoin(kernel="naive", **_granules(k)).join(*rels)
             for name, rels in WORKLOADS.items()
             for k in (None, 8)
         }
@@ -194,7 +217,7 @@ class TestDifferentialIdentity:
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     @pytest.mark.parametrize("k", (None, 8))
     def test_sweep_sequential(self, references, workload, k):
-        result = OIPJoin(kernel="sweep", k_outer=k, k_inner=k).join(
+        result = OIPJoin(kernel="sweep", **_granules(k)).join(
             *WORKLOADS[workload]
         )
         reference = references[(workload, k)]
@@ -221,7 +244,7 @@ class TestDifferentialIdentity:
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_backends(self, references, config, kernel):
-        result = OIPJoin(kernel=kernel, **CONFIGS[config]).join(
+        result = OIPJoin(kernel=kernel, **SAME_K, **CONFIGS[config]).join(
             *WORKLOADS["mixed"]
         )
         assert fingerprint(result) == fingerprint(references[("mixed", None)])
@@ -230,9 +253,9 @@ class TestDifferentialIdentity:
         outer, inner = WORKLOADS["mixed"]
         reports = {}
         for kernel in KERNELS:
-            result = OIPJoin(kernel=kernel, collect_report=True).join(
-                outer, inner
-            )
+            result = OIPJoin(
+                kernel=kernel, collect_report=True, **SAME_K
+            ).join(outer, inner)
             reports[kernel] = result.report
         assert (
             reports["naive"]["counters"] == reports["sweep"]["counters"]
@@ -277,7 +300,11 @@ class TestCheckpointResume:
 class TestFaultInjection:
     """Corruption detected mid-run must re-decode the run it was read
     from, and the faulty sweep run must still equal the fault-free naive
-    run."""
+    run.
+
+    Every join pins ``k=3``, the partitioning these seeds were chosen
+    under: kernels compared on one relation pair need one ``k``, and
+    seed 4 must corrupt blocks of runs read more than once."""
 
     @pytest.fixture(scope="class")
     def relations(self):
@@ -291,19 +318,19 @@ class TestFaultInjection:
 
     def test_corruption_invalidates_cache(self, relations, decode_log):
         outer, inner = relations
-        fault_free = OIPJoin(kernel="naive").join(outer, inner)
+        fault_free = OIPJoin(kernel="naive", k=3).join(outer, inner)
         once = Counter(decode_log)
         # Same seeded fault schedule for both kernels: recovery re-reads
         # are charged identically, so counters stay comparable.
         faulty_naive = OIPJoin(
-            kernel="naive", fault_policy=fault_profile("corrupt", seed=4)
+            kernel="naive", k=3, fault_policy=fault_profile("corrupt", seed=4)
         ).join(outer, inner)
         # Seed 4 is pinned: its schedule corrupts blocks of partitions
         # that were already decoded, forcing re-decodes (not just
         # first decodes).
         del decode_log[:]
         result = OIPJoin(
-            kernel="sweep", fault_policy=fault_profile("corrupt", seed=4)
+            kernel="sweep", k=3, fault_policy=fault_profile("corrupt", seed=4)
         ).join(outer, inner)
         corruptions = result.resilience.corruptions_detected
         assert corruptions > 0
@@ -320,12 +347,13 @@ class TestFaultInjection:
         self, relations, profile, config
     ):
         outer, inner = relations
-        fault_free = OIPJoin(kernel="naive").join(outer, inner)
+        fault_free = OIPJoin(kernel="naive", k=3).join(outer, inner)
         faulty_naive = OIPJoin(
-            kernel="naive", fault_policy=fault_profile(profile, seed=5)
+            kernel="naive", k=3, fault_policy=fault_profile(profile, seed=5)
         ).join(outer, inner)
         result = OIPJoin(
             kernel="sweep",
+            k=3,
             fault_policy=fault_profile(profile, seed=5),
             **CONFIGS[config],
         ).join(outer, inner)
@@ -354,13 +382,15 @@ class TestConfiguration:
         assert plan.algorithm.kernel == "sweep"
         assert "sweep kernel (pinned)" in plan.reason
 
-    def test_planner_auto_threshold(self):
+    def test_planner_names_the_policy_kernel(self):
         outer, inner = WORKLOADS["uniform"]
         plan = JoinPlanner().plan(outer, inner)
-        # The planner must pin exactly what choose_kernel would pick —
-        # one source of truth for the auto rule.
-        assert plan.algorithm.kernel == choose_kernel(outer, inner)
-        assert "kernel" in plan.reason
+        # The planned join leaves the kernel to its policy — one source
+        # of truth for the auto rule — and the reason names it.
+        kernel = GranulePolicy().kernel(outer, inner)
+        assert plan.algorithm.kernel == "auto"
+        assert f"; {kernel} kernel" in plan.reason
+        assert plan.execute(outer, inner).details["kernel"] == kernel
 
     def test_metrics_and_histogram_published(self):
         registry = MetricsRegistry()

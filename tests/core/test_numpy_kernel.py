@@ -10,7 +10,7 @@ Two acceptance properties:
   decomposition for large ones.
 * **graceful absence** — with numpy unavailable (monkeypatched import
   failure), every resolution layer degrades to the sweep: name-level
-  (``resolve_kernel``/``choose_kernel`` never hand out ``"numpy"``) and
+  (``GranulePolicy.kernel`` never hands out ``"numpy"``) and
   function-level (``kernel_function("numpy")`` returns the sweep
   callable), with the substitution recorded in the join's result details.
 """
@@ -20,24 +20,30 @@ import random
 import pytest
 
 from repro.core import kernels
+from repro.core.granules import NUMPY_FROM_CANDIDATES, GranulePolicy
 from repro.core.interval import Interval
 from repro.core.join import OIPJoin
 from repro.core.kernels import (
     DecodedRun,
-    choose_kernel,
     kernel_function,
     naive_matches,
     numpy_available,
     numpy_matches,
-    resolve_kernel,
     sweep_matches,
 )
 from repro.engine.governor import CancellationToken
+from repro.storage.device import DeviceProfile
 from repro.storage.metrics import CostWeights
 from repro.workloads import long_lived_mixture
 
 from ..conftest import random_relation
-from .test_kernels import CONFIGS, WORKLOADS, brute_force_hits, fingerprint
+from .test_kernels import (
+    CONFIGS,
+    SAME_K,
+    WORKLOADS,
+    brute_force_hits,
+    fingerprint,
+)
 
 requires_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy is not installed"
@@ -120,14 +126,14 @@ class TestNumpyDifferentialIdentity:
     @pytest.fixture(scope="class")
     def references(self):
         return {
-            name: OIPJoin(kernel="naive").join(*rels)
+            name: OIPJoin(kernel="naive", **SAME_K).join(*rels)
             for name, rels in WORKLOADS.items()
         }
 
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_backend_identity(self, references, workload, config):
-        result = OIPJoin(kernel="numpy", **CONFIGS[config]).join(
+        result = OIPJoin(kernel="numpy", **SAME_K, **CONFIGS[config]).join(
             *WORKLOADS[workload]
         )
         assert result.details["kernel"] == "numpy"
@@ -147,10 +153,10 @@ class TestNumpyDifferentialIdentity:
 
     def test_report_counter_sections_identical(self, references):
         outer, inner = WORKLOADS["mixed"]
-        result = OIPJoin(kernel="numpy", collect_report=True).join(
+        result = OIPJoin(kernel="numpy", collect_report=True, **SAME_K).join(
             outer, inner
         )
-        naive = OIPJoin(kernel="naive", collect_report=True).join(
+        naive = OIPJoin(kernel="naive", collect_report=True, **SAME_K).join(
             outer, inner
         )
         assert result.report["counters"] == naive.report["counters"]
@@ -210,25 +216,26 @@ class TestNumpyAbsent:
         with pytest.raises(RuntimeError, match="kernel_function"):
             numpy_matches(run, run)
 
-    def test_resolve_kernel_substitutes_sweep(self, monkeypatch):
+    def test_policy_substitutes_sweep(self, monkeypatch):
         _break_numpy(monkeypatch)
         outer, inner = WORKLOADS["mixed"]
-        assert resolve_kernel("numpy", outer, inner) == "sweep"
+        assert GranulePolicy().kernel(outer, inner, "numpy") == "sweep"
 
-    def test_choose_kernel_skips_numpy_tier(self, monkeypatch):
+    def test_policy_auto_skips_numpy_tier(self, monkeypatch):
         _break_numpy(monkeypatch)
         big = long_lived_mixture(
             1_000, 0.5, Interval(1, 2**20), seed=7, name="big"
         )
-        estimated = kernels.estimate_candidates(big, big)
-        assert estimated >= kernels.AUTO_NUMPY_CANDIDATES
-        assert choose_kernel(big, big) == "sweep"
+        policy = GranulePolicy()
+        model = policy.cost_model(big, big, DeviceProfile.main_memory())
+        assert model.estimated_candidates() >= NUMPY_FROM_CANDIDATES
+        assert policy.kernel(big, big) == "sweep"
 
     def test_join_records_substitution(self, monkeypatch):
         _break_numpy(monkeypatch)
         outer, inner = WORKLOADS["mixed"]
-        reference = OIPJoin(kernel="naive").join(outer, inner)
-        result = OIPJoin(kernel="numpy").join(outer, inner)
+        reference = OIPJoin(kernel="naive", **SAME_K).join(outer, inner)
+        result = OIPJoin(kernel="numpy", **SAME_K).join(outer, inner)
         assert result.details["kernel"] == "sweep"
         assert result.details["kernel_requested"] == "numpy"
         assert fingerprint(result) == fingerprint(reference)
@@ -238,6 +245,6 @@ class TestNumpyAbsent:
         # environment too (this is what the CI numpy-absent leg runs).
         _break_numpy(monkeypatch)
         outer, inner = WORKLOADS["uniform"]
-        reference = OIPJoin(kernel="naive").join(outer, inner)
-        result = OIPJoin(kernel="numpy").join(outer, inner)
+        reference = OIPJoin(kernel="naive", **SAME_K).join(outer, inner)
+        result = OIPJoin(kernel="numpy", **SAME_K).join(outer, inner)
         assert fingerprint(result) == fingerprint(reference)

@@ -146,9 +146,12 @@ class TestLifecycleFlags:
     SIGINT-to-cooperative-cancellation round trip."""
 
     JOIN = ["join", "--workload", "mixture", "--cardinality", "600"]
+    #: The naive kernel keeps Equation 1's partitioning: a join with
+    #: several outer partitions, so several stop points.
+    STOPPABLE = JOIN + ["--kernel", "naive"]
 
     def test_budget_exceeded_exits_75_with_partial_counters(self, capsys):
-        code = main(self.JOIN + ["--max-comparisons", "2000"])
+        code = main(self.STOPPABLE + ["--max-comparisons", "2000"])
         assert code == 75
         out = capsys.readouterr().out
         assert "budget exceeded (comparisons)" in out
@@ -167,6 +170,14 @@ class TestLifecycleFlags:
         with pytest.raises(SystemExit):
             main(self.JOIN + ["--max-comparisons", "-5"])
 
+    def test_pinned_k_reaches_the_join(self, capsys):
+        assert main(self.JOIN + ["--k", "5"]) == 0
+        assert "k_inner: 5" in capsys.readouterr().out
+        with pytest.raises(SystemExit, match="--k must be >= 1"):
+            main(self.JOIN + ["--k", "0"])
+        with pytest.raises(SystemExit, match="oip"):
+            main(self.JOIN + ["--algorithm", "smj", "--k", "5"])
+
     def test_lifecycle_flags_are_oip_only(self):
         with pytest.raises(SystemExit, match="oip"):
             main(self.JOIN + ["--algorithm", "smj", "--deadline-ms", "100"])
@@ -176,7 +187,7 @@ class TestLifecycleFlags:
     def test_budget_abort_checkpoint_then_resume(self, tmp_path, capsys):
         path = str(tmp_path / "ck.json")
         code = main(
-            self.JOIN
+            self.STOPPABLE
             + [
                 "--max-comparisons",
                 "2000",
@@ -190,9 +201,9 @@ class TestLifecycleFlags:
         assert f"checkpoint written to: {path}" in capsys.readouterr().out
         # Resuming without the budget finishes the join and reports the
         # same totals an uninterrupted run would.
-        assert main(self.JOIN) == 0
+        assert main(self.STOPPABLE) == 0
         full = capsys.readouterr().out
-        assert main(self.JOIN + ["--resume-from", path]) == 0
+        assert main(self.STOPPABLE + ["--resume-from", path]) == 0
         resumed = capsys.readouterr().out
         assert "resumed_from_partition" in resumed
         # Identical pair count and counter totals vs the full run.
@@ -272,14 +283,18 @@ class TestObservabilityFlags:
     def test_compare_reports_mode(self, tmp_path, capsys):
         base = str(tmp_path / "base.json")
         other = str(tmp_path / "other.json")
-        assert main(self.JOIN + ["--report", base]) == 0
-        assert main(self.JOIN + ["--kernel", "naive", "--report", other]) == 0
+        assert main(self.JOIN + ["--k", "8", "--report", base]) == 0
+        assert (
+            main(self.JOIN + ["--k", "8", "--kernel", "naive", "--report", other])
+            == 0
+        )
         capsys.readouterr()
         assert main(["compare", base, other]) == 0
         out = capsys.readouterr().out
         assert "compare: oip (base) vs oip (other)" in out
         assert "phase times:" in out
-        # Runs on different kernels count identically.
+        # Runs on different kernels at one k count identically (each
+        # kernel derives its own k, so k is pinned).
         assert "counters deltas:\n  (identical)" in out
 
     def test_compare_reports_json(self, tmp_path, capsys):
@@ -313,7 +328,10 @@ class TestLifecycleSlow:
     @pytest.mark.slow
     def test_sigint_round_trip(self, tmp_path):
         """A real SIGINT mid-join lands a checkpoint and exit 130; a
-        follow-up --resume-from completes with exit 0."""
+        follow-up --resume-from completes with exit 0.  ``--k 12`` (what
+        Equation 1 derives here) gives the join many outer partitions,
+        so many stop points and checkpoint writes; the default joins
+        this workload at k=1, one stop point."""
         import os
         import signal
         import subprocess
@@ -332,6 +350,8 @@ class TestLifecycleSlow:
             "4000",
             "--algorithm",
             "oip",
+            "--k",
+            "12",
             "--checkpoint",
             path,
             "--checkpoint-every",

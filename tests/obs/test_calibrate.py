@@ -10,6 +10,7 @@ from repro.obs.calibrate import (
     CalibrationError,
     Observation,
     calibrate_reports,
+    excess_over_fastest,
     fit_observations,
     load_calibration,
     main as calibrate_main,
@@ -103,6 +104,58 @@ class TestFit:
             100.0 * cpu_ms + 2.0 * io_ms + 3.0 * access_ms
         )
 
+    def test_exact_recovery_with_visits(self):
+        io_ms, access_ms, visit_ms = 0.5, 3.0, 0.01
+        rows = [
+            (10.0, 4.0, 1200.0),
+            (80.0, 1.0, 300.0),
+            (300.0, 90.0, 9000.0),
+            (900.0, 30.0, 100.0),
+            (20.0, 250.0, 4000.0),
+        ]
+        cal = fit_observations(
+            [
+                Observation(
+                    cpu=0.0,
+                    io=i,
+                    accesses=a,
+                    visits=v,
+                    elapsed_ms=i * io_ms + a * access_ms + v * visit_ms,
+                )
+                for i, a, v in rows
+            ]
+        )
+        assert cal.cpu_ms == 0.0
+        assert (cal.io_ms, cal.access_ms, cal.visit_ms) == pytest.approx(
+            (io_ms, access_ms, visit_ms)
+        )
+        assert cal.to_weights().visit == pytest.approx(visit_ms)
+        assert cal.predict_ms(0.0, 1.0, 1.0, 100.0) == pytest.approx(
+            io_ms + access_ms + 100.0 * visit_ms
+        )
+
+    def test_excess_over_fastest_cancels_a_fixed_cost(self):
+        # Five configurations of one join that each pay 7 ms beyond
+        # their priced work: absolute times cannot be fitted through
+        # the origin exactly, their excesses can.
+        io_ms, access_ms = 0.5, 3.0
+        rows = [(10.0, 1.0), (30.0, 4.0), (90.0, 20.0), (40.0, 2.0), (200.0, 60.0)]
+        observations = [
+            Observation(
+                cpu=0.0,
+                io=i,
+                accesses=a,
+                elapsed_ms=7.0 + i * io_ms + a * access_ms,
+            )
+            for i, a in rows
+        ]
+        excess = excess_over_fastest(observations)
+        assert excess[0] == Observation(cpu=0.0, io=0.0, elapsed_ms=0.0)
+        assert min(o.elapsed_ms for o in excess) == 0.0
+        cal = fit_observations(excess)
+        assert (cal.io_ms, cal.access_ms) == pytest.approx((io_ms, access_ms))
+        assert fit_observations(observations).r_squared < cal.r_squared
+
     def test_accesses_collinear_with_io_fall_back(self):
         # Every access reads exactly one block: accesses carry no
         # signal apart from io, so one of the two is dropped.
@@ -167,6 +220,14 @@ class TestReports:
         )
         report["counters"]["partition_accesses"] = 4
         assert observation_from_report(report).accesses == 4.0
+        # A fast kernel's report counts the visits it executed and no
+        # comparison; a naive one counts both.
+        report["config"] = {"details": {"kernel": "sweep", "inner_visits": 9}}
+        fast = observation_from_report(report)
+        assert (fast.cpu, fast.visits) == (0.0, 9.0)
+        report["config"]["details"]["kernel"] = "naive"
+        naive = observation_from_report(report)
+        assert (naive.cpu, naive.visits) == (100.0, 9.0)
 
     def test_malformed_reports_raise(self):
         with pytest.raises(CalibrationError, match="no counters"):
@@ -202,7 +263,7 @@ class TestPersistence:
                 handle,
             )
         loaded = load_calibration(path)
-        assert loaded.access_ms == 0.0
+        assert loaded.access_ms == loaded.visit_ms == 0.0
         assert loaded.to_weights() == CostWeights(cpu=0.01, io=0.2)
 
     def test_wrong_kind_rejected(self, tmp_path):
@@ -217,7 +278,8 @@ class TestCli:
     def _write_report(self, path, cardinality, seed, cpu_ms, io_ms):
         """Run a real join, then plant a noise-free elapsed_ms so the
         fit must recover (cpu_ms, io_ms) exactly from schema-valid
-        report files."""
+        report files.  The naive kernel executes every comparison it
+        charges, so its reports count them."""
         from repro.core.interval import Interval
         from repro.core.join import OIPJoin
         from repro.obs.report import write_report
@@ -229,7 +291,9 @@ class TestCli:
         inner = long_lived_mixture(
             cardinality, 0.3, Interval(1, 5_000), seed=seed + 1, name="inner"
         )
-        result = OIPJoin(collect_report=True).join(outer, inner)
+        result = OIPJoin(kernel="naive", collect_report=True).join(
+            outer, inner
+        )
         report = dict(result.report)
         counters = report["counters"]
         io = counters["block_reads"] + counters["block_writes"]

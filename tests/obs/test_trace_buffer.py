@@ -31,6 +31,39 @@ class TestTraceIds:
             assert len(trace_id) == 16
             int(trace_id, 16)  # hex or raise
 
+    def test_minting_makes_no_system_call(self, monkeypatch):
+        """A system call per id releases and retakes the interpreter
+        lock on every request, which starved the other threads of a
+        serving process for seconds; ids come from an in-process
+        generator."""
+        import os
+
+        def no_syscall(size):
+            raise AssertionError("new_trace_id called os.urandom")
+
+        monkeypatch.setattr(os, "urandom", no_syscall)
+        assert len({new_trace_id() for _ in range(100)}) == 100
+
+    @pytest.mark.skipif(
+        not hasattr(__import__("os"), "fork"), reason="needs os.fork"
+    )
+    def test_forked_children_mint_their_own_ids(self):
+        """Pre-forked workers must not repeat each other's ids."""
+        import os
+
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child writes its first id and exits
+            os.close(read)
+            os.write(write, new_trace_id().encode())
+            os._exit(0)
+        os.close(write)
+        child = os.read(read, 64).decode()
+        os.close(read)
+        os.waitpid(pid, 0)
+        assert len(child) == 16
+        assert child != new_trace_id()
+
     def test_tracer_stamps_root_with_trace_id(self):
         tracer = Tracer(trace_id="cafe")
         with tracer.span("service.query"):

@@ -1,31 +1,39 @@
 """Property tests of the granule policy under both weight sets.
 
-A join derives ``k`` from the paper's weights (``CostWeights
-.main_memory()``, Equation 1 as printed) or from the engine's
-(``CostWeights.engine()``, the default, which prices a partition
-access).  Over drawn edge-case relations — empty sides, point
-intervals, a one-chronon domain, tuples on the domain bounds — and
-both weight sets:
+The policy decides a join's kernel first, then derives ``k`` from that
+kernel's cost: Equation 1 under the paper's weights
+(``CostWeights.main_memory()``) for every kernel, and under the
+engine's (``CostWeights.engine()``, the default) for the naive kernel;
+accesses, block IOs and inner-tuple visits for the ``sweep`` and
+``numpy`` kernels under the engine's.  Over drawn edge-case relations —
+empty sides, point intervals, a one-chronon domain, tuples on the
+domain bounds — both weight sets and every requested kernel:
 
+* the join runs the kernel the policy decides;
 * the derived ``k`` is at least 1, and each side's count is the derived
   ``k`` capped to that side's time range;
 * the self-adjusting join equals the join pinned at its derived ``k``
   in pairs (in order), cost counters and resilience counters;
-* the result records which weights chose ``k`` and Equation 1's
-  predicted cost there.
+* the result records which weights chose ``k`` and the predicted cost
+  there of the model that chose it;
+* the fast kernels' derived ``k`` is no costlier, in their model, than
+  any other ``k`` of the searched range (up to 64 here).
 
-Two snapshot tests pin what a change of the default means for a
-snapshot saved under the paper's weights: the service serves it under
-the policy it records, and a default join degrades it with
-``config_mismatch`` to a rebuild equal to a plain default join.
+Snapshot tests pin what the default means for a snapshot: one saved
+under the paper's weights is served under the policy it records, and a
+default join degrades it with ``config_mismatch`` to a rebuild equal to
+a plain default join; a default snapshot, whose ``k`` was priced for
+the fast kernels, degrades the same way for a naive join.
 """
 
 import os
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.core.granules import GranulePolicy
+from repro.core.kernels import KERNELS
 from repro.core.interval import Interval
 from repro.core.join import OIPJoin
 from repro.service.service import JoinService, summarize_result
@@ -40,6 +48,7 @@ SMALL = settings(max_examples=40, deadline=None)
 
 #: ``None`` is the default: the engine's weights.
 WEIGHTS = st.sampled_from([None, CostWeights.main_memory(), CostWeights.engine()])
+REQUESTED = st.sampled_from(("auto",) + KERNELS)
 
 
 def _record(result):
@@ -51,15 +60,31 @@ def _record(result):
 
 
 @SMALL
-@given(relations=relation_pairs(), weights=WEIGHTS)
-def test_derived_k_is_capped_and_equals_its_pinned_join(relations, weights):
+@given(relations=relation_pairs(), weights=WEIGHTS, requested=REQUESTED)
+def test_derived_k_is_capped_and_equals_its_pinned_join(
+    relations, weights, requested
+):
     outer, inner = relations
     device = DeviceProfile.main_memory()
     policy = GranulePolicy(weights=weights).resolved()
-    derivation = policy.derive(outer, inner, device)
+    kernel = policy.kernel(outer, inner, requested)
+    derivation = policy.derive(outer, inner, device, kernel)
     assert derivation.k >= 1
-    auto = OIPJoin(weights=weights).join(outer, inner)
-    pinned = OIPJoin(weights=weights, k=derivation.k).join(outer, inner)
+    model = derivation.model
+    assert model.kernel == kernel
+    assert model.prices_candidates == (
+        kernel == "naive" or weights == CostWeights.main_memory()
+    )
+    if not (outer.is_empty or inner.is_empty or model.prices_candidates):
+        # The fast kernels' k minimises their cost over the searched
+        # range, 1 .. max(n_r, n_s).
+        searched = range(1, min(64, max(len(outer), len(inner))) + 1)
+        assert model.cost(derivation.k) <= min(map(model.cost, searched))
+    auto = OIPJoin(weights=weights, kernel=requested).join(outer, inner)
+    assert auto.details.get("kernel", kernel) == kernel
+    pinned = OIPJoin(weights=weights, kernel=requested, k=derivation.k).join(
+        outer, inner
+    )
     assert _record(auto) == _record(pinned)
     if outer.is_empty or inner.is_empty:
         return
@@ -71,9 +96,7 @@ def test_derived_k_is_capped_and_equals_its_pinned_join(relations, weights):
     assert details["k_weights"] == (
         "paper" if weights == CostWeights.main_memory() else "engine"
     )
-    assert details["k_predicted_cost"] == (
-        derivation.model.overhead_cost(k_inner)
-    )
+    assert details["k_predicted_cost"] == model.cost(k_inner)
     assert "k_weights" not in pinned.details
 
 
@@ -125,3 +148,51 @@ def test_default_join_degrades_a_paper_snapshot_to_a_rebuild(tmp_path):
     }
     assert _record(result) == _record(engine)
     assert result.details["k"] == engine.details["k"]
+
+
+def test_default_snapshot_degrades_for_a_naive_join(tmp_path):
+    """A default snapshot records that its k was priced for the fast
+    kernels (``k_model``); a naive join, whose k Equation 1 prices,
+    rebuilds instead of restoring a partitioning it would not make."""
+    outer, inner = _figure8_pair()
+    path = os.path.join(str(tmp_path), "engine.oip")
+    save_index(path, outer, inner)
+    naive = OIPJoin(kernel="naive").join(outer, inner)
+    fast = OIPJoin(kernel="sweep").join(outer, inner)
+    assert naive.details["k"] != fast.details["k"]
+    restored = OIPJoin(index_path=path, kernel="sweep").join(outer, inner)
+    assert restored.details["index"]["loaded"] is True
+    assert _record(restored) == _record(fast)
+    rebuilt = OIPJoin(index_path=path, kernel="naive").join(outer, inner)
+    assert rebuilt.details["index"] == {
+        "path": path,
+        "loaded": False,
+        "reason": "config_mismatch",
+    }
+    assert _record(rebuilt) == _record(naive)
+
+
+def test_visit_model_prices_what_grows_with_k():
+    """Under the engine's weights the fast kernels' cost has no term
+    that falls as k grows on two equal relations, so it derives k=1;
+    against a tiny outer relation, granules keep that relation's one
+    partition away from most inner tuples, so k grows."""
+    policy = GranulePolicy().resolved()
+    device = DeviceProfile.main_memory()
+    outer, inner = _figure8_pair()
+    for kernel in ("sweep", "numpy"):
+        assert policy.derive(outer, inner, device, kernel).k == 1
+    model = policy.cost_model(outer, inner, device, "sweep")
+    accesses, ios, visits = model.visit_work(1)
+    assert (accesses, visits) == (1, inner.cardinality)
+    # Both sides written once and read once, each run ending in half a
+    # block.
+    assert ios == pytest.approx(
+        2 * (outer.cardinality + inner.cardinality) / 14 + 2
+    )
+    domain = Interval(1, 20_000)
+    tiny = long_lived_mixture(2, 0.0, time_range=domain, seed=13, name="tiny")
+    large = long_lived_mixture(
+        20_000, 0.0, time_range=domain, seed=14, name="large"
+    )
+    assert policy.derive(tiny, large, device, "sweep").k > 1

@@ -7,13 +7,15 @@ contract end to end:
 
 * the result pairs are exactly the nested-loop oracle's (as a multiset);
 * pairs (in order), cost counters and resilience counters equal the
-  plain join at the same granule count — also after a cancel at a
-  random boundary and a resume from the checkpoint written there;
+  plain join on the same kernel (the granule policy prices ``k`` for
+  the kernel) — also after a cancel at a random boundary and a resume
+  from the checkpoint written there;
 * one ``BatchJoin`` run over a window covering both domains plus
   several drawn partial windows returns, per window, the oracle's pairs
   that meet the window (the service's ``_window_matches`` filter), and
-  a second batch on the naive kernel agrees with it per query on pairs
-  in order, cost and resilience counters, and the build counters;
+  a second batch on the naive kernel at the same ``k`` agrees with it
+  per query on pairs in order, cost and resilience counters, and the
+  build counters;
 * a join through a snapshot saved with ``save_index`` under the same
   device and granules loads it and equals the plain join;
 * an in-process ``JoinService`` on that snapshot, its result cache on
@@ -26,9 +28,12 @@ contract end to end:
 * ``summarize_result`` straight from the hit chunks of the drawn join,
   of every batch query and of the served join equals
   ``summarize_result`` of the same pairs as a plain list, for ``join``
-  and for ``lookup`` on the drawn windows, windows outside the domain
-  and point windows, with ``include_pairs`` at ``max_pairs`` 0, 1 and
-  past the count.
+  and for ``lookup`` on the drawn windows, the whole domain, windows
+  outside the domain, one-chronon windows and a window inside the
+  domain that meets no tuple, with ``include_pairs`` at ``max_pairs``
+  0, 1 and past the count.  The drawn join may be one chunk (``k=1``,
+  and the default policy on most pairs) or hold a resumed run's
+  prefix chunk, whose hits are in emission order, not ascending.
 
 A drawn seeded fault profile (``FAULT_PROFILES``) and a drawn small
 buffer pool (fresh per run) apply to every run of an example; a run with
@@ -55,6 +60,7 @@ from hypothesis import event, example, given, settings
 from repro.baselines.nested_loop import NestedLoopJoin
 from repro.core.base import JoinResult
 from repro.core.interval import Interval
+from repro.core.granules import GranulePolicy
 from repro.core.join import (
     OIPJoin,
     PairChunks,
@@ -252,9 +258,9 @@ def check_probe_core(pair, config):
     oracle = NestedLoopJoin().join(outer, inner)
     result = _outcome(lambda: _run(outer, inner, config))
     plain = _outcome(
-        lambda: OIPJoin(**config["granules"], **_storage(config)).join(
-            outer, inner
-        )
+        lambda: OIPJoin(
+            **config["granules"], kernel=config["kernel"], **_storage(config)
+        ).join(outer, inner)
     )
     if isinstance(plain, type):
         assert result is plain
@@ -275,6 +281,10 @@ def check_probe_core(pair, config):
         ts, te = sorted(lo + (hi - lo) * m // 1000 for m in (a, b))
         windows.append(Interval(ts, te))
     if not isinstance(result, type):
+        if result.pairs.unordered:
+            event("summarized a resumed prefix chunk")
+        if len(result.pairs.chunks) == 1:
+            event("summarized one chunk")
         check_summaries(result, windows)
     if outer.cardinality and inner.cardinality:
         if config["index"]:
@@ -283,16 +293,17 @@ def check_probe_core(pair, config):
             check_journal(outer, inner, config)
 
     granules = config["granules"]
+    storage = _storage(config, with_pool=False)
     batch, naive = [
         _outcome(
             lambda: BatchJoin(
-                kernel=kernel,
-                k=granules.get("k"),
-                weights=granules.get("weights"),
-                **_storage(config, with_pool=False),
+                kernel=kernel, k=k, weights=granules.get("weights"), **storage
             ).run(outer, inner, windows)
         )
-        for kernel in (config["kernel"], "naive")
+        for kernel, k in (
+            (config["kernel"], granules.get("k")),
+            ("naive", _batch_k(outer, inner, config, storage["device"])),
+        )
     ]
     if isinstance(batch, type):
         assert naive is batch
@@ -309,12 +320,37 @@ def check_probe_core(pair, config):
         check_summaries(query, [window])
 
 
+def _batch_k(outer, inner, config, device):
+    """The one ``k`` that partitions both sides as the drawn batch does:
+    its pinned ``k``, or the ``k`` its policy derives for its kernel
+    (each side's count is capped to its range, so the larger count,
+    pinned, caps to the same two)."""
+    granules = config["granules"]
+    if granules.get("k") is not None or outer.is_empty or inner.is_empty:
+        return granules.get("k")
+    policy = GranulePolicy(weights=granules.get("weights")).resolved()
+    kernel = policy.kernel(outer, inner, config["kernel"])
+    derivation = policy.derive(outer, inner, device, kernel)
+    return max(policy.counts(outer, inner, derivation))
+
+
+def _gap(result, lo, hi):
+    """A chronon inside ``[lo, hi]`` that no tuple of *result*'s pairs
+    covers, or ``None``."""
+    covered = set()
+    for outer, inner in result.pairs:
+        for tup in (outer, inner):
+            covered.update(range(max(tup.start, lo), min(tup.end, hi) + 1))
+    return next((t for t in range(lo, hi + 1) if t not in covered), None)
+
+
 def check_summaries(result, windows):
     """The chunked summary of *result* equals the pair-by-pair summary of
     its pairs as a plain list: for ``join``, and for ``lookup`` on each
-    of *windows*, on windows wholly outside the domain and on point
-    windows, with and without ``include_pairs`` at several
-    ``max_pairs``."""
+    of *windows*, on the whole domain, on windows wholly outside the
+    domain, on one-chronon windows and on a window inside the domain
+    that meets no paired tuple, with and without ``include_pairs`` at
+    several ``max_pairs``."""
     listed = JoinResult(
         algorithm=result.algorithm,
         pairs=list(result.pairs),
@@ -326,12 +362,16 @@ def check_summaries(result, windows):
     lo = min((w.start for w in windows), default=0)
     hi = max((w.end for w in windows), default=0)
     lookups = [(w.start, w.end) for w in windows] + [
+        (lo, hi),  # the whole domain
         (hi + 1, hi + 50),  # after the domain
         (lo - 50, lo - 1),  # before it
         (lo, lo),  # point windows
         (hi, hi),
         ((lo + hi) // 2, (lo + hi) // 2),
     ]
+    gap = _gap(result, lo, hi)
+    if gap is not None:
+        lookups.append((gap, gap))  # inside the domain, meets no tuple
     count = len(result.pairs)
     for op, window in [("join", None)] + [("lookup", w) for w in lookups]:
         for extra in (
@@ -375,7 +415,10 @@ def check_index(outer, inner, config, plain, windows, oracle):
         )
         loaded = _outcome(
             lambda: OIPJoin(
-                index_path=path, **config["granules"], **storage
+                index_path=path,
+                kernel=config["kernel"],
+                **config["granules"],
+                **storage,
             ).join(outer, inner)
         )
         check_service(path, config, windows, oracle)
@@ -383,7 +426,22 @@ def check_index(outer, inner, config, plain, windows, oracle):
     if isinstance(plain, type):
         assert loaded is plain
         return
-    assert loaded.details["index"]["loaded"] is True
+    # The snapshot's k was priced for the auto kernel.  Under weights
+    # that price per-partition work a derived k depends on whether the
+    # kernel is naive, so a naive join rebuilds.
+    granules = config["granules"]
+    weights = granules.get("weights", CostWeights.engine())
+    repriced = (
+        config["kernel"] == "naive"
+        and "k" not in granules
+        and "k_outer" not in granules
+        and weights.prices_partitions
+    )
+    if repriced:
+        event("a naive join rebuilt a snapshot priced for the fast kernels")
+        assert loaded.details["index"]["reason"] == "config_mismatch"
+    else:
+        assert loaded.details["index"]["loaded"] is True
     assert _keys(loaded.pairs) == _keys(plain.pairs)
     assert loaded.counters.snapshot() == plain.counters.snapshot()
     assert loaded.resilience.snapshot() == plain.resilience.snapshot()
@@ -522,6 +580,37 @@ REDECODED = (
         "journal": None,
     },
 )
+@example(
+    # The default policy on the naive kernel keeps Equation 1's
+    # partitioning, so the cancel lands mid-join and the resumed run
+    # holds a prefix chunk in emission order.
+    pair=REDECODED,
+    config={
+        "granules": {},
+        "kernel": "naive",
+        "windows": [(0, 300), (500, 520)],
+        "cancel_after": 2,
+        "faults": None,
+        "block_tuples": 14,
+        "index": True,
+        "result_cache_size": 4,
+        "journal": None,
+    },
+)
+@example(
+    pair=REDECODED,
+    config={
+        "granules": {"k": 1},
+        "kernel": "auto",
+        "windows": [(-100, 1100), (450, 450)],
+        "cancel_after": 0,
+        "faults": None,
+        "block_tuples": 14,
+        "index": True,
+        "result_cache_size": 0,
+        "journal": None,
+    },
+)
 @SMALL
 def test_probe_core_matches_oracle_and_sequential(pair, config):
     check_probe_core(pair, config)
@@ -532,6 +621,33 @@ def test_probe_core_matches_oracle_and_sequential(pair, config):
 @DEEP
 def test_probe_core_matches_oracle_and_sequential_deep(pair, config):
     check_probe_core(pair, config)
+
+
+def test_resumed_prefix_chunk_is_unordered_and_summarizes():
+    """A resumed run's prefix chunk lists its pairs in emission order,
+    which is not the ascending encoding a kernel chunk has; the summary
+    is told so and still equals the listed pairs' summary."""
+    outer, inner = REDECODED
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "prefix.ckpt")
+        partial = OIPJoin(
+            k=3,
+            cancellation=CancellationToken(3),
+            checkpoint_path=path,
+            checkpoint_every=1,
+        ).join(outer, inner)
+        assert not partial.completed
+        resumed = OIPJoin(k=3, resume_from=path).join(outer, inner)
+    assert resumed.pairs.unordered == {0}
+    prefix_hits = resumed.pairs.chunks[0][3]
+    assert prefix_hits != sorted(prefix_hits)
+    plain = OIPJoin(k=3).join(outer, inner)
+    assert _keys(resumed.pairs) == _keys(plain.pairs)
+    lo = min(t.start for t in (*outer, *inner))
+    hi = max(t.end for t in (*outer, *inner))
+    check_summaries(
+        resumed, [Interval(lo, hi), Interval(lo + 5, lo + 20), Interval(hi, hi)]
+    )
 
 
 # ----------------------------------------------------------------------

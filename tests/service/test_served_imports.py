@@ -2,7 +2,7 @@
 
 Importing numpy adds ~14 MB to a process that otherwise never loads it
 (the reason ``auto`` picks the numpy kernel only above
-``AUTO_NUMPY_CANDIDATES``).  A served lookup or join over relations the
+``NUMPY_FROM_CANDIDATES``).  A served lookup or join over relations the
 sweep kernel joins — restore, probe, summary, wire — must stay clear of
 it, or ``peak_rss_mb`` of a lookup service grows by that much.  The
 check runs in a fresh interpreter, so no other test's import counts.
@@ -19,7 +19,7 @@ SCRIPT = textwrap.dedent(
     """
     import os, sys, tempfile
 
-    from repro.core.kernels import resolve_kernel
+    from repro.core.granules import GranulePolicy
     from repro.service import JoinService
     from repro.service.client import ServiceClient
     from repro.service.server import ServiceServer
@@ -30,7 +30,7 @@ SCRIPT = textwrap.dedent(
         uniform_relation(1500, seed=seed, name=name)
         for seed, name in ((5, "outer"), (6, "inner"))
     )
-    assert resolve_kernel("auto", outer, inner) == "sweep"
+    assert GranulePolicy().kernel(outer, inner) == "sweep"
     with tempfile.TemporaryDirectory() as scratch:
         path = os.path.join(scratch, "served.oip")
         save_index(path, outer, inner)

@@ -285,6 +285,35 @@ class TestQueryLogIntegration:
         assert completed["elapsed_ms"] > 0.0
         assert completed["trace_id"]
 
+    def test_completed_lines_record_the_policy_decision(self, snapshot):
+        """``query.completed`` carries the ``k`` and ``kernel`` of the
+        join that made the answer — also when the result cache answers,
+        with the values of the join that filled it."""
+        stream = io.StringIO()
+        service = JoinService(
+            snapshot, query_log=QueryLog(stream), result_cache_size=4
+        )
+        service.start()
+        try:
+            first = service.query("lookup", window=[1, 3_000])
+            again = service.query("lookup", window=[1, 3_000])
+            naive = service.query("join", kernel="naive")
+        finally:
+            service.drain(timeout_s=5.0)
+        assert again["cached"] is True
+        completed = [
+            record
+            for record in read_log_lines(io.StringIO(stream.getvalue()))
+            if record["event"] == "query.completed"
+        ]
+        assert len(completed) == 3
+        expected = offline_query(snapshot, op="lookup", window=[1, 3_000])
+        for record, body in zip(completed, (first, again, naive)):
+            assert (record["k"], record["kernel"]) == (body["k"], body["kernel"])
+        assert (first["k"], first["kernel"]) == (expected["k"], expected["kernel"])
+        assert (again["k"], again["kernel"]) == (first["k"], first["kernel"])
+        assert naive["kernel"] == "naive"
+
     def test_log_alone_mints_trace_ids(self, snapshot):
         """A service with a query log but no tracing still correlates
         records by minted trace ids."""
