@@ -133,13 +133,13 @@ DEVICE = DeviceProfile.main_memory()
 
 
 class TestKernelSelection:
-    def test_policy_validates(self):
+    def test_resolve_validates(self):
         rng = random.Random(0)
         rel = random_relation(rng, 5)
         with pytest.raises(ValueError, match="unknown join kernel"):
             GranulePolicy().kernel(rel, rel, "bogus")
 
-    def test_policy_picks_kernel_by_candidate_estimate(self):
+    def test_auto_picks_by_candidate_estimate(self):
         rng = random.Random(1)
         small = random_relation(rng, 8, range_size=100)
         policy = GranulePolicy()
@@ -382,7 +382,7 @@ class TestConfiguration:
         assert plan.algorithm.kernel == "sweep"
         assert "sweep kernel (pinned)" in plan.reason
 
-    def test_planner_names_the_policy_kernel(self):
+    def test_planner_auto_threshold(self):
         outer, inner = WORKLOADS["uniform"]
         plan = JoinPlanner().plan(outer, inner)
         # The planned join leaves the kernel to its policy — one source

@@ -216,12 +216,12 @@ class TestNumpyAbsent:
         with pytest.raises(RuntimeError, match="kernel_function"):
             numpy_matches(run, run)
 
-    def test_policy_substitutes_sweep(self, monkeypatch):
+    def test_resolve_kernel_substitutes_sweep(self, monkeypatch):
         _break_numpy(monkeypatch)
         outer, inner = WORKLOADS["mixed"]
         assert GranulePolicy().kernel(outer, inner, "numpy") == "sweep"
 
-    def test_policy_auto_skips_numpy_tier(self, monkeypatch):
+    def test_choose_kernel_skips_numpy_tier(self, monkeypatch):
         _break_numpy(monkeypatch)
         big = long_lived_mixture(
             1_000, 0.5, Interval(1, 2**20), seed=7, name="big"
