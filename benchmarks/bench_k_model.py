@@ -4,11 +4,11 @@ prediction, and the engine weights fitted to it.
 The paper's self-adjusting ``k`` (Section 6.2) minimises Equation 1,
 ``cost(k) = x * APA + y * AFR``, which prices every candidate pair.
 That is what the naive kernel executes; the ``sweep`` and ``numpy``
-kernels never touch a false hit, and the granule policy derives their
-``k`` from partition accesses, block IOs and inner-tuple visits
-instead (``JoinCostModel.visit_cost``).  This script measures where the
-runtime minimum really lies on this engine and fits the weights of both
-costs:
+kernels never touch a false hit, so more granules only add partition
+accesses, block IOs and inner-tuple visits, and under weights that
+price that work (the engine's) the granule policy runs them at
+``k = 1``.  This script measures where the runtime minimum really lies
+on this engine and fits the weights of both kinds of work:
 
 * **sweep** — for each of perfbench's three relation sets (generated
   here exactly as ``perfbench/scenarios.py`` does for seed 1) and each
@@ -16,8 +16,9 @@ costs:
   kernel over the coarser :data:`NAIVE_K_GRID`, where a join takes
   milliseconds, not seconds): min over interleaved rounds of the mean
   over the set's relation pairs.  Each point records its counters, its
-  inner-tuple visits and the model's predicted cost under the paper's
-  and the fitted weights.
+  inner-tuple visits and Equation 1's predicted cost under the paper's
+  and the fitted weights wherever Equation 1 chooses that kernel's
+  ``k`` (else ``null``).
 * **fit** — each point becomes one run report (its ``elapsed_ms`` the
   timed minimum), and :func:`repro.obs.calibrate.fit_observations` —
   the fit ``python -m repro calibrate`` runs — fits ``c_cpu``,
@@ -28,6 +29,10 @@ costs:
 * **check** — per relation set and kernel: the ``k`` each weight set
   derives for that kernel, the measured optimum, and the runtime at the
   derived ``k``.
+* **unequal** — uniform pairs of unequal sizes (:data:`UNEQUAL_SETS`),
+  where granules could keep a small side's partitions away from most
+  of a large side: the fast kernels over :data:`UNEQUAL_K_GRID`, with
+  the ``k`` the engine's weights derive (not part of the fit).
 
 The checked-in :meth:`CostWeights.engine
 <repro.storage.metrics.CostWeights.engine>` constants are the
@@ -91,6 +96,17 @@ FIGURE8_DOMAIN = Interval(1, 20_000)
 #: ``adhoc-longlived`` joins 16 pairs in rotation; the first few suffice
 #: for a runtime-against-k curve.
 ADHOC_PAIRS = 4
+#: ``(n_outer, n_inner, max duration fraction)`` of the unequal-size
+#: uniform pairs the fast kernels are checked on.
+UNEQUAL_SETS = (
+    (200, 20_000, 0.001),
+    (20_000, 200, 0.001),
+    (500, 30_000, 0.0001),
+    (1_000, 30_000, 0.01),
+)
+SMOKE_UNEQUAL_SETS = UNEQUAL_SETS[:1]
+UNEQUAL_K_GRID = (1, 2, 4, 8, 16, 32, 64)
+SMOKE_UNEQUAL_K_GRID = (1, 16)
 
 Pair = Tuple[Any, Any]
 
@@ -129,6 +145,27 @@ def relation_sets(seed: int = 1) -> Dict[str, List[Pair]]:
     }
 
 
+def unequal_sets(
+    shapes: Sequence[Tuple[int, int, float]], seed: int = 1
+) -> Dict[str, List[Pair]]:
+    """One uniform pair per ``(n_outer, n_inner, lambda)`` of *shapes*."""
+    rng = random.Random(f"unequal:{seed}")
+    return {
+        f"uniform {n_outer}x{n_inner} lambda={fraction}": [
+            tuple(
+                uniform_relation(
+                    n,
+                    max_duration_fraction=fraction,
+                    seed=rng.getrandbits(32),
+                    name=name,
+                )
+                for n, name in ((n_outer, "outer"), (n_inner, "inner"))
+            )
+        ]
+        for n_outer, n_inner, fraction in shapes
+    }
+
+
 DEVICE = DeviceProfile.main_memory()
 
 
@@ -143,14 +180,27 @@ def derived_k(pairs: Sequence[Pair], weights: CostWeights, kernel: str) -> int:
 
 def predicted_cost(
     pairs: Sequence[Pair], weights: CostWeights, k: int, kernel: str
-) -> float:
-    """The cost a join on *kernel* derives ``k`` from, at *k*, mean over
-    the pairs."""
+) -> Optional[float]:
+    """Equation 1's cost at *k*, mean over the pairs, when it is what a
+    join on *kernel* derives ``k`` from under *weights*; else ``None``
+    (a fast kernel under weights that price per-partition work runs at
+    ``k = 1``)."""
     policy = GranulePolicy(weights=weights)
-    return sum(
-        policy.cost_model(outer, inner, DEVICE, kernel).cost(k)
-        for outer, inner in pairs
-    ) / len(pairs)
+    models = [
+        policy.cost_model(outer, inner, DEVICE, kernel) for outer, inner in pairs
+    ]
+    if not models[0].prices_candidates:
+        return None
+    return sum(model.overhead_cost(k) for model in models) / len(models)
+
+
+def grid_minimiser(rows: Dict[int, Dict[str, Any]], label: str) -> Optional[int]:
+    """The grid ``k`` at which *label*'s predicted cost is least, or
+    ``None`` when that cost does not choose ``k``."""
+    priced = [k for k, row in rows.items() if row["predicted_cost"][label] is not None]
+    if not priced:
+        return None
+    return min(priced, key=lambda k: rows[k]["predicted_cost"][label])
 
 
 def configurations(
@@ -274,12 +324,41 @@ def environment() -> Dict[str, Any]:
     }
 
 
+def check_unequal(
+    shapes: Sequence[Tuple[int, int, float]],
+    grid: Sequence[int],
+    kernels: Sequence[str],
+    rounds: int,
+) -> Dict[str, Any]:
+    """Per unequal-size pair and fast kernel: runtime over *grid*, the
+    measured optimum and the ``k`` the engine's weights derive."""
+    checked: Dict[str, Any] = {}
+    for name, pairs in unequal_sets(shapes).items():
+        timed = sweep(pairs, {kernel: [(k, k) for k in grid] for kernel in kernels}, rounds)
+        entry: Dict[str, Any] = {}
+        for kernel in kernels:
+            ms = {k: min(timed[(kernel, k, k)]["times"]) for k in grid}
+            best_k = min(grid, key=lambda k: ms[k])
+            times = sorted(timed[(kernel, best_k, best_k)]["times"])
+            entry[kernel] = {
+                "derived_k": derived_k(pairs, CostWeights.engine(), kernel),
+                "measured_optimum_k": best_k,
+                "measured_optimum_ms": round(ms[best_k], 3),
+                "noise": round(times[len(times) // 2] / times[0] - 1.0, 4),
+                "ms_min": {str(k): round(v, 3) for k, v in ms.items()},
+            }
+        checked[name] = entry
+    return checked
+
+
 def run(
     grid: Sequence[int],
     sides: Sequence[int],
     naive_grid: Sequence[int],
     rounds: int,
     reports_dir: Optional[str] = None,
+    unequal: Sequence[Tuple[int, int, float]] = UNEQUAL_SETS,
+    unequal_grid: Sequence[int] = UNEQUAL_K_GRID,
 ) -> Dict[str, Any]:
     fast = ("sweep", "numpy") if numpy_available() else ("sweep",)
     kernels = ("naive",) + fast
@@ -350,10 +429,10 @@ def run(
         "what": (
             "OIPJoin runtime against pinned k per kernel (min over "
             "interleaved rounds of the mean over a set's pairs), beside "
-            "the predicted cost a join on that kernel derives k from "
-            "(Equation 1 for naive, accesses + block IOs + inner-tuple "
-            "visits for sweep and numpy under weights that price "
-            "per-partition work); c_cpu/c_io/c_access/c_visit fitted "
+            "Equation 1's predicted cost where it chooses that kernel's k "
+            "(naive, or any kernel under the paper's weights; sweep and "
+            "numpy run at k=1 under weights that price per-partition "
+            "work, null here); c_cpu/c_io/c_access/c_visit fitted "
             "through the origin by repro.obs.calibrate to every point's "
             "excess over the fastest point of its set and kernel, "
             "unequal (k_outer, k_inner) pairs included"
@@ -409,13 +488,8 @@ def run(
                 # Round-to-round spread at the optimum: the noise a
                 # derived k's runtime is judged against.
                 "noise": round(best["ms_median"] / best["ms_min"] - 1.0, 4),
-                "paper_minimiser_k": min(
-                    shared, key=lambda k: rows[k]["predicted_cost"]["paper"]
-                ),
-                "fit_engine_minimiser_k": min(
-                    shared,
-                    key=lambda k: rows[k]["predicted_cost"]["fit.engine"],
-                ),
+                "paper_minimiser_k": grid_minimiser(rows, "paper"),
+                "fit_engine_minimiser_k": grid_minimiser(rows, "fit.engine"),
                 "points": {str(k): row for k, row in rows.items()},
                 "per_side_ms": {
                     f"{ko},{ki}": round(min(point["times"]), 3)
@@ -424,6 +498,7 @@ def run(
                 },
             }
         document["sets"][name] = entry
+    document["unequal"] = check_unequal(unequal, unequal_grid, fast, rounds)
     return document
 
 
@@ -451,6 +526,15 @@ def summary(document: Dict[str, Any]) -> List[str]:
                 f"k={row['paper_minimiser_k']}, fit.engine "
                 f"k={row['fit_engine_minimiser_k']}"
             )
+    for name, entry in document["unequal"].items():
+        lines.append(f"{name}:")
+        for kernel, row in entry.items():
+            lines.append(
+                f"  {kernel:6s} optimum k={row['measured_optimum_k']} "
+                f"{row['measured_optimum_ms']:.1f} ms (noise "
+                f"{row['noise']:.0%}); k=1 {row['ms_min']['1']:.1f} ms; "
+                f"engine derives k={row['derived_k']}"
+            )
     return lines
 
 
@@ -468,7 +552,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sides = SMOKE_SIDE_GRID if args.smoke else SIDE_GRID
     naive_grid = SMOKE_NAIVE_K_GRID if args.smoke else NAIVE_K_GRID
     rounds = SMOKE_ROUNDS if args.smoke else ROUNDS
-    document = run(grid, sides, naive_grid, rounds, reports_dir=args.reports)
+    document = run(
+        grid,
+        sides,
+        naive_grid,
+        rounds,
+        reports_dir=args.reports,
+        unequal=SMOKE_UNEQUAL_SETS if args.smoke else UNEQUAL_SETS,
+        unequal_grid=SMOKE_UNEQUAL_K_GRID if args.smoke else UNEQUAL_K_GRID,
+    )
     for line in summary(document):
         print(line)
     out = args.out if args.out is not None else (None if args.smoke else RESULTS_FILE)

@@ -5,7 +5,7 @@ the partition-pair match step — broadcasted endpoint comparisons for
 small pairs, ``searchsorted`` range pruning for large ones — while
 emitting the identical pairs and charging the identical model costs as
 ``naive`` and ``sweep``.  This benchmark documents what the
-vectorization buys and calibrates the granule policy's threshold
+vectorization buys and calibrates the auto kernel's threshold
 (:data:`repro.core.granules.NUMPY_FROM_CANDIDATES`).
 
 Two measurements:
@@ -25,8 +25,8 @@ Two measurements:
   charging dominate there, so the end-to-end margin is smaller) and as
   the measured basis of the ``NUMPY_FROM_CANDIDATES`` threshold: the
   numpy tier must never lose end-to-end where auto selection picks it.
-  In the auto regime each kernel runs at the ``k`` the granule policy
-  derives for it, so naive partitions differently from the other two.
+  In the auto regime each kernel runs at the ``k`` the join derives
+  for it, so naive partitions differently from the other two.
 
 The standalone script records both sweeps in ``BENCH_numpy.json`` at
 the repository root; ``--smoke`` (the CI ``kernel-smoke`` numpy leg)
@@ -58,13 +58,12 @@ else:  # run as a script: the harness sits next to this file
         sys.path.insert(0, _SRC)
     from common import emit, heading, scaled, table
 
-from repro.core.granules import NUMPY_FROM_CANDIDATES, GranulePolicy
+from repro.core.granules import NUMPY_FROM_CANDIDATES, estimated_candidates
 from repro.core.interval import Interval
 from repro.core.join import OIPJoin
 from repro.core.kernels import DecodedRun, KERNEL_FUNCS, numpy_available
 from repro.core.lazy_list import oip_create
 from repro.core.oip import OIPConfiguration
-from repro.storage.device import DeviceProfile
 from repro.storage.manager import StorageManager
 from repro.workloads import long_lived_mixture
 
@@ -173,10 +172,11 @@ def run_join_sweep(cardinality: int, repeats: int = 3) -> List[Dict]:
     """End-to-end OIPJoin wall clock per kernel x regime (context rows
     and the measured basis of the NUMPY_FROM_CANDIDATES threshold)."""
     outer, inner = _figure8_pair(cardinality)
-    estimated = (
-        GranulePolicy()
-        .cost_model(outer, inner, DeviceProfile.main_memory())
-        .estimated_candidates()
+    estimated = estimated_candidates(
+        outer.cardinality,
+        inner.cardinality,
+        outer.duration_fraction,
+        inner.duration_fraction,
     )
     rows: List[Dict] = []
     for regime, regime_kwargs in REGIMES.items():

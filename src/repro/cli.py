@@ -130,16 +130,6 @@ def _add_kernel_arguments(parser: argparse.ArgumentParser) -> None:
             "picks numpy for large joins when it is installed, else sweep"
         ),
     )
-    parser.add_argument(
-        "--k",
-        type=int,
-        default=None,
-        help=(
-            "pin the oip algorithm's granule count for both relations "
-            "instead of deriving it from the kernel's cost (every kernel "
-            "then partitions alike)"
-        ),
-    )
 
 
 def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
@@ -401,16 +391,6 @@ def _algorithm_kwargs(
             raise SystemExit(
                 f"--kernel is only supported by the oip algorithm, "
                 f"not {name!r}"
-            )
-    k = getattr(args, "k", None)
-    if k is not None:
-        if k < 1:
-            raise SystemExit(f"--k must be >= 1, got {k}")
-        if name == "oip":
-            kwargs["k"] = k
-        elif not skip_oip_only:
-            raise SystemExit(
-                f"--k is only supported by the oip algorithm, not {name!r}"
             )
     index = getattr(args, "index", None)
     if index is not None:

@@ -43,14 +43,14 @@ Equation 1 prices the *naive* kernel, which compares every candidate
 pair.  The ``sweep`` and ``numpy`` kernels are output-sensitive sweeps
 that never touch a false hit, so for them more granules only add work:
 partition accesses, block reads and inner tuples revisited by one more
-outer partition.  When the weights price an inner-tuple visit
-(:attr:`CostWeights.visit <repro.storage.metrics.CostWeights.visit>`)
-or a partition access, as the engine's do, a join on those kernels
-derives ``k`` from that cost instead
-(:meth:`JoinCostModel.visit_cost`); the paper's weights price neither,
-so under them Equation 2 decides for every kernel, as printed.  The
-policy therefore resolves the kernel first (:meth:`GranulePolicy.kernel`)
-and derives ``k`` from its cost.
+outer partition.  Under weights that price this engine's per-partition
+work (:attr:`CostWeights.prices_partitions
+<repro.storage.metrics.CostWeights.prices_partitions>`, as the engine's
+do) a join on those kernels therefore runs at ``k = 1``, which
+``BENCH_k.json`` measures fastest or within noise on every relation set
+it times; the paper's weights price no such work, so under them
+Equation 2 decides for every kernel, as printed.  A join resolves its
+kernel first (:func:`choose_kernel`) and derives ``k`` for it.
 """
 
 from __future__ import annotations
@@ -68,6 +68,8 @@ from .relation import TemporalRelation
 __all__ = [
     "NUMPY_FROM_CANDIDATES",
     "GranulePolicy",
+    "choose_kernel",
+    "estimated_candidates",
     "JoinCostModel",
     "KDerivation",
     "derive_k",
@@ -78,34 +80,61 @@ __all__ = [
 ]
 
 
-#: Estimated candidates (:meth:`JoinCostModel.estimated_candidates`)
-#: from which an unpinned kernel is ``numpy`` (when numpy is
-#: importable); below it, ``sweep``.  numpy is as fast as the sweep or
-#: faster at every size measured (EXPERIMENTS.md), but importing it adds
-#: ~14 MB to the resident memory of a process that otherwise never loads
-#: it — a cost only joins of this size repay.
+#: Estimated candidates (:func:`estimated_candidates`) from which an
+#: unpinned kernel is ``numpy`` (when numpy is importable); below it,
+#: ``sweep``.  numpy is as fast as the sweep or faster at every size
+#: measured (EXPERIMENTS.md), but importing it adds ~14 MB to the
+#: resident memory of a process that otherwise never loads it — a cost
+#: only joins of this size repay.
 NUMPY_FROM_CANDIDATES = 150_000.0
 
 
-def _mean_partition_span(k: int, duration_fraction: float) -> float:
-    """Mean granule span ``j - i + 1`` over the partitions Lemma 3 counts
-    as used: ``k - x`` partitions span ``x + 1`` granules, for ``x`` up
-    to ``ceil(lambda k)``."""
-    w = min(math.ceil(duration_fraction * k), k - 1)
-    # sum_{x=0}^{w} (k - x) and sum_{x=0}^{w} (k - x) (x + 1).
-    count = (w + 1) * k - w * (w + 1) / 2
-    spans = (
-        k * (w + 1) * (w + 2) / 2
-        - w * (w + 1) / 2
-        - w * (w + 1) * (2 * w + 1) / 6
-    )
-    return spans / count
+def estimated_candidates(
+    outer_cardinality: int,
+    inner_cardinality: int,
+    outer_duration_fraction: float,
+    inner_duration_fraction: float,
+) -> float:
+    """Probe-phase candidate pairs, estimated pessimistically: two
+    random intervals with duration fractions ``lambda_r`` and
+    ``lambda_s`` overlap with probability about ``lambda_r +
+    lambda_s``, applied to the nested-loop bound ``n_r * n_s``."""
+    coverage = min(1.0, outer_duration_fraction + inner_duration_fraction)
+    return outer_cardinality * inner_cardinality * coverage
 
 
-def _meet(span_a: float, span_b: float, k: int) -> float:
-    """Share of placements at which two granule ranges of these spans
-    share a granule, out of ``k`` granules."""
-    return min(1.0, (span_a + span_b - 1.0) / k)
+def choose_kernel(
+    outer: TemporalRelation,
+    inner: TemporalRelation,
+    requested: str = "auto",
+) -> str:
+    """The kernel a join of *outer* and *inner* runs for the *requested*
+    one (``"auto"`` or a name in :data:`~repro.core.kernels.KERNELS`).
+
+    ``"auto"`` is ``numpy`` from :data:`NUMPY_FROM_CANDIDATES` estimated
+    candidates up when numpy is importable, ``sweep`` otherwise; a
+    requested ``"numpy"`` without numpy runs ``sweep`` (bit-identically:
+    every kernel finds the same matches).  numpy is imported only to
+    answer whether it is importable, so a join below the threshold never
+    loads it."""
+    if requested == "auto":
+        estimated = estimated_candidates(
+            outer.cardinality,
+            inner.cardinality,
+            outer.duration_fraction if not outer.is_empty else 0.0,
+            inner.duration_fraction if not inner.is_empty else 0.0,
+        )
+        if estimated >= NUMPY_FROM_CANDIDATES and numpy_available():
+            return "numpy"
+        return "sweep"
+    if requested not in KERNELS:
+        raise ValueError(
+            f"unknown join kernel {requested!r}; choose from "
+            f"{('auto',) + KERNELS}"
+        )
+    if requested == "numpy" and not numpy_available():
+        return "sweep"
+    return requested
 
 
 @dataclass(frozen=True)
@@ -114,9 +143,9 @@ class JoinCostModel:
 
     ``outer_*``/``inner_*`` describe the relations (``n_r``/``n_s`` and the
     duration fractions ``lambda_r``/``lambda_s``); ``tuples_per_block`` is
-    ``b``; ``weights`` carries ``c_cpu``/``c_io`` (and ``c_access``,
-    ``c_visit``); ``kernel`` is the kernel whose work :meth:`cost`
-    prices.
+    ``b``; ``weights`` carries ``c_cpu``/``c_io`` (and ``c_access``);
+    ``kernel`` is the kernel the join runs
+    (:attr:`prices_candidates`).
     """
 
     outer_cardinality: int
@@ -147,15 +176,6 @@ class JoinCostModel:
         return max(
             used_partition_bound(
                 k, self.outer_duration_fraction, self.outer_cardinality
-            ),
-            1,
-        )
-
-    def inner_partitions(self, k: int) -> int:
-        """``|p_s|_n``: bound on non-empty inner partitions (Lemma 3)."""
-        return max(
-            used_partition_bound(
-                k, self.inner_duration_fraction, self.inner_cardinality
             ),
             1,
         )
@@ -201,74 +221,14 @@ class JoinCostModel:
         afr = 1.0 / k
         return self.x_term(outer_parts) * apa + self.y_term(outer_parts) * afr
 
-    # -- the fast kernels' cost -------------------------------------------
-
     @property
     def prices_candidates(self) -> bool:
-        """Whether :meth:`cost` is Equation 1: for the naive kernel, and
-        for any kernel under weights that price no per-partition work
-        (the paper's, :attr:`CostWeights.prices_partitions`)."""
+        """Whether Equation 1 prices this join: on the naive kernel, and
+        on any kernel under weights that price no per-partition work
+        (the paper's, :attr:`CostWeights.prices_partitions`).  Otherwise
+        the kernel never touches a false hit and :func:`derive_k` gives
+        ``k = 1``."""
         return self.kernel == "naive" or not self.weights.prices_partitions
-
-    def estimated_candidates(self) -> float:
-        """Probe-phase candidate pairs, estimated pessimistically: two
-        random intervals with duration fractions ``lambda_r`` and
-        ``lambda_s`` overlap with probability about ``lambda_r +
-        lambda_s``, applied to the nested-loop bound ``n_r * n_s``."""
-        coverage = min(
-            1.0, self.outer_duration_fraction + self.inner_duration_fraction
-        )
-        return self.outer_cardinality * self.inner_cardinality * coverage
-
-    def visit_work(self, k: int) -> Tuple[float, float, float]:
-        """``(partition accesses, block IOs, inner-tuple visits)`` of a
-        join at *k*, estimated from Lemma 3's used partitions.
-
-        An outer partition visits an inner partition (and all of its
-        tuples) when their granule ranges meet (Lemma 1); with the
-        ranges placed uniformly over ``k`` granules that happens at a
-        share :func:`_meet` of their mean spans.  Each partition run
-        ends in one partly filled block, so a run of ``t`` tuples costs
-        ``t / b + 1/2`` blocks, both when OIPCREATE writes it and when
-        the probe reads it."""
-        n_r, n_s = self.outer_cardinality, self.inner_cardinality
-        outer_parts = self.outer_partitions(k)
-        inner_parts = self.inner_partitions(k)
-        outer_span = _mean_partition_span(k, self.outer_duration_fraction)
-        inner_span = _mean_partition_span(k, self.inner_duration_fraction)
-        # A tuple's own span: durations spread evenly up to lambda.
-        tuple_span = min(1.0 + self.inner_duration_fraction * k / 2.0, k)
-        accesses = outer_parts * inner_parts * _meet(outer_span, inner_span, k)
-        visits = outer_parts * n_s * _meet(outer_span, tuple_span, k)
-        b = self.tuples_per_block
-        writes = (n_r + n_s) / b + (outer_parts + inner_parts) / 2.0
-        reads = (n_r + visits) / b + (outer_parts + accesses) / 2.0
-        return accesses, writes + reads, visits
-
-    def visit_cost(self, k: int) -> float:
-        """What a ``sweep`` or ``numpy`` join executes at *k*:
-        ``c_access * accesses + c_io * block IOs + c_visit * visits``
-        (:meth:`visit_work`).  No term falls as ``k`` grows: these
-        kernels never touch a false hit, so granules only pay where
-        they keep an outer partition away from inner tuples — a small
-        side against a large one, or sparse short tuples."""
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        accesses, ios, visits = self.visit_work(k)
-        weights = self.weights
-        return (
-            accesses * weights.access
-            + ios * weights.io
-            + visits * weights.visit
-        )
-
-    def cost(self, k: int) -> float:
-        """The cost ``k`` is derived from: Equation 1
-        (:meth:`overhead_cost`) when the model
-        :attr:`prices_candidates`, else :meth:`visit_cost`."""
-        if self.prices_candidates:
-            return self.overhead_cost(k)
-        return self.visit_cost(k)
 
 
 def approximate_k(x: float, y: float, tau: float) -> float:
@@ -355,7 +315,11 @@ def derive_k(
             k=1, converged=True, oscillated=False, trace=[], model=model
         )
     if not model.prices_candidates:
-        return _minimise_visit_cost(model)
+        # Nothing the kernel executes falls as k grows (see the module
+        # docstring), so one granule per side is the minimum.
+        return KDerivation(
+            k=1, converged=True, oscillated=False, trace=[], model=model
+        )
 
     solver = exact_k if use_exact_root else approximate_k
     k = 1
@@ -396,49 +360,6 @@ def derive_k(
     )
 
 
-def _minimise_visit_cost(model: JoinCostModel) -> KDerivation:
-    """The ``k`` minimising :meth:`JoinCostModel.visit_cost`, searched
-    over ``1 .. max(n_r, n_s)`` (past one tuple per partition the used
-    partitions stop growing): the best power of two, then a ternary
-    search between its neighbours.  ``trace`` holds one row per ``k``
-    evaluated, in order."""
-    limit = max(model.outer_cardinality, model.inner_cardinality, 1)
-    costs: Dict[int, float] = {}
-    trace: List[KStep] = []
-
-    def cost(k: int) -> float:
-        if k not in costs:
-            costs[k] = model.visit_cost(k)
-            trace.append(
-                KStep(
-                    k=k,
-                    outer_partitions=model.outer_partitions(k),
-                    tau=model.tightening(k),
-                )
-            )
-        return costs[k]
-
-    best = k = 1
-    while k <= limit:
-        if cost(k) < cost(best):
-            best = k
-        k *= 2
-    lo, hi = max(1, best // 2), min(limit, best * 2)
-    while hi - lo > 2:
-        left = lo + (hi - lo) // 3
-        right = hi - (hi - lo) // 3
-        if cost(left) <= cost(right):
-            hi = right
-        else:
-            lo = left
-    for k in range(lo, hi + 1):
-        cost(k)
-    best = min(costs, key=lambda k: (costs[k], k))
-    return KDerivation(
-        k=best, converged=True, oscillated=False, trace=trace, model=model
-    )
-
-
 def cost_model_for(
     outer: TemporalRelation,
     inner: TemporalRelation,
@@ -469,8 +390,8 @@ def cost_model_for(
 
 def weights_label(weights: CostWeights) -> str:
     """Which cost model a weight set is: ``"engine"``
-    (:meth:`CostWeights.engine`), ``"paper"`` (no partition-access or
-    visit term, Equation 1 as printed) or ``"fitted"`` (any other)."""
+    (:meth:`CostWeights.engine`), ``"paper"`` (no per-partition term,
+    Equation 1 as printed) or ``"fitted"`` (any other)."""
     if weights == CostWeights.engine():
         return "engine"
     return "fitted" if weights.prices_partitions else "paper"
@@ -489,11 +410,7 @@ _MATCHED_META = {
     "fixed": ("k_mode", "pinned_k"),
     "per_side": ("k_mode", "pinned_k_outer", "pinned_k_inner"),
     "derived": (
-        "k_mode",
-        "use_exact_root",
-        "use_histogram_statistics",
-        "weights",
-        "k_model",
+        "k_mode", "use_exact_root", "use_histogram_statistics", "weights"
     ),
 }
 
@@ -502,19 +419,19 @@ _MATCHED_META = {
 class GranulePolicy:
     """How a join chooses its granule counts (Section 6.2).
 
-    The policy decides a join's kernel and ``k`` together: first the
-    kernel (:meth:`kernel`), then ``k`` from that kernel's cost.  ``k``
-    is either *derived* — from ``weights`` (else
+    ``k`` is either *derived* for the join's kernel
+    (:func:`choose_kernel`) — from ``weights`` (else
     :meth:`CostWeights.engine`), by the Equation (2) fixed point (the
-    exact root or the approximation) or, for the fast kernels under
-    weights that price per-partition work, by minimising
-    :meth:`JoinCostModel.visit_cost`, over Lemma-3 or duration-histogram
-    statistics — or *pinned*: one ``k`` (Figure 7's sweep) or a
+    exact root or the approximation) over Lemma-3 or duration-histogram
+    statistics, or ``1`` for the fast kernels under weights that price
+    per-partition work — or *pinned*: one ``k`` (Figure 7's sweep) or a
     ``k_outer``/``k_inner`` pair (the shared-``k`` ablation).  Either way
     :meth:`counts` caps it to each relation's time range.  A snapshot
     records the policy in its meta (:meth:`meta`, :meth:`from_meta`),
     and loads only into a join whose policy it matches
-    (:meth:`mismatch`).
+    (:meth:`mismatch`); a derived snapshot is priced for the ``"auto"``
+    kernel, and so is every join that uses one, whatever kernel it
+    runs.
     """
 
     k: Optional[int] = None
@@ -556,36 +473,6 @@ class GranulePolicy:
         """The fields as ``OIPJoin``/``save_index`` keywords."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def kernel(
-        self,
-        outer: TemporalRelation,
-        inner: TemporalRelation,
-        requested: str = "auto",
-    ) -> str:
-        """The kernel a join of *outer* and *inner* runs for the
-        *requested* one (``"auto"`` or a name in
-        :data:`~repro.core.kernels.KERNELS`).
-
-        ``"auto"`` is ``numpy`` from :data:`NUMPY_FROM_CANDIDATES`
-        estimated candidates up when numpy is importable, ``sweep``
-        otherwise; a requested ``"numpy"`` without numpy runs ``sweep``
-        (bit-identically: every kernel finds the same matches).  numpy
-        is imported only to answer whether it is importable, so a join
-        below the threshold never loads it."""
-        if requested == "auto":
-            estimated = _cost_model_for(outer, inner).estimated_candidates()
-            if estimated >= NUMPY_FROM_CANDIDATES and numpy_available():
-                return "numpy"
-            return "sweep"
-        if requested not in KERNELS:
-            raise ValueError(
-                f"unknown join kernel {requested!r}; choose from "
-                f"{('auto',) + KERNELS}"
-            )
-        if requested == "numpy" and not numpy_available():
-            return "sweep"
-        return requested
-
     def derive(
         self,
         outer: TemporalRelation,
@@ -594,8 +481,8 @@ class GranulePolicy:
         kernel: str = "auto",
     ) -> Optional[KDerivation]:
         """The derivation of ``k`` for a join on *kernel* (resolved by
-        :meth:`kernel` when ``"auto"``), or ``None`` when ``k`` is
-        pinned."""
+        :func:`choose_kernel` when ``"auto"``), or ``None`` when ``k``
+        is pinned."""
         if self.mode != "derived":
             return None
         return _derive_k(
@@ -614,7 +501,7 @@ class GranulePolicy:
         join on *kernel*."""
         weights = self.resolved().weights
         if kernel == "auto":
-            kernel = self.kernel(outer, inner)
+            kernel = choose_kernel(outer, inner)
         if self.use_histogram_statistics:
             from .statistics import histogram_cost_model
 
@@ -648,16 +535,10 @@ class GranulePolicy:
             max(1, min(k_inner, inner.time_range_duration)),
         )
 
-    def meta(self, kernel: str = "auto") -> Dict[str, Any]:
-        """The snapshot meta keys recording this policy, for a join on
-        the (resolved) *kernel*.  Under weights that price per-partition
-        work, a derived ``k`` depends on whether the kernel compares
-        every candidate, so ``k_model`` records which cost chose it
-        (``"equation1"`` or ``"visits"``); other policies (the paper's
-        weights, a pinned ``k``) record none, and their snapshots keep
-        the keys they always had."""
+    def meta(self) -> Dict[str, Any]:
+        """The snapshot meta keys recording this policy."""
         weights = self.weights
-        meta = {
+        return {
             "weights": None if weights is None else weights.as_dict(),
             "use_exact_root": self.use_exact_root,
             "use_histogram_statistics": self.use_histogram_statistics,
@@ -666,13 +547,6 @@ class GranulePolicy:
             "pinned_k_outer": self.k_outer,
             "pinned_k_inner": self.k_inner,
         }
-        if (
-            self.mode == "derived"
-            and weights is not None
-            and weights.prices_partitions
-        ):
-            meta["k_model"] = "equation1" if kernel == "naive" else "visits"
-        return meta
 
     @classmethod
     def from_meta(cls, meta: Dict[str, Any]) -> "GranulePolicy":
@@ -690,19 +564,16 @@ class GranulePolicy:
         )
 
     def mismatch(
-        self,
-        meta: Dict[str, Any],
-        tuples_per_block: int,
-        kernel: str = "auto",
+        self, meta: Dict[str, Any], tuples_per_block: int
     ) -> Optional[Tuple[str, Any, Any]]:
         """The first meta key on which a snapshot differs from this
-        (resolved) policy on a device of *tuples_per_block*, for a join
-        on the (resolved) *kernel*, as ``(key, stored, wanted)``, or
-        ``None`` when the snapshot holds the partitioning this policy
-        would build.  The block size, mode and pinned values must match;
-        the derivation inputs only when ``k`` is derived."""
-        wanted = dict(self.meta(kernel), tuples_per_block=tuples_per_block)
+        (resolved) policy on a device of *tuples_per_block*, as ``(key,
+        stored, wanted)``, or ``None`` when the snapshot holds the
+        partitioning this policy would build.  The block size, mode and
+        pinned values must match; the derivation inputs only when ``k``
+        is derived."""
+        wanted = dict(self.meta(), tuples_per_block=tuples_per_block)
         for key in ("tuples_per_block",) + _MATCHED_META[self.mode]:
-            if meta.get(key) != wanted.get(key):
-                return key, meta.get(key), wanted.get(key)
+            if meta.get(key) != wanted[key]:
+                return key, meta.get(key), wanted[key]
         return None

@@ -47,7 +47,7 @@ from ..storage.faults import FaultPolicy
 from ..storage.manager import StorageManager
 from ..storage.metrics import CostCounters, CostWeights
 from .base import JoinResult, OverlapJoinAlgorithm
-from .granules import GranulePolicy, KDerivation, weights_label
+from .granules import GranulePolicy, KDerivation, choose_kernel, weights_label
 from .kernels import KERNELS, DecodedRun, kernel_function
 from .interval import Interval
 from .lazy_list import LazyPartitionList, PartitionNode, oip_create
@@ -222,12 +222,11 @@ class OIPJoin(OverlapJoinAlgorithm):
         the result details — when numpy is not importable), and
         ``"auto"`` (default) picks ``"numpy"`` for large joins when numpy
         is importable and ``"sweep"`` otherwise
-        (:meth:`GranulePolicy.kernel
-        <repro.core.granules.GranulePolicy.kernel>`).  The kernel is
-        decided first and a derived ``k`` is derived from its cost, so
-        under the engine's weights the naive kernel (Equation 1) and the
-        fast kernels (accesses, block IOs and inner-tuple visits) may
-        partition differently.  At the same ``k`` all kernels emit
+        (:func:`~repro.core.granules.choose_kernel`).  The kernel is
+        decided first and a derived ``k`` is derived for it, so under
+        the engine's weights the naive kernel (Equation 1) and the fast
+        kernels (``k = 1``) partition differently.  At the same ``k``
+        all kernels emit
         identical pairs in the identical order and charge the identical
         paper-model costs (two CPU comparisons per candidate, one false
         hit per failing candidate — accounted analytically per outer
@@ -242,8 +241,9 @@ class OIPJoin(OverlapJoinAlgorithm):
     budget:
         A :class:`~repro.engine.governor.QueryBudget` enforced
         cooperatively at the outer-partition boundaries of the probe
-        loop; a violated budget raises :class:`~repro.engine.governor
-        .BudgetExceededError` with the partial counters, and an
+        loop and once after its last partition; a violated budget
+        raises :class:`~repro.engine.governor.BudgetExceededError` with
+        the partial counters, and an
         already-exhausted budget (zero limit / non-positive deadline)
         fails fast before any partition work.
     cancellation:
@@ -275,7 +275,10 @@ class OIPJoin(OverlapJoinAlgorithm):
         structured reason, and the join falls back to the normal
         OIPCREATE rebuild.  Either way the result is the same; only the
         build cost differs.  ``details["index"]`` reports what
-        happened.
+        happened.  A derived ``k`` is priced for the ``"auto"`` kernel,
+        as ``save_index`` prices it, whatever *kernel* the join runs:
+        a naive join over an index partitions as the index does,
+        loaded or rebuilt.
     tracer, metrics, collect_report:
         Observability configuration; see :class:`OverlapJoinAlgorithm`.
         Spans cover ``derive_k``, both ``oipcreate`` sides, the
@@ -428,11 +431,10 @@ class OIPJoin(OverlapJoinAlgorithm):
         k: int,
         kernel: str,
     ) -> Dict[str, Any]:
-        """Which weights chose a derived *k*, and the predicted cost at
-        it of the model that chose it (:meth:`JoinCostModel.cost
-        <repro.core.granules.JoinCostModel.cost>`; empty when ``k`` is
-        pinned).  Without a *derivation* (a restored snapshot) the model
-        is rebuilt."""
+        """Which weights chose a derived *k* and, when Equation 1 chose
+        it, Equation 1's cost at it (empty when ``k`` is pinned).
+        Without a *derivation* (a restored snapshot) the model is
+        rebuilt."""
         if self.granules.mode != "derived":
             return {}
         model = (
@@ -440,10 +442,12 @@ class OIPJoin(OverlapJoinAlgorithm):
             if derivation is not None
             else self.granules.cost_model(outer, inner, self.device, kernel)
         )
-        return {
-            "k_weights": weights_label(self.granules.weights),
-            "k_predicted_cost": model.cost(k),
+        details: Dict[str, Any] = {
+            "k_weights": weights_label(self.granules.weights)
         }
+        if model.prices_candidates:
+            details["k_predicted_cost"] = model.overhead_cost(k)
+        return details
 
     def _derive_k(
         self,
@@ -460,7 +464,7 @@ class OIPJoin(OverlapJoinAlgorithm):
     def _uses_index(self) -> bool:
         return self.index_path is not None or self.index_provider is not None
 
-    def _load_index(self, outer, inner, storage, tracer, kernel):
+    def _load_index(self, outer, inner, storage, tracer):
         """Try to restore both partition lists from ``index_path`` (or
         the pinned-section ``index_provider``).
 
@@ -475,7 +479,7 @@ class OIPJoin(OverlapJoinAlgorithm):
         from ..storage import snapshot
 
         expected = snapshot.IndexExpectation(
-            self.device.tuples_per_block, self.granules, kernel
+            self.device.tuples_per_block, self.granules
         )
         provider = self.index_provider
         path = (
@@ -598,10 +602,12 @@ class OIPJoin(OverlapJoinAlgorithm):
             else None
         )
 
-        # The policy decides the kernel first: a derived k is priced
-        # for it.  Every kernel is bit-identical in pairs and counters
-        # at the same k, so beyond k the choice only decides speed.
-        kernel = self.granules.kernel(outer, inner, self.kernel)
+        # The kernel is decided first: a derived k is priced for it —
+        # for "auto" when the join uses an index, as save_index prices
+        # it.  Every kernel is bit-identical in pairs and counters at
+        # the same k, so beyond k the choice only decides speed.
+        kernel = choose_kernel(outer, inner, self.kernel)
+        priced = choose_kernel(outer, inner) if self._uses_index else kernel
         # Storage precedes the (optional) snapshot load: construction
         # makes no charges, so a degraded load hands the rebuild an
         # untouched manager and the counters stay bit-identical.
@@ -610,7 +616,7 @@ class OIPJoin(OverlapJoinAlgorithm):
         index_details = None
         if self._uses_index:
             loaded, index_details = self._load_index(
-                outer, inner, storage, tracer, kernel
+                outer, inner, storage, tracer
             )
 
         if loaded is not None:
@@ -623,7 +629,7 @@ class OIPJoin(OverlapJoinAlgorithm):
             k_oscillated = loaded.meta.get("k_oscillated")
         else:
             derivation, outer_list, inner_list = self._build(
-                outer, inner, storage, tracer, kernel
+                outer, inner, storage, tracer, priced
             )
             self_adjusting = derivation is not None
             k_steps = derivation.steps if derivation is not None else None
@@ -716,7 +722,7 @@ class OIPJoin(OverlapJoinAlgorithm):
             "inner_visits": schedule.inner_visits,
             "self_adjusting": self_adjusting,
             "kernel": kernel,
-            **self._k_model_details(outer, inner, derivation, k_inner, kernel),
+            **self._k_model_details(outer, inner, derivation, k_inner, priced),
         }
         if index_details is not None:
             details["index"] = index_details
@@ -1084,7 +1090,8 @@ def probe_inline(
 
     Every outer partition is a cooperative boundary: the governor is
     consulted *before* the partition's work, so a cancel or budget stop
-    leaves the counters exactly at the last completed partition.  Tasks
+    leaves the counters exactly at the last completed partition, and
+    once more after the last partition's work.  Tasks
     below *start_at* (completed by the run a checkpoint was restored
     from) are skipped without charges.  *emit* adds the hits of each
     task with relevant inner runs to *pairs* as a chunk (see
@@ -1130,5 +1137,13 @@ def probe_inline(
         finally:
             if span is not None:
                 span.__exit__(None, None, None)
+    done = len(schedule.tasks)
+    # The last stop point, before the walk's tail is charged (a resumed
+    # run charges it): a cancel or a budget overrun during the last
+    # partition's work — at k=1 the whole probe — is not a success.
+    if governor is not None and governor.boundary(
+        done, counters, resilience, pairs, final=True
+    ):
+        return True, done
     charge_cpu(schedule.walk_tail)
-    return False, len(schedule.tasks)
+    return False, done

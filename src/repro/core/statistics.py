@@ -85,16 +85,6 @@ class DurationHistogram:
     def cardinality(self) -> int:
         return sum(self.counts)
 
-    @property
-    def duration_fraction(self) -> float:
-        """The longest non-empty bucket's bound over the time range: an
-        upper bound on ``lambda``."""
-        longest = max(
-            (bound for bound, n in zip(self.bounds, self.counts) if n),
-            default=0,
-        )
-        return min(1.0, longest / self.time_range_duration)
-
     def span_counts(self, k: int, granule_duration: int) -> Dict[int, int]:
         """Tuple counts per partition span (in granules) for a
         configuration ``(k, d)``.
@@ -148,10 +138,8 @@ class HistogramCostModel(JoinCostModel):
         super().__init__(
             outer_cardinality=outer_histogram.cardinality,
             inner_cardinality=inner_histogram.cardinality,
-            # Equation 1's terms use the overrides below; the fast
-            # kernels' cost also spreads spans up to the longest bucket.
-            outer_duration_fraction=outer_histogram.duration_fraction,
-            inner_duration_fraction=inner_histogram.duration_fraction,
+            outer_duration_fraction=1.0,  # unused by the overrides
+            inner_duration_fraction=1.0,
             tuples_per_block=tuples_per_block,
             weights=weights,
             kernel=kernel,
@@ -166,15 +154,6 @@ class HistogramCostModel(JoinCostModel):
         histogram: DurationHistogram = self.outer_histogram
         return histogram.expected_used_partitions(
             k, self._granule_duration(histogram, k)
-        )
-
-    def inner_partitions(self, k: int) -> int:
-        histogram: DurationHistogram = self.inner_histogram
-        return max(
-            histogram.expected_used_partitions(
-                k, self._granule_duration(histogram, k)
-            ),
-            1,
         )
 
     def tightening(self, k: int) -> float:

@@ -70,6 +70,7 @@ from ..core.join import (
     joined_tuples,
     probe_inline,
 )
+from ..core.granules import choose_kernel
 from ..core.relation import TemporalRelation
 from ..storage.device import DeviceProfile
 from ..storage.faults import FaultPolicy
@@ -234,7 +235,7 @@ class BatchJoin(OIPJoin):
             return self._empty_batch(windows, build_counters, started)
 
         tracer = self._tracer_for_run()
-        kernel = self.granules.kernel(outer, inner, self.kernel)
+        kernel = choose_kernel(outer, inner, self.kernel)
         storage = self._storage(build_counters)
         queries: List[JoinResult] = []
         # Per query: its span and the spans/events it opened.

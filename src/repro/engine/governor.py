@@ -9,7 +9,8 @@ face real traffic:
 * :class:`QueryBudget` — a wall-clock deadline plus logical budgets
   (CPU comparisons, block reads, or Section-6.2 modelled-cost units).
   Budgets are enforced **cooperatively** at the outer-partition
-  boundaries of the OIPJOIN probe loop; a violated budget raises a structured
+  boundaries of the OIPJOIN probe loop and once after its last
+  partition; a violated budget raises a structured
   :class:`BudgetExceededError` carrying the partial
   :class:`~repro.storage.metrics.CostCounters` and
   :class:`~repro.storage.metrics.ResilienceCounters` of the run.
@@ -614,8 +615,14 @@ class GovernedRun:
         counters: CostCounters,
         resilience: ResilienceCounters,
         pairs: Sequence[Tuple[Any, Any]],
+        final: bool = False,
     ) -> bool:
-        """One cooperative stop point.  True means "stop: cancelled"."""
+        """One cooperative stop point.  True means "stop: cancelled".
+
+        The *final* one comes after the last partition's work: it
+        reports a cancel or a violated budget that arrived during that
+        work, which at ``k=1`` is the whole probe, but writes no
+        cadence checkpoint of a finished run."""
         if self.cancellation is not None and self.cancellation.poll():
             self.checkpoint(
                 partitions_completed, counters, resilience, pairs, force=True
@@ -654,6 +661,8 @@ class GovernedRun:
                     elapsed_ms=self.elapsed_ms(),
                     checkpoint_path=path,
                 )
+        if final:
+            return False
         written = self.checkpoint(
             partitions_completed, counters, resilience, pairs
         )

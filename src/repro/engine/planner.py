@@ -14,11 +14,11 @@ are (almost) point data; otherwise it picks the self-adjusting OIPJOIN.
 On top of algorithm choice the planner estimates the number of candidate
 comparisons the probe phase will perform — ``n_r * n_s`` scaled by the
 overlap coverage ``min(1, lambda_r + lambda_s)`` implied by the duration
-statistics (:meth:`~repro.core.granules.JoinCostModel
-.estimated_candidates`).  The estimate refuses over-budget plans up
-front; the partition-pair kernel is the one the OIPJOIN's granule policy
-decides (:meth:`~repro.core.granules.GranulePolicy.kernel`), which
-also derives ``k`` from that kernel's cost.
+statistics (:func:`~repro.core.granules.estimated_candidates`).  The
+estimate refuses over-budget plans up front; the partition-pair kernel
+is the one the OIPJOIN decides
+(:func:`~repro.core.granules.choose_kernel`), which also derives ``k``
+for that kernel.
 
 ``plan(..., index_path=...)`` points the planner at a persisted index
 snapshot (:func:`repro.storage.save_index`): the snapshot's ``stats``
@@ -48,7 +48,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Union
 
 from ..core.base import JoinResult, OverlapJoinAlgorithm
-from ..core.granules import GranulePolicy, JoinCostModel
+from ..core.granules import choose_kernel, estimated_candidates
 from ..core.join import OIPJoin
 from ..core.kernels import KERNELS
 from ..core.relation import TemporalRelation
@@ -127,8 +127,8 @@ class JoinPlanner:
     conservative.
 
     ``kernel`` pins the OIPJOIN's partition-pair join kernel; the
-    default ``"auto"`` leaves it to the join's granule policy
-    (:meth:`~repro.core.granules.GranulePolicy.kernel`).
+    default ``"auto"`` leaves it to the join
+    (:func:`~repro.core.granules.choose_kernel`).
     """
 
     def __init__(
@@ -329,20 +329,16 @@ class JoinPlanner:
                 inner.duration_fraction if not inner.is_empty else 0.0
             )
             outer_cardinality = inner_cardinality = None
-        estimated = JoinCostModel(
-            outer_cardinality=(
-                outer.cardinality
-                if outer_cardinality is None
-                else outer_cardinality
-            ),
-            inner_cardinality=(
-                inner.cardinality
-                if inner_cardinality is None
-                else inner_cardinality
-            ),
-            outer_duration_fraction=outer_lambda,
-            inner_duration_fraction=inner_lambda,
-        ).estimated_candidates()
+        estimated = estimated_candidates(
+            outer.cardinality
+            if outer_cardinality is None
+            else outer_cardinality,
+            inner.cardinality
+            if inner_cardinality is None
+            else inner_cardinality,
+            outer_lambda,
+            inner_lambda,
+        )
         predicted_ms = self._predict_ms(
             outer, inner, estimated, outer_cardinality, inner_cardinality
         )
@@ -377,9 +373,9 @@ class JoinPlanner:
                 return base
 
         else:
-            # The join's own policy decides the kernel (and k from its
-            # cost); the reason names what it will run.
-            kernel = GranulePolicy().kernel(outer, inner, self.kernel)
+            # The join decides its kernel (and k for it) the same way;
+            # the reason names what it will run.
+            kernel = choose_kernel(outer, inner, self.kernel)
             algorithm = OIPJoin(
                 device=self.device,
                 buffer_pool=self.buffer_pool,

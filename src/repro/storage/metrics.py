@@ -33,11 +33,12 @@ class CostWeights:
     ``access`` prices the fixed work of one partition access beyond its
     block IO and index comparisons (navigation, the run read, charging,
     the kernel call).  ``visit`` prices one inner tuple handed to a
-    kernel call: the ``sweep`` and ``numpy`` kernels touch every inner
-    tuple of an outer partition's relevant runs but never a false hit,
-    so their ``k`` is derived from accesses, block IOs and visits
-    (:meth:`~repro.core.granules.JoinCostModel.visit_cost`).  The
-    paper's model has neither term: ``0`` (the default) is the paper's
+    kernel call (the join's ``inner_visits`` detail): the ``sweep`` and
+    ``numpy`` kernels touch every inner tuple of an outer partition's
+    relevant runs but never a false hit.  Weights that price either
+    term (:attr:`prices_partitions`) run those kernels at ``k = 1``
+    (:mod:`repro.core.granules`); ``visit`` itself is the fitted figure
+    ``repro calibrate`` reports.  The paper's model has neither term: ``0`` (the default) is the paper's
     Equation 1, and :meth:`engine` is the set fitted to this
     implementation.
     """

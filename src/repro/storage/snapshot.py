@@ -1072,22 +1072,17 @@ def _require_meta(sections: Dict[str, bytes]) -> Dict[str, Any]:
 
 @dataclass(frozen=True)
 class IndexExpectation:
-    """What a join requires of a snapshot: its device's block size, its
-    :class:`~repro.core.granules.GranulePolicy` (weights resolved) and
-    the kernel it runs (resolved, or ``"auto"``), whose cost the
-    policy derives ``k`` from."""
+    """What a join requires of a snapshot: its device's block size and
+    its :class:`~repro.core.granules.GranulePolicy` (weights resolved)."""
 
     tuples_per_block: int
     policy: Any
-    kernel: str = "auto"
 
 
 def _check_expected(meta: Dict[str, Any], expected: IndexExpectation) -> None:
     """Degrade rather than load an index built under a different
     configuration — the structure (and the counters) would differ."""
-    problem = expected.policy.mismatch(
-        meta, expected.tuples_per_block, expected.kernel
-    )
+    problem = expected.policy.mismatch(meta, expected.tuples_per_block)
     if problem is not None:
         raise SnapshotMismatchError(
             "snapshot {} is {!r}, join expects {!r}".format(*problem),

@@ -33,15 +33,16 @@ from repro.storage.faults import FAULT_PROFILES, fault_profile
 from repro.storage.metrics import CostWeights
 from repro.workloads import long_lived_mixture
 
-#: The paper's weights.  A join's cooperative stop points are its outer
-#: partitions; the default policy joins these relations at k=1 (one
-#: stop point), the paper's weights partition them finely enough that
-#: cancels and budget stops land mid-join.
-PAPER = {"weights": CostWeights.main_memory()}
-
 #: Execution configurations the differential runs on: the probe has one
-#: path, the sequential Algorithm-2 loop.
-CONFIGS = {"sequential": PAPER}
+#: path, the sequential Algorithm-2 loop.  A join's cooperative stop
+#: points are its outer partitions and one after the last; under the
+#: paper's weights ("sequential") these relations split into enough
+#: outer partitions that cancels land mid-join, and the default policy
+#: joins them at k=1, whose only mid-run stop point is the last one.
+CONFIGS = {
+    "sequential": {"weights": CostWeights.main_memory()},
+    "default": {},
+}
 
 
 def fingerprint(result):
@@ -178,22 +179,22 @@ class TestBudgetsUnderChaos:
         past the violated limit of) the full faulted run."""
         outer, inner = relations
         policy = fault_profile(profile, seed=7)
-        full = OIPJoin(fault_policy=policy, **PAPER).join(outer, inner)
+        full = OIPJoin(fault_policy=policy).join(outer, inner)
         limit = full.counters.cpu_comparisons // 3
         try:
             result = OIPJoin(
                 fault_policy=policy,
                 budget=QueryBudget(max_comparisons=limit),
-                **PAPER,
             ).join(outer, inner)
         except BudgetExceededError as error:
             assert error.reason == "comparisons"
-            # The stop boundary is the first one past the limit.
+            # The stop boundary is the first one past the limit: at the
+            # latest the one after the last outer partition.
             assert error.counters.cpu_comparisons > limit
             assert 0 < error.partitions_completed
             assert (
                 error.partitions_completed
-                < full.details["outer_partitions"]
+                <= full.details["outer_partitions"]
             )
             partial = error.counters.snapshot()
             total = full.counters.snapshot()
@@ -207,7 +208,7 @@ class TestBudgetsUnderChaos:
         """A budget abort writes a final checkpoint; resuming it without
         the budget finishes the query bit-identically."""
         outer, inner = relations
-        base = fingerprint(OIPJoin(**PAPER).join(outer, inner))
+        base = fingerprint(OIPJoin().join(outer, inner))
         path = str(tmp_path / "budget-ck.json")
         limit = 5_000
         with pytest.raises(BudgetExceededError) as excinfo:
@@ -215,10 +216,9 @@ class TestBudgetsUnderChaos:
                 budget=QueryBudget(max_comparisons=limit),
                 checkpoint_path=path,
                 checkpoint_every=1,
-                **PAPER,
             ).join(outer, inner)
         assert excinfo.value.checkpoint_path == path
-        resumed = OIPJoin(resume_from=path, **PAPER).join(outer, inner)
+        resumed = OIPJoin(resume_from=path).join(outer, inner)
         assert fingerprint(resumed) == base
 
     def test_deadline_budget_is_enforced_or_irrelevant(self, relations):
@@ -228,7 +228,7 @@ class TestBudgetsUnderChaos:
         outer, inner = relations
         try:
             result = OIPJoin(
-                budget=QueryBudget(deadline_ms=1.0), **PAPER
+                budget=QueryBudget(deadline_ms=1.0)
             ).join(outer, inner)
         except BudgetExceededError as error:
             assert error.reason == "deadline"

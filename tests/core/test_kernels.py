@@ -17,7 +17,12 @@ from collections import Counter
 
 import pytest
 
-from repro.core.granules import NUMPY_FROM_CANDIDATES, GranulePolicy
+from repro.core.granules import (
+    NUMPY_FROM_CANDIDATES,
+    GranulePolicy,
+    choose_kernel,
+    estimated_candidates,
+)
 from repro.core.interval import Interval
 from repro.core.join import OIPJoin
 from repro.core import kernels
@@ -125,8 +130,12 @@ class TestKernelFunctions:
 
 
 def _estimated(outer, inner):
-    policy = GranulePolicy()
-    return policy.cost_model(outer, inner, DEVICE).estimated_candidates()
+    return estimated_candidates(
+        outer.cardinality,
+        inner.cardinality,
+        outer.duration_fraction,
+        inner.duration_fraction,
+    )
 
 
 DEVICE = DeviceProfile.main_memory()
@@ -137,14 +146,13 @@ class TestKernelSelection:
         rng = random.Random(0)
         rel = random_relation(rng, 5)
         with pytest.raises(ValueError, match="unknown join kernel"):
-            GranulePolicy().kernel(rel, rel, "bogus")
+            choose_kernel(rel, rel, "bogus")
 
     def test_auto_picks_by_candidate_estimate(self):
         rng = random.Random(1)
         small = random_relation(rng, 8, range_size=100)
-        policy = GranulePolicy()
         assert _estimated(small, small) < NUMPY_FROM_CANDIDATES
-        assert policy.kernel(small, small) == "sweep"
+        assert choose_kernel(small, small) == "sweep"
         big = long_lived_mixture(
             1_000, 0.5, Interval(1, 2**20), seed=7, name="big"
         )
@@ -152,11 +160,11 @@ class TestKernelSelection:
         # importable, the sweep otherwise.
         top = "numpy" if kernels.numpy_available() else "sweep"
         assert _estimated(big, big) >= NUMPY_FROM_CANDIDATES
-        assert policy.kernel(big, big) == top
-        assert policy.kernel(big, big, "auto") == top
-        assert policy.kernel(big, big, "naive") == "naive"
-        # The join runs what the policy decides, and derives k from
-        # that kernel's cost.
+        assert choose_kernel(big, big) == top
+        assert choose_kernel(big, big, "auto") == top
+        assert choose_kernel(big, big, "naive") == "naive"
+        # The join runs the chosen kernel, and derives k for it.
+        policy = GranulePolicy()
         for requested, expected in (("auto", top), ("naive", "naive")):
             result = OIPJoin(kernel=requested).join(big, big)
             assert result.details["kernel"] == expected
@@ -385,9 +393,9 @@ class TestConfiguration:
     def test_planner_auto_threshold(self):
         outer, inner = WORKLOADS["uniform"]
         plan = JoinPlanner().plan(outer, inner)
-        # The planned join leaves the kernel to its policy — one source
+        # The planned join leaves the kernel to the join — one source
         # of truth for the auto rule — and the reason names it.
-        kernel = GranulePolicy().kernel(outer, inner)
+        kernel = choose_kernel(outer, inner)
         assert plan.algorithm.kernel == "auto"
         assert f"; {kernel} kernel" in plan.reason
         assert plan.execute(outer, inner).details["kernel"] == kernel

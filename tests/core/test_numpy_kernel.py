@@ -10,7 +10,7 @@ Two acceptance properties:
   decomposition for large ones.
 * **graceful absence** — with numpy unavailable (monkeypatched import
   failure), every resolution layer degrades to the sweep: name-level
-  (``GranulePolicy.kernel`` never hands out ``"numpy"``) and
+  (``choose_kernel`` never hands out ``"numpy"``) and
   function-level (``kernel_function("numpy")`` returns the sweep
   callable), with the substitution recorded in the join's result details.
 """
@@ -20,7 +20,11 @@ import random
 import pytest
 
 from repro.core import kernels
-from repro.core.granules import NUMPY_FROM_CANDIDATES, GranulePolicy
+from repro.core.granules import (
+    NUMPY_FROM_CANDIDATES,
+    choose_kernel,
+    estimated_candidates,
+)
 from repro.core.interval import Interval
 from repro.core.join import OIPJoin
 from repro.core.kernels import (
@@ -32,7 +36,6 @@ from repro.core.kernels import (
     sweep_matches,
 )
 from repro.engine.governor import CancellationToken
-from repro.storage.device import DeviceProfile
 from repro.storage.metrics import CostWeights
 from repro.workloads import long_lived_mixture
 
@@ -219,17 +222,17 @@ class TestNumpyAbsent:
     def test_resolve_kernel_substitutes_sweep(self, monkeypatch):
         _break_numpy(monkeypatch)
         outer, inner = WORKLOADS["mixed"]
-        assert GranulePolicy().kernel(outer, inner, "numpy") == "sweep"
+        assert choose_kernel(outer, inner, "numpy") == "sweep"
 
     def test_choose_kernel_skips_numpy_tier(self, monkeypatch):
         _break_numpy(monkeypatch)
         big = long_lived_mixture(
             1_000, 0.5, Interval(1, 2**20), seed=7, name="big"
         )
-        policy = GranulePolicy()
-        model = policy.cost_model(big, big, DeviceProfile.main_memory())
-        assert model.estimated_candidates() >= NUMPY_FROM_CANDIDATES
-        assert policy.kernel(big, big) == "sweep"
+        lam = big.duration_fraction
+        estimated = estimated_candidates(big.cardinality, big.cardinality, lam, lam)
+        assert estimated >= NUMPY_FROM_CANDIDATES
+        assert choose_kernel(big, big) == "sweep"
 
     def test_join_records_substitution(self, monkeypatch):
         _break_numpy(monkeypatch)

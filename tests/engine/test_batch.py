@@ -282,15 +282,13 @@ class TestBatchLifecycle:
 
     def test_budget_is_per_query(self, relations):
         outer, inner = relations
-        # The paper's weights give each query several stop points.
-        paper = CostWeights.main_memory()
         with pytest.raises(BudgetExceededError):
-            BatchJoin(
-                budget=QueryBudget(max_comparisons=50), weights=paper
-            ).run(outer, inner, equal_windows(outer.time_range, 3))
+            BatchJoin(budget=QueryBudget(max_comparisons=50)).run(
+                outer, inner, equal_windows(outer.time_range, 3)
+            )
         # A budget generous enough for any single window passes even if
         # the *sum* over windows exceeds it — it restarts per query.
-        full = BatchJoin(weights=paper).run(
+        full = BatchJoin().run(
             outer, inner, equal_windows(outer.time_range, 4)
         )
         per_query = max(
@@ -301,7 +299,7 @@ class TestBatchLifecycle:
         )
         assert total > per_query
         result = BatchJoin(
-            budget=QueryBudget(max_comparisons=per_query), weights=paper
+            budget=QueryBudget(max_comparisons=per_query)
         ).run(outer, inner, equal_windows(outer.time_range, 4))
         assert result.completed
 
@@ -396,11 +394,8 @@ class TestBatchCli:
     def test_batch_budget_exit_75(self, capsys):
         from repro.cli import main
 
-        # The naive kernel keeps Equation 1's partitioning, which gives
-        # each query several stop points.
         code = main(
-            self.JOIN
-            + ["--batch", "3", "--max-comparisons", "100", "--kernel", "naive"]
+            self.JOIN + ["--batch", "3", "--max-comparisons", "100"]
         )
         assert code == 75
         assert "per-query budget exceeded" in capsys.readouterr().out

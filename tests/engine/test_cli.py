@@ -146,12 +146,9 @@ class TestLifecycleFlags:
     SIGINT-to-cooperative-cancellation round trip."""
 
     JOIN = ["join", "--workload", "mixture", "--cardinality", "600"]
-    #: The naive kernel keeps Equation 1's partitioning: a join with
-    #: several outer partitions, so several stop points.
-    STOPPABLE = JOIN + ["--kernel", "naive"]
 
     def test_budget_exceeded_exits_75_with_partial_counters(self, capsys):
-        code = main(self.STOPPABLE + ["--max-comparisons", "2000"])
+        code = main(self.JOIN + ["--max-comparisons", "2000"])
         assert code == 75
         out = capsys.readouterr().out
         assert "budget exceeded (comparisons)" in out
@@ -170,13 +167,32 @@ class TestLifecycleFlags:
         with pytest.raises(SystemExit):
             main(self.JOIN + ["--max-comparisons", "-5"])
 
-    def test_pinned_k_reaches_the_join(self, capsys):
-        assert main(self.JOIN + ["--k", "5"]) == 0
-        assert "k_inner: 5" in capsys.readouterr().out
-        with pytest.raises(SystemExit, match="--k must be >= 1"):
-            main(self.JOIN + ["--k", "0"])
-        with pytest.raises(SystemExit, match="oip"):
-            main(self.JOIN + ["--algorithm", "smj", "--k", "5"])
+    def test_deadline_overrun_in_the_last_partition_exits_75(
+        self, monkeypatch, capsys
+    ):
+        """The default join has one outer partition; a deadline it
+        overruns there is reported after that partition's work, not
+        returned as a success."""
+        import time
+
+        import repro.core.join as join_module
+
+        real = join_module.kernel_function
+
+        def slow_kernel_function(kernel):
+            kernel_fn = real(kernel)
+
+            def slow(outer, inner):
+                time.sleep(0.3)
+                return kernel_fn(outer, inner)
+
+            return slow
+
+        monkeypatch.setattr(join_module, "kernel_function", slow_kernel_function)
+        assert main(self.JOIN + ["--deadline-ms", "150"]) == 75
+        out = capsys.readouterr().out
+        assert "budget exceeded (deadline)" in out
+        assert "after" in out and "1 outer partition(s)" in out
 
     def test_lifecycle_flags_are_oip_only(self):
         with pytest.raises(SystemExit, match="oip"):
@@ -187,7 +203,7 @@ class TestLifecycleFlags:
     def test_budget_abort_checkpoint_then_resume(self, tmp_path, capsys):
         path = str(tmp_path / "ck.json")
         code = main(
-            self.STOPPABLE
+            self.JOIN
             + [
                 "--max-comparisons",
                 "2000",
@@ -201,9 +217,9 @@ class TestLifecycleFlags:
         assert f"checkpoint written to: {path}" in capsys.readouterr().out
         # Resuming without the budget finishes the join and reports the
         # same totals an uninterrupted run would.
-        assert main(self.STOPPABLE) == 0
+        assert main(self.JOIN) == 0
         full = capsys.readouterr().out
-        assert main(self.STOPPABLE + ["--resume-from", path]) == 0
+        assert main(self.JOIN + ["--resume-from", path]) == 0
         resumed = capsys.readouterr().out
         assert "resumed_from_partition" in resumed
         # Identical pair count and counter totals vs the full run.
@@ -283,18 +299,15 @@ class TestObservabilityFlags:
     def test_compare_reports_mode(self, tmp_path, capsys):
         base = str(tmp_path / "base.json")
         other = str(tmp_path / "other.json")
-        assert main(self.JOIN + ["--k", "8", "--report", base]) == 0
-        assert (
-            main(self.JOIN + ["--k", "8", "--kernel", "naive", "--report", other])
-            == 0
-        )
+        assert main(self.JOIN + ["--kernel", "numpy", "--report", base]) == 0
+        assert main(self.JOIN + ["--kernel", "sweep", "--report", other]) == 0
         capsys.readouterr()
         assert main(["compare", base, other]) == 0
         out = capsys.readouterr().out
         assert "compare: oip (base) vs oip (other)" in out
         assert "phase times:" in out
-        # Runs on different kernels at one k count identically (each
-        # kernel derives its own k, so k is pinned).
+        # Runs on different kernels at one k count identically (the
+        # fast kernels derive the same k).
         assert "counters deltas:\n  (identical)" in out
 
     def test_compare_reports_json(self, tmp_path, capsys):
@@ -328,10 +341,10 @@ class TestLifecycleSlow:
     @pytest.mark.slow
     def test_sigint_round_trip(self, tmp_path):
         """A real SIGINT mid-join lands a checkpoint and exit 130; a
-        follow-up --resume-from completes with exit 0.  ``--k 12`` (what
-        Equation 1 derives here) gives the join many outer partitions,
-        so many stop points and checkpoint writes; the default joins
-        this workload at k=1, one stop point."""
+        follow-up --resume-from completes with exit 0.  The naive
+        kernel keeps Equation 1's k, so the join has many outer
+        partitions (stop points and checkpoint writes) and runs long
+        enough for the signal to land mid-join."""
         import os
         import signal
         import subprocess
@@ -350,8 +363,8 @@ class TestLifecycleSlow:
             "4000",
             "--algorithm",
             "oip",
-            "--k",
-            "12",
+            "--kernel",
+            "naive",
             "--checkpoint",
             path,
             "--checkpoint-every",

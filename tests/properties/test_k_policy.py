@@ -1,38 +1,36 @@
 """Property tests of the granule policy under both weight sets.
 
-The policy decides a join's kernel first, then derives ``k`` from that
-kernel's cost: Equation 1 under the paper's weights
+A join decides its kernel first (``choose_kernel``), then derives ``k``
+for it: Equation 1 under the paper's weights
 (``CostWeights.main_memory()``) for every kernel, and under the
 engine's (``CostWeights.engine()``, the default) for the naive kernel;
-accesses, block IOs and inner-tuple visits for the ``sweep`` and
-``numpy`` kernels under the engine's.  Over drawn edge-case relations —
+the ``sweep`` and ``numpy`` kernels, which never touch a false hit, run
+at ``k = 1`` under the engine's.  Over drawn edge-case relations —
 empty sides, point intervals, a one-chronon domain, tuples on the
 domain bounds — both weight sets and every requested kernel:
 
-* the join runs the kernel the policy decides;
-* the derived ``k`` is at least 1, and each side's count is the derived
-  ``k`` capped to that side's time range;
+* the join runs the chosen kernel;
+* the derived ``k`` is at least 1 (exactly 1 for a fast kernel under
+  the engine's weights), and each side's count is the derived ``k``
+  capped to that side's time range;
 * the self-adjusting join equals the join pinned at its derived ``k``
   in pairs (in order), cost counters and resilience counters;
-* the result records which weights chose ``k`` and the predicted cost
-  there of the model that chose it;
-* the fast kernels' derived ``k`` is no costlier, in their model, than
-  any other ``k`` of the searched range (up to 64 here).
+* the result records which weights chose ``k`` and, when Equation 1
+  chose it, Equation 1's predicted cost there.
 
 Snapshot tests pin what the default means for a snapshot: one saved
 under the paper's weights is served under the policy it records, and a
 default join degrades it with ``config_mismatch`` to a rebuild equal to
-a plain default join; a default snapshot, whose ``k`` was priced for
-the fast kernels, degrades the same way for a naive join.
+a plain default join; a default snapshot serves a naive join at its
+own ``k``, loaded or rebuilt.
 """
 
 import os
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import given, settings
 
-from repro.core.granules import GranulePolicy
+from repro.core.granules import GranulePolicy, choose_kernel
 from repro.core.kernels import KERNELS
 from repro.core.interval import Interval
 from repro.core.join import OIPJoin
@@ -67,7 +65,7 @@ def test_derived_k_is_capped_and_equals_its_pinned_join(
     outer, inner = relations
     device = DeviceProfile.main_memory()
     policy = GranulePolicy(weights=weights).resolved()
-    kernel = policy.kernel(outer, inner, requested)
+    kernel = choose_kernel(outer, inner, requested)
     derivation = policy.derive(outer, inner, device, kernel)
     assert derivation.k >= 1
     model = derivation.model
@@ -75,11 +73,8 @@ def test_derived_k_is_capped_and_equals_its_pinned_join(
     assert model.prices_candidates == (
         kernel == "naive" or weights == CostWeights.main_memory()
     )
-    if not (outer.is_empty or inner.is_empty or model.prices_candidates):
-        # The fast kernels' k minimises their cost over the searched
-        # range, 1 .. max(n_r, n_s).
-        searched = range(1, min(64, max(len(outer), len(inner))) + 1)
-        assert model.cost(derivation.k) <= min(map(model.cost, searched))
+    if not model.prices_candidates:
+        assert derivation.k == 1
     auto = OIPJoin(weights=weights, kernel=requested).join(outer, inner)
     assert auto.details.get("kernel", kernel) == kernel
     pinned = OIPJoin(weights=weights, kernel=requested, k=derivation.k).join(
@@ -96,7 +91,10 @@ def test_derived_k_is_capped_and_equals_its_pinned_join(
     assert details["k_weights"] == (
         "paper" if weights == CostWeights.main_memory() else "engine"
     )
-    assert details["k_predicted_cost"] == model.cost(k_inner)
+    if model.prices_candidates:
+        assert details["k_predicted_cost"] == model.overhead_cost(k_inner)
+    else:
+        assert "k_predicted_cost" not in details
     assert "k_weights" not in pinned.details
 
 
@@ -150,49 +148,56 @@ def test_default_join_degrades_a_paper_snapshot_to_a_rebuild(tmp_path):
     assert result.details["k"] == engine.details["k"]
 
 
-def test_default_snapshot_degrades_for_a_naive_join(tmp_path):
-    """A default snapshot records that its k was priced for the fast
-    kernels (``k_model``); a naive join, whose k Equation 1 prices,
-    rebuilds instead of restoring a partitioning it would not make."""
+def test_a_default_snapshot_serves_a_naive_join_at_its_k(tmp_path):
+    """A default snapshot's k is priced for the fast kernels, and so is
+    every join that uses an index: a naive join restores it (also when
+    served) rather than rebuilding, and a naive join whose load
+    degrades rebuilds the same partitioning."""
     outer, inner = _figure8_pair()
     path = os.path.join(str(tmp_path), "engine.oip")
     save_index(path, outer, inner)
-    naive = OIPJoin(kernel="naive").join(outer, inner)
     fast = OIPJoin(kernel="sweep").join(outer, inner)
-    assert naive.details["k"] != fast.details["k"]
-    restored = OIPJoin(index_path=path, kernel="sweep").join(outer, inner)
-    assert restored.details["index"]["loaded"] is True
-    assert _record(restored) == _record(fast)
-    rebuilt = OIPJoin(index_path=path, kernel="naive").join(outer, inner)
-    assert rebuilt.details["index"] == {
-        "path": path,
-        "loaded": False,
-        "reason": "config_mismatch",
-    }
-    assert _record(rebuilt) == _record(naive)
-
-
-def test_visit_model_prices_what_grows_with_k():
-    """Under the engine's weights the fast kernels' cost has no term
-    that falls as k grows on two equal relations, so it derives k=1;
-    against a tiny outer relation, granules keep that relation's one
-    partition away from most inner tuples, so k grows."""
-    policy = GranulePolicy().resolved()
-    device = DeviceProfile.main_memory()
-    outer, inner = _figure8_pair()
-    for kernel in ("sweep", "numpy"):
-        assert policy.derive(outer, inner, device, kernel).k == 1
-    model = policy.cost_model(outer, inner, device, "sweep")
-    accesses, ios, visits = model.visit_work(1)
-    assert (accesses, visits) == (1, inner.cardinality)
-    # Both sides written once and read once, each run ending in half a
-    # block.
-    assert ios == pytest.approx(
-        2 * (outer.cardinality + inner.cardinality) / 14 + 2
+    assert OIPJoin(kernel="naive").join(outer, inner).details["k"] != (
+        fast.details["k"]
     )
+    at_index_k = OIPJoin(kernel="naive", k=fast.details["k"]).join(outer, inner)
+    restored = OIPJoin(index_path=path, kernel="naive").join(outer, inner)
+    assert restored.details["index"]["loaded"] is True
+    assert _record(restored) == _record(at_index_k)
+    missing = os.path.join(str(tmp_path), "missing.oip")
+    rebuilt = OIPJoin(index_path=missing, kernel="naive").join(outer, inner)
+    assert rebuilt.details["index"]["loaded"] is False
+    assert _record(rebuilt) == _record(at_index_k)
+    service = JoinService(path, kernel="naive")
+    service.start()
+    try:
+        served = service.query("join")
+        per_request = service.query("join", kernel="naive")
+    finally:
+        service.drain()
+    for body in (served, per_request):
+        assert body["index"]["loaded"] is True
+        assert body["kernel"] == "naive"
+        assert body["counters"] == at_index_k.counters.snapshot()
+
+
+def test_fast_kernels_run_at_one_granule_under_the_engine_weights():
+    """Under the engine's weights the naive kernel keeps Equation 1 and
+    the fast kernels run at k=1, on equal relations and on a tiny one
+    against a large one; under the paper's weights every kernel derives
+    Equation 1's k."""
+    device = DeviceProfile.main_memory()
+    engine = GranulePolicy().resolved()
+    paper = GranulePolicy(weights=CostWeights.main_memory())
     domain = Interval(1, 20_000)
     tiny = long_lived_mixture(2, 0.0, time_range=domain, seed=13, name="tiny")
     large = long_lived_mixture(
         20_000, 0.0, time_range=domain, seed=14, name="large"
     )
-    assert policy.derive(tiny, large, device, "sweep").k > 1
+    for outer, inner in (_figure8_pair(), (tiny, large)):
+        for kernel in ("sweep", "numpy"):
+            assert engine.derive(outer, inner, device, kernel).k == 1
+        assert engine.derive(outer, inner, device, "naive").k > 1
+        assert len(
+            {paper.derive(outer, inner, device, kernel).k for kernel in KERNELS}
+        ) == 1

@@ -19,7 +19,7 @@ SCRIPT = textwrap.dedent(
     """
     import os, sys, tempfile
 
-    from repro.core.granules import GranulePolicy
+    from repro.core.granules import choose_kernel
     from repro.service import JoinService
     from repro.service.client import ServiceClient
     from repro.service.server import ServiceServer
@@ -30,7 +30,7 @@ SCRIPT = textwrap.dedent(
         uniform_relation(1500, seed=seed, name=name)
         for seed, name in ((5, "outer"), (6, "inner"))
     )
-    assert GranulePolicy().kernel(outer, inner) == "sweep"
+    assert choose_kernel(outer, inner) == "sweep"
     with tempfile.TemporaryDirectory() as scratch:
         path = os.path.join(scratch, "served.oip")
         save_index(path, outer, inner)

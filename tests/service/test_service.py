@@ -87,6 +87,36 @@ class TestQueries:
         assert excinfo.value.code == "deadline"
         assert excinfo.value.retriable is True
 
+    def test_deadline_overrun_in_the_only_partition_aborts(
+        self, service, monkeypatch
+    ):
+        """The default policy joins this snapshot at k=1, one outer
+        partition: a deadline overrun there aborts the request after
+        that partition's work rather than answering it."""
+        import repro.core.join as join_module
+
+        real = join_module.kernel_function
+
+        def slow_kernel_function(kernel):
+            kernel_fn = real(kernel)
+
+            def slow(outer, inner):
+                time.sleep(0.3)
+                return kernel_fn(outer, inner)
+
+            return slow
+
+        assert service.query("join")["k"] == 1
+        monkeypatch.setattr(join_module, "kernel_function", slow_kernel_function)
+        with pytest.raises(ServiceError) as excinfo:
+            service.query("join", deadline_ms=150)
+        assert excinfo.value.code == "deadline"
+        detail = excinfo.value.detail
+        assert (detail["reason"], detail["partitions_completed"]) == (
+            "deadline",
+            1,
+        )
+
 
 class TestOverload:
     def test_full_house_sheds_with_structure(self, snapshot):
