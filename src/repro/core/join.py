@@ -26,10 +26,11 @@ schedule per query through the same loop.
 Algorithm 2 emits ``r o s`` for every kernel hit.  The emission step
 (:func:`pair_emitter`) keeps each task's hits as they come out of the
 kernel, one chunk per task, in a :class:`PairChunks` — the join's
-``JoinResult.pairs``.  A pair tuple is built only when a consumer
-iterates or indexes the result; :func:`repro.service.service
-.summarize_result` counts, window-filters and fingerprints the chunks
-without building any.
+``JoinResult.pairs``.  A chunk keeps the kernel's hit sequence as is
+(the numpy kernel's ``int64`` array included); a pair tuple, or a
+Python int per hit, is made only when a consumer iterates or indexes
+the result.  :func:`repro.service.service.summarize_result` counts,
+window-filters and fingerprints the chunks without building any pair.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ __all__ = [
     "ProbeTask",
     "RunReader",
     "build_probe_schedule",
+    "hit_list",
     "hits_in_window",
     "pair_emitter",
     "probe_inline",
@@ -73,8 +75,15 @@ DEFAULT_CHECKPOINT_EVERY = 8
 
 #: One :class:`PairChunks` chunk: ``(outer tuples, inner tuples, n_outer,
 #: hits)``, hit ``e`` standing for ``(outer[e % n_outer], inner[e //
-#: n_outer])``.
-PairChunk = Tuple[Sequence, Sequence, int, List[int]]
+#: n_outer])``.  ``hits`` is a list or the numpy kernel's ``int64``
+#: array (see :func:`hit_list`).
+PairChunk = Tuple[Sequence, Sequence, int, Sequence[int]]
+
+
+def hit_list(hits: Sequence[int]) -> List[int]:
+    """*hits* as a list of Python ints: the sweep and naive kernels'
+    lists as they are, the numpy kernel's array converted once."""
+    return hits if isinstance(hits, list) else hits.tolist()
 
 
 class PairChunks(SequenceABC):
@@ -83,7 +92,7 @@ class PairChunks(SequenceABC):
     One chunk per probe task with hits (see :data:`PairChunk`), in
     emission order.  The hits use the kernels' encoding ``inner_pos *
     n_outer + outer_pos`` over the chunk's tuple sequences, so a chunk
-    costs its hit list and no pair tuple until one is asked for.
+    costs its hits and no pair tuple until one is asked for.
 
     A read-only sequence of ``(outer, inner)`` tuple pairs: ``len()`` is
     O(1); iteration, indexing (negative indices, slices — a slice is a
@@ -120,12 +129,12 @@ class PairChunks(SequenceABC):
         outer_tuples: Sequence,
         inner_tuples: Sequence,
         n_outer: int,
-        hits: List[int],
+        hits: Sequence[int],
         positions: Optional[Tuple[Sequence[int], List]] = None,
         ascending: bool = True,
     ) -> None:
         """Add one chunk; a chunk without hits adds nothing."""
-        if hits:
+        if len(hits):
             if positions is not None:
                 self._positions[len(self.chunks)] = positions
             if not ascending:
@@ -143,7 +152,7 @@ class PairChunks(SequenceABC):
             outer, inner_runs = self._positions[index]
             inner = list(chain.from_iterable(inner_runs))
             encoded.extend(
-                [(outer[e % n_outer], inner[e // n_outer]) for e in hits]
+                [(outer[e % n_outer], inner[e // n_outer]) for e in hit_list(hits)]
             )
         return encoded
 
@@ -152,7 +161,9 @@ class PairChunks(SequenceABC):
 
     def __iter__(self):
         for outer, inner, n_outer, hits in self.chunks:
-            yield from [(outer[e % n_outer], inner[e // n_outer]) for e in hits]
+            yield from [
+                (outer[e % n_outer], inner[e // n_outer]) for e in hit_list(hits)
+            ]
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -167,7 +178,7 @@ class PairChunks(SequenceABC):
         if chunk:
             position -= self._ends[chunk - 1]
         outer, inner, n_outer, hits = self.chunks[chunk]
-        encoded = hits[position]
+        encoded = int(hits[position])
         return outer[encoded % n_outer], inner[encoded // n_outer]
 
     def __eq__(self, other: object) -> bool:
@@ -920,10 +931,10 @@ def run_probe_task(
     nav_cpu: int,
     reader: RunReader,
     counters: CostCounters,
-    kernel_fn: Callable[[DecodedRun, DecodedRun], List[int]],
+    kernel_fn: Callable[[DecodedRun, DecodedRun], Sequence[int]],
     trace: Optional[Any] = None,
     kernel: str = "naive",
-) -> Tuple[Optional[DecodedRun], List[DecodedRun], List[int]]:
+) -> Tuple[Optional[DecodedRun], List[DecodedRun], Sequence[int]]:
     """Algorithm 2's pair loop for one outer partition — the one copy.
 
     Charges the task's navigation (*nav_cpu* comparisons and one
@@ -942,7 +953,8 @@ def run_probe_task(
     ``None`` when it was not needed, and each hit is encoded as
     ``inner_pos * n_outer + outer_pos`` over the inner runs'
     concatenation, in ascending order — pair by pair in walk order,
-    inner-major within a pair: the sequential emission order.
+    inner-major within a pair: the sequential emission order.  The hits
+    are the kernel's own sequence (see :func:`hit_list`).
     """
     charge_cpu = counters.charge_cpu
     charge_cpu(nav_cpu)
@@ -965,12 +977,14 @@ def run_probe_task(
     return outer_run, runs, hits
 
 
-def joined_tuples(inner_runs: Sequence[DecodedRun], hits: List[int]) -> Sequence:
+def joined_tuples(
+    inner_runs: Sequence[DecodedRun], hits: Sequence[int]
+) -> Sequence:
     """*inner_runs*' tuples as one sequence indexed like the task's
     concatenated run (:meth:`~repro.core.kernels.DecodedRun.concatenate`),
     for decoding ``hits``; nothing is copied when there are no hits or
     only one run."""
-    if not hits:
+    if not len(hits):
         return ()
     if len(inner_runs) == 1:
         return inner_runs[0].tuples
@@ -978,13 +992,13 @@ def joined_tuples(inner_runs: Sequence[DecodedRun], hits: List[int]) -> Sequence
 
 
 def chunk_positions(
-    outer: DecodedRun, inner_runs: Sequence[DecodedRun], hits: List[int]
+    outer: DecodedRun, inner_runs: Sequence[DecodedRun], hits: Sequence[int]
 ) -> Optional[Tuple[Sequence[int], List[Sequence[int]]]]:
     """The relation positions of a chunk's tuples: the outer run's, and
     the inner runs' in :func:`joined_tuples` order, left unjoined until
     :meth:`PairChunks.positions` needs them (``None`` for runs without
     positions)."""
-    if not hits or outer.positions is None:
+    if not len(hits) or outer.positions is None:
         return None
     return outer.positions, [run.positions for run in inner_runs]
 
@@ -993,7 +1007,7 @@ def hits_in_window(
     outer_tuples: Sequence,
     inner_tuples: Sequence,
     n_outer: int,
-    hits: List[int],
+    hits: Sequence[int],
     start: int,
     end: int,
     ascending: bool = True,
@@ -1011,8 +1025,9 @@ def hits_in_window(
     follows the hits kept, not the hits in the chunk.  *ascending*
     ``False`` (a resumed run's prefix chunk, in emission order) tests
     hit by hit."""
-    if not hits:
+    if not len(hits):
         return []
+    hits = hit_list(hits)
     if not ascending:
         return [
             encoded
@@ -1043,8 +1058,9 @@ def hits_in_window(
     ]
 
 
-#: An emission step: ``emit(outer run, [inner run, ...], hits)``.
-Emitter = Callable[[DecodedRun, Sequence[DecodedRun], List[int]], None]
+#: An emission step: ``emit(outer run, [inner run, ...], hits)``, the
+#: hits as the kernel returned them (see :func:`hit_list`).
+Emitter = Callable[[DecodedRun, Sequence[DecodedRun], Sequence[int]], None]
 
 
 def pair_emitter(

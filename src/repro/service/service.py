@@ -43,7 +43,7 @@ import time
 import zlib
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.join import OIPJoin, PairChunks, hits_in_window
+from ..core.join import OIPJoin, PairChunks, hit_list, hits_in_window
 from ..engine.governor import (
     AdmissionController,
     AdmissionRejectedError,
@@ -181,6 +181,7 @@ def _summarize_chunks(
     count = fingerprint = 0
     kept_pairs: List[Tuple[Any, Any]] = []
     for index, (outer, inner, n_outer, hits) in enumerate(pairs.chunks):
+        hits = hit_list(hits)
         if window is not None:
             hits = hits_in_window(
                 outer,

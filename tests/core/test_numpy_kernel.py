@@ -68,7 +68,7 @@ class TestNumpyMatches:
         hits = numpy_matches(
             DecodedRun.from_tuples(outer), DecodedRun.from_tuples(inner)
         )
-        assert hits == brute_force_hits(outer, inner)
+        assert list(hits) == brute_force_hits(outer, inner)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_brute_force_searchsorted_path(self, seed, monkeypatch):
@@ -80,7 +80,7 @@ class TestNumpyMatches:
         hits = numpy_matches(
             DecodedRun.from_tuples(outer), DecodedRun.from_tuples(inner)
         )
-        assert hits == brute_force_hits(outer, inner)
+        assert list(hits) == brute_force_hits(outer, inner)
 
     @pytest.mark.parametrize("path_cells", [0, 4096])
     def test_emission_order_matches_naive(self, path_cells, monkeypatch):
@@ -94,7 +94,7 @@ class TestNumpyMatches:
         )
         # The same *list*, not merely the same set: ascending encoded
         # order is the inner-major emission order of Algorithm 2.
-        assert numpy_matches(outer, inner) == naive_matches(outer, inner)
+        assert list(numpy_matches(outer, inner)) == naive_matches(outer, inner)
 
     def test_empty_runs(self):
         rng = random.Random(3)
@@ -114,7 +114,7 @@ class TestNumpyMatches:
             )
         )
         run = DecodedRun.from_tuples(tuples)
-        assert numpy_matches(run, run) == brute_force_hits(tuples, tuples)
+        assert list(numpy_matches(run, run)) == brute_force_hits(tuples, tuples)
 
 
 # ---------------------------------------------------------------------------
