@@ -783,15 +783,18 @@ class SideColumns:
         )
 
     def bind(self, relation: Any, capacity: int) -> RunColumns:
-        """The side's columns over the caller's own tuple objects, for
-        *capacity* tuples per block.  Their endpoints must be the checked
-        ones, so the probe reads exactly what :meth:`decode` checked.
+        """The side's columns over the caller's own tuple objects and
+        endpoint columns, gathered in the side's order, for *capacity*
+        tuples per block.  Their endpoints must be the checked ones, so the probe reads exactly what :meth:`decode` checked.
         Stored checksums are adopted when they cover blocks of this size;
         otherwise each block gets a column checksum, as a build would."""
         checksums = self.checksums if capacity == self.capacity else None
+        positions = self.positions
         columns = RunColumns(
-            list(map(relation.tuples.__getitem__, self.positions)),
-            self.positions,
+            list(map(relation.tuples.__getitem__, positions)),
+            array("q", map(relation.starts.__getitem__, positions)),
+            array("q", map(relation.ends.__getitem__, positions)),
+            positions,
             checksums,
         )
         if columns.starts != self.starts or columns.ends != self.ends:
