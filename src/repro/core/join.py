@@ -40,6 +40,7 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from itertools import chain
 from operator import index as as_index
+from weakref import ref
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..storage.buffer import BufferPool
@@ -49,7 +50,13 @@ from ..storage.manager import StorageManager
 from ..storage.metrics import CostCounters, CostWeights
 from .base import JoinResult, OverlapJoinAlgorithm
 from .granules import GranulePolicy, KDerivation, choose_kernel, weights_label
-from .kernels import KERNELS, DecodedRun, kernel_function
+from .kernels import (
+    KERNELS,
+    DecodedRun,
+    decode_columns,
+    kernel_function,
+    numpy_hits_in_window,
+)
 from .interval import Interval
 from .lazy_list import LazyPartitionList, PartitionNode, oip_create
 from .oip import OIPConfiguration
@@ -109,9 +116,18 @@ class PairChunks(SequenceABC):
     resumed run's prefix, in emission order) is listed in
     :attr:`unordered`, so a consumer that relies on the order
     (:func:`hits_in_window`) can tell.
+
+    A chunk may also refer to the decoded runs its hits index (the
+    outer run and the inner runs, whose concatenation the inner tuples
+    follow); :meth:`runs` hands a consumer their endpoint columns
+    instead of columns rebuilt from the tuples' attributes.  The
+    references are weak: a summary made while the runs live — a served
+    query's, whose pinned generation holds them — reads their columns,
+    and a result kept after its join's runs are gone holds no column
+    of its own.
     """
 
-    __slots__ = ("chunks", "unordered", "_ends", "_positions")
+    __slots__ = ("chunks", "unordered", "_ends", "_positions", "_runs")
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self) -> None:
@@ -123,6 +139,9 @@ class PairChunks(SequenceABC):
         #: Chunk index -> ``(outer positions, [inner positions, ...])``,
         #: for the chunks that carry positions.
         self._positions: Dict[int, Tuple[Sequence[int], List]] = {}
+        #: Chunk index -> weak references ``(outer run, [inner run,
+        #: ...])``, for the chunks that refer to their runs.
+        self._runs: Dict[int, Tuple[Any, List[Any]]] = {}
 
     def append(
         self,
@@ -132,11 +151,18 @@ class PairChunks(SequenceABC):
         hits: Sequence[int],
         positions: Optional[Tuple[Sequence[int], List]] = None,
         ascending: bool = True,
+        runs: Optional[Tuple[DecodedRun, Sequence[DecodedRun]]] = None,
     ) -> None:
         """Add one chunk; a chunk without hits adds nothing."""
         if len(hits):
             if positions is not None:
                 self._positions[len(self.chunks)] = positions
+            if runs is not None:
+                outer_run, inner_runs = runs
+                self._runs[len(self.chunks)] = (
+                    ref(outer_run),
+                    [ref(run) for run in inner_runs],
+                )
             if not ascending:
                 self.unordered.add(len(self.chunks))
             self.chunks.append((outer_tuples, inner_tuples, n_outer, hits))
@@ -155,6 +181,22 @@ class PairChunks(SequenceABC):
                 [(outer[e % n_outer], inner[e // n_outer]) for e in hit_list(hits)]
             )
         return encoded
+
+    def runs(self, index: int) -> Tuple[DecodedRun, DecodedRun]:
+        """The endpoint columns of chunk *index*: its outer run and its
+        inner runs concatenated, indexed like the chunk's tuples; a
+        chunk whose runs are gone, or that has none, is decoded from its
+        tuples."""
+        refs = self._runs.get(index)
+        if refs is not None:
+            outer_run = refs[0]()
+            inner_runs = [inner_ref() for inner_ref in refs[1]]
+            if outer_run is not None and None not in inner_runs:
+                return outer_run, DecodedRun.concatenate(inner_runs)
+        outer, inner, _, _ = self.chunks[index]
+        return DecodedRun(*decode_columns(outer)), DecodedRun(
+            *decode_columns(inner)
+        )
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
@@ -879,16 +921,23 @@ class RunReader:
     manager's ``read_run``, so block IO, checksum verification, injected
     faults and the buffer pool all apply on every visit.
 
-    A read returns the node's columnar decode, memoised on the node
-    (:attr:`~repro.core.lazy_list.PartitionNode.decoded`).  The run is
-    decoded on the node's first read — from the run's stored columns,
-    through ``DecodedRun.from_tuples`` — and again after a read that
-    detected a corruption or a buffer-pool invalidation on its blocks,
-    so a corrupt read is never answered from a stale decode.
-    ``decode=False`` reads without decoding a node that has no decode
-    yet.  ``StorageManager.read_run`` and ``DecodedRun.from_tuples`` are
-    looked up at call time, so a wrapper installed on either (a
-    profiler) sees every read and every decode.
+    A read returns the run's columnar decode, memoised on the run's
+    columns (:attr:`~repro.storage.columns.RunColumns.decoded`) and so
+    shared by every query over the same columns: a pinned snapshot
+    generation's (:class:`~repro.storage.snapshot.ParsedSnapshot`
+    shares them) or a batch's.  With the decode come its memoised sort
+    views (``order``, ``sorted_starts``, ``numpy_view``).  The run is
+    decoded on its first read — from its stored columns, through
+    ``DecodedRun.from_tuples`` — and again after a read that detected a
+    corruption or a buffer-pool invalidation on its blocks, or when its
+    ``starts``/``ends``/``positions`` no longer equal the decode's (a
+    change after its blocks were checked, which the remembered verdicts
+    cannot see), so no read is answered from a stale decode.
+    ``decode=False`` reads without decoding a run that has no decode
+    yet.  The nodes, block ids, read charges and the counter sinks stay
+    the reading query's own.  ``StorageManager.read_run`` and
+    ``DecodedRun.from_tuples`` are looked up at call time, so a wrapper
+    installed on either (a profiler) sees every read and every decode.
     """
 
     __slots__ = ("storage", "resilience")
@@ -911,18 +960,30 @@ class RunReader:
         )
         run = node.run
         tuples = self.storage.read_run(run, context=(side, (node.i, node.j)))
+        memo = run.columns.decoded
         if (
             resilience.corruptions_detected + resilience.pool_invalidations
             != detected
         ):
-            node.decoded = None
-        if decode and node.decoded is None:
+            memo.pop(run.offset, None)
+        # Queries sharing the columns may race here; each decode of the
+        # same columns is equal, so whichever store lands last is right.
+        decoded = memo.get(run.offset)
+        if not decode:
+            return decoded
+        columns = run.slices()
+        if decoded is None or columns != (
+            decoded.starts,
+            decoded.ends,
+            decoded.positions,
+        ):
             if trace is not None:
                 with trace.span("kernel.decode", tuples=run.count):
-                    node.decoded = DecodedRun.from_tuples(tuples, *run.slices())
+                    decoded = DecodedRun.from_tuples(tuples, *columns)
             else:
-                node.decoded = DecodedRun.from_tuples(tuples, *run.slices())
-        return node.decoded
+                decoded = DecodedRun.from_tuples(tuples, *columns)
+            memo[run.offset] = decoded
+        return decoded
 
 
 def run_probe_task(
@@ -1004,44 +1065,57 @@ def chunk_positions(
 
 
 def hits_in_window(
-    outer_tuples: Sequence,
-    inner_tuples: Sequence,
-    n_outer: int,
+    outer: DecodedRun,
+    inner: DecodedRun,
     hits: Sequence[int],
     start: int,
     end: int,
     ascending: bool = True,
-) -> List[int]:
-    """The *hits* (encoded as in :data:`PairChunk`) whose pair meets the
-    window ``[start, end]``: all three intervals share a point, in the
-    order of *hits*.
+) -> Sequence[int]:
+    """The *hits* (encoded as in :data:`PairChunk` over the runs
+    *outer* and *inner*, e.g. :meth:`PairChunks.runs`) whose pair meets
+    the window ``[start, end]``: all three intervals share a point, in
+    the order of *hits*.
 
     A hit's two tuples overlap, so that holds iff each tuple meets the
-    window (Helly's theorem in one dimension).  Hits in the kernels'
-    ascending inner-major order hold each inner tuple's hits as one run,
-    so one test per inner tuple picks the runs to keep, two bisections
-    cut each out, and only their hits are tested against their outer
-    tuples: beyond that one pass over the inner tuples, the work
-    follows the hits kept, not the hits in the chunk.  *ascending*
-    ``False`` (a resumed run's prefix chunk, in emission order) tests
-    hit by hit."""
+    window (Helly's theorem in one dimension).  Both cuts read the runs'
+    endpoint columns, never the tuples:
+
+    * the numpy kernel's ``int64`` array stays an array: two endpoint
+      masks cut it, first by inner tuple, then by outer tuple, and the
+      kept hits come back as an array
+      (:func:`~repro.core.kernels.numpy_hits_in_window`), so a reader
+      converts only those to Python ints;
+    * a list of ascending hits (sweep, naive) holds each inner tuple's
+      hits as one run, so one test per inner tuple picks the runs to
+      keep, two bisections cut each out, and only their hits are tested
+      against their outer tuples: beyond that one pass over the inner
+      column, the work follows the hits kept, not the hits in the chunk;
+    * *ascending* ``False`` (a resumed run's prefix chunk, in emission
+      order) tests hit by hit.
+
+    A list comes back as a list, an array as an array."""
     if not len(hits):
         return []
-    hits = hit_list(hits)
+    if not isinstance(hits, list):
+        return numpy_hits_in_window(outer, inner, hits, start, end)
+    n_outer = outer.length
+    outer_starts, outer_ends = outer.starts, outer.ends
+    inner_starts, inner_ends = inner.starts, inner.ends
     if not ascending:
         return [
             encoded
             for encoded in hits
-            if (outer := outer_tuples[encoded % n_outer]).start <= end
-            and start <= outer.end
-            and (inner := inner_tuples[encoded // n_outer]).start <= end
-            and start <= inner.end
+            if outer_starts[at := encoded % n_outer] <= end
+            and start <= outer_ends[at]
+            and inner_starts[at := encoded // n_outer] <= end
+            and start <= inner_ends[at]
         ]
     runs: List[List[int]] = []
     lo = 0
     size = len(hits)
-    for position, inner in enumerate(inner_tuples):
-        if inner.start <= end and start <= inner.end:
+    for position, (first, last) in enumerate(zip(inner_starts, inner_ends)):
+        if first <= end and start <= last:
             base = position * n_outer
             lo = bisect_left(hits, base, lo)
             if lo == size:
@@ -1053,8 +1127,8 @@ def hits_in_window(
     return [
         encoded
         for encoded in chain.from_iterable(runs)
-        if (outer := outer_tuples[encoded % n_outer]).start <= end
-        and start <= outer.end
+        if outer_starts[at := encoded % n_outer] <= end
+        and start <= outer_ends[at]
     ]
 
 
@@ -1072,8 +1146,10 @@ def pair_emitter(
     to *pairs* as one chunk over the outer run's tuples and the
     concatenated inner runs' tuples (no pair tuple is built), observing
     each partition pair's candidate count with *observe* (a histogram
-    hook).  With *positions* each chunk also keeps its tuples' relation
-    positions (:func:`chunk_positions`), which a checkpoint needs."""
+    hook).  Each chunk refers to its runs (:meth:`PairChunks.runs`), so
+    a window cut reads their columns.  With *positions* each chunk also
+    keeps its tuples' relation positions (:func:`chunk_positions`),
+    which a checkpoint needs."""
 
     def emit(outer, inner_runs, hits) -> None:
         n_outer = outer.length
@@ -1086,6 +1162,7 @@ def pair_emitter(
             n_outer,
             hits,
             chunk_positions(outer, inner_runs, hits) if positions else None,
+            runs=(outer, inner_runs),
         )
 
     return emit

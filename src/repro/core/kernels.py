@@ -58,9 +58,12 @@ large joins when numpy is importable, ``sweep`` otherwise).
 Decoding a partition run into columnar form (two ``array('q')``
 endpoint columns plus, lazily, a start-sorted permutation) costs one
 pass over the run's tuples.  An inner partition is visited by *many*
-outer partitions (the APA analysis, Lemma 5), so the probe keeps each
-run's decode on its partition node (:class:`~repro.core.join.RunReader`)
-and decodes it again only after a read that detected a corruption.
+outer partitions (the APA analysis, Lemma 5), and a pinned snapshot
+generation serves many queries, so the probe keeps each run's decode,
+sort views included, on the run's columns
+(:class:`~repro.core.join.RunReader`), shared by every query over them,
+and decodes it again only after a read that detected a corruption or
+found the run's columns changed.
 
 The probe makes **one kernel call per outer partition**: the decoded
 relevant inner runs are appended in Lemma-1 walk order into one run
@@ -85,6 +88,7 @@ __all__ = [
     "naive_matches",
     "sweep_matches",
     "numpy_matches",
+    "numpy_hits_in_window",
     "numpy_available",
     "kernel_function",
 ]
@@ -134,6 +138,7 @@ class DecodedRun:
         "_order",
         "_sorted_starts",
         "_np_view",
+        "__weakref__",
     )
 
     def __init__(
@@ -458,6 +463,32 @@ def numpy_matches(outer: DecodedRun, inner: DecodedRun) -> Sequence[int]:
         encoded = np.concatenate((encoded1, encoded2))
     encoded.sort()
     return encoded
+
+
+def numpy_hits_in_window(
+    outer: DecodedRun, inner: DecodedRun, hits: Any, start: int, end: int
+) -> Any:
+    """The numpy kernel's *hits* (an ``int64`` array encoded over
+    *outer* and *inner*) whose pair meets the window ``[start, end]``,
+    in their order, as an ``int64`` array.
+
+    Two endpoint masks over the runs' zero-copy columns cut the array:
+    ``inner_ok[hits // n_outer]`` keeps the hits whose inner tuple meets
+    the window, then ``outer_ok[kept % n_outer]`` those whose outer
+    tuple does too — by Helly's theorem in one dimension exactly the
+    pairs that meet it, since a hit's two tuples overlap.  No hit
+    becomes a Python int here.  Only ever called on an array this tier
+    made, so numpy is already imported."""
+    np = _import_numpy()
+    n_outer = outer.length
+    inner_starts, inner_ends = inner.numpy_columns(np)
+    inner_ok = (inner_starts <= end) & (inner_ends >= start)
+    kept = hits[inner_ok[hits // n_outer]]
+    if len(kept):
+        outer_starts, outer_ends = outer.numpy_columns(np)
+        outer_ok = (outer_starts <= end) & (outer_ends >= start)
+        kept = kept[outer_ok[kept % n_outer]]
+    return kept
 
 
 #: Kernel implementations by name.  ``"numpy"`` is registered whether or

@@ -28,15 +28,12 @@ from __future__ import annotations
 
 from array import array
 from itertools import groupby
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..storage.columns import ColumnRun, RunColumns, block_bounds
 from ..storage.manager import StorageManager
 from .oip import OIPConfiguration
 from .relation import TemporalRelation
-
-if TYPE_CHECKING:
-    from .kernels import DecodedRun
 
 __all__ = ["PartitionNode", "LazyPartitionList", "oip_create"]
 
@@ -44,12 +41,12 @@ __all__ = ["PartitionNode", "LazyPartitionList", "oip_create"]
 class PartitionNode:
     """One non-empty partition ``p_{i,j}`` with its storage run.
 
-    ``decoded`` memoises the run's columnar decode for the probe
-    (:class:`~repro.core.join.RunReader`); it lives as long as the
-    partition list, which belongs to one join run.
+    A node belongs to one join run; the probe's decode of its run lives
+    on the run's columns (:attr:`~repro.storage.columns.RunColumns
+    .decoded`), which a pinned snapshot generation shares across runs.
     """
 
-    __slots__ = ("i", "j", "run", "down", "right", "decoded")
+    __slots__ = ("i", "j", "run", "down", "right")
 
     def __init__(self, i: int, j: int, run: ColumnRun) -> None:
         self.i = i
@@ -57,7 +54,6 @@ class PartitionNode:
         self.run = run
         self.down: Optional["PartitionNode"] = None
         self.right: Optional["PartitionNode"] = None
-        self.decoded: Optional["DecodedRun"] = None
 
     def __repr__(self) -> str:
         return f"PartitionNode(i={self.i}, j={self.j}, n={self.run.tuple_count})"

@@ -11,8 +11,9 @@ partition runs the probes touch.
 :class:`BatchJoin` amortises both.  It partitions the pair **once** (the
 trace of a batch run carries exactly two ``oipcreate`` spans, however
 many queries follow), and every query probes the same partition nodes,
-so a partition decoded for query 0 keeps its decode on its node for
-every later query that probes it (:class:`~repro.core.join.RunReader`).
+so a partition decoded for query 0 keeps its decode on its run's
+columns for every later query that probes it
+(:class:`~repro.core.join.RunReader`).
 Each query then runs the Lemma 1 navigation with its window as the
 pruning interval:
 
@@ -26,7 +27,9 @@ pruning interval:
 * the partition-pair kernel (:mod:`repro.core.kernels` — shared with
   the single-query join, including the numpy tier) yields the
   overlapping pairs, which a final two-comparison test filters against
-  the window; the kept hits stay hit chunks
+  the window on the runs' endpoint columns
+  (:func:`~repro.core.join.hits_in_window`; the numpy tier's hit array
+  stays an array); the kept hits stay hit chunks
   (:class:`~repro.core.join.PairChunks`), like the join's.
 
 A pair ``(r, s)`` matches window ``W`` iff ``max(r.TS, s.TS, W.TS) <=
@@ -71,6 +74,7 @@ from ..core.join import (
     probe_inline,
 )
 from ..core.granules import choose_kernel
+from ..core.kernels import DecodedRun
 from ..core.relation import TemporalRelation
 from ..storage.device import DeviceProfile
 from ..storage.faults import FaultPolicy
@@ -111,14 +115,18 @@ def _window_emitter(window: Interval, counters: CostCounters, pairs: PairChunks)
     w_start, w_end = window.start, window.end
 
     def emit(outer, inner_runs, hits) -> None:
-        n_outer = outer.length
-        inner_tuples = joined_tuples(inner_runs, hits)
         counters.charge_cpu(2 * len(hits))
         kept = hits_in_window(
-            outer.tuples, inner_tuples, n_outer, hits, w_start, w_end
+            outer, DecodedRun.concatenate(inner_runs), hits, w_start, w_end
         )
         counters.charge_false_hit(len(hits) - len(kept))
-        pairs.append(outer.tuples, inner_tuples, n_outer, kept)
+        pairs.append(
+            outer.tuples,
+            joined_tuples(inner_runs, kept),
+            outer.length,
+            kept,
+            runs=(outer, inner_runs),
+        )
 
     return emit
 

@@ -158,8 +158,10 @@ def _summarize_chunks(
     """:func:`_summarize_pairs` straight from the join's hit chunks,
     building no pair beyond the first *limit* kept ones.
 
-    The window keeps a chunk's hits through the inner tuples that meet
-    it (:func:`~repro.core.join.hits_in_window`).  The key of a pair is
+    The window cuts a chunk's hits on its runs' endpoint columns
+    (:func:`~repro.core.join.hits_in_window`); the numpy kernel's hit
+    array stays an array through the cut, so only the kept hits become
+    Python ints.  The key of a pair is
     its outer tuple's prefix followed by its inner tuple's key, and
     ``crc32(a + b) == crc32(b, crc32(a))``, so each pair's CRC is the
     inner key's CRC seeded with the outer prefix's CRC: one prefix per
@@ -181,18 +183,16 @@ def _summarize_chunks(
     count = fingerprint = 0
     kept_pairs: List[Tuple[Any, Any]] = []
     for index, (outer, inner, n_outer, hits) in enumerate(pairs.chunks):
-        hits = hit_list(hits)
         if window is not None:
             hits = hits_in_window(
-                outer,
-                inner,
-                n_outer,
+                *pairs.runs(index),
                 hits,
                 *window,
                 ascending=index not in pairs.unordered,
             )
-            if not hits:
+            if not len(hits):
                 continue
+        hits = hit_list(hits)
         if len(kept_pairs) < limit:
             kept_pairs += [
                 (outer[encoded % n_outer], inner[encoded // n_outer])

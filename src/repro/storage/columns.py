@@ -30,13 +30,20 @@ A run's first read checks all of its blocks in one loop
 (:meth:`RunColumns.check`); the storage manager's per-block path (faults,
 a buffer pool, cancellation) checks one block at a time through the same
 method.
+
+The columns also keep the probe's decode of each run
+(:attr:`RunColumns.decoded`, filled by :class:`~repro.core.join
+.RunReader`).  A parsed snapshot shares one :class:`RunColumns` per side
+across every query of its generation, so a run is decoded, and its
+sort views are computed, once per generation rather than once per
+query.
 """
 
 from __future__ import annotations
 
 import zlib
 from array import array
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .block import tuple_checksum
 
@@ -60,6 +67,8 @@ class RunColumns:
     to ``tuples``.  ``checksums`` holds one stored CRC per block in
     creation order; ``tuple_checksums`` says which kind (see the module
     docstring).  ``verdicts`` remembers each block's check.
+    ``decoded`` maps a run's first row to the probe's decode of it (a
+    :class:`~repro.core.kernels.DecodedRun`).
     """
 
     __slots__ = (
@@ -70,6 +79,7 @@ class RunColumns:
         "checksums",
         "tuple_checksums",
         "verdicts",
+        "decoded",
     )
 
     def __init__(
@@ -87,6 +97,7 @@ class RunColumns:
         self.tuple_checksums = checksums is not None
         self.checksums = checksums if checksums is not None else array("q")
         self.verdicts = bytearray(len(self.checksums))
+        self.decoded: Dict[int, Any] = {}
 
     def seal(self, bounds: Sequence[Tuple[int, int]]) -> None:
         """Record a column checksum for each block of *bounds* (every

@@ -789,7 +789,7 @@ def test_corrupt_middle_inner_run_invalidates_its_cached_decode(
     assert Counter(visits[0]) == Counter(
         partition_key(node) for node in [task.outer, *task.inner]
     )
-    # The second visit finds every decode on its node, except that the
+    # The second visit finds every decode on its columns, except that the
     # corruption detected on re-reading the middle run re-decodes it.
     assert visits[1] == [partition_key(task.inner[len(task.inner) // 2])]
     assert storage.resilience.corruptions_detected == 2

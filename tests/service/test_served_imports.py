@@ -5,7 +5,10 @@ Importing numpy adds ~14 MB to a process that otherwise never loads it
 ``NUMPY_FROM_CANDIDATES``).  A served lookup or join over relations the
 sweep kernel joins — restore, probe, summary, wire — must stay clear of
 it, or ``peak_rss_mb`` of a lookup service grows by that much.  The
-check runs in a fresh interpreter, so no other test's import counts.
+window cut's array branch runs only on hit arrays the numpy kernel
+made, so a sweep-served lookup, one whose window keeps no pair
+included, never reaches it.  The check runs in a fresh interpreter, so
+no other test's import counts.
 """
 
 import os
@@ -45,6 +48,9 @@ SCRIPT = textwrap.dedent(
                 start = span.start + step * width
                 body = client.lookup([start, start + width])
                 assert body["completed"], body
+            # A window past the domain keeps no pair.
+            body = client.lookup([span.end + 1, span.end + width])
+            assert body["completed"] and body["pairs"] == 0, body
             assert service.query("join")["completed"]
         finally:
             client.close()
