@@ -777,8 +777,8 @@ def _run_datasets(args: argparse.Namespace) -> int:
 
 
 def _run_save_index(args: argparse.Namespace) -> int:
-    """The ``save-index`` path: build both OIP partitionings for a
-    workload pair and persist them as an atomic snapshot."""
+    """The ``save-index`` path: derive ``k`` for a workload pair and
+    persist both relations as an atomic snapshot."""
     from .engine.governor import QueryCancelledError
     from .storage.snapshot import save_index
 
@@ -1207,11 +1207,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            "load the OIP partitionings from a persisted snapshot "
-            "(written by save-index) instead of re-partitioning (oip "
-            "only); an unusable snapshot is an error with a distinct "
-            "exit code: 66 when the snapshot is missing, 65 when it is "
-            "corrupt or does not match the requested configuration"
+            "partition at the configuration a persisted snapshot "
+            "(written by save-index) saved, after checking it against "
+            "the workload (oip only); an unusable snapshot is an error "
+            "with a distinct exit code: 66 when the snapshot is "
+            "missing, 65 when it is corrupt or does not match the "
+            "requested configuration"
         ),
     )
     join_parser.add_argument(
@@ -1293,8 +1294,8 @@ def build_parser() -> argparse.ArgumentParser:
     save_parser = commands.add_parser(
         "save-index",
         help=(
-            "build both OIP partitionings for a workload pair and "
-            "persist them as an atomic, checksummed snapshot"
+            "derive k for a workload pair and persist both relations "
+            "as an atomic, checksummed snapshot"
         ),
     )
     _add_workload_arguments(save_parser)

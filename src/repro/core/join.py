@@ -320,10 +320,11 @@ class OIPJoin(OverlapJoinAlgorithm):
         :func:`repro.storage.snapshot.save_index` (CLI:
         ``save-index``).  When the snapshot is valid *and* matches this
         join's relations and configuration, both partition lists are
-        restored from it — bit-identical to an in-memory build, pairs
-        and counters included — and the ``derive_k``/``oipcreate``
-        phases are skipped.  A missing, corrupt, version-mismatched or
-        foreign snapshot **degrades gracefully**: an
+        built at its saved configuration — bit-identical to an
+        in-memory build, pairs and counters included — inside the
+        ``index.load`` span, and the ``derive_k`` phase is skipped.  A
+        missing, corrupt, version-mismatched or foreign snapshot
+        **degrades gracefully**: an
         ``index.recovery.degraded`` metric and tracing event record the
         structured reason, and the join falls back to the normal
         OIPCREATE rebuild.  Either way the result is the same; only the

@@ -80,6 +80,34 @@ class LazyPartitionList:
         self.storage = storage
         self.columns = columns
 
+    def _prepend(self, i: int, j: int, run: ColumnRun) -> None:
+        """Insert the partition created next — ``j`` ASC, ``i`` DESC — at
+        the head: Algorithm 1's two O(1) head insertions."""
+        node = PartitionNode(i, j, run)
+        head = self.head
+        if head is None or head.j < j:
+            node.down = head
+        else:  # same j, smaller i: the branch insert
+            node.down = head.down
+            node.right = head
+        self.head = node
+
+    def reallocated(self, storage: StorageManager) -> "LazyPartitionList":
+        """The same partitions over the same columns, each run in blocks
+        freshly allocated from *storage* in creation order — the block
+        ids and write charges a build into *storage* makes."""
+        copy = LazyPartitionList(self.config, storage, self.columns)
+        for node in reversed(list(self.iter_nodes())):
+            run = node.run
+            copy._prepend(
+                node.i,
+                node.j,
+                storage.column_run(
+                    self.columns, run.offset, run.count, run.first_block
+                ),
+            )
+        return copy
+
     # -- navigation ------------------------------------------------------------
 
     def iter_main(self) -> Iterator[PartitionNode]:
@@ -207,18 +235,11 @@ def oip_create(
     bounds: List[Tuple[int, int]] = []
     offset = 0
     for size in sizes:
-        i = (columns.starts[offset] - o) // d
-        j = (columns.ends[offset] - o) // d
-        node = PartitionNode(
-            i, j, storage.column_run(columns, offset, size, len(bounds))
+        partition_list._prepend(
+            (columns.starts[offset] - o) // d,
+            (columns.ends[offset] - o) // d,
+            storage.column_run(columns, offset, size, len(bounds)),
         )
-        head = partition_list.head
-        if head is None or head.j < j:
-            node.down = head
-        else:  # same j, smaller i: the branch insert
-            node.down = head.down
-            node.right = head
-        partition_list.head = node
         bounds.extend(block_bounds(offset, size, capacity))
         offset += size
     columns.seal(bounds)

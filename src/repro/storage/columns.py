@@ -12,19 +12,14 @@ ids come from the storage manager's monotonic allocator (one write each,
 exactly as appending tuple by tuple would charge), and reads are charged
 per block id by :meth:`~repro.storage.manager.StorageManager.read_run`.
 
-Checksums stay real.  Every block has a stored CRC32, and a block's
-content is checked against it on the block's first delivery; the verdict
-is kept (content never changes after the build), so later reads compare
-nothing.  Two kinds of stored checksum exist:
-
-* a list built by OIPCREATE folds each block's column bytes (start, end,
-  position) with ``zlib.crc32`` over memoryview slices;
-* a list restored from a snapshot adopts the snapshot's ``blocks_<side>``
-  checksums, which fold the tuples themselves
-  (:func:`~repro.storage.block.tuple_checksum`).  A parsed snapshot keeps
-  the restored columns, verdicts included, across restores, so pinned
-  bytes are checked once, not once per query — and a mismatching block
-  fails every query's read of it.
+Checksums stay real.  Every block has a stored CRC32, sealed when its
+list is built: the block's column bytes (start, end, position) folded
+with ``zlib.crc32`` over memoryview slices.  A block's content is checked
+against it on the block's first delivery; the verdict is kept, so later
+reads compare nothing.  A parsed snapshot builds each side's list once
+and shares its columns, verdicts included, with every restore of its
+generation, so pinned columns are checked once, not once per query — and
+a mismatching block fails every query's read of it.
 
 A run's first read checks all of its blocks in one loop
 (:meth:`RunColumns.check`); the storage manager's per-block path (faults,
@@ -43,9 +38,7 @@ from __future__ import annotations
 
 import zlib
 from array import array
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
-
-from .block import tuple_checksum
+from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 __all__ = ["ColumnRun", "RunColumns", "block_bounds"]
 
@@ -64,9 +57,9 @@ class RunColumns:
     """One partition list's tuples as creation-order columns.
 
     ``starts``/``ends``/``positions`` are ``array('q')`` columns parallel
-    to ``tuples``.  ``checksums`` holds one stored CRC per block in
-    creation order; ``tuple_checksums`` says which kind (see the module
-    docstring).  ``verdicts`` remembers each block's check.
+    to ``tuples``.  ``checksums`` holds one column CRC per block in
+    creation order (see :meth:`seal`); ``verdicts`` remembers each
+    block's check.
     ``decoded`` maps a run's first row to the probe's decode of it (a
     :class:`~repro.core.kernels.DecodedRun`).
     """
@@ -77,7 +70,6 @@ class RunColumns:
         "ends",
         "positions",
         "checksums",
-        "tuple_checksums",
         "verdicts",
         "decoded",
     )
@@ -88,15 +80,13 @@ class RunColumns:
         starts: array,
         ends: array,
         positions: array,
-        checksums: Optional[array] = None,
     ) -> None:
         self.tuples = tuples
         self.starts = starts
         self.ends = ends
         self.positions = positions
-        self.tuple_checksums = checksums is not None
-        self.checksums = checksums if checksums is not None else array("q")
-        self.verdicts = bytearray(len(self.checksums))
+        self.checksums = array("q")
+        self.verdicts = bytearray()
         self.decoded: Dict[int, Any] = {}
 
     def seal(self, bounds: Sequence[Tuple[int, int]]) -> None:
@@ -122,8 +112,7 @@ class RunColumns:
         all match their stored checksums.  Blocks are checked in order up
         to the first mismatch, each once: its verdict is remembered, so a
         checked block's checksum is not computed again."""
-        verdicts, checksums, tuples = self.verdicts, self.checksums, self.tuples
-        by_tuple = self.tuple_checksums
+        verdicts, checksums = self.verdicts, self.checksums
         crc32 = zlib.crc32
         starts, ends, positions = map(
             memoryview, (self.starts, self.ends, self.positions)
@@ -134,12 +123,7 @@ class RunColumns:
                 return False
             if verdict == GOOD:
                 continue
-            if by_tuple:
-                crc = 0
-                for tup in tuples[lo:hi]:
-                    crc = tuple_checksum(tup, crc)
-            else:
-                crc = crc32(positions[lo:hi], crc32(ends[lo:hi], crc32(starts[lo:hi])))
+            crc = crc32(positions[lo:hi], crc32(ends[lo:hi], crc32(starts[lo:hi])))
             if crc != checksums[block]:
                 verdicts[block] = BAD
                 return False

@@ -1,15 +1,17 @@
 """Crash-safe persistent OIP index snapshots.
 
-Every join so far rebuilt both OIP partitionings from scratch.  This
-module persists the OIPCREATE output — the partition directory, the
-columnar run contents, the derived ``k`` and the statistics the planner
-needs — in a versioned binary container that can be reloaded much faster
-than the build, without giving up a single bit of the differential
-guarantees: a loaded index replays Algorithm 1's exact head insertions,
-so pairs, :class:`~repro.storage.metrics.CostCounters`,
-``ResilienceCounters`` and run reports match an in-memory rebuild.
+A snapshot persists what a join needs to rebuild both OIP partitionings
+exactly as it would: the two relations' endpoint columns (and, when
+they are JSON-stable, their payloads), the granule policy and derived
+``k`` in force, and the statistics the planner reads.  It does not
+persist the partitionings themselves: OIPCREATE (Algorithm 1) costs
+O(n log n) whatever ``k`` is, and a default snapshot holds ``k = 1``, so
+loading one is a parse, a check of each side's columns and OIPCREATE at
+the saved configuration.  Pairs,
+:class:`~repro.storage.metrics.CostCounters`, ``ResilienceCounters`` and
+run reports match an in-memory rebuild.
 
-On-disk container (``save_index`` / ``load_index``)::
+On-disk container (``save_index`` / ``load_index``), format version 2::
 
     +----------------------------------------------------------+
     | header   "<4sII"  magic b"OIPX" | version | section count|
@@ -17,8 +19,11 @@ On-disk container (``save_index`` / ``load_index``)::
     | payloads  one contiguous blob per section                |
     +----------------------------------------------------------+
 
-Sections (all integers ``array('q')`` in the writer's byte order, which
-is recorded in ``meta`` and byte-swapped on load when needed):
+A file of any other version (version 1 stored the partition directory,
+tuple permutation and block checksums) fails every reader with
+:class:`SnapshotVersionError`.  Sections (integers ``array('q')`` in the
+writer's byte order, which is recorded in ``meta`` and byte-swapped on
+load when needed):
 
 ``meta``
     JSON: format/generation, ``k`` bookkeeping (mode, pinned values,
@@ -33,23 +38,12 @@ is recorded in ``meta`` and byte-swapped on load when needed):
     JSON per side: cardinality + CRC32 endpoint digest (+ payload
     content digest when payloads are JSON-stable).  A snapshot loads
     only against the relation it was built from.
-``dir_<side>``
-    ``(i, j, tuple_count)`` triples in *creation order* (``j`` ASC,
-    ``i`` DESC) — replaying them through Algorithm 1's two head-insert
-    branches reproduces the lazy partition list pointer-for-pointer.
-``pos_<side>``
-    For every tuple in creation order, its position in the source
-    relation.  Loading indexes into the caller's relation, so the
-    loaded runs hold the *same tuple objects* a rebuild would.
-``blocks_<side>``
-    Per-block stored CRC32 checksums in creation order (omitted when
-    payloads are unstable; then checksums are re-folded on load).
 ``starts_<side>`` / ``ends_<side>``
-    Columnar endpoints.  Every reader checks each tuple's granules
-    against its partition on them; a restore also checks that the
-    caller's tuples carry these endpoints, and relation reconstruction
-    (:class:`MaintainedIndex`, the query service) builds its tuples
-    from them.
+    The relation's endpoint columns in relation order.  Every reader
+    checks their lengths, that no tuple ends before it starts, and
+    that they reproduce the fingerprinted endpoint digest; relation
+    reconstruction (:class:`MaintainedIndex`, the query service) builds
+    its tuples from them.
 ``payloads_<side>``
     JSON payload list (only when every payload is ``None``/bool/int/
     float/str), enabling journaled maintenance without the original
@@ -86,8 +80,6 @@ from dataclasses import dataclass, field
 from operator import le
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .block import tuple_checksum
-from .columns import RunColumns, block_bounds
 from .faults import (
     SimulatedCrashError,
     WriteFault,
@@ -129,7 +121,7 @@ __all__ = [
 ]
 
 SNAPSHOT_MAGIC = b"OIPX"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 JOURNAL_MAGIC = b"OIPJ"
 JOURNAL_VERSION = 1
 
@@ -140,7 +132,7 @@ _JOURNAL_HEADER = struct.Struct("<4sIII")
 _MAX_SECTIONS = 1024
 _SIDES = ("outer", "inner")
 #: Payload types whose ``repr`` and JSON round trip are both stable, so
-#: block checksums folded at save time stay valid at load time.
+#: the content digest and stored payloads saved with them reproduce.
 _STABLE_PAYLOAD_TYPES = frozenset(
     (type(None), bool, int, float, str)
 )
@@ -526,25 +518,20 @@ def relation_endpoint_digest(relation: Any) -> int:
     cache = _digest_cache(relation)
     if cache is not None and "endpoint" in cache:
         return cache["endpoint"]
-    tuples = relation.tuples
-    crc = _endpoint_crc(
-        [tup.start for tup in tuples], [tup.end for tup in tuples]
-    )
+    crc = _endpoint_crc(relation.starts, relation.ends)
     if cache is not None:
         cache["endpoint"] = crc
     return crc
 
 
-def _endpoint_crc(starts: List[int], ends: List[int]) -> int:
-    """The :func:`relation_endpoint_digest` of endpoint columns given
-    in relation order."""
-    starts_column, ends_column = array("q", starts), array("q", ends)
+def _endpoint_crc(starts: array, ends: array) -> int:
+    """The :func:`relation_endpoint_digest` of ``array('q')`` endpoint
+    columns given in relation order."""
     if sys.byteorder != "little":  # pragma: no cover - big-endian host
-        starts_column.byteswap()
-        ends_column.byteswap()
-    return zlib.crc32(
-        ends_column.tobytes(), zlib.crc32(starts_column.tobytes())
-    )
+        starts, ends = array("q", starts), array("q", ends)
+        starts.byteswap()
+        ends.byteswap()
+    return zlib.crc32(ends, zlib.crc32(starts))
 
 
 def _payloads_stable(tuples: Sequence[Any]) -> bool:
@@ -576,99 +563,27 @@ def _inconsistent(side: str, problem: str) -> SnapshotFormatError:
     return SnapshotFormatError(f"{side} {problem}", reason="inconsistent")
 
 
-def _validate_directory(directory: array, k: int, side: str) -> None:
-    """A directory replays cleanly iff every entry takes exactly one of
-    Algorithm 1's two head-insert branches."""
-    head_i = head_j = None
-    for at in range(0, len(directory), 3):
-        i, j, count = directory[at], directory[at + 1], directory[at + 2]
-        if not (0 <= i <= j < k) or count < 1:
-            raise _inconsistent(
-                side, f"entry ({i}, {j}, {count}) is off the k={k} grid"
-            )
-        new_main = head_j is None or head_j < j
-        new_branch = head_j == j and head_i is not None and head_i > i
-        if not (new_main or new_branch):
-            raise _inconsistent(side, f"entry ({i}, {j}) is out of order")
-        head_i, head_j = i, j
-
-
-def _block_rows(directory: array, capacity: int) -> List[Tuple[int, int]]:
-    """The rows ``[lo, hi)`` of every block of a creation-order
-    directory's runs, *capacity* tuples per block."""
-    rows: List[Tuple[int, int]] = []
-    offset = 0
-    for count in directory[2::3]:
-        rows.extend(block_bounds(offset, count, capacity))
-        offset += count
-    return rows
-
-
 @dataclass(frozen=True)
 class SideColumns:
-    """One side of a snapshot: Algorithm 1's output as creation-order
-    columns, and the only code that knows their section names and
-    layout.
+    """One side of a snapshot: the saved relation's endpoint columns in
+    relation order and the side's configuration, and the only code that
+    knows their section names and layout.
 
-    ``directory`` holds ``(i, j, tuple_count)`` triples in creation
-    order (``j`` ASC, ``i`` DESC); ``positions``, ``starts`` and ``ends``
-    are per-tuple columns in the same order; ``checksums`` holds one
-    tuple-folded CRC per block of ``capacity`` tuples, or ``None`` when
-    the payloads are not stable enough to store them.  :meth:`decode`
-    checks everything a reader relies on, so restore, reconstruction,
-    maintenance and ``fsck`` accept exactly the same sides.
+    :meth:`decode` checks everything a reader relies on, so restore,
+    reconstruction, maintenance and ``fsck`` accept exactly the same
+    sides.
     """
 
     config: Any
-    capacity: int
-    directory: array
-    positions: array
     starts: array
     ends: array
-    checksums: Optional[array]
-
-    @classmethod
-    def of_list(
-        cls, partition_list: Any, with_checksums: bool
-    ) -> "SideColumns":
-        """A built lazy partition list's columns; *with_checksums* folds
-        each block's tuples into its stored CRC."""
-        directory = array("q")
-        # Grid order is (j DESC, i ASC); creation order is its exact
-        # reverse, which is what replay needs.
-        for node in reversed(list(partition_list.iter_nodes())):
-            directory.extend((node.i, node.j, node.tuple_count))
-        columns = partition_list.columns
-        capacity = partition_list.storage.device.tuples_per_block
-        checksums = None
-        if with_checksums:
-            checksums = array("q")
-            for lo, hi in _block_rows(directory, capacity):
-                crc = 0
-                for tup in columns.tuples[lo:hi]:
-                    crc = tuple_checksum(tup, crc)
-                checksums.append(crc)
-        return cls(
-            partition_list.config,
-            capacity,
-            directory,
-            columns.positions,
-            columns.starts,
-            columns.ends,
-            checksums,
-        )
 
     def sections(self, side: str) -> Dict[str, bytes]:
         """The side's sections, in the order the container stores them."""
-        sections = {
-            f"dir_{side}": self.directory.tobytes(),
-            f"pos_{side}": self.positions.tobytes(),
+        return {
             f"starts_{side}": self.starts.tobytes(),
             f"ends_{side}": self.ends.tobytes(),
         }
-        if self.checksums is not None:
-            sections[f"blocks_{side}"] = self.checksums.tobytes()
-        return sections
 
     @classmethod
     def decode(
@@ -676,25 +591,19 @@ class SideColumns:
         sections: Dict[str, bytes],
         side: str,
         meta: Dict[str, Any],
-        stats: Any,
         fingerprints: Any,
     ) -> "SideColumns":
-        """Decode one side and check it whole, before any block is
-        materialised — restore must be infallible so a degrade can never
+        """Decode one side and check it whole, before any partition list
+        is built — restore must be infallible so a degrade can never
         leave half an index charged to the caller's counters.  Raises
         :class:`SnapshotFormatError` (``missing_section``,
         ``section_json`` or ``inconsistent``)."""
         from ..core.oip import OIPConfiguration
 
         byteorder = meta["byteorder"]
-        directory, positions, starts, ends = (
+        starts, ends = (
             _array_section(sections, f"{name}_{side}", byteorder)
-            for name in ("dir", "pos", "starts", "ends")
-        )
-        checksums = (
-            _array_section(sections, f"blocks_{side}", byteorder)
-            if f"blocks_{side}" in sections
-            else None
+            for name in ("starts", "ends")
         )
         recorded = meta[f"config_{side}"]
         try:
@@ -709,139 +618,31 @@ class SideColumns:
         fingerprint = (
             fingerprints.get(side) if isinstance(fingerprints, dict) else None
         )
-        cardinality = (
-            fingerprint.get("cardinality")
-            if isinstance(fingerprint, dict)
-            else None
-        )
-
-        if len(directory) % 3:
-            raise _inconsistent(side, "directory is not (i, j, count) triples")
-        counts = directory[2::3]
-        lengths = (sum(counts), len(positions), len(starts), len(ends))
-        if lengths != (cardinality,) * 4:
+        if not isinstance(fingerprint, dict):
+            fingerprint = {}
+        cardinality = fingerprint.get("cardinality")
+        lengths = (len(starts), len(ends))
+        if lengths != (cardinality,) * 2:
             raise _inconsistent(
                 side, f"columns cover {lengths} tuples, not {cardinality}"
             )
-        distinct = set(positions)
-        if distinct and (
-            len(distinct) != cardinality
-            or min(distinct) < 0
-            or max(distinct) >= cardinality
-        ):
-            raise _inconsistent(side, "positions are not a permutation")
-        _validate_directory(directory, meta[f"k_{side}"], side)
-        # Definition 2: a tuple belongs to [i, j] iff its start lies in
-        # granule i and its end in granule j.  Lists, because min/max over
-        # an array box every item on each pass.
-        start_list, end_list = starts.tolist(), ends.tolist()
-        d, origin = config.d, config.o
-        offset = 0
-        for at in range(0, len(directory), 3):
-            i, j, count = directory[at], directory[at + 1], directory[at + 2]
-            run_starts = start_list[offset : offset + count]
-            run_ends = end_list[offset : offset + count]
-            offset += count
-            if not (
-                origin + i * d <= min(run_starts)
-                and max(run_starts) < origin + (i + 1) * d
-                and origin + j * d <= min(run_ends)
-                and max(run_ends) < origin + (j + 1) * d
-            ):
-                raise _inconsistent(side, f"partition ({i}, {j}) is misfiled")
-        if not all(map(le, start_list, end_list)):
+        if not all(map(le, starts, ends)):
             raise _inconsistent(side, "holds a tuple ending before its start")
-        # The checks above hold for an endpoint moved within its
-        # granule; the fingerprint of the saved relation does not.
-        endpoint_crc = (
-            fingerprint.get("endpoint_crc")
-            if isinstance(fingerprint, dict)
-            else None
-        )
-        if endpoint_crc is not None:
-            relation_starts = [0] * cardinality
-            relation_ends = [0] * cardinality
-            for position, start, end in zip(positions, start_list, end_list):
-                relation_starts[position] = start
-                relation_ends[position] = end
-            if _endpoint_crc(relation_starts, relation_ends) != endpoint_crc:
-                raise _inconsistent(
-                    side, "endpoints differ from the saved relation's"
-                )
-        capacity = meta["tuples_per_block"]
-        if checksums is not None and len(checksums) != sum(
-            -(-count // capacity) for count in counts
+        endpoint_crc = fingerprint.get("endpoint_crc")
+        if endpoint_crc is not None and _endpoint_crc(starts, ends) != (
+            endpoint_crc
         ):
-            raise _inconsistent(side, "block checksums miscount the blocks")
-        side_stats = stats.get(side) if isinstance(stats, dict) else None
-        if isinstance(side_stats, dict) and side_stats.get(
-            "partitions"
-        ) not in (None, len(counts)):
-            raise _inconsistent(side, "statistics miscount the partitions")
-        return cls(
-            config, capacity, directory, positions, starts, ends, checksums
-        )
-
-    def bind(self, relation: Any, capacity: int) -> RunColumns:
-        """The side's columns over the caller's own tuple objects and
-        endpoint columns, gathered in the side's order, for *capacity*
-        tuples per block.  Their endpoints must be the checked ones, so the probe reads exactly what :meth:`decode` checked.
-        Stored checksums are adopted when they cover blocks of this size;
-        otherwise each block gets a column checksum, as a build would."""
-        checksums = self.checksums if capacity == self.capacity else None
-        positions = self.positions
-        columns = RunColumns(
-            list(map(relation.tuples.__getitem__, positions)),
-            array("q", map(relation.starts.__getitem__, positions)),
-            array("q", map(relation.ends.__getitem__, positions)),
-            positions,
-            checksums,
-        )
-        if columns.starts != self.starts or columns.ends != self.ends:
-            raise SnapshotFormatError(
-                "snapshot columns disagree with the relation's tuples",
-                reason="inconsistent",
+            raise _inconsistent(
+                side, "endpoints differ from the saved relation's"
             )
-        if checksums is None:
-            columns.seal(_block_rows(self.directory, capacity))
-        return columns
+        return cls(config, starts, ends)
 
     def relation_tuples(self, payloads: Sequence[Any]) -> List[Any]:
         """The side's tuples in relation order, built from its columns
         and *payloads* (in relation order)."""
         from ..core.relation import TemporalTuple
 
-        positions = self.positions
-        tuples: List[Any] = [None] * len(positions)
-        for position, start, end in zip(positions, self.starts, self.ends):
-            tuples[position] = TemporalTuple(start, end, payloads[position])
-        return tuples
-
-    def replay(self, columns: RunColumns, storage: Any) -> Any:
-        """Replay the directory through Algorithm 1's two head-insert
-        branches; each node's run is the next slice of *columns* (from
-        :meth:`bind`) in freshly allocated blocks, so block ids and write
-        charges match a rebuild's."""
-        from ..core.lazy_list import LazyPartitionList, PartitionNode
-
-        partition_list = LazyPartitionList(self.config, storage, columns)
-        directory = self.directory
-        offset = 0
-        first_block = 0
-        for at in range(0, len(directory), 3):
-            i, j, count = directory[at], directory[at + 1], directory[at + 2]
-            run = storage.column_run(columns, offset, count, first_block)
-            offset += count
-            first_block += len(run)
-            head = partition_list.head
-            node = PartitionNode(i, j, run)
-            if head is None or head.j < j:
-                node.down = head
-            else:  # decoded: head.i > i, same j — the branch insert
-                node.down = head.down
-                node.right = head
-            partition_list.head = node
-        return partition_list
+        return list(map(TemporalTuple, self.starts, self.ends, payloads))
 
 
 # ----------------------------------------------------------------------
@@ -877,7 +678,9 @@ def save_index(
     fsync: bool = True,
     pre_rename_delay_s: float = 0.0,
 ) -> Dict[str, Any]:
-    """Build both OIP partitionings and persist them atomically.
+    """Persist both relations under the ``k`` a join would derive for
+    them, atomically.  Both partitionings are built once, for the
+    ``stats`` the planner reads; a load builds them again.
 
     Returns a summary dict (path, bytes, generation, k, partition
     counts).  ``generation`` defaults to one past any existing
@@ -926,10 +729,9 @@ def save_index(
     for side, relation, partition_list, config in sides:
         tuples = relation.tuples
         stable = _payloads_stable(tuples)
-        # Folded checksums depend only on (start, end, repr(payload)),
-        # all stable for these types — safe to adopt at load time.
-        columns = SideColumns.of_list(partition_list, stable)
-        sections.update(columns.sections(side))
+        sections.update(
+            SideColumns(config, relation.starts, relation.ends).sections(side)
+        )
         if stable and store_payloads:
             sections[f"payloads_{side}"] = _json_bytes(
                 [tup.payload for tup in tuples]
@@ -943,7 +745,7 @@ def save_index(
             "duration_fraction": relation.duration_fraction,
             "partitions": partition_list.partition_count,
             "tuples": partition_list.tuple_count,
-            "blocks": len(_block_rows(columns.directory, columns.capacity)),
+            "blocks": len(partition_list.columns.checksums),
         }
         fingerprints[side] = {
             "cardinality": relation.cardinality,
@@ -1010,8 +812,9 @@ def save_index(
 
 @dataclass
 class LoadedIndex:
-    """Both partition lists restored from a snapshot, plus the metadata
-    the join needs to report exactly what a rebuild would report."""
+    """Both partition lists built at a snapshot's saved configuration,
+    plus the metadata the join needs to report exactly what a rebuild
+    would report."""
 
     path: str
     generation: int
@@ -1151,12 +954,12 @@ class ParsedSnapshot:
     _columns: Dict[str, SideColumns] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    #: Per side, ``(relation, tuples per block, columns)`` of the last
-    #: restore: the side's columns over that relation's tuples, with
-    #: their checksum verdicts.  Pinned bytes never change, so a restore
-    #: against the same relation object reuses them and only allocates
+    #: Per side, ``(relation, tuples per block, partition list)`` of
+    #: the last restore: OIPCREATE's list of that relation, whose
+    #: columns keep their checksum verdicts and decoded runs.  A restore
+    #: against the same relation object reuses it and only allocates
     #: the runs' blocks.
-    _sides: Dict[str, Tuple[Any, int, RunColumns]] = field(
+    _sides: Dict[str, Tuple[Any, int, Any]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -1199,7 +1002,7 @@ class ParsedSnapshot:
         columns = self._columns.get(side)
         if columns is None:
             columns = self._columns[side] = SideColumns.decode(
-                self.sections, side, self.meta, self.stats, self.fingerprints
+                self.sections, side, self.meta, self.fingerprints
             )
         return columns
 
@@ -1211,7 +1014,7 @@ class ParsedSnapshot:
         columns = self.side(side)
         payloads = _json_section(self.sections, f"payloads_{side}")
         if not isinstance(payloads, list) or len(payloads) != len(
-            columns.positions
+            columns.starts
         ):
             raise _inconsistent(side, "payloads miscount the tuples")
         return columns.relation_tuples(payloads)
@@ -1250,46 +1053,59 @@ class ParsedSnapshot:
         storage: Any,
         expected: Optional[IndexExpectation] = None,
     ) -> LoadedIndex:
-        """Restore both partition lists from the parsed sections into
-        *storage*, indexing into the caller's relations.
+        """Both partition lists of the caller's relations at the
+        snapshot's saved configuration, in *storage*.
+
+        Each side is built once per relation and block size by OIPCREATE
+        and kept, with its checksum verdicts and decoded runs; every
+        restore hands out fresh runs over it, allocated from *storage*
+        in creation order, outer side first — the block ids and write
+        charges of a build into *storage*.
 
         Raises :class:`SnapshotError` (with a stable ``reason`` slug)
         when the snapshot was built under a different configuration or
         from different relations — the caller degrades to an in-memory
         rebuild.  All validation happens before the first block is
-        materialised, so a failed restore leaves *storage* untouched.
+        allocated, so a failed restore leaves *storage* untouched.
         """
+        # Looked up at call time, so a wrapper installed on oip_create
+        # (a profiler) sees these builds too.
+        from ..core import lazy_list
         from ..core.oip import OIPConfiguration
+        from .manager import StorageManager
 
         meta = self.meta
         if expected is not None:
             _check_expected(meta, expected)
         _check_fingerprints(self.fingerprints, outer, inner)
 
-        capacity = storage.device.tuples_per_block
-        restored = []
+        device = storage.device
+        built = []
         for side, relation in (("outer", outer), ("inner", inner)):
-            columns = self.side(side)
-            if columns.config != OIPConfiguration.for_relation(
+            config = self.side(side).config
+            if config != OIPConfiguration.for_relation(
                 relation, meta[f"k_{side}"]
             ):
                 raise SnapshotMismatchError(
-                    f"{side} configuration {columns.config} does not "
-                    "match the relation's time range",
+                    f"{side} configuration {config} does not match the "
+                    "relation's time range",
                     reason="config_mismatch",
                 )
             memo = self._sides.get(side)
-            if memo is None or memo[0] is not relation or memo[1] != capacity:
-                memo = (relation, capacity, columns.bind(relation, capacity))
+            if (
+                memo is None
+                or memo[0] is not relation
+                or memo[1] != device.tuples_per_block
+            ):
+                built_list = lazy_list.oip_create(
+                    relation, config, StorageManager(device=device)
+                )
+                memo = (relation, device.tuples_per_block, built_list)
                 self._sides[side] = memo
-            restored.append((columns, memo[2]))
+            built.append(memo[2])
 
-        # Build order (outer first) matches oip_create's, so block ids —
-        # and therefore the whole downstream fault/cost schedule — line
-        # up.
         outer_list, inner_list = (
-            columns.replay(run_columns, storage)
-            for columns, run_columns in restored
+            partition_list.reallocated(storage) for partition_list in built
         )
         return LoadedIndex(
             path=self.path,

@@ -103,7 +103,7 @@ def check_build(relation, config, capacity):
     assert (got.starts, got.ends, got.positions) == columns
     assert got.tuples == tuples
     assert list(got.checksums) == checksums
-    assert not got.tuple_checksums and got.verdicts == bytearray(blocks)
+    assert got.verdicts == bytearray(blocks)
     assert storage.allocated_blocks == storage.counters.block_writes == blocks
     # Every run reads back clean.
     for node in built.iter_nodes():

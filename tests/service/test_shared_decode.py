@@ -12,6 +12,9 @@ the run's blocks itself.  These tests pin what that must not change:
   query decoded its runs afresh: the same body, counters included (the
   recorded values below), so a decode made before the change is never
   served after it;
+* a value of a generation's ``starts`` column changed before its first
+  lookup fails that lookup: the generation's blocks carry checksums
+  over the columns the kernels read;
 * a corruption detected on a read drops the run's shared decode, and a
   run that never delivers a good block fails the query as before;
 * once ``refresh`` has swapped in a new generation and the old one's
@@ -29,10 +32,11 @@ import weakref
 import pytest
 
 from repro.core.interval import Interval
+from repro.core.join import OIPJoin
 from repro.service import JoinService, offline_query
 from repro.service.errors import ServiceError
 from repro.storage import save_index
-from repro.storage.faults import FaultPolicy
+from repro.storage.faults import CorruptBlockError, FaultPolicy
 from repro.storage.manager import StorageManager
 from repro.workloads import long_lived_mixture
 
@@ -167,6 +171,28 @@ def test_changed_column_reaches_the_next_lookup(snapshot, kernel):
     assert _answer(first) == CLEAN
     assert _answer(second) == CHANGED
     assert second["index"]["loaded"] and second["attempts"] == 1
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_column_changed_before_the_first_lookup_fails_it(snapshot, kernel):
+    """The generation's columns are built and sealed with column
+    checksums at its first restore, so a value changed before any
+    block of the run is read fails that read, served or in process."""
+    service = _served(snapshot, kernel=kernel, retry_backoff_s=0.0)
+    try:
+        generation = service.snapshots.current
+        columns = _shared_columns(service)
+        columns.starts[192] = columns.ends[192]
+        with pytest.raises(ServiceError) as caught:
+            service.query("lookup", window=WINDOW)
+        assert caught.value.code == "storage_fault"
+        join = OIPJoin(
+            index_provider=generation, kernel=kernel, **generation.join_kwargs()
+        )
+        with pytest.raises(CorruptBlockError):
+            join.join(generation.outer, generation.inner)
+    finally:
+        service.drain(timeout_s=5.0)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

@@ -8,15 +8,25 @@ block, with the partition context, the same resilience and cost
 counters and the same per-block verdicts every time — the values below
 were recorded when each block was still checked by its own method call,
 before the run's check became one loop.
+
+A pinned serving generation shares one built list's columns, and their
+verdicts, across its queries: a block whose checksum fails must fail
+every query's read of it the same way.
 """
+
+import os
 
 import pytest
 
 from repro.core.interval import Interval
+from repro.core.join import OIPJoin
 from repro.core.lazy_list import oip_create
 from repro.core.oip import OIPConfiguration
+from repro.service.snapshots import ServingGeneration
 from repro.storage.faults import CorruptBlockError
 from repro.storage.manager import StorageManager
+from repro.storage.metrics import CostWeights
+from repro.storage.snapshot import save_index
 from repro.workloads import long_lived_mixture
 
 RELATION = long_lived_mixture(120, 0.3, Interval(1, 2000), seed=4, name="r")
@@ -88,3 +98,53 @@ def test_unchanged_columns_read_clean_and_check_once():
     # One verification charged per block read, none failed.
     assert storage.resilience.checksum_verifications == 2 * blocks
     assert storage.resilience.corruptions_detected == 0
+
+
+# ----------------------------------------------------------------------
+# A pinned serving generation
+# ----------------------------------------------------------------------
+
+#: The layout below is the one the paper's weights derive.
+PAPER = CostWeights.main_memory()
+
+#: The outer block whose checksum is changed on the generation's shared
+#: columns (creation order = block id for the outer side, built first).
+BAD_BLOCK = 20
+
+#: What reading it does, recorded when a restored run adopted the
+#: snapshot's stored tuple checksums.
+PINNED_CONTEXT = ("outer partition", (9, 9))
+PINNED_RESILIENCE = dict(EXPECTED_RESILIENCE, checksum_verifications=47)
+
+
+def test_every_query_on_a_pinned_generation_fails_a_bad_block(tmp_path):
+    """A generation's queries share one set of columns and verdicts, so
+    a remembered verdict must not let a later query read past a block
+    that failed its check."""
+    domain = Interval(1, 20_000)
+    outer, inner = (
+        long_lived_mixture(200, 0.3, time_range=domain, seed=seed, name=name)
+        for seed, name in ((1, "outer"), (2, "inner"))
+    )
+    path = str(tmp_path / "pinned.oip")
+    save_index(path, outer, inner, weights=PAPER)
+    generation = ServingGeneration.load(path)
+    os.unlink(path)  # the pinned generation alone serves the queries
+    kwargs = generation.join_kwargs()
+    shared = generation(
+        generation.outer,
+        generation.inner,
+        storage=StorageManager(device=kwargs["device"]),
+    ).outer_list.columns
+    shared.checksums[BAD_BLOCK] ^= 1
+    for _ in range(2):
+        join = OIPJoin(index_provider=generation, **kwargs)
+        with pytest.raises(CorruptBlockError) as caught:
+            join.join(generation.outer, generation.inner)
+        error = caught.value
+        assert (error.block_id, error.attempts, error.context) == (
+            BAD_BLOCK,
+            4,
+            PINNED_CONTEXT,
+        )
+        assert join._resilience.snapshot() == PINNED_RESILIENCE
