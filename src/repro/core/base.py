@@ -210,7 +210,7 @@ class OverlapJoinAlgorithm(ABC):
                     details={"cancelled": True},
                     completed=False,
                 )
-        result.counters.result_tuples = len(result.pairs)
+        result.counters.result_tuples = self._result_tuples(result)
         result.resilience = resilience
         result.elapsed_ms = (time.perf_counter() - started) * 1000.0
         # Observability runs strictly after the join, so the hot path
@@ -225,6 +225,11 @@ class OverlapJoinAlgorithm(ABC):
                 tracer.event_count - events_before,
             )
         return result
+
+    def _result_tuples(self, result: JoinResult) -> int:
+        """``n_z`` of a finished run, which :meth:`join` records in
+        ``result_tuples``: the pairs it returns."""
+        return len(result.pairs)
 
     def _tracer_for_run(self) -> Any:
         """The tracer of one run, kept on ``_run_tracer`` for the storage

@@ -31,6 +31,12 @@ kernel, one chunk per task, in a :class:`PairChunks` — the join's
 Python int per hit, is made only when a consumer iterates or indexes
 the result.  :func:`repro.service.service.summarize_result` counts,
 window-filters and fingerprints the chunks without building any pair.
+
+A join for one lookup window (``OIPJoin(window=...)``, the service's
+``lookup``) runs the same schedule and charges the same counters, but
+each task keeps only the hits whose pair meets the window; on the numpy
+tier the kernel joins only the tuples that meet it
+(:func:`run_probe_task`).
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ from .kernels import (
     decode_columns,
     kernel_function,
     numpy_hits_in_window,
+    numpy_window_matches,
 )
 from .interval import Interval
 from .lazy_list import LazyPartitionList, PartitionNode, oip_create
@@ -333,6 +340,16 @@ class OIPJoin(OverlapJoinAlgorithm):
         as ``save_index`` prices it, whatever *kernel* the join runs:
         a naive join over an index partitions as the index does,
         loaded or rebuilt.
+    window:
+        A lookup's window ``(start, end)``: ``pairs`` holds only the
+        pairs that meet it (all three intervals share a point), while
+        every counter — ``result_tuples`` included — is the full join's,
+        since the probe runs and charges Algorithm 2's whole schedule
+        (:func:`run_probe_task`).  On the numpy kernel each task's
+        kernel call joins only the tuples that meet the window; the
+        other kernels join in full and cut.  A windowed join takes no
+        ``checkpoint_path`` or ``resume_from``: its pairs are not the
+        join's, so a checkpoint of them could not resume one.
     tracer, metrics, collect_report:
         Observability configuration; see :class:`OverlapJoinAlgorithm`.
         Spans cover ``derive_k``, both ``oipcreate`` sides, the
@@ -367,6 +384,7 @@ class OIPJoin(OverlapJoinAlgorithm):
         resume_from: Optional[str] = None,
         index_path: Optional[str] = None,
         index_provider: Optional[Any] = None,
+        window: Optional[Tuple[int, int]] = None,
         tracer: Optional[Any] = None,
         metrics: Optional[Any] = None,
         collect_report: bool = False,
@@ -404,6 +422,20 @@ class OIPJoin(OverlapJoinAlgorithm):
             checkpoint_every=checkpoint_every,
             resume_from=resume_from,
         )
+        if window is not None:
+            window = (int(window[0]), int(window[1]))
+            if window[1] < window[0]:
+                raise ValueError(
+                    f"window end {window[1]} precedes window start {window[0]}"
+                )
+            if checkpoint_path is not None or resume_from is not None:
+                raise ValueError(
+                    "checkpoint/resume is not supported with a window "
+                    "(a windowed join keeps only the window's pairs)"
+                )
+        #: The lookup window ``(start, end)`` the probe cuts each task's
+        #: hits to, or None for the full join.
+        self.window = window
         self.kernel = kernel
         self.budget = budget
         self.checkpoint_path = checkpoint_path
@@ -468,6 +500,13 @@ class OIPJoin(OverlapJoinAlgorithm):
         A cancel stops the probe at a governor boundary and returns
         them, so no partial result needs registering."""
         return PairChunks()
+
+    def _result_tuples(self, result: JoinResult) -> int:
+        """A windowed probe keeps only the window's pairs but counted
+        the join's matches into ``result_tuples`` as it ran."""
+        if self.window is not None:
+            return result.counters.result_tuples
+        return super()._result_tuples(result)
 
     @property
     def weights(self) -> CostWeights:
@@ -762,6 +801,7 @@ class OIPJoin(OverlapJoinAlgorithm):
                 governor=governor,
                 start_at=start_at,
                 tracer=tracer,
+                window=self.window,
             )
 
         details = {
@@ -780,6 +820,8 @@ class OIPJoin(OverlapJoinAlgorithm):
         }
         if index_details is not None:
             details["index"] = index_details
+        if self.window is not None:
+            details["window"] = self.window
         if self.kernel not in ("auto", kernel):
             # An explicitly pinned kernel that could not run here (the
             # numpy tier without numpy) — record the substitution.
@@ -996,6 +1038,7 @@ def run_probe_task(
     kernel_fn: Callable[[DecodedRun, DecodedRun], Sequence[int]],
     trace: Optional[Any] = None,
     kernel: str = "naive",
+    window: Optional[Tuple[int, int]] = None,
 ) -> Tuple[Optional[DecodedRun], List[DecodedRun], Sequence[int]]:
     """Algorithm 2's pair loop for one outer partition — the one copy.
 
@@ -1017,6 +1060,16 @@ def run_probe_task(
     concatenation, in ascending order — pair by pair in walk order,
     inner-major within a pair: the sequential emission order.  The hits
     are the kernel's own sequence (see :func:`hit_list`).
+
+    With a *window* ``(start, end)`` the task returns only the hits whose
+    pair meets it, and counts all of its matches into ``result_tuples``
+    (the returned hits no longer tell how many there were); every other
+    charge, read and decode is the unwindowed task's.  On the numpy
+    kernel (*kernel* ``"numpy"``) the same *kernel_fn* joins only the
+    tuples that meet the window, and the matches are counted without
+    being built (:func:`~repro.core.kernels.numpy_window_matches`);
+    other kernels join the full runs and cut the hits
+    (:func:`hits_in_window`).
     """
     charge_cpu = counters.charge_cpu
     charge_cpu(nav_cpu)
@@ -1032,11 +1085,33 @@ def run_probe_task(
     charge_cpu(2 * candidates)
     if trace is not None:
         with trace.span("kernel." + kernel, candidates=candidates):
-            hits = kernel_fn(outer_run, inner_run)
+            hits, matched = _match(
+                kernel_fn, kernel, outer_run, inner_run, window
+            )
     else:
-        hits = kernel_fn(outer_run, inner_run)
-    counters.charge_false_hit(candidates - len(hits))
+        hits, matched = _match(kernel_fn, kernel, outer_run, inner_run, window)
+    counters.charge_false_hit(candidates - matched)
+    if window is not None:
+        counters.charge_result(matched)
     return outer_run, runs, hits
+
+
+def _match(
+    kernel_fn: Callable[[DecodedRun, DecodedRun], Sequence[int]],
+    kernel: str,
+    outer: DecodedRun,
+    inner: DecodedRun,
+    window: Optional[Tuple[int, int]],
+) -> Tuple[Sequence[int], int]:
+    """One task's kernel call: ``(hits, matches)``, the hits cut to
+    *window* when there is one (see :func:`run_probe_task`)."""
+    if window is not None and kernel == "numpy":
+        return numpy_window_matches(kernel_fn, outer, inner, *window)
+    hits = kernel_fn(outer, inner)
+    matched = len(hits)
+    if window is not None:
+        hits = hits_in_window(outer, inner, hits, *window)
+    return hits, matched
 
 
 def joined_tuples(
@@ -1095,7 +1170,11 @@ def hits_in_window(
     * *ascending* ``False`` (a resumed run's prefix chunk, in emission
       order) tests hit by hit.
 
-    A list comes back as a list, an array as an array."""
+    A list comes back as a list, an array as an array.  A windowed probe
+    (:func:`run_probe_task` with a window) cuts the sweep and naive
+    kernels' hits here; on the numpy tier it restricts the kernel's
+    runs to the window instead, and this cut of its hits keeps them
+    all."""
     if not len(hits):
         return []
     if not isinstance(hits, list):
@@ -1179,6 +1258,7 @@ def probe_inline(
     governor: Optional[Any] = None,
     start_at: int = 0,
     tracer: Optional[Any] = None,
+    window: Optional[Tuple[int, int]] = None,
 ) -> Tuple[bool, int]:
     """Run *schedule* in this thread — Algorithm 2's probe loop.
 
@@ -1191,7 +1271,8 @@ def probe_inline(
     task with relevant inner runs to *pairs* as a chunk (see
     :func:`pair_emitter`); *pairs* is what governor boundaries
     checkpoint.  Per-partition and kernel spans are opened
-    only while *tracer* is live and not depth-capped.  Returns
+    only while *tracer* is live and not depth-capped.  A *window* is
+    handed to every task (:func:`run_probe_task`).  Returns
     ``(cancelled, partitions_completed)``.
     """
     trace = (
@@ -1225,6 +1306,7 @@ def probe_inline(
                 kernel_fn,
                 trace=trace,
                 kernel=kernel,
+                window=window,
             )
             if inner_runs:
                 emit(outer_run, inner_runs, hits)

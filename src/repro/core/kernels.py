@@ -71,6 +71,17 @@ relevant inner runs are appended in Lemma-1 walk order into one run
 once, so the fixed cost of entering a kernel is paid once per outer
 partition instead of once per partition pair — once per join at the
 ``k = 1`` a default join runs the sweep and numpy kernels at.
+
+A **windowed** call (a served ``lookup``, a batch query) keeps the two
+costs apart as well.  The model cost stays what Algorithm 2 charges for
+the whole task: ``2 * candidates`` CPU comparisons, ``candidates -
+matches`` false hits and ``matches`` result tuples, over the full runs.
+The physical work shrinks to the window on the numpy tier
+(:func:`numpy_window_matches`): the kernel joins only the tuples that
+meet the window, and two ``searchsorted`` sums over the full runs'
+memoised sorted columns count the task's matches without building them
+(:func:`numpy_match_count`).  So a lookup's counters equal the full
+join's, while its kernel sees only the window's sub-runs.
 """
 
 from __future__ import annotations
@@ -89,6 +100,8 @@ __all__ = [
     "sweep_matches",
     "numpy_matches",
     "numpy_hits_in_window",
+    "numpy_match_count",
+    "numpy_window_matches",
     "numpy_available",
     "kernel_function",
 ]
@@ -120,10 +133,11 @@ class DecodedRun:
     """One partition run in columnar form.
 
     ``starts`` / ``ends`` are parallel ``array('q')`` columns in the
-    run's storage order; ``tuples`` keeps the original tuple objects
-    and ``positions`` their positions in the source relation when the
-    run came from a partition list (both ``None`` for a run joined by
-    :meth:`concatenate`).  The
+    run's storage order (``int64`` numpy arrays for a window's sub-run,
+    see :func:`numpy_window_matches`); ``tuples`` keeps the original
+    tuple objects and ``positions`` their positions in the source
+    relation when the run came from a partition list (both ``None`` for
+    a run joined by :meth:`concatenate` or a sub-run).  The
     start-sorted permutation (``order``) and the starts in that order
     (``sorted_starts``) are computed lazily on first use and memoised —
     the naive kernel never needs them.
@@ -138,6 +152,7 @@ class DecodedRun:
         "_order",
         "_sorted_starts",
         "_np_view",
+        "_np_sorted_ends",
         "__weakref__",
     )
 
@@ -156,6 +171,7 @@ class DecodedRun:
         self._order: Optional[List[int]] = None
         self._sorted_starts: Optional[array] = None
         self._np_view: Optional[Tuple[Any, Any, Any, Any]] = None
+        self._np_sorted_ends: Optional[Any] = None
 
     @classmethod
     def from_tuples(
@@ -232,6 +248,14 @@ class DecodedRun:
             view = (starts, ends, order, starts[order])
             self._np_view = view
         return view
+
+    def numpy_sorted_ends(self, np: Any) -> Any:
+        """The end column in ascending order as a numpy ``int64`` array,
+        memoised like :meth:`numpy_view` (the sorted needles of
+        :func:`numpy_match_count`)."""
+        if self._np_sorted_ends is None:
+            self._np_sorted_ends = np.sort(self.numpy_columns(np)[1])
+        return self._np_sorted_ends
 
     def numpy_columns(self, np: Any) -> Tuple[Any, Any]:
         """``(starts, ends)`` as zero-copy numpy ``int64`` views over the
@@ -465,6 +489,73 @@ def numpy_matches(outer: DecodedRun, inner: DecodedRun) -> Sequence[int]:
     return encoded
 
 
+def _meets(np: Any, run: DecodedRun, start: int, end: int) -> Any:
+    """The boolean mask of *run*'s tuples that meet ``[start, end]``,
+    over its zero-copy columns."""
+    starts, ends = run.numpy_columns(np)
+    return (starts <= end) & (ends >= start)
+
+
+def numpy_match_count(outer: DecodedRun, inner: DecodedRun) -> int:
+    """How many pairs of *outer* × *inner* overlap, without building one.
+
+    A pair fails to overlap iff one of its tuples ends before the other
+    starts, and that never holds both ways round (the tuples would each
+    end before they start).  So the overlapping pairs number the pairs
+    whose inner tuple starts no later than the outer one ends, plus the
+    pairs whose outer tuple starts no later than the inner one ends,
+    minus all pairs: two ``searchsorted`` sums of one side's sorted ends
+    in the other side's sorted starts, all memoised on the runs
+    (:meth:`DecodedRun.numpy_view`, :meth:`DecodedRun.numpy_sorted_ends`)."""
+    np = _import_numpy()
+    outer_sorted = outer.numpy_view(np)[3]
+    inner_sorted = inner.numpy_view(np)[3]
+    inner_first = np.searchsorted(
+        inner_sorted, outer.numpy_sorted_ends(np), side="right"
+    ).sum()
+    outer_first = np.searchsorted(
+        outer_sorted, inner.numpy_sorted_ends(np), side="right"
+    ).sum()
+    return int(inner_first + outer_first) - outer.length * inner.length
+
+
+def numpy_window_matches(
+    kernel_fn: Callable[[DecodedRun, DecodedRun], Sequence[int]],
+    outer: DecodedRun,
+    inner: DecodedRun,
+    start: int,
+    end: int,
+) -> Tuple[Any, int]:
+    """``(hits, count)``: *kernel_fn*'s hits of the pairs of *outer* ×
+    *inner* that meet the window ``[start, end]``, encoded over the full
+    runs, and how many pairs of the full runs overlap.
+
+    Each run is restricted to its tuples that meet the window, and
+    *kernel_fn* joins the two sub-runs.  That is exact: a pair's two
+    tuples overlap, so the pair meets the window iff each tuple does
+    (Helly's theorem in one dimension).  The sub-runs' hits are
+    re-encoded as ``inner_pos * n_outer + outer_pos`` over the full
+    runs; both position maps ascend, so the hits still ascend.  *count*
+    is :func:`numpy_match_count` of the full runs, so the caller charges
+    the task's model cost as if it had joined them in full."""
+    np = _import_numpy()
+    outer_keep = np.flatnonzero(_meets(np, outer, start, end))
+    inner_keep = np.flatnonzero(_meets(np, inner, start, end))
+    outer_starts, outer_ends = outer.numpy_columns(np)
+    inner_starts, inner_ends = inner.numpy_columns(np)
+    hits = kernel_fn(
+        DecodedRun(outer_starts[outer_keep], outer_ends[outer_keep]),
+        DecodedRun(inner_starts[inner_keep], inner_ends[inner_keep]),
+    )
+    if len(hits):
+        kept_outer = len(outer_keep)
+        hits = (
+            inner_keep[hits // kept_outer] * outer.length
+            + outer_keep[hits % kept_outer]
+        )
+    return hits, numpy_match_count(outer, inner)
+
+
 def numpy_hits_in_window(
     outer: DecodedRun, inner: DecodedRun, hits: Any, start: int, end: int
 ) -> Any:
@@ -481,13 +572,9 @@ def numpy_hits_in_window(
     made, so numpy is already imported."""
     np = _import_numpy()
     n_outer = outer.length
-    inner_starts, inner_ends = inner.numpy_columns(np)
-    inner_ok = (inner_starts <= end) & (inner_ends >= start)
-    kept = hits[inner_ok[hits // n_outer]]
+    kept = hits[_meets(np, inner, start, end)[hits // n_outer]]
     if len(kept):
-        outer_starts, outer_ends = outer.numpy_columns(np)
-        outer_ok = (outer_starts <= end) & (outer_ends >= start)
-        kept = kept[outer_ok[kept % n_outer]]
+        kept = kept[_meets(np, outer, start, end)[kept % n_outer]]
     return kept
 
 

@@ -26,11 +26,12 @@ pruning interval:
   every result pair must overlap inside the window);
 * the partition-pair kernel (:mod:`repro.core.kernels` — shared with
   the single-query join, including the numpy tier) yields the
-  overlapping pairs, which a final two-comparison test filters against
-  the window on the runs' endpoint columns
-  (:func:`~repro.core.join.hits_in_window`; the numpy tier's hit array
-  stays an array); the kept hits stay hit chunks
-  (:class:`~repro.core.join.PairChunks`), like the join's.
+  overlapping pairs that meet the window: the windowed probe
+  (:func:`~repro.core.join.run_probe_task`) restricts the numpy tier's
+  runs to the tuples that meet it, and cuts the other kernels' hits on
+  the runs' endpoint columns (:func:`~repro.core.join.hits_in_window`);
+  the kept hits stay hit chunks (:class:`~repro.core.join.PairChunks`),
+  like the join's.
 
 A pair ``(r, s)`` matches window ``W`` iff ``max(r.TS, s.TS, W.TS) <=
 min(r.TE, s.TE, W.TE)`` — plain interval overlap of all three.
@@ -69,12 +70,10 @@ from ..core.join import (
     PairChunks,
     RunReader,
     build_probe_schedule,
-    hits_in_window,
     joined_tuples,
     probe_inline,
 )
 from ..core.granules import choose_kernel
-from ..core.kernels import DecodedRun
 from ..core.relation import TemporalRelation
 from ..storage.device import DeviceProfile
 from ..storage.faults import FaultPolicy
@@ -107,19 +106,18 @@ def equal_windows(time_range: Interval, count: int) -> List[Interval]:
     return windows
 
 
-def _window_emitter(window: Interval, counters: CostCounters, pairs: PairChunks):
-    """The batch's emission step: keep only the kernel's hits that also
-    overlap *window* (:func:`~repro.core.join.hits_in_window`) — two
-    more comparisons per hit, and the hits that fail the window count as
-    false hits too — as one chunk of *pairs*."""
-    w_start, w_end = window.start, window.end
+def _window_emitter(counters: CostCounters, pairs: PairChunks):
+    """The batch's emission step after a windowed task: the task hands
+    over the hits that meet the window and has counted all of its
+    matches into ``result_tuples``.  The batch charges those matches as
+    window tests instead — two more comparisons per match, and the
+    matches that fail the window count as false hits too — and keeps
+    the hits as one chunk of *pairs*."""
 
-    def emit(outer, inner_runs, hits) -> None:
-        counters.charge_cpu(2 * len(hits))
-        kept = hits_in_window(
-            outer, DecodedRun.concatenate(inner_runs), hits, w_start, w_end
-        )
-        counters.charge_false_hit(len(hits) - len(kept))
+    def emit(outer, inner_runs, kept) -> None:
+        matched, counters.result_tuples = counters.result_tuples, 0
+        counters.charge_cpu(2 * matched)
+        counters.charge_false_hit(matched - len(kept))
         pairs.append(
             outer.tuples,
             joined_tuples(inner_runs, kept),
@@ -396,10 +394,11 @@ class BatchJoin(OIPJoin):
                     RunReader(storage),
                     counters,
                     pairs,
-                    _window_emitter(window, counters, pairs),
+                    _window_emitter(counters, pairs),
                     kernel,
                     governor=governor,
                     tracer=tracer,
+                    window=(window.start, window.end),
                 )
         finally:
             span.__exit__(None, None, None)

@@ -233,16 +233,19 @@ def summarize_result(
     sorting the (potentially huge) result.  An OIPJOIN's
     :class:`~repro.core.join.PairChunks` is read chunk by chunk without
     building its pairs; any other pair sequence is filtered and hashed
-    pair by pair, to the same body."""
+    pair by pair, to the same body.  A join that kept only the lookup's
+    window's pairs (``OIPJoin(window=...)``, recorded in its
+    ``details["window"]``) is not cut again."""
     limit = max(0, int(max_pairs)) if include_pairs else 0
     summarize = (
         _summarize_chunks
         if isinstance(result.pairs, PairChunks)
         else _summarize_pairs
     )
-    count, fingerprint, kept_pairs = summarize(
-        result.pairs, window if op == "lookup" else None, limit
-    )
+    cut = window if op == "lookup" else None
+    if cut is not None and result.details.get("window") == tuple(cut):
+        cut = None
+    count, fingerprint, kept_pairs = summarize(result.pairs, cut, limit)
     body: Dict[str, Any] = {
         "op": op,
         "generation": generation,
@@ -895,11 +898,16 @@ class JoinService:
                     # kernels) nest under the open service.query span.
                     kwargs["tracer"] = tracer
                 try:
+                    # A lookup's window reaches the probe: the join keeps
+                    # only the window's pairs (on the numpy tier its
+                    # kernel joins only the tuples meeting the window),
+                    # while its counters stay the full join's.
                     join = OIPJoin(
                         index_provider=generation,
                         kernel=kernel if kernel is not None else self.kernel,
                         budget=budget,
                         cancellation=token,
+                        window=window,
                         **kwargs,
                     )
                     result = join.join(generation.outer, generation.inner)

@@ -403,7 +403,13 @@ class WorkerSupervisor:
                 changed = True
             if changed:
                 self._write_roster()
-            sentinels = [p.sentinel for p in self._procs if p.is_alive()]
+            # Wait on every registered worker, not only the ones alive
+            # now: a worker that died since the pass above keeps its
+            # sentinel ready, so the wait returns at once and the next
+            # pass replaces it.  Asking is_alive() again here would let
+            # a death between the two checks end supervision.
+            with self._lock:
+                sentinels = [p.sentinel for p in self._procs]
             if not sentinels and not pending:
                 break
             if sentinels:

@@ -20,6 +20,20 @@ windows, windows that keep everything and windows on the domain bounds:
 * a chunk cuts on its probe's live decoded runs, and on columns rebuilt
   from its tuples once those runs are gone, to the same hits.
 
+A join for one lookup window (``OIPJoin(window=...)``) cuts each probe
+task's hits itself; on the numpy tier its kernel joins only the tuples
+that meet the window.  Over the same drawn pairs, at a derived ``k``,
+at ``k=1`` and at pinned ``k>1``, under a drawn seeded fault profile:
+
+* its pairs, in order, are the full join's chunks cut by
+  ``hits_in_window``, and every cost and resilience counter —
+  ``result_tuples`` included — is the full join's;
+* on the numpy tier every kernel call goes through
+  ``join.kernel_function`` and sees only the tuples that meet the
+  window;
+* a service's lookups, which window their joins, answer exactly as
+  ``offline_query``, which joins in full and cuts.
+
 The array cases skip when numpy is absent.
 """
 
@@ -32,6 +46,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import event, given
 
+from repro.core import join as join_module
 from repro.core import kernels
 from repro.core.interval import Interval
 from repro.core.join import (
@@ -49,11 +64,27 @@ from repro.core.lazy_list import oip_create
 from repro.core.oip import OIPConfiguration
 from repro.engine.batch import BatchJoin
 from repro.engine.governor import CancellationToken
-from repro.service.service import _summarize_pairs, _window_matches, summarize_result
+from repro.service.service import (
+    JoinService,
+    _summarize_pairs,
+    _window_matches,
+    offline_query,
+    summarize_result,
+)
+from repro.storage.device import TUPLE_SIZE_BYTES, DeviceProfile
+from repro.storage.faults import FAULT_PROFILES, fault_profile
 from repro.storage.manager import StorageManager
 from repro.storage.metrics import CostCounters
+from repro.storage.snapshot import save_index
 
-from .test_probe_core import PROBE_INNER, PROBE_OUTER, SMALL, relation_pairs
+from .test_probe_core import (
+    PROBE_INNER,
+    PROBE_OUTER,
+    SMALL,
+    _keys,
+    _outcome,
+    relation_pairs,
+)
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy is not installed"
@@ -325,3 +356,177 @@ def test_chunk_reads_its_live_runs_and_rebuilds_gone_ones(kernel):
         hit_list(hits_in_window(rebuilt_outer, rebuilt_inner, hits, *w))
         for w in windows
     ] == live
+
+
+# ----------------------------------------------------------------------
+# A join for one lookup window (OIPJoin(window=...)).
+# ----------------------------------------------------------------------
+
+#: A derived k, k=1 (one chunk) and pinned k>1 (concatenated inner runs).
+WINDOW_KS = st.sampled_from([None, 1, 2, 3, 8])
+
+#: No faults, or a seeded fault profile (a fresh policy per run).
+FAULTS = st.none() | st.tuples(
+    st.sampled_from(sorted(FAULT_PROFILES)), st.integers(0, 99)
+)
+
+
+def _join_options(k, kernel, faults):
+    """Two tuples per block, so the seeded faults hit these small
+    relations often."""
+    options = {
+        "kernel": kernel,
+        "device": DeviceProfile("window", block_size_bytes=2 * TUPLE_SIZE_BYTES),
+    }
+    if k is not None:
+        options["k"] = k
+    if faults is not None:
+        options["fault_policy"] = fault_profile(*faults)
+    return options
+
+
+def _cut_pairs(pairs, ts, te):
+    """A full join's pairs, its chunks cut by ``hits_in_window``."""
+    kept = []
+    for index, (outer, inner, n_outer, hits) in enumerate(pairs.chunks):
+        cut = hits_in_window(
+            *pairs.runs(index), hits, ts, te, ascending=index not in pairs.unordered
+        )
+        kept += [(outer[e % n_outer], inner[e // n_outer]) for e in hit_list(cut)]
+    return kept
+
+
+@given(
+    relation_pairs(),
+    WINDOW_KS,
+    st.sampled_from(["numpy", "sweep", "naive"]),
+    st.sampled_from([4096, 0]),
+    FAULTS,
+    CUTS,
+)
+@SMALL
+def test_windowed_join_is_the_full_join_cut(pair, k, kernel, cells, faults, cuts):
+    """A windowed join's pairs are the full join's cut to the window, in
+    order, and its counters are the full join's, on every kernel."""
+    outer, inner = pair
+    with _broadcast_cells(cells):
+        full = _outcome(
+            lambda: OIPJoin(**_join_options(k, kernel, faults)).join(outer, inner)
+        )
+        for ts, te in _windows(outer, inner, cuts):
+            windowed = _outcome(
+                lambda: OIPJoin(
+                    window=(ts, te), **_join_options(k, kernel, faults)
+                ).join(outer, inner)
+            )
+            if isinstance(full, type):
+                assert windowed is full
+                continue
+            kept = _cut_pairs(full.pairs, ts, te)
+            assert _keys(windowed.pairs) == _keys(kept)
+            assert windowed.counters.snapshot() == full.counters.snapshot()
+            assert windowed.resilience.snapshot() == full.resilience.snapshot()
+            assert windowed.counters.result_tuples == len(full.pairs)
+            assert len(windowed.pairs) == len(kept)
+            for key in ("k", "kernel", "outer_partitions", "inner_partitions"):
+                assert windowed.details.get(key) == full.details.get(key)
+            if kept and len(kept) < len(full.pairs):
+                event("window kept some pairs")
+            if len(full.pairs.chunks) > 1:
+                event("several chunks")
+            if any(full.resilience.snapshot().values()):
+                event("faults met and recovered")
+
+
+@contextmanager
+def _traced_kernel_calls():
+    """Every kernel call made through ``join.kernel_function`` (the
+    patch point a profiler wraps), as ``(outer length, inner length)``."""
+    calls = []
+    resolve = join_module.kernel_function
+
+    def traced(kernel):
+        match = resolve(kernel)
+
+        def call(outer, inner):
+            calls.append((outer.length, inner.length))
+            return match(outer, inner)
+
+        return call
+
+    join_module.kernel_function = traced
+    try:
+        yield calls
+    finally:
+        join_module.kernel_function = resolve
+
+
+@needs_numpy
+@given(relation_pairs(), st.sampled_from([4096, 0]), CUTS)
+@SMALL
+def test_windowed_numpy_kernel_sees_only_the_window(pair, cells, cuts):
+    """At k=1 a windowed numpy join makes the full join's one kernel
+    call, through ``join.kernel_function``, on exactly the tuples that
+    meet the window."""
+    outer, inner = pair
+    full = OIPJoin(k=1, kernel="numpy").join(outer, inner)
+    for ts, te in _windows(outer, inner, cuts):
+        with _broadcast_cells(cells), _traced_kernel_calls() as calls:
+            OIPJoin(k=1, kernel="numpy", window=(ts, te)).join(outer, inner)
+        meeting = tuple(
+            sum(1 for t in side if t.start <= te and ts <= t.end)
+            for side in (outer, inner)
+        )
+        # No call when Lemma 1 finds no inner partition (or a side is
+        # empty): the full join makes none either.
+        assert calls == ([meeting] if full.details.get("inner_visits") else [])
+        if 0 < meeting[0] < outer.cardinality:
+            event("the kernel saw a strict sub-run")
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [pytest.param("numpy", marks=needs_numpy), "sweep", "naive"],
+)
+@pytest.mark.parametrize("k", [1, 8])
+def test_served_lookups_equal_offline_query(kernel, k, tmp_path):
+    """A service's lookups, whose joins are windowed, answer exactly as
+    ``offline_query``, which joins in full and cuts: pairs, results,
+    fingerprint, counters, ``k`` and kernel."""
+    path = str(tmp_path / "window.oip")
+    save_index(path, PROBE_OUTER, PROBE_INNER, k=k)
+    service = JoinService(path, kernel=kernel)
+    service.start()
+    try:
+        full = service.query("join", kernel=kernel)
+        windows = _windows(PROBE_OUTER, PROBE_INNER, [(100, 180), (500, 520)])
+        for window in windows:
+            body = service.query(
+                "lookup", window=window, include_pairs=True, max_pairs=7
+            )
+            oracle = offline_query(
+                path,
+                op="lookup",
+                window=window,
+                kernel=kernel,
+                include_pairs=True,
+                max_pairs=7,
+            )
+            for key in ("elapsed_ms", "attempts", "service_ms"):
+                body.pop(key, None)
+                oracle.pop(key, None)
+            assert body == oracle
+            assert body["counters"] == full["counters"]
+            assert body["kernel"] == full["kernel"]
+    finally:
+        service.drain()
+
+
+def test_windowed_join_refuses_checkpoints_and_reversed_windows(tmp_path):
+    path = str(tmp_path / "window.ckpt")
+    with pytest.raises(ValueError, match="window"):
+        OIPJoin(window=(0, 10), checkpoint_path=path)
+    with pytest.raises(ValueError, match="window"):
+        OIPJoin(window=(0, 10), resume_from=path)
+    with pytest.raises(ValueError, match="precedes"):
+        OIPJoin(window=(10, 9))
